@@ -48,6 +48,7 @@ from .lagrangian import (
     ComplexSubspace,
     IndexRecord,
     Lagrangian,
+    Subspace,
     SubspaceReal,
     bivector_of_graph,
     check,

@@ -53,30 +53,13 @@ class ComplexBivector:
 
     def coeff_matrix(self) -> List[List[Poly]]:
         """Full skew matrix of Poly entries, A[i][j] = pi(dx_i, dx_j)."""
-        n = self.chart.dim
-        zero = Poly.zero(self.chart)
-        A = [[zero for _ in range(n)] for _ in range(n)]
-        for (i, j), p in self.body.comps.items():
-            A[i][j] = p
-            A[j][i] = -p
-        return A
+        return _part_matrix(self.body, self.chart)
 
     def sharp(self, alpha: FormField) -> MultiField:
         """pi#(alpha) for a degree-1 form with Poly coefficients."""
         if alpha.degree != 1 or alpha.chart != self.chart:
             raise ValueError("sharp expects a one-form on the same chart")
-        A = self.coeff_matrix()
-        n = self.chart.dim
-        comps: Dict[Tuple[int, ...], Poly] = {}
-        for i in range(n):
-            acc = Poly.zero(self.chart)
-            for j in range(n):
-                aj = alpha.component((j,))
-                if aj.is_zero() or A[i][j].is_zero():
-                    continue
-                acc = acc + A[i][j] * aj
-            comps[(i,)] = acc
-        return MultiField(self.chart, 1, comps)
+        return _sharp(self.chart, self.coeff_matrix(), alpha)
 
     def pairing(self, alpha: FormField, beta: FormField) -> MultiField:
         """pi(alpha, beta) as a degree-0 field."""
@@ -113,7 +96,7 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     """
     chart = pi.chart
     n = chart.dim
-    A1 = [[p for p in row] for row in _part_matrix(pi.pi1, chart)]
+    A1 = _part_matrix(pi.pi1, chart)
     A2 = _part_matrix(pi.pi2, chart)
     out: List[Tuple[Tuple[int, int, int], int, Poly]] = []
     for i in range(n):
@@ -133,6 +116,7 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
 
 
 def _part_matrix(part: MultiField, chart: Chart) -> List[List[Poly]]:
+    """Full skew Poly matrix of a bivector, A[i][j] = part(dx_i, dx_j)."""
     n = chart.dim
     zero = Poly.zero(chart)
     A = [[zero for _ in range(n)] for _ in range(n)]
@@ -153,17 +137,13 @@ def bracket_of_functions(pi: ComplexBivector, f: MultiField, g: MultiField) -> M
 
 
 def hamiltonian(pi: ComplexBivector, h: MultiField) -> MultiField:
-    """X_h = pi#(T_C h), so that X_h(f) = {f, h}."""
+    """X_h = pi#(T_C h), so that X_h(f) = {f, h}; zero iff h is a Casimir."""
     if h.degree != 0:
-        raise ValueError("hamiltonian expects a degree-0 field")
+        raise ValueError("expected a degree-0 field")
     return pi.sharp(complex_differential(h))
 
 
-def casimir_residual(pi: ComplexBivector, c: MultiField) -> MultiField:
-    """pi#(T_C c); zero iff c is a Casimir function."""
-    if c.degree != 0:
-        raise ValueError("casimir_residual expects a degree-0 field")
-    return pi.sharp(complex_differential(c))
+casimir_residual = hamiltonian
 
 
 def apply_vector(z: MultiField, f: MultiField) -> MultiField:
@@ -180,11 +160,40 @@ def cotangent_bracket(pi: ComplexBivector, a: FormField, b: FormField) -> FormFi
     one-forms satisfy [T_C f, T_C g]_pi = T_C {f, g}, and the sharp map is an
     anti-morphism, pi#[a, b]_pi = -[pi#a, pi#b].
     """
-    if a.degree != 1 or b.degree != 1:
-        raise ValueError("cotangent_bracket expects one-forms")
-    la = lie_derivative(pi.sharp(a), b)
-    lb = lie_derivative(pi.sharp(b), a)
-    return lb - la - complex_differential(pi.pairing(a, b))
+    if a.degree != 1 or b.degree != 1 or a.chart != pi.chart or b.chart != pi.chart:
+        raise ValueError("cotangent_bracket expects one-forms on the chart of pi")
+    return _bracket(pi.chart, pi.coeff_matrix(), a, b)
+
+
+def _sharp(chart: Chart, M: List[List[Poly]], alpha: FormField) -> MultiField:
+    """M#(alpha) with (M# alpha)_i = sum_j M[i][j] alpha_j; M need not be skew."""
+    n = chart.dim
+    a = [alpha.component((j,)) for j in range(n)]
+    comps: Dict[Tuple[int, ...], Poly] = {}
+    for i in range(n):
+        acc = Poly.zero(chart)
+        for j in range(n):
+            if a[j].is_zero() or M[i][j].is_zero():
+                continue
+            acc = acc + M[i][j] * a[j]
+        comps[(i,)] = acc
+    return MultiField(chart, 1, comps)
+
+
+def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:
+    """One-form bracket driven by a sharp matrix M (possibly non-skew):
+    [a, b]_M = L_{M#b} a - L_{M#a} b - T_C(a(M#b))."""
+    sa, sb = _sharp(chart, M, a), _sharp(chart, M, b)
+    pair = Poly.zero(chart)
+    for i in range(chart.dim):
+        ai, si = a.component((i,)), sb.component((i,))
+        if not (ai.is_zero() or si.is_zero()):
+            pair = pair + ai * si
+    return (
+        lie_derivative(sb, a)
+        - lie_derivative(sa, b)
+        - complex_differential(MultiField.function(chart, pair))
+    )
 
 
 # -- constructors ------------------------------------------------------------
@@ -275,7 +284,6 @@ def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
             first[i][j] = acc
 
     NA = _nijenhuis_matrix(body, N)
-    sig = ComplexBivector(body)
 
     def nstar(alpha: FormField) -> FormField:
         # (N* a)_j = sum_i a_i N_ij
@@ -295,46 +303,12 @@ def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
         for j in range(i + 1, n):
             a = FormField(chart, 1, {(i,): Poly.const(chart, 1)})
             b = FormField(chart, 1, {(j,): Poly.const(chart, 1)})
-            lhs = _bracket_by_sharp(chart, NA, a, b)
+            lhs = _bracket(chart, NA, a, b)
             rhs = (
-                cotangent_bracket(sig, nstar(a), b)
-                + cotangent_bracket(sig, a, nstar(b))
-                - nstar(cotangent_bracket(sig, a, b))
+                _bracket(chart, A, nstar(a), b)
+                + _bracket(chart, A, a, nstar(b))
+                - nstar(_bracket(chart, A, a, b))
             )
             second.append(lhs - rhs)
     return first, second
 
-
-def _bracket_by_sharp(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:
-    """One-form bracket driven by an explicit (possibly non-skew) sharp matrix."""
-
-    def sh(alpha: FormField) -> MultiField:
-        comps = {}
-        for i in range(chart.dim):
-            acc = Poly.zero(chart)
-            for j in range(chart.dim):
-                aj = alpha.component((j,))
-                if aj.is_zero() or M[i][j].is_zero():
-                    continue
-                acc = acc + M[i][j] * aj
-            comps[(i,)] = acc
-        return MultiField(chart, 1, comps)
-
-    def pair(alpha: FormField, beta: FormField) -> MultiField:
-        acc = Poly.zero(chart)
-        for i in range(chart.dim):
-            ai = alpha.component((i,))
-            if ai.is_zero():
-                continue
-            for j in range(chart.dim):
-                bj = beta.component((j,))
-                if bj.is_zero() or M[i][j].is_zero():
-                    continue
-                acc = acc + ai * M[i][j] * bj
-        return MultiField.function(chart, acc)
-
-    return (
-        lie_derivative(sh(b), a)
-        - lie_derivative(sh(a), b)
-        - complex_differential(pair(a, b))
-    )

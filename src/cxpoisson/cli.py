@@ -21,12 +21,12 @@ from .bivector import (
     jacobi_residual,
     pair_conditions,
 )
-from .fields import FormField, MultiField
+from .fields import FormField, GradedField, MultiField
 from .grammar import parse_poly
 from .lagrangian import (
-    Lagrangian,
     check as lag_check,
     check_cot,
+    complexify_real,
     hat,
     hat_cot,
     indices,
@@ -91,36 +91,23 @@ class Report:
 # -- object builders -----------------------------------------------------------
 
 
-def build_bivector(pf: ProblemFile, name: str) -> ComplexBivector:
+# problem-file block kind -> (ProblemFile table, field class, degree)
+_FIELD_KINDS = {
+    "bivector": ("bivectors", MultiField, 2),
+    "vector": ("vectors", MultiField, 1),
+    "oneform": ("oneforms", FormField, 1),
+}
+
+
+def build_field(pf: ProblemFile, kind: str, name: str) -> GradedField:
+    """The named bivector, vector or oneform block of pf as a field."""
+    table, cls, degree = _FIELD_KINDS[kind]
     chart = pf.chart
-    comps = {}
-    for i, j, coeff in pf.bivectors[name]:
-        comps[(i - 1, j - 1)] = parse_poly(coeff, chart)
-    return ComplexBivector(MultiField(chart, 2, comps))
-
-
-def build_form(pf: ProblemFile, name: str) -> FormField:
-    chart = pf.chart
-    comps = {}
-    for i, j, coeff in pf.forms[name]:
-        comps[(i - 1, j - 1)] = parse_poly(coeff, chart)
-    return FormField(chart, 2, comps)
-
-
-def build_vector(pf: ProblemFile, name: str) -> MultiField:
-    chart = pf.chart
-    comps = {}
-    for (i, coeff) in pf.vectors[name]:
-        comps[(i - 1,)] = parse_poly(coeff, chart)
-    return MultiField(chart, 1, comps)
-
-
-def build_oneform(pf: ProblemFile, name: str) -> FormField:
-    chart = pf.chart
-    comps = {}
-    for (i, coeff) in pf.oneforms[name]:
-        comps[(i - 1,)] = parse_poly(coeff, chart)
-    return FormField(chart, 1, comps)
+    comps = {
+        tuple(i - 1 for i in entry[:-1]): parse_poly(entry[-1], chart)
+        for entry in getattr(pf, table)[name]
+    }
+    return cls(chart, degree, comps)
 
 
 def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> List[Dict[str, Fraction]]:
@@ -157,11 +144,11 @@ def cmd_check(pf: ProblemFile, args) -> Report:
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
-        name = cargs[0]
+        name = cargs[0] if cargs else None
         if name not in pf.bivectors:
             rep.add(cid, "jacobi", name, "refused(unknown name)", None, t0)
             continue
-        pi = build_bivector(pf, name)
+        pi = ComplexBivector(build_field(pf, "bivector", name))
         res = jacobi_residual(pi)
         pc1, pc2 = pair_conditions(pi)
         pde = jacobi_pde_residuals(pi)
@@ -186,8 +173,11 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
-        name = cargs[0]
-        pi = build_bivector(pf, name)
+        name = cargs[0] if cargs else None
+        if name not in pf.bivectors:
+            rep.add(cid, "invariants", name, "refused(unknown name)", None, t0)
+            continue
+        pi = ComplexBivector(build_field(pf, "bivector", name))
         profs, summary = profile_sample(pi, pts)
         table = [
             {
@@ -232,7 +222,7 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
         if name not in pf.bivectors or bad:
             rep.add(cid, "dirac", cargs, f"refused(bad pipeline {bad or name})", None, t0)
             continue
-        pi = build_bivector(pf, name)
+        pi = ComplexBivector(build_field(pf, "bivector", name))
         witness = []
         verdict = "pass"
         for pt in use_pts:
@@ -245,29 +235,19 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
                     if not ok:
                         verdict = "fail"
                     continue
+                obj = complexify_real(obj)
                 if op == "indices":
-                    if not isinstance(obj, Lagrangian):
-                        from .lagrangian import complexify_real
-                        obj = complexify_real(obj)
                     rec = indices(obj)
                     steps.append({"op": op, "result": rec.__dict__})
                     continue
                 if op == "conjugate":
                     obj = transform("conjugate", None, obj)
-                elif op in ("hat", "check", "hat_cot", "check_cot"):
-                    fn = {"hat": hat, "check": lag_check,
-                          "hat_cot": hat_cot, "check_cot": check_cot}[op]
-                    if not isinstance(obj, Lagrangian):
-                        from .lagrangian import complexify_real
-                        obj = complexify_real(obj)
+                else:
+                    fn = {"hat": hat, "check": lag_check, "hat_cot": hat_cot,
+                          "check_cot": check_cot, "tilde": tilde,
+                          "tilde_cot": tilde_cot}[op]
                     obj = fn(obj)
-                elif op in ("tilde", "tilde_cot"):
-                    if not isinstance(obj, Lagrangian):
-                        from .lagrangian import complexify_real
-                        obj = complexify_real(obj)
-                    obj = tilde(obj) if op == "tilde" else tilde_cot(obj)
-                basis = getattr(obj, "basis")
-                steps.append({"op": op, "basis": [[str(x) for x in r] for r in basis]})
+                steps.append({"op": op, "basis": [[str(x) for x in r] for r in obj.basis]})
             witness.append({"point": {k: str(v) for k, v in sorted(pt.items())},
                             "steps": steps})
         rep.add(cid, "dirac", cargs, verdict, witness, t0)
@@ -281,16 +261,17 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
         if pf.bundle is None:
             rep.add(cid, "normal_form", cargs, "refused(no bundle declared)", None, t0)
             continue
-        if len(cargs) != 4:
+        tables = (pf.bivectors, pf.vectors, pf.oneforms, pf.oneforms)
+        if len(cargs) != 4 or any(a not in t for a, t in zip(cargs, tables)):
             rep.add(cid, "normal_form", cargs,
                     "refused(need: bivector vector oneform oneform)", None, t0)
             continue
         bname, xname, x1name, x2name = cargs
         bundle = BundleChart(*pf.bundle)
-        pi = build_bivector(pf, bname)
-        X = build_vector(pf, xname)
-        xi1 = build_oneform(pf, x1name)
-        xi2 = build_oneform(pf, x2name)
+        pi = ComplexBivector(build_field(pf, "bivector", bname))
+        X = build_field(pf, "vector", xname)
+        xi1 = build_field(pf, "oneform", x1name)
+        xi2 = build_field(pf, "oneform", x2name)
         pts = collect_points(pf, args.points, args.grid_size)
         base_pts = [{v: p[v] for v in bundle.base_vars} for p in pts[:10]]
         mrep = mixed_check(pi, bundle, base_pts)

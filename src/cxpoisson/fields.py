@@ -213,18 +213,7 @@ def contract(z: MultiField, a: FormField) -> FormField:
         raise ValueError("cannot contract into a degree-0 form")
     if z.chart != a.chart:
         raise ValueError("chart mismatch")
-    out: Dict[Index, Poly] = {}
-    for idx, p in a.comps.items():
-        for pos, j in enumerate(idx):
-            zj = z.component((j,))
-            if zj.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = zj * p
-            if pos % 2 == 1:
-                term = -term
-            out[rest] = out[rest] + term if rest in out else term
-    return FormField(a.chart, a.degree - 1, out)
+    return _interior(z, a)
 
 
 def contract_form(alpha: FormField, m: MultiField) -> MultiField:
@@ -235,18 +224,23 @@ def contract_form(alpha: FormField, m: MultiField) -> MultiField:
         raise ValueError("cannot contract into a degree-0 multivector")
     if alpha.chart != m.chart:
         raise ValueError("chart mismatch")
+    return _interior(alpha, m)
+
+
+def _interior(v: GradedField, field: GradedField) -> GradedField:
+    """First-slot interior product of the degree-1 field v into field."""
     out: Dict[Index, Poly] = {}
-    for idx, p in m.comps.items():
+    for idx, p in field.comps.items():
         for pos, j in enumerate(idx):
-            aj = alpha.component((j,))
-            if aj.is_zero():
+            vj = v.component((j,))
+            if vj.is_zero():
                 continue
             rest = idx[:pos] + idx[pos + 1:]
-            term = aj * p
+            term = vj * p
             if pos % 2 == 1:
                 term = -term
             out[rest] = out[rest] + term if rest in out else term
-    return MultiField(m.chart, m.degree - 1, out)
+    return type(field)(field.chart, field.degree - 1, out)
 
 
 def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
@@ -346,17 +340,23 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
     if deg < 0:
         # [f, g] = 0 for two functions
         return MultiField.zero(chart, 0)
-    result = MultiField.zero(chart, deg)
+    out: Dict[Index, Poly] = {}
     left_minus = (p + 1) % 2 == 1
     right_minus = (p * (q - 1)) % 2 == 0
     for l, name in enumerate(chart.vars):
         if p >= 1:
-            left = wedge(_theta_partial(a, l), _coeff_partial(b, name))
-            result = result - left if left_minus else result + left
+            _add_into(out, wedge(_theta_partial(a, l), _coeff_partial(b, name)), left_minus)
         if q >= 1:
-            right = wedge(_theta_partial(b, l), _coeff_partial(a, name))
-            result = result - right if right_minus else result + right
-    return result
+            _add_into(out, wedge(_theta_partial(b, l), _coeff_partial(a, name)), right_minus)
+    return MultiField(chart, deg, out)
+
+
+def _add_into(out: Dict[Index, Poly], t: GradedField, negate: bool):
+    """Add the components of t (or of -t when negate) to out."""
+    for key, term in t.comps.items():
+        if negate:
+            term = -term
+        out[key] = out[key] + term if key in out else term
 
 
 # -- evaluation at points --------------------------------------------------

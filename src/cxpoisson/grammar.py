@@ -130,6 +130,8 @@ class _Parser:
                 den = self.take()
                 if den[0] != "num":
                     raise PolyParseError(self.text, den[2], "denominator must be an integer")
+                if int(den[1]) == 0:
+                    raise PolyParseError(self.text, den[2], "zero denominator")
                 value /= int(den[1])
             return Poly.const(self.chart, GaussScalar.of(value))
         if tok[0] == "name":

@@ -5,10 +5,12 @@ cotangent.  The canonical pairing is the C-bilinear
 
     <X + xi, Y + eta> = 1/2 (eta(X) + xi(Y)).
 
-Subspaces are kept in reduced row echelon form, so equality of subspaces is
-equality of bases.  Real computations (hat, check, K, Delta, D) realify a
-complex span into R^{2m} with layout [real parts | imaginary parts] and slice
-out coordinate constraints by exact elimination.
+Subspaces of R^m and of C^m are one class, Subspace, whose field is fixed
+when it is built: complex when asked for or when any generator is a
+GaussScalar, real otherwise.  They are kept in reduced row echelon form, so equality of
+subspaces is equality of bases.  Real computations (hat, check, K, Delta, D)
+realify a complex span into R^{2m} with layout [real parts | imaginary parts]
+and slice out coordinate constraints by exact elimination.
 """
 
 from __future__ import annotations
@@ -25,16 +27,29 @@ F1 = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-class SubspaceReal:
-    """Canonical rational subspace of R^m."""
+class Subspace:
+    """Canonical subspace of R^m or C^m in reduced row echelon form.
 
-    __slots__ = ("m", "basis")
+    The field follows the generators: is_complex, or any GaussScalar entry,
+    makes it a Gaussian-rational subspace of C^m with every entry a
+    GaussScalar; otherwise every entry is made a Fraction, so rref never
+    meets a float.  Pass is_complex when the generators may be empty.
+    """
 
-    def __init__(self, m: int, gens: Sequence[Sequence[Fraction]]):
+    __slots__ = ("m", "basis", "is_complex")
+
+    def __init__(self, m: int, gens: Sequence[Sequence], is_complex: bool = False):
         for g in gens:
             if len(g) != m:
                 raise ValueError(f"generator length {len(g)} != ambient {m}")
-        red, _ = linalg.rref([[Fraction(x) for x in g] for g in gens])
+        self.is_complex = is_complex or any(
+            isinstance(x, GaussScalar) for g in gens for x in g
+        )
+        if self.is_complex:
+            rows = [_gauss_row(g) for g in gens]
+        else:
+            rows = [[Fraction(x) for x in g] for g in gens]
+        red, _ = linalg.rref(rows)
         self.m = m
         self.basis = tuple(tuple(r) for r in red)
 
@@ -42,68 +57,36 @@ class SubspaceReal:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Sequence) -> bool:
         return linalg.member(list(v), [list(r) for r in self.basis])
 
     def __eq__(self, other):
         return (
-            isinstance(other, SubspaceReal)
+            isinstance(other, Subspace)
+            and self.is_complex == other.is_complex
             and self.m == other.m
             and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.m, self.basis))
+        return hash((self.is_complex, self.m, self.basis))
 
     def __repr__(self):
-        return f"SubspaceReal(m={self.m}, dim={self.dim})"
+        field = "C" if self.is_complex else "R"
+        return f"Subspace({field}^{self.m}, dim={self.dim})"
 
 
-class ComplexSubspace:
-    """Canonical Gaussian-rational subspace of C^m."""
-
-    __slots__ = ("m", "basis")
-
-    def __init__(self, m: int, gens: Sequence[Sequence[GaussScalar]]):
-        for g in gens:
-            if len(g) != m:
-                raise ValueError(f"generator length {len(g)} != ambient {m}")
-        red, _ = linalg.rref([list(g) for g in gens])
-        self.m = m
-        self.basis = tuple(tuple(r) for r in red)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v: Sequence[GaussScalar]) -> bool:
-        return linalg.member(list(v), [list(r) for r in self.basis])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComplexSubspace)
-            and self.m == other.m
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.basis))
-
-    def __repr__(self):
-        return f"ComplexSubspace(m={self.m}, dim={self.dim})"
+SubspaceReal = ComplexSubspace = Subspace
 
 
-def subspace_from_generators(gens, m: Optional[int] = None):
-    """Canonical span of the generators; dispatches on the scalar type."""
+def subspace_from_generators(gens, m: Optional[int] = None) -> Subspace:
+    """Canonical span of the generators, inferring m from the first one."""
     gens = [list(g) for g in gens]
     if m is None:
         if not gens:
             raise ValueError("ambient dimension required for empty generator list")
         m = len(gens[0])
-    if any(isinstance(x, GaussScalar) for g in gens for x in g):
-        gs = [[x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in g] for g in gens]
-        return ComplexSubspace(m, gs)
-    return SubspaceReal(m, [[Fraction(x) for x in g] for g in gens])
+    return Subspace(m, gens)
 
 
 # -- pairing ----------------------------------------------------------------
@@ -126,13 +109,13 @@ class Lagrangian:
 
     __slots__ = ("n", "space")
 
-    def __init__(self, n: int, space: ComplexSubspace):
+    def __init__(self, n: int, space: Subspace):
         self.n = n
         self.space = space
 
     @classmethod
     def from_generators(cls, n: int, gens, allow_partial: bool = False) -> "Lagrangian":
-        space = ComplexSubspace(2 * n, [_gauss_row(g) for g in gens])
+        space = Subspace(2 * n, gens, is_complex=True)
         for a in range(space.dim):
             for b in range(a, space.dim):
                 if pairing(space.basis[a], space.basis[b], n):
@@ -209,10 +192,11 @@ def bivector_of_graph(L: Lagrangian) -> Optional[List[List[GaussScalar]]]:
     if not L.is_lagrangian:
         return None
     n = L.n
+    cot = linalg.transpose([r[n:] for r in L.basis])
     cols = []
     for k in range(n):
         target = [GS_ONE if t == k else GS_ZERO for t in range(n)]
-        combo = _solve_combo([list(r[n:]) for r in L.basis], target)
+        combo = linalg.solve(cot, target, n, GS_ZERO)
         if combo is None:
             return None
         tangent = [GS_ZERO] * n
@@ -224,24 +208,6 @@ def bivector_of_graph(L: Lagrangian) -> Optional[List[List[GaussScalar]]]:
     return [[cols[k][i] for k in range(n)] for i in range(n)]
 
 
-def _solve_combo(rows: List[List], target: List) -> Optional[List]:
-    """Coefficients c with sum c_i rows[i] = target, or None."""
-    if not rows:
-        return None
-    k = len(rows)
-    m = len(target)
-    # transpose system: for each coordinate j, sum_i c_i rows[i][j] = target[j]
-    aug = [[rows[i][j] for i in range(k)] + [target[j]] for j in range(m)]
-    red, pivots = linalg.rref(aug)
-    if k in pivots:
-        return None
-    zero = target[0] * 0
-    sol = [zero] * k
-    for r, pc in zip(red, pivots):
-        sol[pc] = r[k]
-    return sol
-
-
 # -- products ----------------------------------------------------------------
 
 
@@ -250,7 +216,7 @@ def products(kind: str, L1, L2) -> Lagrangian:
 
     tangent:  L1 * L2 = {X + eta1 + eta2 : X + eta1 in L1, X + eta2 in L2}
     cotangent: {X1 + X2 + eta : X1 + eta in L1, X2 + eta in L2}
-    complex variants take real lagrangians (SubspaceReal in R^{2n}):
+    complex variants take real lagrangians (real Subspace of R^{2n}):
     L1 *_C L2 = (L1)_C * (i . (L2)_C), likewise with the cotangent product.
     """
     if kind in ("complex_tangent", "complex_cotangent"):
@@ -295,8 +261,8 @@ def complexify_real(S) -> Lagrangian:
     """Complexification of a real lagrangian subspace of R^{2n}."""
     if isinstance(S, Lagrangian):
         return S
-    if not isinstance(S, SubspaceReal) or S.m % 2 != 0:
-        raise ValueError("expected a SubspaceReal in R^{2n}")
+    if not isinstance(S, Subspace) or S.is_complex or S.m % 2 != 0:
+        raise ValueError("expected a real Subspace of R^{2n}")
     n = S.m // 2
     return Lagrangian.from_generators(
         n, [[GaussScalar.of(x) for x in r] for r in S.basis], allow_partial=True
@@ -348,8 +314,9 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
 # -- realification and the hat/check/tilde families ---------------------------
 
 
-def realify(L: Lagrangian) -> List[List[Fraction]]:
-    """Real span of L in R^{4n}, layout [re parts | im parts]."""
+def realify(L) -> List[List[Fraction]]:
+    """Real span of a Lagrangian in R^{4n} (of a complex Subspace of C^m in
+    R^{2m}), layout [re parts | im parts]."""
     rows = []
     for r in L.basis:
         rows.append([x.re for x in r] + [x.im for x in r])
@@ -358,11 +325,11 @@ def realify(L: Lagrangian) -> List[List[Fraction]]:
     return red
 
 
-def _slice_real(rows: List[List[Fraction]], zero_cols, keep_cols) -> SubspaceReal:
+def _slice_real(rows: List[List[Fraction]], zero_cols, keep_cols) -> Subspace:
     """Intersect a real row span with {w[zero_cols] = 0}, project keep_cols."""
     k = len(rows)
     if k == 0:
-        return SubspaceReal(len(keep_cols), [])
+        return Subspace(len(keep_cols), [])
     cons = [[rows[i][c] for i in range(k)] for c in zero_cols]
     null = linalg.nullspace(cons, k, F1, F0)
     out = []
@@ -372,10 +339,10 @@ def _slice_real(rows: List[List[Fraction]], zero_cols, keep_cols) -> SubspaceRea
             for c in keep_cols
         ]
         out.append(vec)
-    return SubspaceReal(len(keep_cols), out)
+    return Subspace(len(keep_cols), out)
 
 
-def hat(L: Lagrangian) -> SubspaceReal:
+def hat(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian."""
     n = L.n
     rows = realify(L)
@@ -384,7 +351,7 @@ def hat(L: Lagrangian) -> SubspaceReal:
     return _slice_real(rows, tang_im, keep)
 
 
-def check(L: Lagrangian) -> SubspaceReal:
+def check(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + xi + i eta in L}, a real lagrangian."""
     n = L.n
     rows = realify(L)
@@ -398,7 +365,7 @@ def tilde(L: Lagrangian) -> Lagrangian:
     return products("complex_tangent", check(L), hat(L))
 
 
-def hat_cot(L: Lagrangian) -> SubspaceReal:
+def hat_cot(L: Lagrangian) -> Subspace:
     """Cotangent-product mirror of hat: {X + xi : exists Y, iX + Y + xi in L}."""
     n = L.n
     rows = realify(L)
@@ -407,7 +374,7 @@ def hat_cot(L: Lagrangian) -> SubspaceReal:
     return _slice_real(rows, cot_im, keep)
 
 
-def check_cot(L: Lagrangian) -> SubspaceReal:
+def check_cot(L: Lagrangian) -> Subspace:
     """{X + xi : exists Y, X + iY + xi in L}."""
     n = L.n
     rows = realify(L)
@@ -432,29 +399,24 @@ class IndexRecord:
     kernel_dim: int
 
 
-def tangent_range(L: Lagrangian) -> ComplexSubspace:
+def tangent_range(L: Lagrangian) -> Subspace:
     n = L.n
-    return ComplexSubspace(n, [list(r[:n]) for r in L.basis])
+    return Subspace(n, [list(r[:n]) for r in L.basis], is_complex=True)
 
 
-def real_points(E: ComplexSubspace) -> SubspaceReal:
+def real_points(E: Subspace) -> Subspace:
     """E intersect R^m for a complex subspace E of C^m."""
-    rows = []
-    for r in E.basis:
-        rows.append([x.re for x in r] + [x.im for x in r])
-        rows.append([-x.im for x in r] + [x.re for x in r])
-    red, _ = linalg.rref(rows)
     m = E.m
-    return _slice_real(red, list(range(m, 2 * m)), list(range(0, m)))
+    return _slice_real(realify(E), list(range(m, 2 * m)), list(range(0, m)))
 
 
-def real_projection(E: ComplexSubspace) -> SubspaceReal:
+def real_projection(E: Subspace) -> Subspace:
     """D = {Re v : v in E}; spanned by real and imaginary parts of a basis."""
     rows = []
     for r in E.basis:
         rows.append([x.re for x in r])
         rows.append([x.im for x in r])
-    return SubspaceReal(E.m, rows)
+    return Subspace(E.m, rows)
 
 
 def indices(L: Lagrangian) -> IndexRecord:
@@ -466,10 +428,7 @@ def indices(L: Lagrangian) -> IndexRecord:
     D = real_projection(E)
     # kernel: combinations with vanishing cotangent part
     cons = [[L.basis[i][n + t] for i in range(L.dim)] for t in range(n)]
-    null = linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO)
-    kernel_dim = len(ComplexSubspace(
-        L.dim, null
-    ).basis) if null else 0
+    kernel_dim = len(linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO))
     return IndexRecord(
         real_index=real_part.dim,
         dim_range=E.dim,
@@ -483,13 +442,11 @@ def is_quasi_real(L: Lagrangian) -> bool:
     """True when the tangent range is the complexification of a real space."""
     E = tangent_range(L)
     D = real_projection(E)
-    Dc = ComplexSubspace(
-        L.n, [[GaussScalar.of(x) for x in row] for row in D.basis]
-    )
+    Dc = Subspace(L.n, D.basis, is_complex=True)
     return E == Dc
 
 
-def kernel_space(L: Lagrangian) -> ComplexSubspace:
+def kernel_space(L: Lagrangian) -> Subspace:
     """L intersect T_C as a subspace of C^n (tangent coordinates)."""
     n = L.n
     cons = [[L.basis[i][n + t] for i in range(L.dim)] for t in range(n)]
@@ -500,17 +457,17 @@ def kernel_space(L: Lagrangian) -> ComplexSubspace:
             sum((coef[i] * L.basis[i][t] for i in range(L.dim)), start=GS_ZERO)
             for t in range(n)
         ])
-    return ComplexSubspace(n, vecs)
+    return Subspace(n, vecs, is_complex=True)
 
 
-def k_and_perp(L: Lagrangian) -> Tuple[SubspaceReal, SubspaceReal]:
+def k_and_perp(L: Lagrangian) -> Tuple[Subspace, Subspace]:
     """K = L intersect (real T + T*), and its pairing-orthogonal in R^{2n}."""
     n = L.n
     rows = realify(L)
     K = _slice_real(rows, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
     cons = [list(r[n:]) + list(r[:n]) for r in K.basis]
     perp_rows = linalg.nullspace(cons, 2 * n, F1, F0)
-    return K, SubspaceReal(2 * n, perp_rows)
+    return K, Subspace(2 * n, perp_rows)
 
 
 # -- two-form on the range -----------------------------------------------------
@@ -518,10 +475,13 @@ def k_and_perp(L: Lagrangian) -> Tuple[SubspaceReal, SubspaceReal]:
 
 def element_with_tangent(rows: List[List], n: int, x: List) -> Optional[List]:
     """An element of span(rows) in C^{2n} (or R^{2n}) with tangent part x."""
-    combo = _solve_combo([list(r[:n]) for r in rows], list(x))
-    if combo is None:
+    if not rows:
         return None
     zero = x[0] * 0
+    tangents = linalg.transpose([r[:n] for r in rows])
+    combo = linalg.solve(tangents, x, len(rows), zero)
+    if combo is None:
+        return None
     vec = [zero] * (2 * n)
     for c, row in zip(combo, rows):
         for s in range(2 * n):
@@ -549,7 +509,7 @@ def lagrangian_from_range_form(
     rows = []
     V = [list(v) for v in E_basis]
     for a in range(k):
-        xi = _solve_linear(V, [eps[a][b] for b in range(k)], n)
+        xi = linalg.solve(V, eps[a], n, GS_ZERO)
         if xi is None:
             raise ValueError("inconsistent range form")
         rows.append(list(E_basis[a]) + xi)
@@ -557,21 +517,6 @@ def lagrangian_from_range_form(
     for w in ann:
         rows.append([GS_ZERO] * n + list(w))
     return Lagrangian.from_generators(n, rows, allow_partial=True)
-
-
-def _solve_linear(rows_mat: List[List], rhs: List, ncols: int) -> Optional[List]:
-    """One solution xi of (rows_mat) xi = rhs, rows_mat k x ncols."""
-    if not rows_mat:
-        return [GS_ZERO] * ncols
-    aug = [list(r) + [b] for r, b in zip(rows_mat, rhs)]
-    red, pivots = linalg.rref(aug)
-    if ncols in pivots:
-        return None
-    zero = rhs[0] * 0 if rhs else GS_ZERO
-    sol = [zero] * ncols
-    for r, pc in zip(red, pivots):
-        sol[pc] = r[ncols]
-    return sol
 
 
 # -- images --------------------------------------------------------------------

@@ -65,6 +65,18 @@ def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:
     return basis
 
 
+def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, zero) -> Optional[Row]:
+    """One solution x of M x = rhs, M given by rows of length ncols, one row
+    per entry of rhs; free unknowns are set to zero.  None if inconsistent."""
+    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for r, pc in zip(red, pivots):
+        x[pc] = r[ncols]
+    return x
+
+
 def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
     return [
         [sum((a * b for a, b in zip(row, col)), start=row[0] * 0) for col in zip(*B)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .bivector import ComplexBivector
+from .bivector import ComplexBivector, _part_matrix
 from .fields import FormField, MultiField, d_complex
 from .lagrangian import (
     Lagrangian,
@@ -106,7 +106,7 @@ def mixed_check(
     n = b + f
     fiber_idx = list(range(b, n))
     # pi2(Ann TN)|_N = 0: fiber rows of the pi2 matrix vanish on N
-    A2sym = _poly_matrix(pi.pi2)
+    A2sym = _part_matrix(pi.pi2, chart)
     ann_zero = all(
         poly_subst_zero(A2sym[a][j], bundle.fiber_vars).is_zero()
         for a in fiber_idx
@@ -138,17 +138,6 @@ def mixed_check(
         direct_sum_ok=ds_ok,
         complex_cosymplectic_ok=cc_ok,
     )
-
-
-def _poly_matrix(part: MultiField) -> List[List[Poly]]:
-    chart = part.chart
-    n = chart.dim
-    zero = Poly.zero(chart)
-    A = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), p in part.comps.items():
-        A[i][j] = p
-        A[j][i] = -p
-    return A
 
 
 # -- Moser averaging ------------------------------------------------------------
@@ -410,7 +399,7 @@ def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
         zetas = []
         for a in range(f):
             target = [GS_ONE if i == b + a else GS_ZERO for i in range(n)]
-            sol = _solve_gauss(sub, target)
+            sol = linalg.solve(sub, target, f, GS_ZERO)
             if sol is None:
                 return False
             zetas.append(sol)
@@ -424,18 +413,6 @@ def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
                 if M[b + a][b + c] != val:
                     return False
     return True
-
-
-def _solve_gauss(rows: List[List[GaussScalar]], rhs: List[GaussScalar]) -> Optional[List[GaussScalar]]:
-    ncols = len(rows[0])
-    aug = [list(r) + [y] for r, y in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [GS_ZERO] * ncols
-    for r, pc in zip(red, pivots):
-        sol[pc] = r[ncols]
-    return sol
 
 
 def extension_check(ext: Extension, bundle: BundleChart, points) -> bool:

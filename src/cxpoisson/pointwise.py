@@ -9,15 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector
 from .fields import MultiField, eval_field, schouten
 from .lagrangian import (
-    ComplexSubspace,
     Lagrangian,
-    SubspaceReal,
+    Subspace,
     graph,
     hat,
     lagrangian_from_range_form,
@@ -121,7 +120,7 @@ class RankProfile:
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
     A1, A2 = bivector_at(pi, point)
     A = complex_matrix(A1, A2)
-    E = ComplexSubspace(len(A), A)  # row span = column span by skewness
+    E = Subspace(len(A), A, is_complex=True)  # row span = column span by skewness
     delta = real_points(E)
     D = real_projection(E)
     real_index = len(A2) - linalg.rank(A2)
@@ -156,12 +155,12 @@ def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[R
 # -- the A_pi distribution ---------------------------------------------------
 
 
-def delta_at(pi: ComplexBivector, point: Point) -> SubspaceReal:
+def delta_at(pi: ComplexBivector, point: Point) -> Subspace:
     A1, A2 = bivector_at(pi, point)
-    return real_points(ComplexSubspace(len(A1), complex_matrix(A1, A2)))
+    return real_points(Subspace(len(A1), complex_matrix(A1, A2), is_complex=True))
 
 
-def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[SubspaceReal, SubspaceReal]:
+def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:
     """A_pi at a point, by the preimage route and the annihilator route.
 
     Elements are realified covectors (xi, eta) in R^{2n} standing for
@@ -174,7 +173,7 @@ def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[SubspaceReal, SubspaceRe
     A1, A2 = bivector_at(pi, point)
     # preimage route
     rows = [[A2[i][j] for j in range(n)] + [A1[i][j] for j in range(n)] for i in range(n)]
-    pre = SubspaceReal(2 * n, linalg.nullspace(rows, 2 * n, F1, F0))
+    pre = Subspace(2 * n, linalg.nullspace(rows, 2 * n, F1, F0))
 
     # annihilator route: realify i*pi#(e_j) = -A2[:,j] + i A1[:,j] for each
     # real coordinate covector e_j, then annihilate under (xi,eta).(X,Y) =
@@ -184,11 +183,11 @@ def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[SubspaceReal, SubspaceRe
         X = [-A2[i][j] for i in range(n)]
         Y = [A1[i][j] for i in range(n)]
         cons.append(X + [-y for y in Y])
-    ann = SubspaceReal(2 * n, linalg.nullspace(cons, 2 * n, F1, F0))
+    ann = Subspace(2 * n, linalg.nullspace(cons, 2 * n, F1, F0))
     return pre, ann
 
 
-def a_pi_min_at(pi: ComplexBivector, point: Point) -> ComplexSubspace:
+def a_pi_min_at(pi: ComplexBivector, point: Point) -> Subspace:
     """A_pi^min = A_pi + i A_pi as a complex subspace of the cotangent fiber."""
     pre, _ = a_pi_at(pi, point)
     n = pi.chart.dim
@@ -197,7 +196,7 @@ def a_pi_min_at(pi: ComplexBivector, point: Point) -> ComplexSubspace:
         z = [GaussScalar.of(row[j], row[n + j]) for j in range(n)]
         gens.append(z)
         gens.append([GaussScalar.of(0, 1) * x for x in z])
-    return ComplexSubspace(n, gens)
+    return Subspace(n, gens, is_complex=True)
 
 
 # -- leafwise presymplectic data ---------------------------------------------
@@ -205,7 +204,7 @@ def a_pi_min_at(pi: ComplexBivector, point: Point) -> ComplexSubspace:
 
 @dataclass(frozen=True)
 class PresymplecticData:
-    delta_basis: SubspaceReal
+    delta_basis: Subspace
     omega_re: List[List[Fraction]]
     omega_im: List[List[Fraction]]
 
@@ -237,7 +236,7 @@ def presymplectic_at(
     pre: List[List[Fraction]] = []
     for tau in delta.basis:
         target = list(tau) + [F0] * n
-        sol = _solve_real(rho, target)
+        sol = linalg.solve(rho, target, 2 * n, F0)
         if sol is None:
             raise ValueError("Delta basis vector has no preimage in A_pi")
         if pivot_variant and kernel:
@@ -259,18 +258,6 @@ def presymplectic_at(
             omega_re[a][b] = skew_val(A1, xa, xb) + skew_val(A1, ea, eb)
             omega_im[a][b] = -skew_val(A2, xa, xb) - skew_val(A2, ea, eb)
     return PresymplecticData(delta, omega_re, omega_im)
-
-
-def _solve_real(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = linalg.rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [F0] * ncols
-    for r, pc in zip(red, pivots):
-        sol[pc] = r[ncols]
-    return sol
 
 
 def hat_sign_check(pi: ComplexBivector, point: Point) -> bool:
@@ -324,7 +311,7 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     return J, sigma
 
 
-def plus_i_eigenspace(J: List[List[Fraction]]) -> ComplexSubspace:
+def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:
     n2 = len(J)
     rows = [
         [GaussScalar.of(J[i][j], F0) for j in range(n2)] for i in range(n2)
@@ -332,7 +319,7 @@ def plus_i_eigenspace(J: List[List[Fraction]]) -> ComplexSubspace:
     for i in range(n2):
         rows[i][i] = rows[i][i] - GaussScalar.of(0, 1)
     null = linalg.nullspace(rows, n2, GS_ONE, GS_ZERO)
-    return ComplexSubspace(n2, null)
+    return Subspace(n2, null, is_complex=True)
 
 
 # -- tilde reconstruction ------------------------------------------------------

@@ -135,6 +135,26 @@ def test_dirac_refuses_unknown_op(tmp_path, capsys):
     assert "REFUSED" in out.upper()
 
 
+def test_dirac_complexifies_real_steps(nb_file, capsys):
+    with open(nb_file, "a") as fh:
+        fh.write("check hc dirac NB : hat | conjugate | indices\n")
+    code, out, _ = run(
+        capsys, ["dirac", nb_file, "--format", "machine", "--check", "hc"]
+    )
+    assert code == 0
+    steps = json.loads(out.strip())["witness"][0]["steps"]
+    assert [s["op"] for s in steps] == ["hat", "conjugate", "indices"]
+
+
+@pytest.mark.parametrize("command,kind", [("check", "jacobi"), ("invariants", "invariants")])
+def test_check_without_bivector_is_refusal(tmp_path, capsys, command, kind):
+    f = tmp_path / "noname.prob"
+    f.write_text(f"chart x y\nbivector B {{\n 1 2 = 1\n}}\ncheck c1 {kind}\n")
+    code, out, _ = run(capsys, [command, str(f)])
+    assert code == 2
+    assert "REFUSED" in out.upper()
+
+
 def test_extra_points_flag(nb_file, capsys):
     code, out, _ = run(
         capsys,
@@ -175,6 +195,14 @@ def test_normal_form_passes(split_file, capsys):
     assert rec["verdict"] == "pass"
     assert rec["witness"]["fiber_form_ok"] is True
     assert all(p["match"] for p in rec["witness"]["points"])
+
+
+def test_normal_form_refuses_names_of_the_wrong_kind(tmp_path, capsys):
+    f = tmp_path / "swapped.prob"
+    f.write_text(SPLIT_PROBLEM.replace("PI X xi1 xi2", "PI xi1 X xi2"))
+    code, out, _ = run(capsys, ["normal-form", str(f)])
+    assert code == 2
+    assert "REFUSED" in out.upper()
 
 
 def test_normal_form_refuses_without_bundle(tmp_path, capsys):

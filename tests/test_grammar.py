@@ -69,6 +69,8 @@ def test_errors_carry_column():
         parse_poly("x ? y", CH)
     with pytest.raises(PolyParseError):
         parse_poly("x y", CH)
+    with pytest.raises(PolyParseError):
+        parse_poly("1/0", CH)
     err = None
     try:
         parse_poly("x + w", CH)

@@ -8,6 +8,7 @@ import pytest
 from cxpoisson.lagrangian import (
     ComplexSubspace,
     Lagrangian,
+    Subspace,
     SubspaceReal,
     bivector_of_graph,
     check,
@@ -70,6 +71,25 @@ def test_subspace_canonical_form_and_membership():
     with pytest.raises(ValueError):
         subspace_from_generators([])
     assert subspace_from_generators([], m=3).dim == 0
+
+
+def test_subspace_field_follows_generators():
+    # integer generators are made Fractions, so rref never divides into floats
+    S = Subspace(2, [[2, 3], [4, 6]])
+    assert S.basis == ((F(1), F(3, 2)),) and not S.is_complex
+    assert all(type(x) is F for r in S.basis for x in r)
+    C = Subspace(2, [[2, GS_I]])
+    assert C.is_complex and C.basis == ((GS_ONE, GaussScalar.of(0, F(1, 2))),)
+    # the zero subspace keeps the field it was built over
+    Z = Subspace(2, [], is_complex=True)
+    assert Z.is_complex and Z != Subspace(2, [])
+
+
+def test_complexify_real_rejects_complex_subspace():
+    with pytest.raises(ValueError):
+        complexify_real(Subspace(2, [[GS_ONE, GS_I]]))
+    with pytest.raises(ValueError):
+        complexify_real(Subspace(2, [], is_complex=True))
 
 
 def test_pairing_formula():

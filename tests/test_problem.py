@@ -73,6 +73,7 @@ def test_bundle_declaration():
         ("chart x y\nbivector B {\n 1 3 = 1\n}", 3),  # index out of range
         ("chart x y\nbivector B {\n 1 = 1\n}", 3),  # wrong index count
         ("chart x y\nbivector B {\n 1 2 = w\n}", 3),  # bad coefficient
+        ("chart x y\nbivector B {\n 1 2 = 1/0\n}", 3),  # zero denominator
         ("chart x y\nfrobnicate\n", 2),  # unknown keyword
         ("chart x y\ncheck c1\n", 2),  # missing check kind
         ("chart x y\ncheck c1 jacobi Q\n", 0),  # unknown name reference
