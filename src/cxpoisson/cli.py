@@ -121,7 +121,18 @@ def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> Lis
             if len(vals) != chart.dim:
                 raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
             pts.append(dict(zip(chart.vars, vals)))
+    if not pts:
+        raise ValueError(
+            "empty point set: --grid-size is 0 and there are no point lines or --points"
+        )
     return pts
+
+
+def _grid_size(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _selected(pf: ProblemFile, kind: str, only: Optional[str]):
@@ -318,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("file", help="problem file path")
         p.add_argument("--points", default=None,
                        help="extra points, e.g. '1/2,1,0;1,1,1'")
-        p.add_argument("--grid-size", type=int, default=20)
+        p.add_argument("--grid-size", type=_grid_size, default=20)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         p.add_argument("--check", default=None, help="comma-separated check ids")
     args = parser.parse_args(argv)

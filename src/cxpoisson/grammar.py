@@ -2,7 +2,8 @@
 
 Accepted tokens: integers, rationals `p/q`, the imaginary unit `i`, chart
 variable names, `+ - * ^` and parentheses.  Whitespace is ignored.  `^` takes
-a nonnegative integer exponent.  Multiplication is always explicit (`2*x*y`).
+a nonnegative integer exponent of at most MAX_EXPONENT.  Multiplication is
+always explicit (`2*x*y`).
 
 The printer in poly.format_poly emits strings this parser accepts, so
 parse/print round-trips.
@@ -20,6 +21,10 @@ from .scalars import GS_I, GaussScalar
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
 )
+
+
+# largest exponent accepted after `^`; a larger one is a parse error
+MAX_EXPONENT = 64
 
 
 class PolyParseError(ValueError):
@@ -113,10 +118,12 @@ class _Parser:
             etok = self.take()
             if etok[0] != "num":
                 raise PolyParseError(self.text, etok[2], "exponent must be an integer")
-            p = Poly.const(self.chart, 1)
-            for _ in range(int(etok[1])):
-                p = p * base
-            return p
+            k = int(etok[1])
+            if k > MAX_EXPONENT:
+                raise PolyParseError(
+                    self.text, etok[2], f"exponent {k} exceeds the maximum {MAX_EXPONENT}"
+                )
+            return _power(base, k)
         return base
 
     def atom(self) -> Poly:
@@ -151,6 +158,18 @@ class _Parser:
             self.expect_op(")")
             return p
         raise PolyParseError(self.text, tok[2], f"unexpected token {tok[1]!r}")
+
+
+def _power(base: Poly, k: int) -> Poly:
+    """base^k by repeated squaring: about 2 log2(k) multiplications."""
+    result = Poly.const(base.chart, 1)
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 def parse_poly(text: str, chart: Chart) -> Poly:

@@ -32,8 +32,9 @@ class Subspace:
 
     The field follows the generators: is_complex, or any GaussScalar entry,
     makes it a Gaussian-rational subspace of C^m with every entry a
-    GaussScalar; otherwise every entry is made a Fraction, so rref never
-    meets a float.  Pass is_complex when the generators may be empty.
+    GaussScalar; otherwise the basis entries are Fractions (generators that
+    are not ints or Fractions are made Fractions first, so rref never meets
+    a float).  Pass is_complex when the generators may be empty.
     """
 
     __slots__ = ("m", "basis", "is_complex")
@@ -48,7 +49,10 @@ class Subspace:
         if self.is_complex:
             rows = [_gauss_row(g) for g in gens]
         else:
-            rows = [[Fraction(x) for x in g] for g in gens]
+            rows = [
+                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in g]
+                for g in gens
+            ]
         red, _ = linalg.rref(rows)
         self.m = m
         self.basis = tuple(tuple(r) for r in red)
@@ -116,10 +120,8 @@ class Lagrangian:
     @classmethod
     def from_generators(cls, n: int, gens, allow_partial: bool = False) -> "Lagrangian":
         space = Subspace(2 * n, gens, is_complex=True)
-        for a in range(space.dim):
-            for b in range(a, space.dim):
-                if pairing(space.basis[a], space.basis[b], n):
-                    raise ValueError("generators do not span an isotropic subspace")
+        if not _is_isotropic(space.basis, n):
+            raise ValueError("generators do not span an isotropic subspace")
         if space.dim != n and not allow_partial:
             raise ValueError(
                 f"isotropic span has dimension {space.dim}, expected lagrangian "
@@ -154,6 +156,19 @@ class Lagrangian:
 
     def __repr__(self):
         return f"Lagrangian(n={self.n}, dim={self.dim}, basis={self.basis!r})"
+
+
+def _is_isotropic(basis, n: int) -> bool:
+    """Every pairing among the basis rows vanishes; checked on their
+    Gaussian-integer multiples, as <u, v> = u . (v with its halves swapped)."""
+    dot = linalg._dot
+    rows = [linalg._gauss_ints(r) for r in basis]
+    for a, (ur, ui) in enumerate(rows):
+        for vr, vi in rows[a:]:
+            wr, wi = vr[n:] + vr[:n], vi[n:] + vi[:n]
+            if dot(ur, wr) != dot(ui, wi) or dot(ur, wi) + dot(ui, wr):
+                return False
+    return True
 
 
 def _gauss_row(g) -> List[GaussScalar]:
@@ -242,18 +257,10 @@ def products(kind: str, L1, L2) -> Lagrangian:
         for s in range(lo, hi)
     ]
     null = linalg.nullspace(cons, k1 + k2, GS_ONE, GS_ZERO)
-    rows = []
-    for coef in null:
-        vec = [GS_ZERO] * (2 * n)
-        for i in range(k1):
-            for s in range(2 * n):
-                vec[s] = vec[s] + coef[i] * B1[i][s]
-        for j in range(k2):
-            for s in range(2 * n):
-                if lo <= s < hi:
-                    continue  # shared half counted once
-                vec[s] = vec[s] + coef[k1 + j] * B2[j][s]
-        rows.append(vec)
+    # each solution combines the rows of L1 with those of L2, whose shared
+    # half is already counted in L1's
+    B2_off = [[GS_ZERO if lo <= s < hi else x for s, x in enumerate(r)] for r in B2]
+    rows = linalg.matmul(null, B1 + B2_off)
     return Lagrangian.from_generators(n, rows, allow_partial=True)
 
 
@@ -279,22 +286,17 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
         B = [_gauss_row(r) for r in datum]
         if not linalg.is_skew(B):
             raise ValueError("b_field datum must be skew")
-        for r in L.basis:
-            add = [
-                sum((r[i] * B[i][j] for i in range(n)), start=GS_ZERO)
-                for j in range(n)
-            ]
-            rows.append(list(r[:n]) + [r[n + j] + add[j] for j in range(n)])
+        adds = linalg.matmul([r[:n] for r in L.basis], B)
+        for r, add in zip(L.basis, adds):
+            rows.append(list(r[:n]) + [x + y for x, y in zip(r[n:], add)])
     elif kind == "beta":
         P = [_gauss_row(r) for r in datum]
         if not linalg.is_skew(P):
             raise ValueError("beta datum must be skew")
-        for r in L.basis:
-            add = [
-                sum((P[i][j] * r[n + j] for j in range(n)), start=GS_ZERO)
-                for i in range(n)
-            ]
-            rows.append([r[i] + add[i] for i in range(n)] + list(r[n:]))
+        # P r_cot as a row: r_cot P^T
+        adds = linalg.matmul([r[n:] for r in L.basis], linalg.transpose(P))
+        for r, add in zip(L.basis, adds):
+            rows.append([x + y for x, y in zip(r[:n], add)] + list(r[n:]))
     elif kind == "scalar_dot":
         z = datum if isinstance(datum, GaussScalar) else GaussScalar.of(datum)
         for r in L.basis:
@@ -319,8 +321,10 @@ def realify(L) -> List[List[Fraction]]:
     R^{2m}), layout [re parts | im parts]."""
     rows = []
     for r in L.basis:
-        rows.append([x.re for x in r] + [x.im for x in r])
-        rows.append([-x.im for x in r] + [x.re for x in r])
+        # an integer multiple of r spans the same real plane
+        re, im = linalg._gauss_ints(r)
+        rows.append(re + im)
+        rows.append([-y for y in im] + re)
     red, _ = linalg.rref(rows)
     return red
 
@@ -330,15 +334,15 @@ def _slice_real(rows: List[List[Fraction]], zero_cols, keep_cols) -> Subspace:
     k = len(rows)
     if k == 0:
         return Subspace(len(keep_cols), [])
-    cons = [[rows[i][c] for i in range(k)] for c in zero_cols]
+    # scaling a row, or a combination, by a nonzero integer keeps the span
+    ints = [linalg._rational_ints(r) for r in rows]
+    cons = [[r[c] for r in ints] for c in zero_cols]
     null = linalg.nullspace(cons, k, F1, F0)
+    cols = [[r[c] for r in ints] for c in keep_cols]
     out = []
     for coef in null:
-        vec = [
-            sum((coef[i] * rows[i][c] for i in range(k)), start=F0)
-            for c in keep_cols
-        ]
-        out.append(vec)
+        w = linalg._rational_ints(coef)
+        out.append([linalg._dot(w, col) for col in cols])
     return Subspace(len(keep_cols), out)
 
 
@@ -414,8 +418,10 @@ def real_projection(E: Subspace) -> Subspace:
     """D = {Re v : v in E}; spanned by real and imaginary parts of a basis."""
     rows = []
     for r in E.basis:
-        rows.append([x.re for x in r])
-        rows.append([x.im for x in r])
+        # an integer multiple of r has parts spanning the same space
+        re, im = linalg._gauss_ints(r)
+        rows.append(re)
+        rows.append(im)
     return Subspace(E.m, rows)
 
 

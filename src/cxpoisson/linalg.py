@@ -1,16 +1,23 @@
-"""Generic exact linear algebra over a field (Fraction or GaussScalar).
+"""Exact linear algebra over Q (Fraction) and Q(i) (GaussScalar).
 
-Everything works on lists of lists.  Elements only need +, -, *, /, unary
-minus, truthiness for zero-testing, and == comparison, so the same code runs
-over the rationals and over the Gaussian rationals.
+Everything works on lists of lists.  rref, and everything built on it, runs
+on integers internally (see rref); the other helpers only need +, -, *,
+unary minus and ==, so the same code serves both fields.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
+
+from .scalars import GS_ZERO, GaussScalar, _make
 
 Row = List
 Matrix = List[Row]
+
+_F0 = Fraction(0)
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
@@ -18,33 +25,154 @@ def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
 
     Leftmost-pivot, leading-one normalization: the output is the canonical
     basis of the row span, so span equality is list equality.
+
+    Entries are ints, Fractions or GaussScalars.  The elimination is
+    fraction-free Gauss-Jordan on integers: each row is scaled to clear its
+    denominators (a row over Q(i) becomes parallel real and imaginary int
+    lists), a row update is r_k <- p r_k - f r_pivot with p the pivot and f
+    the entry being cleared, and each updated row is divided by the gcd of
+    its entries.  Each pivot row is divided by its pivot once, at the end.
+    Rows come back as GaussScalars when any entry is one, else as Fractions.
     """
-    m = [list(r) for r in rows]
+    rows = list(rows)
+    if any(type(x) is GaussScalar for r in rows for x in r):
+        return _rref_gauss(rows)
+    return _rref_rational(rows)
+
+
+def _rref_rational(rows) -> Tuple[Matrix, List[int]]:
+    m = [_rational_ints(row) for row in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0])
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for k in range(r, len(m)):
-            if m[k][c]:
-                pr = k
-                break
+        pr = next((k for k in range(r, nrows) if m[k][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for k in range(nrows):
+            f = m[k][c]
+            if f and k != r:
+                m[k] = _primitive([p * x - f * y for x, y in zip(m[k], prow)])
         pivots.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
-    return m[:r], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        out.append([Fraction(x, p) if x else _F0 for x in row])
+    return out, pivots
+
+
+def _rref_gauss(rows) -> Tuple[Matrix, List[int]]:
+    re_rows, im_rows = [], []
+    for row in rows:
+        re, im = _gauss_ints(row)
+        re_rows.append(re)
+        im_rows.append(im)
+    if not re_rows:
+        return [], []
+    nrows, ncols = len(re_rows), len(re_rows[0])
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((k for k in range(r, nrows) if re_rows[k][c] or im_rows[k][c]), None)
+        if pr is None:
+            continue
+        re_rows[r], re_rows[pr] = re_rows[pr], re_rows[r]
+        im_rows[r], im_rows[pr] = im_rows[pr], im_rows[r]
+        pre, pim = re_rows[r], im_rows[r]
+        p, q = pre[c], pim[c]
+        for k in range(nrows):
+            kre, kim = re_rows[k], im_rows[k]
+            f, h = kre[c], kim[c]
+            if k == r or not (f or h):
+                continue
+            if q == 0 and h == 0:
+                re = [p * x - f * y for x, y in zip(kre, pre)]
+                im = [p * x - f * y for x, y in zip(kim, pim)]
+            else:
+                # (p + q i)(x + y i) - (f + h i)(u + v i)
+                re = [p * x - q * y - f * u + h * v for x, y, u, v in zip(kre, kim, pre, pim)]
+                im = [p * y + q * x - f * v - h * u for x, y, u, v in zip(kre, kim, pre, pim)]
+            re_rows[k], im_rows[k] = _primitive_pair(re, im)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for re, im, c in zip(re_rows, im_rows, pivots):
+        p, q = re[c], im[c]
+        if q == 0:
+            out.append([_make(x, y, p) if x or y else GS_ZERO for x, y in zip(re, im)])
+        else:
+            # (x + y i)/(p + q i) = ((x p + y q) + (y p - x q) i)/(p^2 + q^2)
+            n = p * p + q * q
+            out.append([
+                _make(x * p + y * q, y * p - x * q, n) if x or y else GS_ZERO
+                for x, y in zip(re, im)
+            ])
+    return out, pivots
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _primitive_pair(re: List[int], im: List[int]) -> Tuple[List[int], List[int]]:
+    """(re, im) divided by the gcd of all their entries."""
+    g = gcd(*re, *im)
+    if g > 1:
+        return [x // g for x in re], [x // g for x in im]
+    return re, im
+
+
+def _scaled_rational(row: Sequence) -> Tuple[List[int], int]:
+    """(ints, den) with row == ints / den, for a row of ints and Fractions."""
+    try:
+        dens = [x.denominator for x in row]
+    except AttributeError:
+        raise TypeError(f"expected int or Fraction entries, got {row!r}") from None
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
+
+
+def _scaled_gauss(row: Sequence) -> Tuple[List[int], List[int], int]:
+    """(re, im, den) with row == (re + i im) / den, for a row of
+    GaussScalars, ints and Fractions."""
+    try:
+        abd = [x.abd if type(x) is GaussScalar else (x.numerator, 0, x.denominator) for x in row]
+    except AttributeError:
+        raise TypeError(f"expected int, Fraction or GaussScalar entries, got {row!r}") from None
+    den = lcm(*(d for _, _, d in abd))
+    return [a * (den // d) for a, _, d in abd], [b * (den // d) for _, b, d in abd], den
+
+
+def _rational_ints(row: Sequence) -> List[int]:
+    """The primitive integer multiple of a row of ints and Fractions."""
+    return _primitive(_scaled_rational(row)[0])
+
+
+def _gauss_ints(row: Sequence) -> Tuple[List[int], List[int]]:
+    """(real parts, imaginary parts) of the primitive Gaussian-integer
+    multiple of a row of GaussScalars, ints and Fractions."""
+    re, im, _ = _scaled_gauss(row)
+    return _primitive_pair(re, im)
+
+
+def _dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(mul, x, y))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -78,10 +206,24 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, zero) -> Optional
 
 
 def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
-    return [
-        [sum((a * b for a, b in zip(row, col)), start=row[0] * 0) for col in zip(*B)]
-        for row in A
-    ]
+    """A B for entries that are ints, Fractions or GaussScalars; the result is
+    GaussScalars when any entry is one, else Fractions.  Each row of A and
+    column of B is put over one denominator, so every entry costs one integer
+    dot product and one reduction."""
+    cols = list(zip(*B))
+    if any(type(x) is GaussScalar for M in (A, cols) for r in M for x in r):
+        rows_g = [_scaled_gauss(r) for r in A]
+        cols_g = [_scaled_gauss(c) for c in cols]
+        return [
+            [
+                _make(_dot(xr, yr) - _dot(xi, yi), _dot(xr, yi) + _dot(xi, yr), dx * dy)
+                for yr, yi, dy in cols_g
+            ]
+            for xr, xi, dx in rows_g
+        ]
+    rows_q = [_scaled_rational(r) for r in A]
+    cols_q = [_scaled_rational(c) for c in cols]
+    return [[Fraction(_dot(x, y), dx * dy) for y, dy in cols_q] for x, dx in rows_q]
 
 
 def matvec(A: Sequence[Sequence], v: Sequence) -> Row:

@@ -88,8 +88,9 @@ def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]]
     A2 = [[F0] * n for _ in range(n)]
     for (i, j), p in pi.body.comps.items():
         v = poly_eval(p, point)
-        A1[i][j], A1[j][i] = v.re, -v.re
-        A2[i][j], A2[j][i] = v.im, -v.im
+        re, im = v.re, v.im
+        A1[i][j], A1[j][i] = re, -re
+        A2[i][j], A2[j][i] = im, -im
     return A1, A2
 
 
@@ -299,6 +300,7 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
             "generalized complex matrix"
         )
     M11 = linalg.matmul(A1, inv2)
+    M22 = linalg.matmul(inv2, A1)
     sigma = [
         [x + y for x, y in zip(r1, r2)]
         for r1, r2 in zip(linalg.matmul(M11, A1), A2)
@@ -306,7 +308,7 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     J = [
         M11[i] + [-x for x in sigma[i]] for i in range(n)
     ] + [
-        inv2[i] + [-x for x in linalg.matmul(inv2, A1)[i]] for i in range(n)
+        inv2[i] + [-x for x in M22[i]] for i in range(n)
     ]
     return J, sigma
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
-from .scalars import GS_ONE, GS_ZERO, GaussScalar, Rational, _coerce
+from .scalars import GS_ONE, GS_ZERO, GaussScalar, Rational, _coerce, _make
 
 Exponent = Tuple[int, ...]
 
@@ -47,9 +47,10 @@ class Poly:
     def __init__(self, chart: Chart, terms: Mapping[Exponent, GaussScalar]):
         self.chart = chart
         clean: Dict[Exponent, GaussScalar] = {}
+        dim = chart.dim
         for exp, c in terms.items():
             exp = tuple(exp)
-            if len(exp) != chart.dim:
+            if len(exp) != dim:
                 raise ValueError(f"exponent {exp} has wrong length for {chart.vars}")
             if c:
                 clean[exp] = c
@@ -80,7 +81,7 @@ class Poly:
         return not self.terms
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.terms.values())
+        return all(c.abd[1] == 0 for c in self.terms.values())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -128,13 +129,13 @@ class Poly:
     def real_part(self) -> "Poly":
         return Poly(
             self.chart,
-            {e: GaussScalar(c.re, Fraction(0)) for e, c in self.terms.items()},
+            {e: _make(c.abd[0], 0, c.abd[2]) for e, c in self.terms.items()},
         )
 
     def imag_part(self) -> "Poly":
         return Poly(
             self.chart,
-            {e: GaussScalar(c.im, Fraction(0)) for e, c in self.terms.items()},
+            {e: _make(c.abd[1], 0, c.abd[2]) for e, c in self.terms.items()},
         )
 
     def conjugate(self) -> "Poly":
@@ -151,7 +152,7 @@ class Poly:
 
 
 def _same_chart(a: Poly, b: Poly):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ValueError(f"chart mismatch: {a.chart.vars} vs {b.chart.vars}")
 
 
@@ -230,10 +231,10 @@ def _monomial_str(chart: Chart, exp: Exponent) -> str:
 
 
 def _coeff_str(c: GaussScalar) -> str:
-    s = str(c)
-    if c.re != 0 and c.im != 0:
-        return f"({s})"
-    return s
+    a, b, _ = c.abd
+    if a and b:
+        return f"({c})"
+    return str(c)
 
 
 def format_poly(p: Poly) -> str:

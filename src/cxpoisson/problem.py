@@ -54,6 +54,8 @@ class ProblemFile:
     vectors: Dict[str, List[Tuple[int, str]]] = field(default_factory=dict)
     oneforms: Dict[str, List[Tuple[int, str]]] = field(default_factory=dict)
     checks: List[Tuple[str, str, List[str]]] = field(default_factory=list)
+    # file line of each check, by check id; not part of the content
+    check_lines: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def chart(self) -> Chart:
@@ -190,6 +192,7 @@ def parse_problem(text: str) -> ProblemFile:
             if any(c[0] == cid for c in p.checks):
                 raise ProblemParseError(lineno, f"duplicate check id {cid!r}")
             p.checks.append((cid, ckind, args))
+            p.check_lines[cid] = lineno
         else:
             raise ProblemParseError(lineno, f"unknown keyword {kw!r}")
     if pf is None:
@@ -207,7 +210,10 @@ def _validate_names(pf: ProblemFile):
             if kind == "dirac" and a not in known:
                 continue  # pipeline op names are validated at run time
             if kind in ("jacobi", "invariants", "normal_form") and a not in known:
-                raise ProblemParseError(0, f"check {cid!r} references unknown name {a!r}")
+                raise ProblemParseError(
+                    pf.check_lines.get(cid, 0),
+                    f"check {cid!r} references unknown name {a!r}",
+                )
 
 
 def dumps(pf: ProblemFile) -> str:

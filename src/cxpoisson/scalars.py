@@ -1,94 +1,192 @@
 """Exact Gaussian-rational arithmetic.
 
-A GaussScalar is a complex number a + bi whose real and imaginary parts are
-rationals, stored as Fraction so normalization (lowest terms, positive
-denominator) and structural equality come for free.  This is the coefficient
-field for every computation in the package: all identity checks are exact,
-with tolerance zero.
+A GaussScalar is the complex number (a + b i)/d.  It holds the integer
+triple abd = (a, b, d) over one shared denominator, in lowest terms: d > 0
+and gcd(a, b, d) == 1.  Every value has exactly one such triple, so
+structural equality is value equality.  Add, subtract, multiply, divide,
+inverse and conjugate are integer arithmetic followed by one gcd; when both
+operands are real the imaginary part is skipped.  The parts are read back as
+Fractions through .re and .im.
+
+This is the coefficient field for every computation in the package: all
+identity checks are exact, with tolerance zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import gcd
+from typing import Tuple, Union
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussScalar:
-    re: Fraction
-    im: Fraction
+    """Immutable (a + b i)/d with integers in lowest terms; see the module."""
+
+    __slots__ = ("abd",)
+    abd: Tuple[int, int, int]
+
+    def __init__(self, re: Rational, im: Rational):
+        ra, rd = _parts(re)
+        ia, id_ = _parts(im)
+        if rd == id_:
+            _set(self, (ra, ia, rd))
+        else:
+            g = gcd(rd, id_)
+            _set(self, (ra * (id_ // g), ia * (rd // g), rd // g * id_))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        """Reduce abd to lowest terms with a positive denominator.
+
+        Every construction path (constructor, arithmetic, linalg output) calls
+        this exactly once, through the class attribute.
+        """
+        a, b, d = self.abd
+        if d != 1:
+            g = gcd(a, b, d)
+            if d < 0:
+                g = -g
+            if g != 1:
+                _set(self, (a // g, b // g, d // g))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussScalar is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussScalar is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (GaussScalar, (self.re, self.im))
 
     @staticmethod
     def of(re: Rational = 0, im: Rational = 0) -> "GaussScalar":
-        return GaussScalar(Fraction(re), Fraction(im))
+        return GaussScalar(re, im)
 
     @staticmethod
     def i() -> "GaussScalar":
-        return GaussScalar(Fraction(0), Fraction(1))
+        return GS_I
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self.abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self.abd
+        return Fraction(b, d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        a, b, _ = self.abd
+        return a != 0 or b != 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.abd[1] == 0
 
     def conjugate(self) -> "GaussScalar":
-        return GaussScalar(self.re, -self.im)
+        a, b, d = self.abd
+        return _make(a, -b, d)
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussScalar(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self.abd
+        a2, b2, d2 = _coerce(other).abd
+        if d1 == d2:
+            return _make(a1 + a2, b1 + b2, d1)
+        if b1 or b2:
+            return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _make(a1 * d2 + a2 * d1, 0, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussScalar(-self.re, -self.im)
+        a, b, d = self.abd
+        return _make(-a, -b, d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussScalar(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self.abd
+        a2, b2, d2 = _coerce(other).abd
+        if d1 == d2:
+            return _make(a1 - a2, b1 - b2, d1)
+        if b1 or b2:
+            return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+        return _make(a1 * d2 - a2 * d1, 0, d1 * d2)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return GaussScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, d1 = self.abd
+        a2, b2, d2 = _coerce(other).abd
+        if b1 or b2:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return _make(a1 * a2, 0, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussScalar":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero GaussScalar")
-        return GaussScalar(self.re / n, -self.im / n)
+        return _make(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * _coerce(other).inverse()
+        a1, b1, d1 = self.abd
+        a2, b2, d2 = _coerce(other).abd
+        if b2 == 0:
+            if a2 == 0:
+                raise ZeroDivisionError("inverse of zero GaussScalar")
+            return _make(a1 * d2, b1 * d2, d1 * a2)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
+        return _make(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * (a2 * a2 + b2 * b2)
+        )
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
+        return _coerce(other) / self
+
+    def __eq__(self, other):
+        if type(other) is GaussScalar:
+            return self.abd == other.abd
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {_imag_str(abs(im))}"
 
     def __repr__(self) -> str:
         return f"GaussScalar({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set = GaussScalar.abd.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussScalar:
+    """The GaussScalar (a + b i)/d for integers with d != 0, reduced."""
+    z = _new(GaussScalar)
+    _set(z, (a, b, d))
+    z.__post_init__()
+    return z
+
+
+def _parts(x) -> Tuple[int, int]:
+    """(numerator, denominator) of a rational given as int, Fraction or
+    anything Fraction accepts."""
+    t = type(x)
+    if t is not int and t is not Fraction:
+        x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _imag_str(im: Fraction) -> str:
@@ -100,13 +198,13 @@ def _imag_str(im: Fraction) -> str:
 
 
 def _coerce(x) -> GaussScalar:
-    if isinstance(x, GaussScalar):
+    if type(x) is GaussScalar:
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussScalar(Fraction(x), Fraction(0))
+        return _make(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussScalar")
 
 
-GS_ZERO = GaussScalar(Fraction(0), Fraction(0))
-GS_ONE = GaussScalar(Fraction(1), Fraction(0))
-GS_I = GaussScalar(Fraction(0), Fraction(1))
+GS_ZERO = GaussScalar(0, 0)
+GS_ONE = GaussScalar(1, 0)
+GS_I = GaussScalar(0, 1)

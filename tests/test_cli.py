@@ -173,6 +173,43 @@ def test_bad_points_flag_is_refusal(nb_file, capsys):
     assert code == 2 and "error" in err
 
 
+NO_POINTS_PROBLEM = """\
+chart x y
+bivector B {
+  1 2 = 1
+}
+check c1 invariants B
+check c2 dirac B : tilde
+"""
+
+
+@pytest.mark.parametrize(
+    "command,text,point",
+    [
+        ("invariants", NO_POINTS_PROBLEM, "1,2"),
+        ("dirac", NO_POINTS_PROBLEM, "1,2"),
+        ("normal-form", SPLIT_PROBLEM, "1,2,0,0"),
+    ],
+)
+def test_empty_point_set_is_refusal(tmp_path, capsys, command, text, point):
+    # no point lines and an empty grid: nothing to sample, so no verdict
+    f = tmp_path / "nopoints.prob"
+    f.write_text(text)
+    code, out, err = run(capsys, [command, str(f), "--grid-size", "0"])
+    assert code == 2
+    assert "empty point set" in err and "PASS" not in out
+    # one extra point is enough to run
+    code, out, _ = run(capsys, [command, str(f), "--grid-size", "0", "--points", point])
+    assert code == 0 and "PASS" in out
+
+
+def test_negative_grid_size_is_refused(nb_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", nb_file, "--grid-size", "-1"])
+    assert exc.value.code == 2
+    assert "--grid-size" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     f = tmp_path / "broken.prob"
     f.write_text("chart x y\nbivector B {\n 2 1 = 1\n}\n")

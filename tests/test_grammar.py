@@ -1,11 +1,12 @@
 """Polynomial text grammar."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from cxpoisson import Chart, Poly, parse_poly
-from cxpoisson.grammar import PolyParseError
+from cxpoisson.grammar import MAX_EXPONENT, PolyParseError
 from cxpoisson.scalars import GS_I, GaussScalar
 
 CH = Chart(("x", "y", "z"))
@@ -77,3 +78,21 @@ def test_errors_carry_column():
     except PolyParseError as exc:
         err = exc
     assert err is not None and "column 5" in str(err)
+
+
+@pytest.mark.parametrize("base", ["x", "(3/2*y)", "(1 + i)", "(x - 2*i*y + 1/3)"])
+def test_power_equals_repeated_product(base):
+    b = parse_poly(base, CH)
+    expected = Poly.const(CH, 1)
+    for k in range(12):
+        assert parse_poly(f"{base}^{k}", CH) == expected
+        expected = expected * b
+
+
+def test_exponent_above_the_maximum_is_refused_fast():
+    assert parse_poly(f"x^{MAX_EXPONENT}", CH).terms == {(MAX_EXPONENT, 0, 0): GaussScalar.of(1)}
+    t0 = time.perf_counter()
+    for text in (f"x^{MAX_EXPONENT + 1}", "x^200000", "(x + y)^99999999999999999999"):
+        with pytest.raises(PolyParseError, match="exceeds the maximum"):
+            parse_poly(text, CH)
+    assert time.perf_counter() - t0 < 1.0

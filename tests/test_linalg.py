@@ -1,7 +1,9 @@
-"""Exact linear solves over Q and Q(i), checked against the rank criterion."""
+"""Exact linear algebra over Q and Q(i): solves checked against the rank
+criterion, rref against field-division Gauss-Jordan and against sympy."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,3 +40,112 @@ def test_solve_is_exact_and_none_iff_inconsistent(system):
     assert (x is None) == (linalg.rank(aug) > linalg.rank(rows))
     if x is not None:
         assert len(x) == ncols and linalg.matvec(rows, x) == rhs
+
+
+# -- rref against field-division Gauss-Jordan ----------------------------------
+
+
+def reference_rref(rows):
+    """Field-division Gauss-Jordan, leftmost pivot, leading ones: the rref
+    this package used before its integer elimination."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for k in range(r, len(m)):
+            if m[k][c]:
+                pr = k
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+WIDE = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**4))
+ENTRIES = {
+    "Q": st.one_of(SMALL.map(Fraction), WIDE),
+    "Q(i)": st.builds(GaussScalar, st.one_of(SMALL, WIDE), st.one_of(SMALL, WIDE)),
+}
+
+
+@st.composite
+def matrices(draw, field):
+    """Matrices with zero rows and rows that combine earlier ones, so rank
+    deficiency and zero columns are common."""
+    entries = ENTRIES[field]
+    zero = FIELDS[field][1]
+    ncols = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("random", "sparse", "zero", "combo")))
+        if kind == "zero":
+            rows.append([zero] * ncols)
+        elif kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind == "sparse":
+            rows.append([draw(entries) if draw(st.booleans()) else zero for _ in range(ncols)])
+        else:
+            rows.append([draw(entries) for _ in range(ncols)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
+def test_rref_matches_field_division_gauss_jordan(rows):
+    red, pivots = linalg.rref(rows)
+    ref_red, ref_pivots = reference_rref(rows)
+    assert pivots == ref_pivots
+    assert red == ref_red
+    assert [[type(x) for x in r] for r in red] == [[type(x) for x in r] for r in ref_red]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
+def test_rref_matches_sympy_domain_matrix(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ, QQ_I = sympy.QQ, sympy.QQ_I
+    if not rows or not rows[0]:
+        return
+
+    def to_sympy(x):
+        z = x if isinstance(x, GaussScalar) else GaussScalar.of(x)
+        return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
+
+    def from_sympy(q):
+        return GaussScalar.of(
+            Fraction(int(q.x.numerator), int(q.x.denominator)),
+            Fraction(int(q.y.numerator), int(q.y.denominator)),
+        )
+
+    M = DomainMatrix([[to_sympy(x) for x in r] for r in rows], (len(rows), len(rows[0])), QQ_I)
+    ref, ref_pivots = M.rref()
+    red, pivots = linalg.rref(rows)
+    assert tuple(pivots) == tuple(ref_pivots)
+    expected = [[from_sympy(q) for q in r] for r in ref.to_list()[: len(pivots)]]
+    assert [[x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in r] for r in red] == expected
+
+
+def test_rref_refuses_entries_it_cannot_make_exact():
+    with pytest.raises(TypeError):
+        linalg.rref([[0.5, Fraction(1)]])
+    with pytest.raises(TypeError):
+        linalg.rref([[GaussScalar.of(1), 0.5]])

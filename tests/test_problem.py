@@ -74,9 +74,12 @@ def test_bundle_declaration():
         ("chart x y\nbivector B {\n 1 = 1\n}", 3),  # wrong index count
         ("chart x y\nbivector B {\n 1 2 = w\n}", 3),  # bad coefficient
         ("chart x y\nbivector B {\n 1 2 = 1/0\n}", 3),  # zero denominator
+        ("chart x y\nbivector B {\n 1 2 = x^200000\n}", 3),  # exponent too large
         ("chart x y\nfrobnicate\n", 2),  # unknown keyword
         ("chart x y\ncheck c1\n", 2),  # missing check kind
-        ("chart x y\ncheck c1 jacobi Q\n", 0),  # unknown name reference
+        ("chart x y\ncheck c1 jacobi Q\n", 2),  # unknown name reference
+        ("chart x y\n\n# c\ncheck c1 jacobi Q\ncheck c2 normal_form R\n", 4),
+        ("chart x y\nbivector B {\n 1 2 = 1\n}\ncheck c1 jacobi B\ncheck c2 invariants Q\n", 6),
         ("", 1),  # empty file
     ],
 )

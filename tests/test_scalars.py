@@ -1,6 +1,7 @@
 """Gaussian-rational scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -74,3 +75,143 @@ def test_norm_via_conjugate(a):
     n = a * a.conjugate()
     assert n.im == 0
     assert n.re == a.re * a.re + a.im * a.im
+
+
+# -- the integer representation against a (Fraction, Fraction) model ---------
+
+# wide enough that products and shared denominators pass a hundred bits
+big_fractions = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6)
+)
+rationals = st.one_of(big_fractions, st.integers(-20, 20), fractions)
+pairs = st.tuples(rationals, rationals)
+
+
+def model_str(re: Fraction, im: Fraction) -> str:
+    """Reference rendering from Fraction parts: "re", "k*i" or "re + k*i"."""
+
+    def imag(v):
+        return "i" if v == 1 else "-i" if v == -1 else f"{v}*i"
+
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return imag(im)
+    return f"{re} {'+' if im > 0 else '-'} {imag(abs(im))}"
+
+
+def check_against(z, re: Fraction, im: Fraction):
+    """z is the scalar re + im i: parts, canonical triple, ==, hash, str, repr."""
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (re, im)
+    for part in (z.re, z.im):
+        assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
+    a, b, d = z.abd
+    assert d > 0 and gcd(a, b, d) == 1 and Fraction(a, d) == re and Fraction(b, d) == im
+    assert z == GaussScalar(re, im) and not z != GaussScalar(re, im)
+    assert hash(z) == hash((Fraction(re), Fraction(im)))
+    assert str(z) == model_str(Fraction(re), Fraction(im))
+    assert repr(z) == f"GaussScalar({Fraction(re)!r}, {Fraction(im)!r})"
+    assert bool(z) == (re != 0 or im != 0) and z.is_real() == (im == 0)
+
+
+@given(pairs)
+@settings(max_examples=200)
+def test_constructor_and_of_accept_ints_and_fractions(p):
+    re, im = p
+    check_against(GaussScalar(re, im), Fraction(re), Fraction(im))
+    check_against(GaussScalar.of(re, im), Fraction(re), Fraction(im))
+    check_against(GaussScalar.of(re), Fraction(re), Fraction(0))
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_operations_match_the_fraction_model(p, q):
+    (a, b), (c, d) = [tuple(map(Fraction, t)) for t in (p, q)]
+    z, w = GaussScalar(a, b), GaussScalar(c, d)
+    check_against(z + w, a + c, b + d)
+    check_against(z - w, a - c, b - d)
+    check_against(z * w, a * c - b * d, a * d + b * c)
+    check_against(-z, -a, -b)
+    check_against(z.conjugate(), a, -b)
+    # mixed with the rationals, on either side
+    check_against(z + c, a + c, b)
+    check_against(c - z, c - a, -b)
+    check_against(c * z, a * c, b * c)
+    assert (z == w) == ((a, b) == (c, d))
+    n = c * c + d * d
+    if n:
+        check_against(w.inverse(), c / n, -d / n)
+        check_against(z / w, (a * c + b * d) / n, (b * c - a * d) / n)
+        if d == 0:
+            check_against(z / c, a / c, b / c)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            w.inverse()
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    if a or b:
+        m = a * a + b * b
+        check_against(c / z, c * a / m, -c * b / m)
+
+
+def test_copy_and_pickle_round_trip():
+    import copy
+    import pickle
+
+    z = GaussScalar.of(Fraction(-7, 6), Fraction(5, 4))
+    assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+
+# -- the benchmark hook: __post_init__ runs once per scalar made -------------
+
+
+def test_post_init_is_called_once_per_scalar_made(monkeypatch):
+    from cxpoisson import linalg
+
+    assert "__post_init__" in vars(GaussScalar)
+    original = GaussScalar.__post_init__
+    made = []
+
+    def counted(obj):
+        made.append(obj)
+        original(obj)
+
+    monkeypatch.setattr(GaussScalar, "__post_init__", counted)
+
+    def makes_one(fn):
+        made.clear()
+        out = fn()
+        assert len(made) == 1 and made[0] is out
+
+    z, w = GaussScalar(Fraction(3, 4), -2), GaussScalar.of(5, Fraction(1, 3))
+    for fn in (
+        lambda: GaussScalar(1, Fraction(2, 3)),
+        lambda: GaussScalar.of(Fraction(1, 2)),
+        lambda: z + w, lambda: z - w, lambda: z * w, lambda: z / w,
+        lambda: -z, lambda: z.inverse(), lambda: z.conjugate(),
+        lambda: z + GS_ONE, lambda: z * GS_I,
+    ):
+        makes_one(fn)
+
+    # an int or Fraction operand is made a scalar first: two scalars, two calls
+    made.clear()
+    out = z * 2
+    assert len(made) == 2 and made[1] is out
+
+    rows = [[z, w, GS_ZERO], [w, z, GS_ONE], [z + w, z + w, GS_ONE]]
+    made.clear()
+    red, _ = linalg.rref(rows)
+    fresh = [x for r in red for x in r if x is not GS_ZERO]
+    assert len(made) == len(fresh) and {id(x) for x in made} == {id(x) for x in fresh}
+
+
+def test_instances_are_slotted_and_immutable():
+    z = GaussScalar.of(1, 2)
+    assert not hasattr(z, "__dict__")
+    for name, value in (("abd", (0, 0, 1)), ("re", Fraction(0)), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(z, name, value)
+    with pytest.raises(AttributeError):
+        del z.abd
+    assert z == GaussScalar.of(1, 2)
