@@ -21,10 +21,9 @@ from .fields import (
     decompose,
     lie_derivative,
     schouten,
-    wedge,
 )
 from .poly import Chart, Poly, poly_partial
-from .scalars import GS_I, GaussScalar
+from .scalars import GS_I
 
 
 class ComplexBivector:

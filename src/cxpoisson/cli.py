@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .bivector import (
     ComplexBivector,
@@ -117,7 +117,10 @@ def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> Lis
         pts.append(dict(zip(chart.vars, vals)))
     if extra:
         for chunk in extra.split(";"):
-            vals = [Fraction(t) for t in chunk.split(",")]
+            try:
+                vals = [Fraction(t) for t in chunk.split(",")]
+            except ZeroDivisionError:
+                raise ValueError(f"--points entry {chunk!r} has a zero denominator") from None
             if len(vals) != chart.dim:
                 raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
             pts.append(dict(zip(chart.vars, vals)))
@@ -151,7 +154,7 @@ def _selected(pf: ProblemFile, kind: str, only: Optional[str]):
 def cmd_check(pf: ProblemFile, args) -> Report:
     rep = Report()
     items = list(_selected(pf, "jacobi", args.check))
-    if not items:
+    if not items and not args.check:
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
@@ -180,7 +183,7 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
     rep = Report()
     pts = collect_points(pf, args.points, args.grid_size)
     items = list(_selected(pf, "invariants", args.check))
-    if not items:
+    if not items and not args.check:
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
@@ -340,6 +343,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.check:
+        known = {cid for cid, _, _ in pf.checks}
+        unknown = [cid for cid in args.check.split(",") if cid not in known]
+        if unknown:
+            print(f"error: --check names no check of the file: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
 
     try:
         if args.command == "check":
@@ -352,6 +362,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rep = cmd_normal_form(pf, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not rep.records:
+        # nothing ran, so there is no verdict to report as a pass
+        print(f"error: no check for {args.command} was selected", file=sys.stderr)
         return 2
 
     print(rep.render(args.format))

@@ -18,10 +18,10 @@ expression.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .poly import Chart, Poly, poly_partial
-from .scalars import GS_ONE, GaussScalar, Rational, _coerce
+from .scalars import GaussScalar, Rational, _coerce
 
 Index = Tuple[int, ...]
 

@@ -3,7 +3,9 @@
 Accepted tokens: integers, rationals `p/q`, the imaginary unit `i`, chart
 variable names, `+ - * ^` and parentheses.  Whitespace is ignored.  `^` takes
 a nonnegative integer exponent of at most MAX_EXPONENT.  Multiplication is
-always explicit (`2*x*y`).
+always explicit (`2*x*y`).  A product, written or formed by `^`, whose
+operands' term counts multiply past MAX_PRODUCT_TERMS is refused before it
+is computed, so no coefficient takes unbounded time to parse.
 
 The printer in poly.format_poly emits strings this parser accepts, so
 parse/print round-trips.
@@ -25,6 +27,8 @@ _TOKEN_RE = re.compile(
 
 # largest exponent accepted after `^`; a larger one is a parse error
 MAX_EXPONENT = 64
+# largest product of two operands' term counts that `*` and `^` may form
+MAX_PRODUCT_TERMS = 100_000
 
 
 class PolyParseError(ValueError):
@@ -98,7 +102,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "*":
                 self.take()
-                p = p * self.factor()
+                p = _product(p, self.factor(), self.text, tok[2])
             else:
                 return p
 
@@ -123,7 +127,7 @@ class _Parser:
                 raise PolyParseError(
                     self.text, etok[2], f"exponent {k} exceeds the maximum {MAX_EXPONENT}"
                 )
-            return _power(base, k)
+            return _power(base, k, self.text, tok[2])
         return base
 
     def atom(self) -> Poly:
@@ -160,15 +164,25 @@ class _Parser:
         raise PolyParseError(self.text, tok[2], f"unexpected token {tok[1]!r}")
 
 
-def _power(base: Poly, k: int) -> Poly:
+def _product(p: Poly, q: Poly, text: str, pos: int) -> Poly:
+    """p * q, refused before it is formed when it exceeds MAX_PRODUCT_TERMS."""
+    if len(p.terms) * len(q.terms) > MAX_PRODUCT_TERMS:
+        raise PolyParseError(
+            text, pos, f"a product of {len(p.terms)} by {len(q.terms)} terms "
+            f"exceeds the maximum {MAX_PRODUCT_TERMS}"
+        )
+    return p * q
+
+
+def _power(base: Poly, k: int, text: str, pos: int) -> Poly:
     """base^k by repeated squaring: about 2 log2(k) multiplications."""
     result = Poly.const(base.chart, 1)
     while k:
         if k & 1:
-            result = result * base
+            result = _product(result, base, text, pos)
         k >>= 1
         if k:
-            base = base * base
+            base = _product(base, base, text, pos)
     return result
 
 

@@ -9,8 +9,11 @@ Subspaces of R^m and of C^m are one class, Subspace, whose field is fixed
 when it is built: complex when asked for or when any generator is a
 GaussScalar, real otherwise.  They are kept in reduced row echelon form, so equality of
 subspaces is equality of bases.  Real computations (hat, check, K, Delta, D)
-realify a complex span into R^{2m} with layout [real parts | imaginary parts]
-and slice out coordinate constraints by exact elimination.
+realify a complex span into R^{2m} with layout [real parts | imaginary parts].
+Every intersect-and-project step (the hat/check slices, the products, the
+images, L intersect T_C) is one linalg.eliminate: the coordinates that must
+vanish are put first, one row per generator, and the tails that remain span
+the result.
 """
 
 from __future__ import annotations
@@ -159,16 +162,11 @@ class Lagrangian:
 
 
 def _is_isotropic(basis, n: int) -> bool:
-    """Every pairing among the basis rows vanishes; checked on their
-    Gaussian-integer multiples, as <u, v> = u . (v with its halves swapped)."""
-    dot = linalg._dot
-    rows = [linalg._gauss_ints(r) for r in basis]
-    for a, (ur, ui) in enumerate(rows):
-        for vr, vi in rows[a:]:
-            wr, wi = vr[n:] + vr[:n], vi[n:] + vi[:n]
-            if dot(ur, wr) != dot(ui, wi) or dot(ur, wi) + dot(ui, wr):
-                return False
-    return True
+    """Every pairing among the basis rows vanishes, computed as the products
+    u . (v with its halves swapped)."""
+    swapped = [r[n:] + r[:n] for r in basis]
+    gram = linalg.matmul(basis, linalg.transpose(swapped))
+    return not any(x for row in gram for x in row)
 
 
 def _gauss_row(g) -> List[GaussScalar]:
@@ -204,23 +202,13 @@ def graph(datum: Sequence[Sequence[GaussScalar]], kind: str) -> Lagrangian:
 
 def bivector_of_graph(L: Lagrangian) -> Optional[List[List[GaussScalar]]]:
     """Recover the skew matrix with L = graph(A, bivector); None if L meets T_C."""
-    if not L.is_lagrangian:
-        return None
     n = L.n
-    cot = linalg.transpose([r[n:] for r in L.basis])
-    cols = []
-    for k in range(n):
-        target = [GS_ONE if t == k else GS_ZERO for t in range(n)]
-        combo = linalg.solve(cot, target, n, GS_ZERO)
-        if combo is None:
-            return None
-        tangent = [GS_ZERO] * n
-        for c, row in zip(combo, L.basis):
-            for i in range(n):
-                tangent[i] = tangent[i] + c * row[i]
-        cols.append(tangent)
-    # cols[k] = A e_k
-    return [[cols[k][i] for k in range(n)] for i in range(n)]
+    # L is a graph exactly when its cotangent parts span C^n; then the rref
+    # with the cotangent half first has the rows e_k + A e_k
+    red, pivots = linalg.rref([r[n:] + r[:n] for r in L.basis])
+    if pivots != list(range(n)):
+        return None
+    return linalg.transpose([r[n:] for r in red])
 
 
 # -- products ----------------------------------------------------------------
@@ -247,21 +235,15 @@ def products(kind: str, L1, L2) -> Lagrangian:
     if L1.n != L2.n:
         raise ValueError("ambient dimension mismatch")
     n = L1.n
-    B1 = [list(r) for r in L1.basis]
-    B2 = [list(r) for r in L2.basis]
-    k1, k2 = len(B1), len(B2)
     lo, hi = (0, n) if kind == "tangent" else (n, 2 * n)
-    # matching constraint on the shared half
-    cons = [
-        [B1[i][s] for i in range(k1)] + [-B2[j][s] for j in range(k2)]
-        for s in range(lo, hi)
+    # the head is the L1 shared half minus the L2 one and must vanish; the
+    # tail counts the shared half once, through L1
+    rows = [list(r[lo:hi] + r) for r in L1.basis]
+    rows += [
+        [-x for x in r[lo:hi]] + list(r[:lo]) + [GS_ZERO] * n + list(r[hi:])
+        for r in L2.basis
     ]
-    null = linalg.nullspace(cons, k1 + k2, GS_ONE, GS_ZERO)
-    # each solution combines the rows of L1 with those of L2, whose shared
-    # half is already counted in L1's
-    B2_off = [[GS_ZERO if lo <= s < hi else x for s, x in enumerate(r)] for r in B2]
-    rows = linalg.matmul(null, B1 + B2_off)
-    return Lagrangian.from_generators(n, rows, allow_partial=True)
+    return Lagrangian.from_generators(n, linalg.eliminate(rows, n), allow_partial=True)
 
 
 def complexify_real(S) -> Lagrangian:
@@ -316,52 +298,43 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
 # -- realification and the hat/check/tilde families ---------------------------
 
 
-def realify(L) -> List[List[Fraction]]:
+def realify(L) -> List[List[int]]:
     """Real span of a Lagrangian in R^{4n} (of a complex Subspace of C^m in
-    R^{2m}), layout [re parts | im parts]."""
+    R^{2m}), layout [re parts | im parts], as 2k unreduced integer rows.
+
+    Each basis row r is replaced by a Gaussian-integer multiple s, which
+    contributes s and i s; C-independent rows give R-independent rows.
+    """
     rows = []
     for r in L.basis:
-        # an integer multiple of r spans the same real plane
         re, im = linalg._gauss_ints(r)
         rows.append(re + im)
         rows.append([-y for y in im] + re)
-    red, _ = linalg.rref(rows)
-    return red
+    return rows
 
 
-def _slice_real(rows: List[List[Fraction]], zero_cols, keep_cols) -> Subspace:
-    """Intersect a real row span with {w[zero_cols] = 0}, project keep_cols."""
-    k = len(rows)
-    if k == 0:
-        return Subspace(len(keep_cols), [])
-    # scaling a row, or a combination, by a nonzero integer keeps the span
-    ints = [linalg._rational_ints(r) for r in rows]
-    cons = [[r[c] for r in ints] for c in zero_cols]
-    null = linalg.nullspace(cons, k, F1, F0)
-    cols = [[r[c] for r in ints] for c in keep_cols]
-    out = []
-    for coef in null:
-        w = linalg._rational_ints(coef)
-        out.append([linalg._dot(w, col) for col in cols])
-    return Subspace(len(keep_cols), out)
+def _slice_real(L, zero_cols, keep_cols) -> Subspace:
+    """Intersect the real span of L (see realify) with {w[zero_cols] = 0},
+    project keep_cols."""
+    cols = zero_cols + keep_cols
+    rows = [[r[c] for c in cols] for r in realify(L)]
+    return Subspace(len(keep_cols), linalg.eliminate(rows, len(zero_cols)))
 
 
 def hat(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian."""
     n = L.n
-    rows = realify(L)
     tang_im = list(range(2 * n, 3 * n))
     keep = list(range(0, n)) + list(range(3 * n, 4 * n))
-    return _slice_real(rows, tang_im, keep)
+    return _slice_real(L, tang_im, keep)
 
 
 def check(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + xi + i eta in L}, a real lagrangian."""
     n = L.n
-    rows = realify(L)
     tang_im = list(range(2 * n, 3 * n))
     keep = list(range(0, 2 * n))
-    return _slice_real(rows, tang_im, keep)
+    return _slice_real(L, tang_im, keep)
 
 
 def tilde(L: Lagrangian) -> Lagrangian:
@@ -372,19 +345,17 @@ def tilde(L: Lagrangian) -> Lagrangian:
 def hat_cot(L: Lagrangian) -> Subspace:
     """Cotangent-product mirror of hat: {X + xi : exists Y, iX + Y + xi in L}."""
     n = L.n
-    rows = realify(L)
     cot_im = list(range(3 * n, 4 * n))
     keep = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
-    return _slice_real(rows, cot_im, keep)
+    return _slice_real(L, cot_im, keep)
 
 
 def check_cot(L: Lagrangian) -> Subspace:
     """{X + xi : exists Y, X + iY + xi in L}."""
     n = L.n
-    rows = realify(L)
     cot_im = list(range(3 * n, 4 * n))
     keep = list(range(0, 2 * n))
-    return _slice_real(rows, cot_im, keep)
+    return _slice_real(L, cot_im, keep)
 
 
 def tilde_cot(L: Lagrangian) -> Lagrangian:
@@ -411,7 +382,7 @@ def tangent_range(L: Lagrangian) -> Subspace:
 def real_points(E: Subspace) -> Subspace:
     """E intersect R^m for a complex subspace E of C^m."""
     m = E.m
-    return _slice_real(realify(E), list(range(m, 2 * m)), list(range(0, m)))
+    return _slice_real(E, list(range(m, 2 * m)), list(range(0, m)))
 
 
 def real_projection(E: Subspace) -> Subspace:
@@ -427,20 +398,16 @@ def real_projection(E: Subspace) -> Subspace:
 
 def indices(L: Lagrangian) -> IndexRecord:
     n = L.n
-    rows = realify(L)
-    real_part = _slice_real(rows, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
+    real_part = _slice_real(L, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
     E = tangent_range(L)
     delta = real_points(E)
     D = real_projection(E)
-    # kernel: combinations with vanishing cotangent part
-    cons = [[L.basis[i][n + t] for i in range(L.dim)] for t in range(n)]
-    kernel_dim = len(linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO))
     return IndexRecord(
         real_index=real_part.dim,
         dim_range=E.dim,
         dim_delta=delta.dim,
         dim_D=D.dim,
-        kernel_dim=kernel_dim,
+        kernel_dim=kernel_space(L).dim,
     )
 
 
@@ -455,22 +422,14 @@ def is_quasi_real(L: Lagrangian) -> bool:
 def kernel_space(L: Lagrangian) -> Subspace:
     """L intersect T_C as a subspace of C^n (tangent coordinates)."""
     n = L.n
-    cons = [[L.basis[i][n + t] for i in range(L.dim)] for t in range(n)]
-    null = linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO)
-    vecs = []
-    for coef in null:
-        vecs.append([
-            sum((coef[i] * L.basis[i][t] for i in range(L.dim)), start=GS_ZERO)
-            for t in range(n)
-        ])
-    return Subspace(n, vecs, is_complex=True)
+    rows = [r[n:] + r[:n] for r in L.basis]
+    return Subspace(n, linalg.eliminate(rows, n), is_complex=True)
 
 
 def k_and_perp(L: Lagrangian) -> Tuple[Subspace, Subspace]:
     """K = L intersect (real T + T*), and its pairing-orthogonal in R^{2n}."""
     n = L.n
-    rows = realify(L)
-    K = _slice_real(rows, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
+    K = _slice_real(L, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
     cons = [list(r[n:]) + list(r[:n]) for r in K.basis]
     perp_rows = linalg.nullspace(cons, 2 * n, F1, F0)
     return K, Subspace(2 * n, perp_rows)
@@ -537,54 +496,27 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
     A = [_gauss_row(r) for r in A]
     nrows = len(A)
     mcols = len(A[0]) if A else 0
-    k = L.dim
-    B = [list(r) for r in L.basis]
+    B = L.basis
     if kind == "backward":
         if L.n != nrows:
             raise ValueError("backward: L must live over the codomain")
         n, m = nrows, mcols
-        # unknowns: X in C^m, z in C^k with A X = tangent(sum z_i b_i)
-        cons = [
-            [A[t][c] for c in range(m)] + [-B[i][t] for i in range(k)]
-            for t in range(n)
-        ]
-        null = linalg.nullspace(cons, m + k, GS_ONE, GS_ZERO)
-        rows = []
-        for sol in null:
-            X = sol[:m]
-            z = sol[m:]
-            eta = [
-                sum((z[i] * B[i][n + t] for i in range(k)), start=GS_ZERO)
-                for t in range(n)
-            ]
-            At_eta = [
-                sum((A[t][c] * eta[t] for t in range(n)), start=GS_ZERO)
-                for c in range(m)
-            ]
-            rows.append(list(X) + At_eta)
-        return Lagrangian.from_generators(m, rows, allow_partial=True)
+        # X = e_c contributes the head A e_c, a basis row b the head
+        # -tangent(b) and the tail A^T cot(b)
+        At, E = linalg.transpose(A), linalg.identity(m, GS_ONE, GS_ZERO)
+        rows = [At[c] + E[c] + [GS_ZERO] * m for c in range(m)]
+        adds = linalg.matmul([b[n:] for b in B], A)
+        rows += [[-x for x in b[:n]] + [GS_ZERO] * m + a for b, a in zip(B, adds)]
+        return Lagrangian.from_generators(m, linalg.eliminate(rows, n), allow_partial=True)
     if kind == "forward":
         if L.n != mcols:
             raise ValueError("forward: L must live over the domain")
         n, m = nrows, mcols
-        # unknowns: xi in C^n, z in C^k with cot(sum z_i b_i) = A^T xi
-        cons = [
-            [-A[t][c] for t in range(n)] + [B[i][m + c] for i in range(k)]
-            for c in range(m)
-        ]
-        null = linalg.nullspace(cons, n + k, GS_ONE, GS_ZERO)
-        rows = []
-        for sol in null:
-            xi = sol[:n]
-            z = sol[n:]
-            X = [
-                sum((z[i] * B[i][c] for i in range(k)), start=GS_ZERO)
-                for c in range(m)
-            ]
-            AX = [
-                sum((A[t][c] * X[c] for c in range(m)), start=GS_ZERO)
-                for t in range(n)
-            ]
-            rows.append(AX + list(xi))
-        return Lagrangian.from_generators(n, rows, allow_partial=True)
+        # xi = e_t contributes the head -A^T e_t, a basis row b the head
+        # cot(b) and the tail A tangent(b)
+        E = linalg.identity(n, GS_ONE, GS_ZERO)
+        rows = [[-x for x in A[t]] + [GS_ZERO] * n + E[t] for t in range(n)]
+        adds = linalg.matmul([b[:m] for b in B], linalg.transpose(A))
+        rows += [list(b[m:]) + a + [GS_ZERO] * n for b, a in zip(B, adds)]
+        return Lagrangian.from_generators(n, linalg.eliminate(rows, m), allow_partial=True)
     raise ValueError(f"unknown image kind {kind!r}")

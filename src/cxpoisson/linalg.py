@@ -2,7 +2,9 @@
 
 Everything works on lists of lists.  rref, and everything built on it, runs
 on integers internally (see rref); the other helpers only need +, -, *,
-unary minus and ==, so the same code serves both fields.
+unary minus and ==, so the same code serves both fields.  eliminate is the
+one intersect-and-project step: order the columns so that the coordinates
+required to vanish come first, and it returns the rest of each vector.
 """
 
 from __future__ import annotations
@@ -179,6 +181,16 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[0])
 
 
+def eliminate(rows: Sequence[Sequence], k: int) -> Matrix:
+    """Basis of {v in span(rows) : v[:k] == 0}, given by the tails v[k:].
+
+    In reduced echelon form the rows whose pivot is at or after column k
+    span exactly that intersection, so their tails come back reduced.
+    """
+    red, pivots = rref(rows)
+    return [r[k:] for r, c in zip(red, pivots) if c >= k]
+
+
 def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:
     """Basis of {x : M x = 0} for M given by rows of length ncols."""
     red, pivots = rref(rows)
@@ -268,6 +280,3 @@ def member(v: Sequence, basis_rref: Sequence[Sequence]) -> bool:
     combined, _ = rref(list(basis_rref) + [list(v)])
     return len(combined) == len(basis_rref)
 
-
-def span_equal(a_rows: Sequence[Sequence], b_rows: Sequence[Sequence]) -> bool:
-    return rref(a_rows)[0] == rref(b_rows)[0]

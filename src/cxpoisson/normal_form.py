@@ -20,7 +20,6 @@ from .lagrangian import (
     bivector_of_graph,
     graph,
     images,
-    kernel_space,
     transform,
 )
 from .poly import Chart, Poly, poly_eval, poly_partial, poly_subst_zero
@@ -222,8 +221,8 @@ def local_model_at(
     pulled = images("backward", P, LN)
     B = form_matrix_at(ext.form, point)
     L = transform("b_field", B, pulled)
-    is_graph = kernel_space(L).dim == 0 and L.is_lagrangian
-    mat = bivector_of_graph(L) if is_graph else None
+    mat = bivector_of_graph(L)
+    is_graph = mat is not None
     formula_ok = None
     if all(point[v] == 0 for v in bundle.fiber_vars) and mat is not None:
         b, f = bundle.b, bundle.f
@@ -285,10 +284,7 @@ def induced_base_bivector_at(
     incl = [
         [GS_ONE if i == j else GS_ZERO for j in range(b)] for i in range(n)
     ]
-    LN = images("backward", incl, L)
-    if not LN.is_lagrangian or kernel_space(LN).dim != 0:
-        return None
-    return bivector_of_graph(LN)
+    return bivector_of_graph(images("backward", incl, L))
 
 
 def splitting_check(

@@ -13,17 +13,15 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector
-from .fields import MultiField, eval_field, schouten
+from .fields import MultiField, schouten
 from .lagrangian import (
     Lagrangian,
     Subspace,
     graph,
     hat,
     lagrangian_from_range_form,
-    pairing,
     real_points,
     real_projection,
-    tangent_range,
     tilde,
     two_form_on_range,
 )

@@ -166,11 +166,41 @@ def test_extra_points_flag(nb_file, capsys):
     assert len(rec["witness"]["profiles"]) == 5  # 2 grid + 1 named + 2 extra
 
 
-def test_bad_points_flag_is_refusal(nb_file, capsys):
-    code, _, err = run(
-        capsys, ["invariants", nb_file, "--points", "1,2"]
-    )
-    assert code == 2 and "error" in err
+@pytest.mark.parametrize(
+    "command,points",
+    [("invariants", "1,2"), ("invariants", "1/0,1,1"), ("dirac", "1/0,1,1")],
+)
+def test_bad_points_flag_is_refusal(nb_file, capsys, command, points):
+    code, out, err = run(capsys, [command, nb_file, "--points", points])
+    assert code == 2 and "error" in err and not out
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+def test_unknown_check_id_is_refusal(nb_file, capsys, command):
+    code, out, err = run(capsys, [command, nb_file, "--check", "good,nosuch"])
+    assert code == 2
+    assert "nosuch" in err and "good" not in err and not out
+
+
+@pytest.mark.parametrize(
+    "command,text,extra",
+    [
+        ("normal-form", NB_PROBLEM, []),  # the file has no normal_form check
+        ("check", NB_PROBLEM, ["--check", "inv"]),  # an id of another kind
+        ("invariants", NB_PROBLEM, ["--check", "good"]),
+        ("dirac", NB_PROBLEM, ["--check", "good"]),
+        ("check", "chart x y\n", []),  # no check and no bivector
+    ],
+    ids=["no-normal-form", "check-other-kind", "invariants-other-kind",
+         "dirac-other-kind", "no-bivector"],
+)
+def test_empty_selection_is_refusal(tmp_path, capsys, command, text, extra):
+    # a run that produces no record has no verdict, so it is not a pass
+    f = tmp_path / "sel.prob"
+    f.write_text(text)
+    code, out, err = run(capsys, [command, str(f)] + extra)
+    assert code == 2
+    assert "no check" in err and not out
 
 
 NO_POINTS_PROBLEM = """\

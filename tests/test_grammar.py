@@ -91,8 +91,17 @@ def test_power_equals_repeated_product(base):
 
 def test_exponent_above_the_maximum_is_refused_fast():
     assert parse_poly(f"x^{MAX_EXPONENT}", CH).terms == {(MAX_EXPONENT, 0, 0): GaussScalar.of(1)}
+    assert len(parse_poly(f"(x + y)^{MAX_EXPONENT}", CH).terms) == MAX_EXPONENT + 1
+    xyzw = Chart(("x", "y", "z", "w"))
     t0 = time.perf_counter()
-    for text in (f"x^{MAX_EXPONENT + 1}", "x^200000", "(x + y)^99999999999999999999"):
+    for text in (
+        f"x^{MAX_EXPONENT + 1}",
+        "x^200000",
+        "(x + y)^99999999999999999999",
+        # within the exponent cap, but the squarings pass MAX_PRODUCT_TERMS
+        "(x + y + z + w)^64",
+        "(x + y + z + w)^8 * (x + y + z + w)^8 * (x + y + z + w)^8",
+    ):
         with pytest.raises(PolyParseError, match="exceeds the maximum"):
-            parse_poly(text, CH)
+            parse_poly(text, xyzw)
     assert time.perf_counter() - t0 < 1.0

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cxpoisson import linalg
 from cxpoisson.lagrangian import (
     ComplexSubspace,
     Lagrangian,
@@ -405,3 +408,153 @@ def test_images_are_isotropic_under_projection(rng):
         images("forward", A, random_lagrangian(rng, 2))
     with pytest.raises(ValueError):
         images("sideways", A, random_lagrangian(rng, 3))
+
+
+# -- single-rref eliminations against nullspace formulations -------------------
+#
+# The references below are the nullspace formulations this module used before
+# every intersect-and-project became one linalg.eliminate: solve for the
+# combinations of the generators that meet the constraint, then rebuild the
+# vectors from them.
+
+
+def ref_slice_real(L, zero_cols, keep_cols):
+    rows = []
+    for r in L.basis:
+        rows.append([x.re for x in r] + [x.im for x in r])
+        rows.append([-x.im for x in r] + [x.re for x in r])
+    rows, _ = linalg.rref(rows)
+    k = len(rows)
+    cons = [[r[c] for r in rows] for c in zero_cols]
+    null = linalg.nullspace(cons, k, F(1), F(0))
+    out = [[sum((w[i] * rows[i][c] for i in range(k)), F(0)) for c in keep_cols] for w in null]
+    return Subspace(len(keep_cols), out)
+
+
+def ref_hat(L):
+    n = L.n
+    return ref_slice_real(L, list(range(2 * n, 3 * n)), list(range(n)) + list(range(3 * n, 4 * n)))
+
+
+def ref_check(L):
+    n = L.n
+    return ref_slice_real(L, list(range(2 * n, 3 * n)), list(range(2 * n)))
+
+
+def ref_hat_cot(L):
+    n = L.n
+    keep = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
+    return ref_slice_real(L, list(range(3 * n, 4 * n)), keep)
+
+
+def ref_check_cot(L):
+    n = L.n
+    return ref_slice_real(L, list(range(3 * n, 4 * n)), list(range(2 * n)))
+
+
+def combine(coefs, rows, cols):
+    return [sum((c * r[s] for c, r in zip(coefs, rows)), GS_ZERO) for s in cols]
+
+
+def ref_products(kind, L1, L2):
+    n = L1.n
+    B1, B2 = L1.basis, L2.basis
+    k1, k2 = len(B1), len(B2)
+    lo, hi = (0, n) if kind == "tangent" else (n, 2 * n)
+    cons = [[r[s] for r in B1] + [-r[s] for r in B2] for s in range(lo, hi)]
+    null = linalg.nullspace(cons, k1 + k2, GS_ONE, GS_ZERO)
+    B2_off = [[GS_ZERO if lo <= s < hi else x for s, x in enumerate(r)] for r in B2]
+    rows = [combine(w, list(B1) + B2_off, range(2 * n)) for w in null]
+    return Lagrangian.from_generators(n, rows, allow_partial=True)
+
+
+def ref_images(kind, A, L):
+    nrows, mcols, B, k = len(A), len(A[0]), L.basis, L.dim
+    if kind == "backward":
+        n, m = nrows, mcols
+        cons = [[A[t][c] for c in range(m)] + [-B[i][t] for i in range(k)] for t in range(n)]
+        rows = []
+        for sol in linalg.nullspace(cons, m + k, GS_ONE, GS_ZERO):
+            eta = combine(sol[m:], B, range(n, 2 * n))
+            At_eta = [sum((A[t][c] * eta[t] for t in range(n)), GS_ZERO) for c in range(m)]
+            rows.append(sol[:m] + At_eta)
+        return Lagrangian.from_generators(m, rows, allow_partial=True)
+    n, m = nrows, mcols
+    cons = [[-A[t][c] for t in range(n)] + [B[i][m + c] for i in range(k)] for c in range(m)]
+    rows = []
+    for sol in linalg.nullspace(cons, n + k, GS_ONE, GS_ZERO):
+        X = combine(sol[n:], B, range(m))
+        AX = [sum((A[t][c] * X[c] for c in range(m)), GS_ZERO) for t in range(n)]
+        rows.append(AX + sol[:n])
+    return Lagrangian.from_generators(n, rows, allow_partial=True)
+
+
+def ref_kernel_space(L):
+    n = L.n
+    cons = [[r[n + t] for r in L.basis] for t in range(n)]
+    null = linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO)
+    return Subspace(n, [combine(w, L.basis, range(n)) for w in null], is_complex=True)
+
+
+def ref_bivector_of_graph(L):
+    if not L.is_lagrangian:
+        return None
+    n = L.n
+    cot = linalg.transpose([r[n:] for r in L.basis])
+    cols = []
+    for k in range(n):
+        target = [GS_ONE if t == k else GS_ZERO for t in range(n)]
+        combo = linalg.solve(cot, target, n, GS_ZERO)
+        if combo is None:
+            return None
+        cols.append(combine(combo, L.basis, range(n)))
+    return linalg.transpose(cols)
+
+
+@st.composite
+def isotropics(draw, n=None):
+    """A random lagrangian of C^{2n} (n = 2..4 unless given), graph or not,
+    or an isotropic subspace spanned by some of its basis rows."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if n is None:
+        n = draw(st.integers(2, 4))
+    L = random_lagrangian(rnd, n)
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rows = [r for r, k in zip(L.basis, keep) if k]
+        L = Lagrangian.from_generators(n, rows, allow_partial=True)
+    return L
+
+
+@settings(max_examples=40, deadline=None)
+@given(isotropics())
+def test_slices_kernel_and_graph_match_nullspace_formulations(L):
+    assert hat(L) == ref_hat(L)
+    assert check(L) == ref_check(L)
+    assert hat_cot(L) == ref_hat_cot(L)
+    assert check_cot(L) == ref_check_cot(L)
+    assert kernel_space(L) == ref_kernel_space(L)
+    assert indices(L).kernel_dim == ref_kernel_space(L).dim
+    assert bivector_of_graph(L) == ref_bivector_of_graph(L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(isotropics(n), isotropics(n))))
+def test_products_match_nullspace_formulation(pair):
+    L1, L2 = pair
+    for kind in ("tangent", "cotangent"):
+        assert products(kind, L1, L2) == ref_products(kind, L1, L2)
+
+
+GAUSS = st.builds(GaussScalar.of, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_images_match_nullspace_formulation(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A = data.draw(st.lists(st.lists(GAUSS, min_size=m, max_size=m), min_size=n, max_size=n))
+    L = data.draw(isotropics(n))
+    assert images("backward", A, L) == ref_images("backward", A, L)
+    L = data.draw(isotropics(m))
+    assert images("forward", A, L) == ref_images("forward", A, L)

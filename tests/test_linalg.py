@@ -149,3 +149,22 @@ def test_rref_refuses_entries_it_cannot_make_exact():
         linalg.rref([[0.5, Fraction(1)]])
     with pytest.raises(TypeError):
         linalg.rref([[GaussScalar.of(1), 0.5]])
+
+
+# -- eliminate -------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(matrices), st.data())
+def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
+    ncols = len(rows[0]) if rows else 0
+    k = data.draw(st.integers(0, ncols))
+    tails = linalg.eliminate(rows, k)
+    # dim(span ∩ {v[:k] = 0}) = rank(M) - rank(M[:, :k])
+    assert len(tails) == linalg.rank(rows) - linalg.rank([r[:k] for r in rows])
+    assert all(len(t) == ncols - k for t in tails)
+    # each tail, padded with k zeros, lies in the span ...
+    for t in tails:
+        assert linalg.member([0] * k + t, linalg.rref(rows)[0])
+    # ... and the tails are already a reduced echelon basis, so independent
+    assert linalg.rref(tails)[0] == tails

@@ -75,6 +75,7 @@ def test_bundle_declaration():
         ("chart x y\nbivector B {\n 1 2 = w\n}", 3),  # bad coefficient
         ("chart x y\nbivector B {\n 1 2 = 1/0\n}", 3),  # zero denominator
         ("chart x y\nbivector B {\n 1 2 = x^200000\n}", 3),  # exponent too large
+        ("chart x y z w\nbivector B {\n 1 2 = (x+y+z+w)^64\n}", 3),  # product too large
         ("chart x y\nfrobnicate\n", 2),  # unknown keyword
         ("chart x y\ncheck c1\n", 2),  # missing check kind
         ("chart x y\ncheck c1 jacobi Q\n", 2),  # unknown name reference
