@@ -110,11 +110,10 @@ def build_field(pf: ProblemFile, kind: str, name: str) -> GradedField:
     return cls(chart, degree, comps)
 
 
-def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> List[Dict[str, Fraction]]:
+def given_points(pf: ProblemFile, extra: Optional[str]) -> List[Dict[str, Fraction]]:
+    """The file's point lines plus the --points entries."""
     chart = pf.chart
-    pts = grid_points(chart, grid_size)
-    for vals in pf.points.values():
-        pts.append(dict(zip(chart.vars, vals)))
+    pts = [dict(zip(chart.vars, vals)) for vals in pf.points.values()]
     if extra:
         for chunk in extra.split(";"):
             try:
@@ -124,6 +123,12 @@ def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> Lis
             if len(vals) != chart.dim:
                 raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
             pts.append(dict(zip(chart.vars, vals)))
+    return pts
+
+
+def collect_points(pf: ProblemFile, extra: Optional[str], grid_size: int) -> List[Dict[str, Fraction]]:
+    """The grid plus the given points; an empty set is refused."""
+    pts = grid_points(pf.chart, grid_size) + given_points(pf, extra)
     if not pts:
         raise ValueError(
             "empty point set: --grid-size is 0 and there are no point lines or --points"
@@ -221,10 +226,8 @@ _DIRAC_OPS = {
 
 def cmd_dirac(pf: ProblemFile, args) -> Report:
     rep = Report()
-    pts = collect_points(pf, args.points, args.grid_size)
-    # dirac runs only at named points unless none are given
-    named = [dict(zip(pf.chart.vars, v)) for v in pf.points.values()]
-    use_pts = named if named else pts[: min(3, len(pts))]
+    # dirac runs at the given points, or at three grid points when none are
+    use_pts = given_points(pf, args.points) or collect_points(pf, None, args.grid_size)[:3]
     for cid, cargs in _selected(pf, "dirac", args.check):
         t0 = time.monotonic()
         if not cargs:
@@ -321,13 +324,20 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
 # -- entry point -------------------------------------------------------------------
 
 
+# subcommand -> the check kind it runs
+_COMMAND_KINDS = {
+    "check": "jacobi", "invariants": "invariants", "dirac": "dirac",
+    "normal-form": "normal_form",
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cxpoisson",
         description="Exact checks for complex Poisson bivectors and Dirac structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "invariants", "dirac", "normal-form"):
+    for name in _COMMAND_KINDS:
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file path")
         p.add_argument("--points", default=None,
@@ -344,10 +354,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.check:
-        known = {cid for cid, _, _ in pf.checks}
-        unknown = [cid for cid in args.check.split(",") if cid not in known]
+        kinds = {cid: ckind for cid, ckind, _ in pf.checks}
+        ids = args.check.split(",")
+        unknown = [cid for cid in ids if cid not in kinds]
         if unknown:
             print(f"error: --check names no check of the file: {', '.join(unknown)}",
+                  file=sys.stderr)
+            return 2
+        other = [f"{cid} is of kind {kinds[cid]}" for cid in ids
+                 if kinds[cid] != _COMMAND_KINDS[args.command]]
+        if other:
+            print(f"error: --check names no check for {args.command}: {'; '.join(other)}",
                   file=sys.stderr)
             return 2
 

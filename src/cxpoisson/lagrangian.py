@@ -444,11 +444,11 @@ def element_with_tangent(rows: List[List], n: int, x: List) -> Optional[List]:
         return None
     zero = x[0] * 0
     tangents = linalg.transpose([r[:n] for r in rows])
-    combo = linalg.solve(tangents, x, len(rows), zero)
+    combo = linalg.solve(tangents, [[t] for t in x], len(rows), zero)
     if combo is None:
         return None
     vec = [zero] * (2 * n)
-    for c, row in zip(combo, rows):
+    for (c,), row in zip(combo, rows):
         for s in range(2 * n):
             vec[s] = vec[s] + c * row[s]
     return vec
@@ -470,17 +470,14 @@ def lagrangian_from_range_form(
 ) -> Lagrangian:
     """L(E, eps) = {X + xi : X in E, xi|_E = i_X eps}, with eps(v_a, v_b)
     given on the basis and the convention eps(X, w) = xi(w)."""
-    k = len(E_basis)
-    rows = []
     V = [list(v) for v in E_basis]
-    for a in range(k):
-        xi = linalg.solve(V, eps[a], n, GS_ZERO)
-        if xi is None:
-            raise ValueError("inconsistent range form")
-        rows.append(list(E_basis[a]) + xi)
+    # column a of Xi is xi_a, with xi_a(v_b) = eps(v_a, v_b)
+    Xi = linalg.solve(V, linalg.transpose(eps), n, GS_ZERO)
+    if Xi is None:
+        raise ValueError("inconsistent range form")
+    rows = [v + xi for v, xi in zip(V, linalg.transpose(Xi))]
     ann = linalg.nullspace(V, n, GS_ONE, GS_ZERO)
-    for w in ann:
-        rows.append([GS_ZERO] * n + list(w))
+    rows += [[GS_ZERO] * n + w for w in ann]
     return Lagrangian.from_generators(n, rows, allow_partial=True)
 
 

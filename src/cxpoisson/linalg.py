@@ -5,6 +5,9 @@ on integers internally (see rref); the other helpers only need +, -, *,
 unary minus and ==, so the same code serves both fields.  eliminate is the
 one intersect-and-project step: order the columns so that the coordinates
 required to vanish come first, and it returns the rest of each vector.
+solve is the one linear-system step: it solves M X = B for a whole block B
+of right-hand sides with one rref of [M | B], so an inverse is
+solve(A, identity(...)), which is None exactly when A is singular.
 """
 
 from __future__ import annotations
@@ -205,16 +208,21 @@ def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, zero) -> Optional[Row]:
-    """One solution x of M x = rhs, M given by rows of length ncols, one row
-    per entry of rhs; free unknowns are set to zero.  None if inconsistent."""
-    red, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
+def solve(rows: Sequence[Sequence], rhs: Sequence[Sequence], ncols: int, zero) -> Optional[Matrix]:
+    """X with M X == B, from one rref of [M | B].
+
+    M is given by rows of length ncols; B by rhs, one row per equation and
+    one column per right-hand side.  X has ncols rows, with free unknowns set
+    to zero.  None if any column of B is inconsistent.
+    """
+    red, pivots = rref([list(r) + list(b) for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [zero] * ncols
+    width = len(rhs[0]) if rhs else 0
+    X = [[zero] * width for _ in range(ncols)]
     for r, pc in zip(red, pivots):
-        x[pc] = r[ncols]
-    return x
+        X[pc] = r[ncols:]
+    return X
 
 
 def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
@@ -248,16 +256,6 @@ def transpose(A: Sequence[Sequence]) -> Matrix:
 
 def identity(n: int, one, zero) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def inverse(A: Sequence[Sequence], one, zero) -> Optional[Matrix]:
-    """Matrix inverse by Gauss-Jordan on [A | I]; None if singular."""
-    n = len(A)
-    aug = [list(A[i]) + identity(n, one, zero)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
 
 
 def neg_matrix(A: Sequence[Sequence]) -> Matrix:

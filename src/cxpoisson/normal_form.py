@@ -188,7 +188,7 @@ def inverse_bivector_matrix(B: List[List[GaussScalar]]) -> List[List[GaussScalar
     With the package's sharp convention, sharp(A) o flat(B) = Id forces
     A = -B^{-1}.
     """
-    inv = linalg.inverse(B, GS_ONE, GS_ZERO)
+    inv = linalg.solve(B, linalg.identity(len(B), GS_ONE, GS_ZERO), len(B), GS_ZERO)
     if inv is None:
         raise ValueError("two-form is degenerate, no inverse bivector")
     return linalg.neg_matrix(inv)
@@ -390,24 +390,16 @@ def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
         A1, A2 = bivector_at(pi, pt)
         A = complex_matrix(A1, A2)
         M = form_matrix_at(Bw, pt)
-        # solve pi# zeta_a = d/d(fiber_a) with zeta in (Ann TN)_C = fiber covectors
-        sub = [[A[i][b + c] for c in range(f)] for i in range(n)]
-        zetas = []
-        for a in range(f):
-            target = [GS_ONE if i == b + a else GS_ZERO for i in range(n)]
-            sol = linalg.solve(sub, target, f, GS_ZERO)
-            if sol is None:
-                return False
-            zetas.append(sol)
-        for a in range(f):
-            for c in range(f):
-                # pi(zeta_a, zeta_c) with zeta supported on fiber covectors
-                val = GS_ZERO
-                for u in range(f):
-                    for v in range(f):
-                        val = val + zetas[a][u] * A[b + u][b + v] * zetas[c][v]
-                if M[b + a][b + c] != val:
-                    return False
+        # solve pi# zeta_a = d/d(fiber_a) with zeta in (Ann TN)_C = fiber
+        # covectors, all a at once: the columns of Z
+        units = [r[b:] for r in linalg.identity(n, GS_ONE, GS_ZERO)]
+        Z = linalg.solve([r[b:] for r in A], units, f, GS_ZERO)
+        if Z is None:
+            return False
+        # pi(zeta_a, zeta_c) = (Z^T A_ff Z)[a][c]
+        fiber_pi = linalg.matmul(linalg.transpose(Z), linalg.matmul([r[b:] for r in A[b:]], Z))
+        if [r[b:] for r in M[b:]] != fiber_pi:
+            return False
     return True
 
 

@@ -213,8 +213,8 @@ def presymplectic_at(
 ) -> PresymplecticData:
     """omega_re/omega_im on the canonical basis of Delta_pi at the point.
 
-    For each basis vector tau solves rho1(xi + i eta) = tau, rho2 = 0, then
-    omega_re(tau, tau') = pi1(xi, xi') + pi1(eta, eta') and
+    Solves rho1(xi + i eta) = tau, rho2 = 0 for every basis vector tau at
+    once, then omega_re(tau, tau') = pi1(xi, xi') + pi1(eta, eta') and
     omega_im(tau, tau') = -pi2(xi, xi') - pi2(eta, eta').
     pivot_variant > 0 picks a different preimage (adds a nullspace element),
     used to confirm well-definedness.
@@ -222,7 +222,6 @@ def presymplectic_at(
     n = pi.chart.dim
     A1, A2 = bivector_at(pi, point)
     delta = delta_at(pi, point)
-    k = delta.dim
     # rho as a real 2n x 2n matrix acting on (xi, eta)
     rho = [
         [A1[i][j] for j in range(n)] + [-A2[i][j] for j in range(n)]
@@ -231,32 +230,25 @@ def presymplectic_at(
         [A2[i][j] for j in range(n)] + [A1[i][j] for j in range(n)]
         for i in range(n)
     ]
-    kernel = linalg.nullspace(rho, 2 * n, F1, F0)
-    pre: List[List[Fraction]] = []
-    for tau in delta.basis:
-        target = list(tau) + [F0] * n
-        sol = linalg.solve(rho, target, 2 * n, F0)
-        if sol is None:
-            raise ValueError("Delta basis vector has no preimage in A_pi")
-        if pivot_variant and kernel:
+    # one column (tau, 0) per basis vector
+    T = [[tau[i] for tau in delta.basis] for i in range(n)]
+    T += [[F0] * delta.dim for _ in range(n)]
+    X = linalg.solve(rho, T, 2 * n, F0)
+    if X is None:
+        raise ValueError("Delta basis vector has no preimage in A_pi")
+    if pivot_variant:
+        kernel = linalg.nullspace(rho, 2 * n, F1, F0)
+        if kernel:
             kv = kernel[pivot_variant % len(kernel)]
-            sol = [s + kk for s, kk in zip(sol, kv)]
-        pre.append(sol)
+            X = [[x + k for x in row] for row, k in zip(X, kv)]
+    Xt = linalg.transpose(X)
 
-    def skew_val(M, u, v):
-        return sum(
-            (u[i] * M[i][j] * v[j] for i in range(n) for j in range(n)), start=F0
-        )
+    def form(A):
+        # X_xi^T A X_xi + X_eta^T A X_eta
+        AA = [r + [F0] * n for r in A] + [[F0] * n + r for r in A]
+        return linalg.matmul(Xt, linalg.matmul(AA, X))
 
-    omega_re = [[F0] * k for _ in range(k)]
-    omega_im = [[F0] * k for _ in range(k)]
-    for a in range(k):
-        xa, ea = pre[a][:n], pre[a][n:]
-        for b in range(k):
-            xb, eb = pre[b][:n], pre[b][n:]
-            omega_re[a][b] = skew_val(A1, xa, xb) + skew_val(A1, ea, eb)
-            omega_im[a][b] = -skew_val(A2, xa, xb) - skew_val(A2, ea, eb)
-    return PresymplecticData(delta, omega_re, omega_im)
+    return PresymplecticData(delta, form(A1), linalg.neg_matrix(form(A2)))
 
 
 def hat_sign_check(pi: ComplexBivector, point: Point) -> bool:
@@ -290,7 +282,7 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     """
     n = pi.chart.dim
     A1, A2 = bivector_at(pi, point)
-    inv2 = linalg.inverse(A2, F1, F0)
+    inv2 = linalg.solve(A2, linalg.identity(n, F1, F0), n, F0)
     if inv2 is None:
         nullity = n - linalg.rank(A2)
         raise ValueError(

@@ -98,8 +98,10 @@ def parse_problem(text: str) -> ProblemFile:
         if kw == "chart":
             if pf is not None:
                 raise ProblemParseError(lineno, "duplicate chart declaration")
-            if len(parts) < 2:
-                raise ProblemParseError(lineno, "chart needs variable names")
+            try:
+                Chart(tuple(parts[1:]))
+            except ValueError as exc:
+                raise ProblemParseError(lineno, str(exc)) from None
             pf = ProblemFile(chart_vars=tuple(parts[1:]))
         elif kw == "bundle":
             p = need_chart(lineno)

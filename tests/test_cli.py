@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, filters, output formats."""
 
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cxpoisson.cli import main
+from cxpoisson.problem import ProblemParseError, parse_problem
 
 NB_PROBLEM = """\
 chart x y z
@@ -166,6 +170,17 @@ def test_extra_points_flag(nb_file, capsys):
     assert len(rec["witness"]["profiles"]) == 5  # 2 grid + 1 named + 2 extra
 
 
+def test_dirac_samples_the_given_points(nb_file, capsys):
+    # the file's point line p0 plus --points, and no grid point
+    code, out, _ = run(
+        capsys,
+        ["dirac", nb_file, "--format", "machine", "--check", "dir", "--points", "3,5,7"],
+    )
+    assert code == 0
+    points = [w["point"] for w in json.loads(out.strip())["witness"]]
+    assert points == [{"x": "1/2", "y": "1", "z": "2"}, {"x": "3", "y": "5", "z": "7"}]
+
+
 @pytest.mark.parametrize(
     "command,points",
     [("invariants", "1,2"), ("invariants", "1/0,1,1"), ("dirac", "1/0,1,1")],
@@ -190,9 +205,10 @@ def test_unknown_check_id_is_refusal(nb_file, capsys, command):
         ("invariants", NB_PROBLEM, ["--check", "good"]),
         ("dirac", NB_PROBLEM, ["--check", "good"]),
         ("check", "chart x y\n", []),  # no check and no bivector
+        ("dirac", NB_PROBLEM, ["--check", "thm,good"]),  # one id of another kind
     ],
     ids=["no-normal-form", "check-other-kind", "invariants-other-kind",
-         "dirac-other-kind", "no-bivector"],
+         "dirac-other-kind", "no-bivector", "dirac-one-of-another-kind"],
 )
 def test_empty_selection_is_refusal(tmp_path, capsys, command, text, extra):
     # a run that produces no record has no verdict, so it is not a pass
@@ -201,6 +217,9 @@ def test_empty_selection_is_refusal(tmp_path, capsys, command, text, extra):
     code, out, err = run(capsys, [command, str(f)] + extra)
     assert code == 2
     assert "no check" in err and not out
+    if extra == ["--check", "thm,good"]:
+        # the id of another kind is named, with its kind, and not skipped
+        assert "good" in err and "jacobi" in err
 
 
 NO_POINTS_PROBLEM = """\
@@ -281,3 +300,116 @@ def test_normal_form_refuses_without_bundle(tmp_path, capsys):
     code, out, _ = run(capsys, ["normal-form", str(f)])
     assert code == 2
     assert "no bundle" in out.lower()
+
+
+# -- fuzzing the exit-code contract ------------------------------------------
+#
+# Problem texts are built from chart, bundle, point, block, entry, check and
+# junk fragments, then run through parse_problem and main() in-process with a
+# random subcommand and flags.  The contract: parse_problem returns or raises
+# ProblemParseError, and main() ends with 0, 1 or 2, never a traceback.
+
+# each fragment list is well formed; the BAD_ lists are mixed in only when a
+# text is drawn as malformed.  {v} and {w} stand for chart variables.
+CHARTS, BAD_CHARTS = ["x y", "x y z", "u v q p", "x"], ["x x", "i j", "x y 1z", ""]
+COEFFS = ["0", "1", "i", "1 + 2*i", "{v}", "-1*{v}", "{v}^2 - i*{w}", "{v}*{w} + 1/2"]
+BAD_COEFFS = ["({v}", "1/0", "{v}^99", "nosuchvar", ""]
+RATIONALS, BAD_RATIONALS = ["0", "1", "-2", "1/2", "3"], ["1/0", "a", ""]
+BLOCKS = [("bivector", "B", 2), ("bivector", "C", 2), ("vector", "X", 1),
+          ("oneform", "a", 1), ("oneform", "b", 1), ("form", "w", 2)]
+CHECKS = ["c1 jacobi B", "c2 invariants B", "c3 dirac B : tilde | indices",
+          "c4 dirac B : theorem_7_18", "c5 normal_form B X a b",
+          "c6 dirac C : hat | conjugate | check_cot", "c7 frob B", "c8 jacobi", "c9 dirac",
+          "c10 dirac C : tilde_cot | hat_cot", "c11 invariants", "c12 normal_form B X a",
+          "c13 dirac B : frobnicate"]
+BAD_LINES = ["garbage line", "{", "}", "= =", "check", "point", "bivector B", "bundle nonsense",
+             "point = 1", "1 2 = 1", "chart x y", "check c1 jacobi C", "# comment", ""]
+
+
+@st.composite
+def problem_texts(draw):
+    """Problem texts from chart, bundle, point, block, entry and check
+    fragments.  Some are drawn malformed: bad fragments and junk lines may
+    turn up anywhere.  The rest are well formed, so most runs get past
+    parsing."""
+    bad = draw(st.integers(0, 2)) == 2
+
+    def pick(good, worse):
+        return draw(st.sampled_from(good + worse if bad else good))
+
+    names = pick(CHARTS, BAD_CHARTS).split()
+    n = len(names)
+    var = st.sampled_from(names or ["x"])
+    lines = ["chart " + " ".join(names)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        lines.append(f"bundle base: {' '.join(names[:k])} ; fiber: {' '.join(names[k:])}")
+    for p in range(draw(st.integers(0, 2))):
+        size = n + draw(st.integers(-1, 1)) if bad else n
+        vals = [pick(RATIONALS, BAD_RATIONALS) for _ in range(size)]
+        lines.append(f"point p{p} = {', '.join(vals)}")
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4, unique=True))
+    for kw, name, arity in blocks:
+        lines.append(f"{kw} {name} {{")
+        for _ in range(draw(st.integers(0, 4))):
+            if bad:
+                idx = draw(st.lists(st.integers(0, n + 1), min_size=arity, max_size=arity))
+            elif arity <= n:
+                idx = sorted(draw(st.lists(st.integers(1, n), min_size=arity,
+                                           max_size=arity, unique=True)))
+            else:
+                continue
+            coeff = pick(COEFFS, BAD_COEFFS).format(v=draw(var), w=draw(var))
+            lines.append(" ".join(map(str, idx)) + " = " + coeff)
+        if not bad or draw(st.booleans()):
+            lines.append("}")
+    known = {name for _, name, _ in blocks}
+    for c in draw(st.lists(st.sampled_from(CHECKS), max_size=4, unique=True)):
+        _, kind, *args = c.split()
+        if bad or kind not in ("jacobi", "invariants", "normal_form") or set(args) <= known:
+            lines.append("check " + c)
+    if bad:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+POINTS = ["1,2", "1/2,1,0", "3,5,7", "1,1,1,1", "1/0,1", "a", "", ";", "1,2;3,4", "0,0"]
+
+
+@st.composite
+def cli_runs(draw):
+    """(problem text, argv): a random subcommand and flags; --check ids come
+    from the text's own checks, plus an unknown and an empty one."""
+    text = draw(problem_texts())
+    argv = [draw(st.sampled_from(["check", "invariants", "dirac", "normal-form"]))]
+    argv += ["--grid-size", str(draw(st.integers(0, 3)))]
+    argv += ["--format", draw(st.sampled_from(["human", "machine"]))]
+    if draw(st.booleans()):
+        argv.append("--points=" + draw(st.sampled_from(POINTS)))
+    if draw(st.booleans()):
+        ids = re.findall(r"^check (\S+)", text, re.M) + ["nosuch", ""]
+        argv.append("--check=" + ",".join(draw(st.lists(st.sampled_from(ids), min_size=1,
+                                                        max_size=3))))
+    return text, argv
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_runs())
+# a repeated chart variable used to escape parse_problem as a ValueError
+@example(("chart x x\nbivector B {\n 1 2 = x\n}\n", ["check", "--grid-size", "1"]))
+def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, run_case):
+    text, argv = run_case
+    try:
+        parse_problem(text)
+    except ProblemParseError:
+        pass
+    f = tmp_path / "fuzz.prob"
+    f.write_text(text)
+    try:
+        code = main(argv[:1] + [str(f)] + argv[1:])
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)

@@ -504,10 +504,10 @@ def ref_bivector_of_graph(L):
     cols = []
     for k in range(n):
         target = [GS_ONE if t == k else GS_ZERO for t in range(n)]
-        combo = linalg.solve(cot, target, n, GS_ZERO)
+        combo = linalg.solve(cot, [[t] for t in target], n, GS_ZERO)
         if combo is None:
             return None
-        cols.append(combine(combo, L.basis, range(n)))
+        cols.append(combine([c for c, in combo], L.basis, range(n)))
     return linalg.transpose(cols)
 
 

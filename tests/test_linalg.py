@@ -1,5 +1,6 @@
-"""Exact linear algebra over Q and Q(i): solves checked against the rank
-criterion, rref against field-division Gauss-Jordan and against sympy."""
+"""Exact linear algebra over Q and Q(i): single and block solves checked
+against the rank criterion and the old inverse, rref against
+field-division Gauss-Jordan and against sympy."""
 
 from fractions import Fraction
 
@@ -35,11 +36,75 @@ def systems(draw, field):
 @given(st.sampled_from(sorted(FIELDS)).flatmap(systems))
 def test_solve_is_exact_and_none_iff_inconsistent(system):
     rows, rhs, ncols, zero = system
-    x = linalg.solve(rows, rhs, ncols, zero)
+    X = linalg.solve(rows, [[b] for b in rhs], ncols, zero)
+    x = None if X is None else [c for c, in X]
     aug = [r + [b] for r, b in zip(rows, rhs)]
     assert (x is None) == (linalg.rank(aug) > linalg.rank(rows))
     if x is not None:
         assert len(x) == ncols and linalg.matvec(rows, x) == rhs
+
+
+@st.composite
+def block_systems(draw, field):
+    """(rows, B, ncols, zero) with 0..3 right-hand-side columns, each column
+    either M y (consistent) or random."""
+    entries, zero = FIELDS[field]
+    nrows, ncols, width = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    cols = []
+    for _ in range(width):
+        if draw(st.booleans()):
+            cols.append(linalg.matvec(rows, [draw(entries) for _ in range(ncols)]))
+        else:
+            cols.append([draw(entries) for _ in range(nrows)])
+    B = [[c[i] for c in cols] for i in range(nrows)]
+    return rows, B, ncols, zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(block_systems))
+def test_block_solve_is_exact_and_none_iff_some_column_inconsistent(system):
+    rows, B, ncols, zero = system
+    X = linalg.solve(rows, B, ncols, zero)
+    aug = [r + b for r, b in zip(rows, B)]
+    assert (X is None) == (linalg.rank(aug) > linalg.rank(rows))
+    if X is not None:
+        assert len(X) == ncols and all(len(r) == len(B[0]) for r in X)
+        assert linalg.matmul(rows, X) == B
+
+
+def reference_inverse(A, one, zero):
+    """Matrix inverse by Gauss-Jordan on [A | I]; None if singular: the
+    inverse routine this package had before solve took a block."""
+    n = len(A)
+    aug = [list(A[i]) + linalg.identity(n, one, zero)[i] for i in range(n)]
+    red, pivots = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+@st.composite
+def square_matrices(draw, field):
+    """Square matrices, a third of them made singular by a combination row."""
+    entries, zero = FIELDS[field]
+    one = zero + 1
+    n = draw(st.integers(1, 4))
+    A = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        s = draw(entries)
+        A[-1] = [s * x + y for x, y in zip(A[0], A[1 % (n - 1)])]
+    return A, one, zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(square_matrices))
+def test_solve_against_identity_is_the_inverse(case):
+    A, one, zero = case
+    n = len(A)
+    inv = linalg.solve(A, linalg.identity(n, one, zero), n, zero)
+    assert inv == reference_inverse(A, one, zero)
+    assert (inv is None) == (linalg.rank(A) < n)
 
 
 # -- rref against field-division Gauss-Jordan ----------------------------------

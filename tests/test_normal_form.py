@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxpoisson import (
     Chart,
@@ -15,6 +17,7 @@ from cxpoisson import (
 )
 from cxpoisson.normal_form import (
     BundleChart,
+    _fiber_form_check,
     Extension,
     LocalModelResult,
     WeightZeroError,
@@ -28,7 +31,7 @@ from cxpoisson.normal_form import (
     projection_matrix,
     splitting_check,
 )
-from cxpoisson.pointwise import grid_points
+from cxpoisson.pointwise import bivector_at, complex_matrix, grid_points
 from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import linalg
 
@@ -248,3 +251,68 @@ def test_form_matrix_at_skew():
     form = FormField(CH, 2, {(0, 3): Poly.var(CH, "u")})
     M = form_matrix_at(form, {"u": F(5), "v": F(0), "q": F(1), "p": F(2)})
     assert M[0][3] == GaussScalar.of(5) and M[3][0] == GaussScalar.of(-5)
+
+
+# -- the fiber form check against the per-vector formulation -----------------
+#
+# _fiber_form_check solves for all fiber covectors zeta_a in one block and
+# takes Z^T A_ff Z with matmul.  The reference is the per-vector solve and
+# four-deep pi(zeta_a, zeta_c) loop it replaced; each solve passes a
+# one-column block.
+
+
+def ref_fiber_pi(pi, bundle, pt):
+    """pi(zeta_a, zeta_c) with pi# zeta_a = d/d(fiber_a), or None."""
+    b, f = bundle.b, bundle.f
+    n = b + f
+    A = complex_matrix(*bivector_at(pi, pt))
+    sub = [[A[i][b + c] for c in range(f)] for i in range(n)]
+    zetas = []
+    for a in range(f):
+        target = [GS_ONE if i == b + a else GS_ZERO for i in range(n)]
+        X = linalg.solve(sub, [[t] for t in target], f, GS_ZERO)
+        if X is None:
+            return None
+        zetas.append([c for c, in X])
+    out = [[GS_ZERO] * f for _ in range(f)]
+    for a in range(f):
+        for c in range(f):
+            for u in range(f):
+                for v in range(f):
+                    out[a][c] = out[a][c] + zetas[a][u] * A[b + u][b + v] * zetas[c][v]
+    return out
+
+
+GAUSS = st.builds(GaussScalar.of, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.sampled_from([1, 2, 4]), st.data())
+def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
+    bundle = BundleChart(tuple(f"u{k}" for k in range(b)), tuple(f"q{k}" for k in range(f)))
+    chart = bundle.chart
+    n = b + f
+    # the fiber form exists only where pi(base, fiber) = 0 and the fiber
+    # block is invertible (so f is even): the fiber block is filled, and the
+    # mixed block is left out half the time
+    mixed = data.draw(st.booleans())
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i < b <= j and not mixed) or (j < b and data.draw(st.booleans())):
+                continue
+            brackets[(i, j)] = Poly.const(chart, data.draw(GAUSS))
+    pi = bivector_from_brackets(chart, brackets)
+    points = [{v: F(1) for v in chart.vars}]
+    pt = dict({v: F(1) for v in bundle.base_vars}, **{v: F(0) for v in bundle.fiber_vars})
+    expected = ref_fiber_pi(pi, bundle, pt)
+    block = expected or [[data.draw(GAUSS) for _ in range(f)] for _ in range(f)]
+    if data.draw(st.booleans()):  # perturb one fiber entry
+        a, c = data.draw(st.sampled_from([(a, c) for a in range(f) for c in range(a + 1, f)] or [(0, 0)]))
+        block = [list(r) for r in block]
+        block[a][c] = block[a][c] + GS_ONE
+    comps = {(b + a, b + c): Poly.const(chart, block[a][c]) for a in range(f) for c in range(a + 1, f)}
+    Bw = FormField(chart, 2, {k: p for k, p in comps.items() if not p.is_zero()})
+    M = form_matrix_at(Bw, pt)
+    ref_ok = expected is not None and [r[b:] for r in M[b:]] == expected
+    assert _fiber_form_check(pi, bundle, Bw, points) == ref_ok

@@ -3,10 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cxpoisson import Chart, MultiField, Poly, bivector_from_brackets, parse_poly
 from cxpoisson.bivector import _part_matrix
-from cxpoisson.lagrangian import ComplexSubspace, real_points, tangent_range
+from cxpoisson.lagrangian import (
+    ComplexSubspace,
+    Lagrangian,
+    lagrangian_from_range_form,
+    real_points,
+    tangent_range,
+)
 from cxpoisson.pointwise import (
     a_pi_at,
     a_pi_min_at,
@@ -208,3 +216,116 @@ def test_delta_at_matches_profile():
     pi = nb_bivector(1, 2)
     for pt in NB_POINTS[:5]:
         assert delta_at(pi, pt).dim == rank_profile(pi, pt).dim_Delta
+
+
+# -- block solves against the per-vector formulations ------------------------
+#
+# presymplectic_at and lagrangian_from_range_form solve one block system and
+# take X^T A X with matmul.  The references below are the per-vector solve
+# and skew_val loops they replaced; each solve passes a one-column block.
+
+
+def ref_presymplectic(pi, point, pivot_variant=0):
+    n = pi.chart.dim
+    A1, A2 = bivector_at(pi, point)
+    delta = delta_at(pi, point)
+    k = delta.dim
+    rho = [
+        [A1[i][j] for j in range(n)] + [-A2[i][j] for j in range(n)]
+        for i in range(n)
+    ] + [
+        [A2[i][j] for j in range(n)] + [A1[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    kernel = linalg.nullspace(rho, 2 * n, F(1), F(0))
+    pre = []
+    for tau in delta.basis:
+        target = list(tau) + [F(0)] * n
+        X = linalg.solve(rho, [[t] for t in target], 2 * n, F(0))
+        if X is None:
+            raise ValueError("Delta basis vector has no preimage in A_pi")
+        sol = [c for c, in X]
+        if pivot_variant and kernel:
+            kv = kernel[pivot_variant % len(kernel)]
+            sol = [s + kk for s, kk in zip(sol, kv)]
+        pre.append(sol)
+
+    def skew_val(M, u, v):
+        return sum((u[i] * M[i][j] * v[j] for i in range(n) for j in range(n)), start=F(0))
+
+    omega_re = [[F(0)] * k for _ in range(k)]
+    omega_im = [[F(0)] * k for _ in range(k)]
+    for a in range(k):
+        xa, ea = pre[a][:n], pre[a][n:]
+        for b in range(k):
+            xb, eb = pre[b][:n], pre[b][n:]
+            omega_re[a][b] = skew_val(A1, xa, xb) + skew_val(A1, ea, eb)
+            omega_im[a][b] = -skew_val(A2, xa, xb) - skew_val(A2, ea, eb)
+    return omega_re, omega_im
+
+
+def ref_range_form(E_basis, eps, n):
+    rows = []
+    V = [list(v) for v in E_basis]
+    for a in range(len(E_basis)):
+        X = linalg.solve(V, [[e] for e in eps[a]], n, GaussScalar.of(0))
+        if X is None:
+            raise ValueError("inconsistent range form")
+        rows.append(list(E_basis[a]) + [c for c, in X])
+    for w in linalg.nullspace(V, n, GaussScalar.of(1), GaussScalar.of(0)):
+        rows.append([GaussScalar.of(0)] * n + list(w))
+    return Lagrangian.from_generators(n, rows, allow_partial=True)
+
+
+def constant_bivector(n, brackets):
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    return bivector_from_brackets(chart, {ij: Poly.const(chart, c) for ij, c in brackets.items()})
+
+
+GAUSS_SMALL = st.builds(GaussScalar.of, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def constant_bivectors(draw):
+    """Constant bivectors with n = 2..4 and small, often zero, entries, so
+    every rank and every dimension of Delta down to 0 turns up."""
+    n = draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {ij: draw(GAUSS_SMALL) for ij in pairs if draw(st.booleans())}
+    return constant_bivector(n, brackets)
+
+
+I = GaussScalar.of(0, 1)
+ONE = GaussScalar.of(1)
+# Delta = 0: the zero bivector, and (e1 + i e2) ^ (e3 + i e4), whose range
+# span(e1 + i e2, e3 + i e4) has no real points
+DELTA_ZERO = [
+    constant_bivector(2, {}),
+    constant_bivector(4, {(0, 2): ONE, (0, 3): I, (1, 2): I, (1, 3): -ONE}),
+]
+
+
+def test_delta_zero_examples_have_delta_zero():
+    for pi in DELTA_ZERO:
+        assert delta_at(pi, grid_points(pi.chart, 1)[0]).dim == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_bivectors(), st.lists(GAUSS_SMALL, min_size=6, max_size=6))
+@example(DELTA_ZERO[0], [ONE] * 6)
+@example(DELTA_ZERO[1], [ONE] * 6)
+def test_block_solves_match_per_vector_formulations(pi, upper):
+    n = pi.chart.dim
+    pt = grid_points(pi.chart, 1)[0]
+    for variant in (0, 1, 2):
+        d = presymplectic_at(pi, pt, pivot_variant=variant)
+        assert (d.omega_re, d.omega_im) == ref_presymplectic(pi, pt, variant)
+    k = d.delta_basis.dim
+    E_basis = [[GaussScalar.of(x) for x in r] for r in d.delta_basis.basis]
+    eps = [[GaussScalar.of(d.omega_re[a][b], d.omega_im[a][b]) for b in range(k)] for a in range(k)]
+    assert lagrangian_from_range_form(E_basis, eps, n) == ref_range_form(E_basis, eps, n)
+    # a random skew range form on the same basis (k <= 4, so at most 6 pairs)
+    eps = [[GaussScalar.of(0)] * k for _ in range(k)]
+    for (a, b), z in zip([(a, b) for a in range(k) for b in range(a + 1, k)], upper):
+        eps[a][b], eps[b][a] = z, -z
+    assert lagrangian_from_range_form(E_basis, eps, n) == ref_range_form(E_basis, eps, n)

@@ -66,6 +66,8 @@ def test_bundle_declaration():
     [
         ("point p = 1, 2\nchart x y", 1),  # chart must come first
         ("chart x y\nchart x y", 2),  # duplicate chart
+        ("# c\nchart x x\n", 2),  # duplicate variable name
+        ("chart\n", 1),  # no variable
         ("chart x y\npoint p = 1", 2),  # wrong coordinate count
         ("chart x y\npoint p = 1, a", 2),  # bad rational
         ("chart x y\nbivector B {\n 1 2 = 1", 2),  # unterminated block
