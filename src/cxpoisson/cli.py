@@ -103,10 +103,13 @@ def build_field(pf: ProblemFile, kind: str, name: str) -> GradedField:
     """The named bivector, vector or oneform block of pf as a field."""
     table, cls, degree = _FIELD_KINDS[kind]
     chart = pf.chart
-    comps = {
-        tuple(i - 1 for i in entry[:-1]): parse_poly(entry[-1], chart)
-        for entry in getattr(pf, table)[name]
-    }
+    comps = {}
+    for entry in getattr(pf, table)[name]:
+        # parse_problem kept the parsed coefficient; a hand-built file has none
+        p = pf.polys.get(entry[-1])
+        if p is None:
+            p = parse_poly(entry[-1], chart)
+        comps[tuple(i - 1 for i in entry[:-1])] = p
     return cls(chart, degree, comps)
 
 
@@ -377,7 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rep = cmd_dirac(pf, args)
         else:
             rep = cmd_normal_form(pf, args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not rep.records:

@@ -18,6 +18,7 @@ expression.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .poly import Chart, Poly, poly_partial
@@ -28,6 +29,11 @@ Index = Tuple[int, ...]
 
 def normalize_index(idx: Sequence[int]) -> Tuple[int, Index]:
     """Sort an index tuple, returning (sign, sorted) or (0, ()) on repeats."""
+    return _normalized(tuple(idx))
+
+
+@lru_cache(maxsize=4096)
+def _normalized(idx: Index) -> Tuple[int, Index]:
     idx = list(idx)
     sign = 1
     # insertion sort, counting transpositions
@@ -44,7 +50,12 @@ def normalize_index(idx: Sequence[int]) -> Tuple[int, Index]:
 
 
 class GradedField:
-    """Shared representation for MultiField and FormField."""
+    """Shared representation for MultiField and FormField.
+
+    The constructor validates and sign-normalizes every index.  The
+    operations of this module build their results with _field, which trusts
+    that the keys are already normalized and only drops zero components.
+    """
 
     __slots__ = ("chart", "degree", "comps")
 
@@ -103,28 +114,29 @@ class GradedField:
         out = dict(self.comps)
         for k, p in other.comps.items():
             out[k] = out[k] + p if k in out else p
-        return type(self)(self.chart, self.degree, out)
+        return _field(type(self), self.chart, self.degree, out)
 
     def __neg__(self):
-        return type(self)(self.chart, self.degree, {k: -p for k, p in self.comps.items()})
+        return _field(type(self), self.chart, self.degree, {k: -p for k, p in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Union[Rational, GaussScalar]):
         c = _coerce(c)
-        return type(self)(
-            self.chart, self.degree, {k: p.scale(c) for k, p in self.comps.items()}
+        return _field(
+            type(self), self.chart, self.degree, {k: p.scale(c) for k, p in self.comps.items()}
         )
 
     def scale_poly(self, f: Poly):
-        return type(self)(
-            self.chart, self.degree, {k: p * f for k, p in self.comps.items()}
+        return _field(
+            type(self), self.chart, self.degree, {k: p * f for k, p in self.comps.items()}
         )
 
     def conjugate(self):
-        return type(self)(
-            self.chart, self.degree, {k: p.conjugate() for k, p in self.comps.items()}
+        return _field(
+            type(self), self.chart, self.degree,
+            {k: p.conjugate() for k, p in self.comps.items()},
         )
 
     def __str__(self):
@@ -151,6 +163,19 @@ class FormField(GradedField):
     """Complex differential form with polynomial coefficients."""
 
 
+_new = object.__new__
+
+
+def _field(cls, chart: Chart, degree: int, comps: Dict[Index, Poly]) -> GradedField:
+    """The trusted constructor: every key of comps must be strictly
+    increasing, in range for the chart and of length degree."""
+    m = _new(cls)
+    m.chart = chart
+    m.degree = degree
+    m.comps = {k: p for k, p in comps.items() if p}
+    return m
+
+
 def _check_same(a: GradedField, b: GradedField):
     if type(a) is not type(b):
         raise TypeError(f"kind mismatch: {type(a).__name__} vs {type(b).__name__}")
@@ -165,8 +190,8 @@ def _check_same(a: GradedField, b: GradedField):
 
 def decompose(m: GradedField) -> Tuple[GradedField, GradedField]:
     """Split into real and imaginary parts (both with real coefficients)."""
-    re = type(m)(m.chart, m.degree, {k: p.real_part() for k, p in m.comps.items()})
-    im = type(m)(m.chart, m.degree, {k: p.imag_part() for k, p in m.comps.items()})
+    re = _field(type(m), m.chart, m.degree, {k: p.real_part() for k, p in m.comps.items()})
+    im = _field(type(m), m.chart, m.degree, {k: p.imag_part() for k, p in m.comps.items()})
     return re, im
 
 
@@ -185,9 +210,8 @@ def wedge(a: GradedField, b: GradedField) -> GradedField:
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
     out: Dict[Index, Poly] = {}
-    result = type(a)(a.chart, a.degree + b.degree, {})
     if a.degree + b.degree > a.chart.dim:
-        return result
+        return _field(type(a), a.chart, a.degree + b.degree, out)
     for ia, pa in a.comps.items():
         for ib, pb in b.comps.items():
             sign, key = normalize_index(ia + ib)
@@ -197,7 +221,7 @@ def wedge(a: GradedField, b: GradedField) -> GradedField:
             if sign == -1:
                 term = -term
             out[key] = out[key] + term if key in out else term
-    return type(a)(a.chart, a.degree + b.degree, out)
+    return _field(type(a), a.chart, a.degree + b.degree, out)
 
 
 # -- contraction -----------------------------------------------------------
@@ -240,7 +264,7 @@ def _interior(v: GradedField, field: GradedField) -> GradedField:
             if pos % 2 == 1:
                 term = -term
             out[rest] = out[rest] + term if rest in out else term
-    return type(field)(field.chart, field.degree - 1, out)
+    return _field(type(field), field.chart, field.degree - 1, out)
 
 
 def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
@@ -274,7 +298,7 @@ def d_complex(a: FormField) -> FormField:
                 continue
             term = dp if sign == 1 else -dp
             out[key] = out[key] + term if key in out else term
-    return FormField(chart, a.degree + 1, out)
+    return _field(FormField, chart, a.degree + 1, out)
 
 
 def complex_differential(f: MultiField) -> FormField:
@@ -282,7 +306,8 @@ def complex_differential(f: MultiField) -> FormField:
     if f.degree != 0:
         raise ValueError("complex_differential expects a degree-0 MultiField")
     p = f.component(())
-    return FormField(
+    return _field(
+        FormField,
         f.chart,
         1,
         {(j,): poly_partial(p, name) for j, name in enumerate(f.chart.vars)},
@@ -314,12 +339,12 @@ def _theta_partial(m: MultiField, l: int) -> MultiField:
         rest = idx[:pos] + idx[pos + 1:]
         term = p if pos % 2 == 0 else -p
         out[rest] = out[rest] + term if rest in out else term
-    return MultiField(m.chart, m.degree - 1, out)
+    return _field(MultiField, m.chart, m.degree - 1, out)
 
 
 def _coeff_partial(m: MultiField, name: str) -> MultiField:
-    return MultiField(
-        m.chart, m.degree, {k: poly_partial(p, name) for k, p in m.comps.items()}
+    return _field(
+        MultiField, m.chart, m.degree, {k: poly_partial(p, name) for k, p in m.comps.items()}
     )
 
 
@@ -348,7 +373,7 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
             _add_into(out, wedge(_theta_partial(a, l), _coeff_partial(b, name)), left_minus)
         if q >= 1:
             _add_into(out, wedge(_theta_partial(b, l), _coeff_partial(a, name)), right_minus)
-    return MultiField(chart, deg, out)
+    return _field(MultiField, chart, deg, out)
 
 
 def _add_into(out: Dict[Index, Poly], t: GradedField, negate: bool):

@@ -20,8 +20,10 @@ from typing import List, Tuple
 from .poly import Chart, Poly
 from .scalars import GS_I, GaussScalar
 
+# a variable name the grammar can read
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[-+*/^()]))"
 )
 
 
@@ -165,13 +167,17 @@ class _Parser:
 
 
 def _product(p: Poly, q: Poly, text: str, pos: int) -> Poly:
-    """p * q, refused before it is formed when it exceeds MAX_PRODUCT_TERMS."""
+    """p * q, refused before it is formed when it exceeds MAX_PRODUCT_TERMS
+    or when an exponent of it would pass poly.MAX_EXPONENT."""
     if len(p.terms) * len(q.terms) > MAX_PRODUCT_TERMS:
         raise PolyParseError(
             text, pos, f"a product of {len(p.terms)} by {len(q.terms)} terms "
             f"exceeds the maximum {MAX_PRODUCT_TERMS}"
         )
-    return p * q
+    try:
+        return p * q
+    except OverflowError as exc:
+        raise PolyParseError(text, pos, str(exc)) from None
 
 
 def _power(base: Poly, k: int, text: str, pos: int) -> Poly:

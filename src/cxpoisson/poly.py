@@ -1,20 +1,61 @@
 """Sparse multivariate polynomials over Gaussian rationals on a named chart.
 
-A Poly maps exponent tuples (one nonnegative int per chart variable) to
-GaussScalar coefficients; zero coefficients are never stored, so equality is
-a dict comparison.  Printing uses graded lexicographic order on the chart's
-variable order, which makes output canonical.
+A Poly is N/d: a dict from packed monomials to Gaussian-integer numerator
+pairs (a, b), meaning a + b i, over one positive integer denominator d.
+
+- Monomials are packed exponent vectors (Monagan and Pearce, CASC 2007):
+  variable j owns bits [FIELD_BITS * j, FIELD_BITS * (j + 1)) of one int, so
+  a monomial product is one int add.  The top bit of each field is a guard
+  that no stored exponent sets, so every exponent is at most MAX_EXPONENT =
+  2^(FIELD_BITS - 1) - 1.  Two fields below the guard sum without a carry
+  into the next field; a product whose sum reaches a guard bit raises
+  OverflowError instead of wrapping.
+- The form is canonical: no (0, 0) pair is stored, d > 0, and the gcd of d
+  and every numerator integer is 1 (content 1).  So equality is a plain
+  dict comparison, and the zero polynomial is the empty dict over d = 1.
+
+Only the public constructor Poly(chart, terms) validates.  Arithmetic,
+partials, parts and substitution build their results through a trusted
+constructor and reduce the content only when d > 1.  GaussScalars are made
+only at the API edge: the .terms view ({exponent tuple: GaussScalar},
+unpacked on first read and cached), poly_eval, printing and hash.  Printing
+uses graded lexicographic order on the chart's variable order, which makes
+output canonical.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from typing import Dict, Mapping, Tuple, Union
 
-from .scalars import GS_ONE, GS_ZERO, GaussScalar, Rational, _coerce, _make
+from .scalars import GS_ONE, GaussScalar, Rational, _coerce, _make
 
 Exponent = Tuple[int, ...]
+
+# bits per variable in a packed monomial, guard bit included
+FIELD_BITS = 16
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+# chart dimension -> mask of every field's guard bit.  Kept here, not on
+# Chart or Poly, so that no wide derived int sits among a value's attributes.
+_GUARDS: Dict[int, int] = {}
+
+
+def _guard(dim: int) -> int:
+    g = _GUARDS.get(dim)
+    if g is None:
+        top = 1 << (FIELD_BITS - 1)
+        g = _GUARDS[dim] = sum(top << (FIELD_BITS * j) for j in range(dim))
+    return g
+
+
+def _unpack(key: int, dim: int) -> Exponent:
+    return tuple((key >> (FIELD_BITS * j)) & _FIELD for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -40,57 +81,92 @@ class Chart:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial; use the module operations."""
+    """Immutable-by-convention sparse polynomial; use the module operations.
 
-    __slots__ = ("chart", "terms")
+    Poly(chart, terms) takes {exponent tuple: coefficient}, with
+    coefficients given as GaussScalar, int or Fraction, and refuses an
+    exponent that is not an int in 0..MAX_EXPONENT.
+    """
+
+    __slots__ = ("chart", "_num", "_den", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping[Exponent, GaussScalar]):
-        self.chart = chart
-        clean: Dict[Exponent, GaussScalar] = {}
         dim = chart.dim
+        rows: Dict[int, Tuple[int, int, int]] = {}
+        den = 1
         for exp, c in terms.items():
             exp = tuple(exp)
             if len(exp) != dim:
                 raise ValueError(f"exponent {exp} has wrong length for {chart.vars}")
-            if c:
-                clean[exp] = c
-        self.terms = clean
+            key = 0
+            for j, e in enumerate(exp):
+                if type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+                    raise ValueError(
+                        f"exponent {exp} must hold ints in 0..{MAX_EXPONENT}"
+                    )
+                key |= e << (FIELD_BITS * j)
+            a, b, d = _coerce(c).abd
+            if a or b:
+                if key in rows:
+                    raise ValueError(f"exponent {exp} is given twice")
+                rows[key] = (a, b, d)
+                den = lcm(den, d)
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the content is 1
+        self.chart = chart
+        self._num = {k: (a * (den // d), b * (den // d)) for k, (a, b, d) in rows.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(chart: Chart) -> "Poly":
-        return Poly(chart, {})
+        return _poly(chart, {}, 1)
 
     @staticmethod
     def const(chart: Chart, value: Union[Rational, GaussScalar]) -> "Poly":
-        c = _coerce(value)
-        if not c:
-            return Poly(chart, {})
-        return Poly(chart, {(0,) * chart.dim: c})
+        a, b, d = _coerce(value).abd
+        if not (a or b):
+            return _poly(chart, {}, 1)
+        return _poly(chart, {0: (a, b)}, d)
 
     @staticmethod
     def var(chart: Chart, name: str) -> "Poly":
-        exp = [0] * chart.dim
-        exp[chart.index(name)] = 1
-        return Poly(chart, {tuple(exp): GS_ONE})
+        return _poly(chart, {1 << (FIELD_BITS * chart.index(name)): (1, 0)}, 1)
+
+    # -- the {exponent tuple: GaussScalar} view ----------------------------
+
+    @property
+    def terms(self) -> "Terms":
+        return Terms(self)
+
+    def _unpacked(self) -> Dict[Exponent, GaussScalar]:
+        try:
+            return self._terms
+        except AttributeError:
+            dim, d = self.chart.dim, self._den
+            t = self._terms = {
+                _unpack(k, dim): _make(a, b, d) for k, (a, b) in self._num.items()
+            }
+            return t
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_real(self) -> bool:
-        return all(c.abd[1] == 0 for c in self.terms.values())
+        return all(b == 0 for _, b in self._num.values())
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
+            and self._den == other._den
+            and self._num == other._num
             and self.chart == other.chart
-            and self.terms == other.terms
         )
 
     def __hash__(self):
@@ -100,55 +176,167 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out.get(exp, GS_ZERO) + c
-        return Poly(self.chart, out)
+        return _add(self, other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.chart, {e: -c for e, c in self.terms.items()})
+        return _poly(self.chart, {k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        _same_chart(self, other)
+        return _add(self, other, -1)
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
-        out: Dict[Exponent, GaussScalar] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, GS_ZERO) + ca * cb
-        return Poly(self.chart, out)
+        pa, pb = self._num, other._num
+        # per field, the OR of a dict's keys is at least its largest exponent;
+        # the exact maxima are taken only when two such bounds reach a guard
+        if (reduce(or_, pa, 0) + reduce(or_, pb, 0)) & _guard(len(self.chart.vars)):
+            _check_exponents(pa, pb, len(self.chart.vars))
+        out: Dict[int, Tuple[int, int]] = {}
+        get = out.get
+        for ka, (a1, b1) in pa.items():
+            for kb, (a2, b2) in pb.items():
+                k = ka + kb
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                v = get(k)
+                if v is None:
+                    out[k] = (re, im)
+                else:
+                    re += v[0]
+                    im += v[1]
+                    if re or im:
+                        out[k] = (re, im)
+                    else:
+                        del out[k]
+        return _reduced(self.chart, out, self._den * other._den)
 
     def scale(self, c: Union[Rational, GaussScalar]) -> "Poly":
-        c = _coerce(c)
-        return Poly(self.chart, {e: co * c for e, co in self.terms.items()})
+        p, q, e = _coerce(c).abd
+        if not (p or q):
+            return _poly(self.chart, {}, 1)
+        out = {k: (a * p - b * q, a * q + b * p) for k, (a, b) in self._num.items()}
+        return _reduced(self.chart, out, self._den * e)
 
     # -- parts -------------------------------------------------------------
 
     def real_part(self) -> "Poly":
-        return Poly(
-            self.chart,
-            {e: _make(c.abd[0], 0, c.abd[2]) for e, c in self.terms.items()},
-        )
+        out = {k: (a, 0) for k, (a, _) in self._num.items() if a}
+        return _reduced(self.chart, out, self._den)
 
     def imag_part(self) -> "Poly":
-        return Poly(
-            self.chart,
-            {e: _make(c.abd[1], 0, c.abd[2]) for e, c in self.terms.items()},
-        )
+        out = {k: (b, 0) for k, (_, b) in self._num.items() if b}
+        return _reduced(self.chart, out, self._den)
 
     def conjugate(self) -> "Poly":
-        return Poly(self.chart, {e: c.conjugate() for e, c in self.terms.items()})
+        return _poly(self.chart, {k: (a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        dim = self.chart.dim
+        return max((sum(_unpack(k, dim)) for k in self._num), default=0)
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r} on {self.chart.vars})"
+
+
+class Terms(MappingABC):
+    """Read-only {exponent tuple: GaussScalar} view of a Poly's terms.
+
+    Its length is read off the packed dict; the first other read unpacks
+    every term once and caches the result on the Poly.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        return iter(self._poly._unpacked())
+
+    def __getitem__(self, exp: Exponent) -> GaussScalar:
+        return self._poly._unpacked()[exp]
+
+    def __repr__(self) -> str:
+        return repr(self._poly._unpacked())
+
+
+_new = object.__new__
+
+
+def _poly(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
+    """The trusted constructor: num over den must already be canonical."""
+    p = _new(Poly)
+    p.chart = chart
+    p._num = num
+    p._den = den
+    return p
+
+
+def _reduced(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
+    """The Poly num/den for den > 0 and num without (0, 0) pairs: the
+    content is divided out, which is needed only when den > 1."""
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = den
+            for a, b in num.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            else:
+                num = {k: (a // g, b // g) for k, (a, b) in num.items()}
+                den //= g
+    return _poly(chart, num, den)
+
+
+def _check_exponents(pa, pb, dim: int):
+    """Raise if some product of a monomial of pa by one of pb has an
+    exponent past MAX_EXPONENT: for each variable, the two largest
+    exponents meet in some product."""
+    for j in range(dim):
+        shift = FIELD_BITS * j
+        top = max((k >> shift) & _FIELD for k in pa) + max((k >> shift) & _FIELD for k in pb)
+        if top > MAX_EXPONENT:
+            raise OverflowError(
+                f"a product has exponent {top}, past the maximum {MAX_EXPONENT}"
+            )
+
+
+def _add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q for sign 1 or -1."""
+    d1, d2 = p._den, q._den
+    if d1 == d2:
+        out = dict(p._num)
+        s = sign
+    else:
+        g = gcd(d1, d2)
+        s1, s = d2 // g, sign * (d1 // g)
+        out = {k: (a * s1, b * s1) for k, (a, b) in p._num.items()}
+        d1 *= s1
+    get = out.get
+    for k, (a, b) in q._num.items():
+        if s != 1:
+            a *= s
+            b *= s
+        v = get(k)
+        if v is None:
+            out[k] = (a, b)
+        else:
+            a += v[0]
+            b += v[1]
+            if a or b:
+                out[k] = (a, b)
+            else:
+                del out[k]
+    return _reduced(p.chart, out, d1)
 
 
 def _same_chart(a: Poly, b: Poly):
@@ -173,44 +361,58 @@ def poly_arith(op: str, a: Poly, b) -> Poly:
 
 
 def poly_partial(p: Poly, var: str) -> Poly:
-    j = p.chart.index(var)
-    out: Dict[Exponent, GaussScalar] = {}
-    for exp, c in p.terms.items():
-        k = exp[j]
-        if k == 0:
-            continue
-        e = list(exp)
-        e[j] = k - 1
-        e = tuple(e)
-        out[e] = out.get(e, GS_ZERO) + c * k
-    return Poly(p.chart, out)
+    shift = FIELD_BITS * p.chart.index(var)
+    one = 1 << shift
+    out: Dict[int, Tuple[int, int]] = {}
+    for key, (a, b) in p._num.items():
+        k = (key >> shift) & _FIELD
+        if k:
+            # distinct keys stay distinct after the decrement
+            out[key - one] = (a * k, b * k)
+    return _reduced(p.chart, out, p._den)
 
 
 def poly_eval(p: Poly, point: Mapping[str, Rational]) -> GaussScalar:
+    """p at a rational point, as the exact sum of integer terms over the
+    point's common denominator."""
     vals = []
     for name in p.chart.vars:
         if name not in point:
             raise KeyError(f"point missing value for variable {name!r}")
         vals.append(Fraction(point[name]))
-    total = GS_ZERO
-    for exp, c in p.terms.items():
-        factor = Fraction(1)
-        for k, v in zip(exp, vals):
-            if k:
-                factor *= v**k
-        total = total + c * factor
-    return total
+    # v_j = n_j / D; each term is scaled by D^top, top the largest degree
+    D = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (D // v.denominator) for v in vals]
+    terms = []
+    top = 0
+    for key, (a, b) in p._num.items():
+        m = 1
+        deg = 0
+        j = 0
+        while key:
+            e = key & _FIELD
+            if e:
+                m *= nums[j] ** e
+                deg += e
+            key >>= FIELD_BITS
+            j += 1
+        terms.append((a * m, b * m, deg))
+        top = max(top, deg)
+    re = im = 0
+    for a, b, deg in terms:
+        s = D ** (top - deg)
+        re += a * s
+        im += b * s
+    return _make(re, im, p._den * D**top)
 
 
 def poly_subst_zero(p: Poly, names) -> Poly:
     """Set the listed variables to zero (restriction to a coordinate subspace)."""
-    idxs = [p.chart.index(n) for n in names]
-    out: Dict[Exponent, GaussScalar] = {}
-    for exp, c in p.terms.items():
-        if any(exp[j] for j in idxs):
-            continue
-        out[exp] = out.get(exp, GS_ZERO) + c
-    return Poly(p.chart, out)
+    mask = 0
+    for n in names:
+        mask |= _FIELD << (FIELD_BITS * p.chart.index(n))
+    out = {k: v for k, v in p._num.items() if not k & mask}
+    return _reduced(p.chart, out, p._den)
 
 
 # -- canonical printing ----------------------------------------------------
@@ -238,11 +440,12 @@ def _coeff_str(c: GaussScalar) -> str:
 
 
 def format_poly(p: Poly) -> str:
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
     chunks = []
-    for exp in sorted(p.terms, key=_grlex_key):
-        c = p.terms[exp]
+    for exp in sorted(terms, key=_grlex_key):
+        c = terms[exp]
         mono = _monomial_str(p.chart, exp)
         if not mono:
             chunks.append(_coeff_str(c))

@@ -24,8 +24,11 @@ Line-oriented text, '#' starts a comment.  Indices are 1-based in files.
     check c3 dirac NB : tilde | indices
     check c4 normal_form NB X xi1 xi2
 
-Coefficient strings are kept verbatim (they are validated against the chart
-at parse time), so parse -> dumps -> parse is the identity.
+Coefficient strings are kept verbatim, so parse -> dumps -> parse is the
+identity.  Each is parsed once, at parse time, against the chart, and the
+parsed Poly is kept in ProblemFile.polys under its string.  Chart variables
+must be names the coefficient grammar can read, and `i` is refused, since it
+would shadow the imaginary unit.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .grammar import PolyParseError, parse_poly
-from .poly import Chart
+from .grammar import NAME_RE, PolyParseError, parse_poly
+from .poly import Chart, Poly
 
 
 class ProblemParseError(ValueError):
@@ -56,6 +59,8 @@ class ProblemFile:
     checks: List[Tuple[str, str, List[str]]] = field(default_factory=list)
     # file line of each check, by check id; not part of the content
     check_lines: Dict[str, int] = field(default_factory=dict, compare=False)
+    # each coefficient string, parsed on the chart; not part of the content
+    polys: Dict[str, Poly] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def chart(self) -> Chart:
@@ -99,10 +104,19 @@ def parse_problem(text: str) -> ProblemFile:
             if pf is not None:
                 raise ProblemParseError(lineno, "duplicate chart declaration")
             try:
-                Chart(tuple(parts[1:]))
+                chart = Chart(tuple(parts[1:]))
             except ValueError as exc:
                 raise ProblemParseError(lineno, str(exc)) from None
-            pf = ProblemFile(chart_vars=tuple(parts[1:]))
+            for v in chart.vars:
+                if not NAME_RE.fullmatch(v):
+                    raise ProblemParseError(
+                        lineno, f"chart variable {v!r} is not a name coefficients can use"
+                    )
+                if v == "i":
+                    raise ProblemParseError(
+                        lineno, "chart variable 'i' would shadow the imaginary unit"
+                    )
+            pf = ProblemFile(chart_vars=chart.vars)
         elif kw == "bundle":
             p = need_chart(lineno)
             body = line[len("bundle"):].strip()
@@ -171,10 +185,11 @@ def parse_problem(text: str) -> ProblemFile:
                 if want == 2 and not nums[0] < nums[1]:
                     raise ProblemParseError(lineno2, "indices must satisfy i < j")
                 coeff = coeff.strip()
-                try:
-                    parse_poly(coeff, p.chart)
-                except PolyParseError as exc:
-                    raise ProblemParseError(lineno2, f"bad coefficient: {exc}") from None
+                if coeff not in p.polys:
+                    try:
+                        p.polys[coeff] = parse_poly(coeff, chart)
+                    except PolyParseError as exc:
+                        raise ProblemParseError(lineno2, f"bad coefficient: {exc}") from None
                 entries.append(tuple(nums) + (coeff,))
             store = {
                 "bivector": p.bivectors,

@@ -266,6 +266,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 2 and "line 3" in err
 
 
+def test_exponent_past_the_packed_limit_is_refusal(tmp_path, capsys):
+    # x^32704 parses; the Schouten square would hold x^65407
+    high = "*".join(["x^64"] * 511)
+    f = tmp_path / "high.prob"
+    f.write_text(f"chart x y z\nbivector B {{\n 1 2 = {high}\n 1 3 = {high}\n}}\n")
+    code, out, err = run(capsys, ["check", str(f)])
+    assert code == 2 and out == "" and "32767" in err
+    # one factor more does not parse
+    f.write_text(f"chart x y\nbivector B {{\n 1 2 = {high}*x^64\n}}\n")
+    code, _, err = run(capsys, ["check", str(f)])
+    assert code == 2 and "line 3" in err and "32767" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, ["check", "/nonexistent/none.prob"])
     assert code == 2 and "error" in err
@@ -399,6 +412,8 @@ def cli_runs(draw):
 @given(cli_runs())
 # a repeated chart variable used to escape parse_problem as a ValueError
 @example(("chart x x\nbivector B {\n 1 2 = x\n}\n", ["check", "--grid-size", "1"]))
+# a chart variable i used to turn the imaginary unit into a variable
+@example(("chart i j\nbivector B {\n 1 2 = 1 + i\n}\ncheck c1 jacobi B\n", ["check"]))
 def test_fuzzed_inputs_keep_the_exit_code_contract(tmp_path, capsys, run_case):
     text, argv = run_case
     try:

@@ -7,6 +7,7 @@ import pytest
 
 from cxpoisson import Chart, FormField, MultiField, Poly, parse_poly
 from cxpoisson.fields import (
+    _interior,
     apply_to_forms,
     complex_differential,
     contract,
@@ -259,3 +260,36 @@ def test_eval_field(rng):
     for idx, v in vals.items():
         assert v == poly_eval(m.comps[idx], pt)
         assert v
+
+
+def _rebuilt(m):
+    """m through the validating constructor, from its own components."""
+    return type(m)(m.chart, m.degree, dict(m.comps))
+
+
+def test_trusted_results_equal_the_validating_constructor(rng):
+    # the trusted path must never skip a needed normalization: re-validating
+    # an output, which sorts keys and drops zero components, changes nothing
+    for _ in range(25):
+        chart = rng.choice((CH, CH4))
+        p, q = rng.randint(0, 2), rng.randint(0, 2)
+        a = random_multifield(rng, chart, p)
+        b = random_multifield(rng, chart, q)
+        v = random_multifield(rng, chart, 1)
+        alpha = random_form(rng, chart, 1)
+        form = random_form(rng, chart, rng.randint(0, 2))
+        outputs = [
+            wedge(a, b), wedge(v, v), wedge(a, a), wedge(alpha, form),
+            schouten(a, b), schouten(a, a), schouten(v, a), schouten(b, v),
+            d_complex(form), d_complex(d_complex(form)), d_complex(alpha),
+            a + b.scale(0) if p == q else a, -a, a - a,
+        ]
+        if form.degree:
+            outputs.append(_interior(v, form))
+        if a.degree:
+            outputs.append(_interior(alpha, a))
+            outputs.append(_interior(alpha, wedge(a, a)))
+        for out in outputs:
+            assert _rebuilt(out) == out
+            assert all(list(k) == sorted(set(k)) for k in out.comps)
+            assert all(not p.is_zero() for p in out.comps.values())

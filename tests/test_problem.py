@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from cxpoisson import cli
+from cxpoisson.grammar import parse_poly
 from cxpoisson.problem import ProblemParseError, dumps, parse_problem
 
 SAMPLE = """\
@@ -84,6 +86,9 @@ def test_bundle_declaration():
         ("chart x y\n\n# c\ncheck c1 jacobi Q\ncheck c2 normal_form R\n", 4),
         ("chart x y\nbivector B {\n 1 2 = 1\n}\ncheck c1 jacobi B\ncheck c2 invariants Q\n", 6),
         ("", 1),  # empty file
+        ("# c\nchart i j\nbivector B {\n 1 2 = 1 + i\n}\n", 2),  # i shadows the unit
+        ("chart x y 1z\n", 1),  # a name the coefficient grammar cannot read
+        ("chart x y-z\n", 1),
     ],
 )
 def test_errors_carry_line_numbers(text, lineno):
@@ -105,3 +110,20 @@ def test_coefficients_kept_verbatim():
     pf = parse_problem(text)
     assert pf.bivectors["B"] == [(1, 2, "1    +   i")]
     assert "1    +   i" in dumps(pf)
+
+
+def test_each_coefficient_is_parsed_once(monkeypatch):
+    pf = parse_problem(SAMPLE)
+    assert pf.polys["y + i*(-1*y + z)"] == parse_poly("y + i*(-1*y + z)", pf.chart)
+    assert set(pf.polys) == {"1 + i", "2*i", "y + i*(-1*y + z)", "3", "z", "x + y"}
+
+    def no_parse(text, chart):
+        raise AssertionError(f"{text!r} parsed again")
+
+    monkeypatch.setattr(cli, "parse_poly", no_parse)
+    nb = cli.build_field(pf, "bivector", "NB")
+    assert nb.component((1, 2)) == pf.polys["y + i*(-1*y + z)"]
+    # a file built or edited by hand still has its coefficients parsed
+    pf.vectors["X"] = [(3, "x*z")]
+    monkeypatch.setattr(cli, "parse_poly", parse_poly)
+    assert cli.build_field(pf, "vector", "X").component((2,)) == parse_poly("x*z", pf.chart)
