@@ -5,15 +5,15 @@ cotangent.  The canonical pairing is the C-bilinear
 
     <X + xi, Y + eta> = 1/2 (eta(X) + xi(Y)).
 
-Subspaces of R^m and of C^m are one class, Subspace, whose field is fixed
-when it is built: complex when asked for or when any generator is a
-GaussScalar, real otherwise.  They are kept in reduced row echelon form, so equality of
-subspaces is equality of bases.  Real computations (hat, check, K, Delta, D)
-realify a complex span into R^{2m} with layout [real parts | imaginary parts].
-Every intersect-and-project step (the hat/check slices, the products, the
-images, L intersect T_C) is one linalg.eliminate: the coordinates that must
-vanish are put first, one row per generator, and the tails that remain span
-the result.
+Subspace covers R^m and C^m; its field is fixed when it is built (complex
+when asked for or when a generator entry is a GaussScalar).  It keeps its
+reduced basis as canonical integer rows (see linalg), so equality is equality
+of row tuples; .basis reads them as GaussScalars or Fractions.  Only the
+public constructor reduces: rows that are canonical already (eliminate tails,
+heads, conjugates) go through the trusted _subspace.  Real computations (hat,
+check, K, Delta, D) realify a complex span into R^{2m}, layout [real parts |
+imaginary parts].  Every intersect-and-project step is one linalg.eliminate:
+the coordinates that must vanish come first, and the tails span the result.
 """
 
 from __future__ import annotations
@@ -23,60 +23,56 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
+from .linalg import _dot
 from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-HALF = Fraction(1, 2)
+_EXACT = (int, Fraction, GaussScalar)
+
+
+def _exact(row) -> list:
+    """row with entries that are not ints, Fractions or GaussScalars made
+    Fractions, so the elimination never meets a float."""
+    return [x if type(x) in _EXACT else Fraction(x) for x in row]
 
 
 class Subspace:
     """Canonical subspace of R^m or C^m in reduced row echelon form.
 
-    The field follows the generators: is_complex, or any GaussScalar entry,
-    makes it a Gaussian-rational subspace of C^m with every entry a
-    GaussScalar; otherwise the basis entries are Fractions (generators that
-    are not ints or Fractions are made Fractions first, so rref never meets
-    a float).  Pass is_complex when the generators may be empty.
+    Complex when is_complex (pass it when the generators may be empty) or any
+    generator entry is a GaussScalar.  rows is the basis as canonical integer
+    rows; basis is the same with GaussScalar (complex) or Fraction entries.
     """
 
-    __slots__ = ("m", "basis", "is_complex")
+    __slots__ = ("m", "rows", "is_complex", "_basis")
 
     def __init__(self, m: int, gens: Sequence[Sequence], is_complex: bool = False):
+        gens = [_exact(g) for g in gens]
         for g in gens:
             if len(g) != m:
                 raise ValueError(f"generator length {len(g)} != ambient {m}")
-        self.is_complex = is_complex or any(
-            isinstance(x, GaussScalar) for g in gens for x in g
-        )
-        if self.is_complex:
-            rows = [_gauss_row(g) for g in gens]
-        else:
-            rows = [
-                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in g]
-                for g in gens
-            ]
-        red, _ = linalg.rref(rows)
-        self.m = m
-        self.basis = tuple(tuple(r) for r in red)
+        is_complex = is_complex or any(type(x) is GaussScalar for g in gens for x in g)
+        rows, _ = linalg.echelon(*linalg._ints(gens, is_complex))
+        self.m, self.rows, self.is_complex, self._basis = m, tuple(rows), is_complex, None
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = tuple(tuple(linalg._scalars(r)) for r in self.rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return linalg.member(list(v), [list(r) for r in self.basis])
+        return Subspace(self.m, [*self.basis, v], self.is_complex).dim == self.dim
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.is_complex == other.is_complex
-            and self.m == other.m
-            and self.basis == other.basis
-        )
+        key = (self.is_complex, self.m, self.rows)
+        return isinstance(other, Subspace) and key == (other.is_complex, other.m, other.rows)
 
     def __hash__(self):
-        return hash((self.is_complex, self.m, self.basis))
+        return hash((self.is_complex, self.m, self.rows))
 
     def __repr__(self):
         field = "C" if self.is_complex else "R"
@@ -84,6 +80,13 @@ class Subspace:
 
 
 SubspaceReal = ComplexSubspace = Subspace
+
+
+def _subspace(m: int, rows, is_complex: bool) -> Subspace:
+    """Trusted constructor: rows must already be a canonical basis."""
+    S = object.__new__(Subspace)
+    S.m, S.rows, S.is_complex, S._basis = m, tuple(rows), is_complex, None
+    return S
 
 
 def subspace_from_generators(gens, m: Optional[int] = None) -> Subspace:
@@ -100,11 +103,12 @@ def subspace_from_generators(gens, m: Optional[int] = None) -> Subspace:
 
 
 def pairing(u: Sequence, v: Sequence, n: int):
-    """<X+xi, Y+eta> = 1/2 (eta(X) + xi(Y)), C-bilinear."""
+    """<X+xi, Y+eta> = 1/2 (eta(X) + xi(Y)), C-bilinear; a Fraction unless
+    an entry is a GaussScalar."""
     acc = u[0] * 0
     for t in range(n):
         acc = acc + u[t] * v[n + t] + u[n + t] * v[t]
-    return acc * HALF if isinstance(acc, Fraction) else acc * GaussScalar.of(HALF)
+    return acc * GaussScalar.of(Fraction(1, 2)) if type(acc) is GaussScalar else acc * Fraction(1, 2)
 
 
 class Lagrangian:
@@ -117,24 +121,19 @@ class Lagrangian:
     __slots__ = ("n", "space")
 
     def __init__(self, n: int, space: Subspace):
-        self.n = n
-        self.space = space
+        self.n, self.space = n, space
 
     @classmethod
     def from_generators(cls, n: int, gens, allow_partial: bool = False) -> "Lagrangian":
-        space = Subspace(2 * n, gens, is_complex=True)
-        if not _is_isotropic(space.basis, n):
-            raise ValueError("generators do not span an isotropic subspace")
-        if space.dim != n and not allow_partial:
-            raise ValueError(
-                f"isotropic span has dimension {space.dim}, expected lagrangian "
-                f"dimension {n}"
-            )
-        return cls(n, space)
+        return _lagrangian(n, Subspace(2 * n, gens, is_complex=True).rows, allow_partial)
 
     @property
     def basis(self):
         return self.space.basis
+
+    @property
+    def rows(self):
+        return self.space.rows
 
     @property
     def dim(self) -> int:
@@ -145,14 +144,10 @@ class Lagrangian:
         return self.dim == self.n
 
     def contains(self, v) -> bool:
-        return self.space.contains(_gauss_row(v))
+        return self.space.contains(v)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Lagrangian)
-            and self.n == other.n
-            and self.space == other.space
-        )
+        return isinstance(other, Lagrangian) and (self.n, self.space) == (other.n, other.space)
 
     def __hash__(self):
         return hash((self.n, self.space))
@@ -161,16 +156,41 @@ class Lagrangian:
         return f"Lagrangian(n={self.n}, dim={self.dim}, basis={self.basis!r})"
 
 
-def _is_isotropic(basis, n: int) -> bool:
-    """Every pairing among the basis rows vanishes, computed as the products
-    u . (v with its halves swapped)."""
-    swapped = [r[n:] + r[:n] for r in basis]
-    gram = linalg.matmul(basis, linalg.transpose(swapped))
-    return not any(x for row in gram for x in row)
+def _lagrangian(n: int, rows, allow_partial: bool = True) -> Lagrangian:
+    """Trusted constructor from canonical rows of C^{2n}, after the isotropy
+    and dimension checks."""
+    if not _is_isotropic(rows, n):
+        raise ValueError("generators do not span an isotropic subspace")
+    if len(rows) != n and not allow_partial:
+        raise ValueError(f"isotropic span has dimension {len(rows)}, expected lagrangian dimension {n}")
+    return Lagrangian(n, _subspace(2 * n, rows, True))
 
 
-def _gauss_row(g) -> List[GaussScalar]:
-    return [x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in g]
+def _is_isotropic(rows, n: int) -> bool:
+    """Every pairing u . s vanishes, for rows u and s a row with its halves
+    swapped: as u = [re | im], Re u . s = u . [re s | -im s], Im u . s = u . [im s | re s]."""
+    us = [re + im for re, im, _ in rows]
+    sw = [(re[n:] + re[:n], im[n:] + im[:n]) for re, im, _ in rows]
+    vs = [(sre + tuple(-y for y in sim), sim + sre) for sre, sim in sw]
+    return not any(_dot(u, a) or _dot(u, b) for k, u in enumerate(us) for a, b in vs[k:])
+
+
+def _int_matrix(M, skew: str = ""):
+    """(re, im, d) with M == (re + i im)/d entrywise, over one denominator;
+    a ValueError names skew if it is given and M is not skew-symmetric."""
+    M = [_exact(r) for r in M]
+    re, im, d = linalg._scaled_gauss([x for r in M for x in r])
+    w = len(M[0]) if M else 0
+    Mre, Mim = ([v[k * w:(k + 1) * w] for k in range(len(M))] for v in (re, im))
+    if skew and not (linalg.is_skew(Mre) and linalg.is_skew(Mim)):
+        raise ValueError(f"{skew} datum must be skew-symmetric")
+    return Mre, Mim, d
+
+
+def _times(Mre, Mim, re, im) -> Tuple[List[int], List[int]]:
+    """M v for the Gaussian-integer matrix Mre + i Mim and vector re + i im."""
+    pairs = list(zip(Mre, Mim))
+    return [_dot(a, re) - _dot(b, im) for a, b in pairs], [_dot(a, im) + _dot(b, re) for a, b in pairs]
 
 
 # -- graphs -----------------------------------------------------------------
@@ -182,33 +202,30 @@ def graph(datum: Sequence[Sequence[GaussScalar]], kind: str) -> Lagrangian:
     bivector: {pi# xi + xi} with pi# xi = A xi;  twoform: {X + i_X w} with
     (i_X w)_j = sum_i X_i W_ij.
     """
-    A = [_gauss_row(r) for r in datum]
-    n = len(A)
-    if not linalg.is_skew(A):
-        raise ValueError(f"{kind} datum must be skew-symmetric")
-    rows = []
-    for k in range(n):
-        e = [GS_ONE if t == k else GS_ZERO for t in range(n)]
-        if kind == "bivector":
-            tangent = [A[i][k] for i in range(n)]
-            rows.append(tangent + e)
-        elif kind == "twoform":
-            cot = [A[k][j] for j in range(n)]
-            rows.append(e + cot)
-        else:
-            raise ValueError(f"unknown graph kind {kind!r}")
-    return Lagrangian.from_generators(n, rows)
+    Are, Aim, d = _int_matrix(datum, skew=kind)
+    if kind not in ("bivector", "twoform"):
+        raise ValueError(f"unknown graph kind {kind!r}")
+    n, s = len(Are), -1 if kind == "bivector" else 1
+    # twoform row k: d e_k, then row k of W; bivector row k: A e_k, which is
+    # minus row k of A by skewness, then d e_k
+    re = [[d if t == k else 0 for t in range(n)] + [s * x for x in Are[k]] for k in range(n)]
+    im = [[0] * n + [s * x for x in Aim[k]] for k in range(n)]
+    if kind == "bivector":
+        re, im = [r[n:] + r[:n] for r in re], [i[n:] + i[:n] for i in im]
+    return _lagrangian(n, linalg.echelon(re, im)[0], allow_partial=False)
 
 
 def bivector_of_graph(L: Lagrangian) -> Optional[List[List[GaussScalar]]]:
     """Recover the skew matrix with L = graph(A, bivector); None if L meets T_C."""
     n = L.n
-    # L is a graph exactly when its cotangent parts span C^n; then the rref
-    # with the cotangent half first has the rows e_k + A e_k
-    red, pivots = linalg.rref([r[n:] + r[:n] for r in L.basis])
+    # L is a graph exactly when its cotangent parts span C^n; then the reduced
+    # basis with the cotangent half first has the rows e_k + A e_k
+    red, pivots = linalg.echelon(
+        [re[n:] + re[:n] for re, _, _ in L.rows], [im[n:] + im[:n] for _, im, _ in L.rows]
+    )
     if pivots != list(range(n)):
         return None
-    return linalg.transpose([r[n:] for r in red])
+    return linalg.transpose([linalg._scalars((re[n:], im[n:], d)) for re, im, d in red])
 
 
 # -- products ----------------------------------------------------------------
@@ -236,14 +253,16 @@ def products(kind: str, L1, L2) -> Lagrangian:
         raise ValueError("ambient dimension mismatch")
     n = L1.n
     lo, hi = (0, n) if kind == "tangent" else (n, 2 * n)
+    zero = (0,) * n
+
     # the head is the L1 shared half minus the L2 one and must vanish; the
     # tail counts the shared half once, through L1
-    rows = [list(r[lo:hi] + r) for r in L1.basis]
-    rows += [
-        [-x for x in r[lo:hi]] + list(r[:lo]) + [GS_ZERO] * n + list(r[hi:])
-        for r in L2.basis
-    ]
-    return Lagrangian.from_generators(n, linalg.eliminate(rows, n), allow_partial=True)
+    def second(v):
+        return tuple(-x for x in v[lo:hi]) + v[:lo] + zero + v[hi:]
+
+    re = [r[0][lo:hi] + r[0] for r in L1.rows] + [second(r[0]) for r in L2.rows]
+    im = [r[1][lo:hi] + r[1] for r in L1.rows] + [second(r[1]) for r in L2.rows]
+    return _lagrangian(n, linalg.eliminate(n, re, im))
 
 
 def complexify_real(S) -> Lagrangian:
@@ -252,10 +271,7 @@ def complexify_real(S) -> Lagrangian:
         return S
     if not isinstance(S, Subspace) or S.is_complex or S.m % 2 != 0:
         raise ValueError("expected a real Subspace of R^{2n}")
-    n = S.m // 2
-    return Lagrangian.from_generators(
-        n, [[GaussScalar.of(x) for x in r] for r in S.basis], allow_partial=True
-    )
+    return _lagrangian(S.m // 2, [(ints, (0,) * S.m, d) for ints, d in S.rows])
 
 
 # -- transforms ---------------------------------------------------------------
@@ -263,36 +279,39 @@ def complexify_real(S) -> Lagrangian:
 
 def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
     n = L.n
-    rows = []
-    if kind == "b_field":
-        B = [_gauss_row(r) for r in datum]
-        if not linalg.is_skew(B):
-            raise ValueError("b_field datum must be skew")
-        adds = linalg.matmul([r[:n] for r in L.basis], B)
-        for r, add in zip(L.basis, adds):
-            rows.append(list(r[:n]) + [x + y for x, y in zip(r[n:], add)])
-    elif kind == "beta":
-        P = [_gauss_row(r) for r in datum]
-        if not linalg.is_skew(P):
-            raise ValueError("beta datum must be skew")
-        # P r_cot as a row: r_cot P^T
-        adds = linalg.matmul([r[n:] for r in L.basis], linalg.transpose(P))
-        for r, add in zip(L.basis, adds):
-            rows.append([x + y for x, y in zip(r[:n], add)] + list(r[n:]))
-    elif kind == "scalar_dot":
-        z = datum if isinstance(datum, GaussScalar) else GaussScalar.of(datum)
-        for r in L.basis:
-            rows.append(list(r[:n]) + [z * x for x in r[n:]])
-    elif kind == "scalar_bullet":
-        z = datum if isinstance(datum, GaussScalar) else GaussScalar.of(datum)
-        for r in L.basis:
-            rows.append([z * x for x in r[:n]] + list(r[n:]))
-    elif kind == "conjugate":
-        for r in L.basis:
-            rows.append([x.conjugate() for x in r])
+    if kind == "conjugate":
+        # conjugating a canonical basis leaves it canonical
+        rows = [(re, tuple(-y for y in im), d) for re, im, d in L.rows]
+        return _lagrangian(n, rows, allow_partial=not L.is_lagrangian)
+    # each row becomes d row + M row[src] added to its half dst, M over d:
+    # z - 1 on the half that scalar_dot (cotangent) or scalar_bullet (tangent)
+    # multiplies by z, i_X B = -B X on the cotangent half, P xi on the tangent
+    tan, cot = slice(0, n), slice(n, 2 * n)
+    if kind in ("scalar_dot", "scalar_bullet"):
+        (a,), (b,), d = linalg._scaled_gauss(_exact([datum]))
+        src = dst = cot if kind == "scalar_dot" else tan
+
+        def add(re, im):  # (z - 1) v, z - 1 = (a - d + b i)/d
+            return [(a - d) * x - b * y for x, y in zip(re, im)], [(a - d) * y + b * x for x, y in zip(re, im)]
+    elif kind in ("b_field", "beta"):
+        Mre, Mim, d = _int_matrix(datum, skew=kind)
+        src, dst = (tan, cot) if kind == "b_field" else (cot, tan)
+        if kind == "b_field":
+            Mre, Mim = linalg.neg_matrix(Mre), linalg.neg_matrix(Mim)
+
+        def add(re, im):
+            return _times(Mre, Mim, re, im)
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
-    return Lagrangian.from_generators(n, rows, allow_partial=not L.is_lagrangian)
+    re_rows, im_rows = [], []
+    for re, im, _ in L.rows:
+        add_re, add_im = add(re[src], im[src])
+        r, i = [d * x for x in re], [d * y for y in im]
+        r[dst] = [x + y for x, y in zip(r[dst], add_re)]
+        i[dst] = [x + y for x, y in zip(i[dst], add_im)]
+        re_rows.append(r)
+        im_rows.append(i)
+    return _lagrangian(n, linalg.echelon(re_rows, im_rows)[0], allow_partial=not L.is_lagrangian)
 
 
 # -- realification and the hat/check/tilde families ---------------------------
@@ -300,17 +319,19 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
 
 def realify(L) -> List[List[int]]:
     """Real span of a Lagrangian in R^{4n} (of a complex Subspace of C^m in
-    R^{2m}), layout [re parts | im parts], as 2k unreduced integer rows.
-
-    Each basis row r is replaced by a Gaussian-integer multiple s, which
-    contributes s and i s; C-independent rows give R-independent rows.
-    """
+    R^{2m}), layout [re parts | im parts], as 2k unreduced integer rows: each
+    canonical row re + i im and i times it."""
     rows = []
-    for r in L.basis:
-        re, im = linalg._gauss_ints(r)
-        rows.append(re + im)
-        rows.append([-y for y in im] + re)
+    for re, im, _ in L.rows:
+        rows.append(list(re + im))
+        rows.append([-y for y in im] + list(re))
     return rows
+
+
+def _cols(n: int, *blocks: int) -> List[int]:
+    """Realified columns of the blocks 0 re tangent, 1 re cotangent,
+    2 im tangent, 3 im cotangent (of size n), in the order given."""
+    return [b * n + t for b in blocks for t in range(n)]
 
 
 def _slice_real(L, zero_cols, keep_cols) -> Subspace:
@@ -318,48 +339,49 @@ def _slice_real(L, zero_cols, keep_cols) -> Subspace:
     project keep_cols."""
     cols = zero_cols + keep_cols
     rows = [[r[c] for c in cols] for r in realify(L)]
-    return Subspace(len(keep_cols), linalg.eliminate(rows, len(zero_cols)))
+    return _subspace(len(keep_cols), linalg.eliminate(len(zero_cols), rows), False)
+
+
+def _check_hat(L, zero_cols, check_keep, hat_keep) -> Tuple[Subspace, Subspace]:
+    """Two slices of L on the same zero_cols from one elimination, with
+    check_keep first: the check slice is its heads, the hat slice is reduced."""
+    rest = check_keep + [c for c in hat_keep if c not in check_keep]
+    W = _slice_real(L, zero_cols, rest).rows
+    pos = [rest.index(c) for c in hat_keep]
+    hat_rows = linalg.echelon([[ints[p] for p in pos] for ints, _ in W])[0]
+    k = len(check_keep)
+    return _subspace(k, linalg._heads(W, k), False), _subspace(len(hat_keep), hat_rows, False)
 
 
 def hat(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian."""
-    n = L.n
-    tang_im = list(range(2 * n, 3 * n))
-    keep = list(range(0, n)) + list(range(3 * n, 4 * n))
-    return _slice_real(L, tang_im, keep)
+    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 3))
 
 
 def check(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + xi + i eta in L}, a real lagrangian."""
-    n = L.n
-    tang_im = list(range(2 * n, 3 * n))
-    keep = list(range(0, 2 * n))
-    return _slice_real(L, tang_im, keep)
+    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1))
 
 
 def tilde(L: Lagrangian) -> Lagrangian:
     """check(L) *_C hat(L), the associated quasi-real lagrangian family."""
-    return products("complex_tangent", check(L), hat(L))
+    n = L.n
+    return products("complex_tangent", *_check_hat(L, _cols(n, 2), _cols(n, 0, 1), _cols(n, 0, 3)))
 
 
 def hat_cot(L: Lagrangian) -> Subspace:
     """Cotangent-product mirror of hat: {X + xi : exists Y, iX + Y + xi in L}."""
-    n = L.n
-    cot_im = list(range(3 * n, 4 * n))
-    keep = list(range(2 * n, 3 * n)) + list(range(n, 2 * n))
-    return _slice_real(L, cot_im, keep)
+    return _slice_real(L, _cols(L.n, 3), _cols(L.n, 2, 1))
 
 
 def check_cot(L: Lagrangian) -> Subspace:
     """{X + xi : exists Y, X + iY + xi in L}."""
-    n = L.n
-    cot_im = list(range(3 * n, 4 * n))
-    keep = list(range(0, 2 * n))
-    return _slice_real(L, cot_im, keep)
+    return _slice_real(L, _cols(L.n, 3), _cols(L.n, 0, 1))
 
 
 def tilde_cot(L: Lagrangian) -> Lagrangian:
-    return products("complex_cotangent", check_cot(L), hat_cot(L))
+    n = L.n
+    return products("complex_cotangent", *_check_hat(L, _cols(n, 3), _cols(n, 0, 1), _cols(n, 2, 1)))
 
 
 # -- indices and distributions -------------------------------------------------
@@ -375,64 +397,48 @@ class IndexRecord:
 
 
 def tangent_range(L: Lagrangian) -> Subspace:
-    n = L.n
-    return Subspace(n, [list(r[:n]) for r in L.basis], is_complex=True)
+    return _subspace(L.n, linalg._heads(L.rows, L.n), True)
 
 
 def real_points(E: Subspace) -> Subspace:
     """E intersect R^m for a complex subspace E of C^m."""
-    m = E.m
-    return _slice_real(E, list(range(m, 2 * m)), list(range(0, m)))
+    return _slice_real(E, list(range(E.m, 2 * E.m)), list(range(E.m)))
 
 
 def real_projection(E: Subspace) -> Subspace:
     """D = {Re v : v in E}; spanned by real and imaginary parts of a basis."""
-    rows = []
-    for r in E.basis:
-        # an integer multiple of r has parts spanning the same space
-        re, im = linalg._gauss_ints(r)
-        rows.append(re)
-        rows.append(im)
-    return Subspace(E.m, rows)
+    rows, _ = linalg.echelon([part for re, im, _ in E.rows for part in (re, im)])
+    return _subspace(E.m, rows, False)
 
 
 def indices(L: Lagrangian) -> IndexRecord:
     n = L.n
-    real_part = _slice_real(L, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
+    real_part = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
     E = tangent_range(L)
-    delta = real_points(E)
-    D = real_projection(E)
-    return IndexRecord(
-        real_index=real_part.dim,
-        dim_range=E.dim,
-        dim_delta=delta.dim,
-        dim_D=D.dim,
-        kernel_dim=kernel_space(L).dim,
-    )
+    return IndexRecord(real_index=real_part.dim, dim_range=E.dim, dim_delta=real_points(E).dim,
+                       dim_D=real_projection(E).dim, kernel_dim=kernel_space(L).dim)
 
 
 def is_quasi_real(L: Lagrangian) -> bool:
     """True when the tangent range is the complexification of a real space."""
     E = tangent_range(L)
-    D = real_projection(E)
-    Dc = Subspace(L.n, D.basis, is_complex=True)
-    return E == Dc
+    return E == _subspace(L.n, [(ints, (0,) * L.n, d) for ints, d in real_projection(E).rows], True)
 
 
 def kernel_space(L: Lagrangian) -> Subspace:
     """L intersect T_C as a subspace of C^n (tangent coordinates)."""
     n = L.n
-    rows = [r[n:] + r[:n] for r in L.basis]
-    return Subspace(n, linalg.eliminate(rows, n), is_complex=True)
+    re = [re[n:] + re[:n] for re, _, _ in L.rows]
+    im = [im[n:] + im[:n] for _, im, _ in L.rows]
+    return _subspace(n, linalg.eliminate(n, re, im), True)
 
 
 def k_and_perp(L: Lagrangian) -> Tuple[Subspace, Subspace]:
     """K = L intersect (real T + T*), and its pairing-orthogonal in R^{2n}."""
     n = L.n
-    K = _slice_real(L, list(range(2 * n, 4 * n)), list(range(0, 2 * n)))
+    K = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
     cons = [list(r[n:]) + list(r[:n]) for r in K.basis]
-    perp_rows = linalg.nullspace(cons, 2 * n, F1, F0)
-    return K, Subspace(2 * n, perp_rows)
+    return K, Subspace(2 * n, linalg.nullspace(cons, 2 * n, Fraction(1), Fraction(0)))
 
 
 # -- two-form on the range -----------------------------------------------------
@@ -447,11 +453,7 @@ def element_with_tangent(rows: List[List], n: int, x: List) -> Optional[List]:
     combo = linalg.solve(tangents, [[t] for t in x], len(rows), zero)
     if combo is None:
         return None
-    vec = [zero] * (2 * n)
-    for (c,), row in zip(combo, rows):
-        for s in range(2 * n):
-            vec[s] = vec[s] + c * row[s]
-    return vec
+    return [sum((c * row[s] for (c,), row in zip(combo, rows)), zero) for s in range(2 * n)]
 
 
 def two_form_on_range(rows: List[List], n: int, x: List, y: List):
@@ -490,30 +492,31 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
     backward: result in C^{2m}: {X + A^T xi : A X + xi in L (ambient n)}.
     forward:  result in C^{2n}: {A X + xi : X + A^T xi in L (ambient m)}.
     """
-    A = [_gauss_row(r) for r in A]
-    nrows = len(A)
-    mcols = len(A[0]) if A else 0
-    B = L.basis
+    Are, Aim, d = _int_matrix(A)
+    n, m = len(Are), len(Are[0]) if Are else 0
     if kind == "backward":
-        if L.n != nrows:
+        if L.n != n:
             raise ValueError("backward: L must live over the codomain")
-        n, m = nrows, mcols
-        # X = e_c contributes the head A e_c, a basis row b the head
-        # -tangent(b) and the tail A^T cot(b)
-        At, E = linalg.transpose(A), linalg.identity(m, GS_ONE, GS_ZERO)
-        rows = [At[c] + E[c] + [GS_ZERO] * m for c in range(m)]
-        adds = linalg.matmul([b[n:] for b in B], A)
-        rows += [[-x for x in b[:n]] + [GS_ZERO] * m + a for b, a in zip(B, adds)]
-        return Lagrangian.from_generators(m, linalg.eliminate(rows, n), allow_partial=True)
+        # X = e_c contributes the head A e_c and the tail d e_c; a basis row b
+        # the head -d tangent(b) and the tail A^T cot(b)
+        Tre, Tim = linalg.transpose(Are), linalg.transpose(Aim)
+        re = [Tre[c] + [d if t == c else 0 for t in range(m)] + [0] * m for c in range(m)]
+        im = [Tim[c] + [0] * (2 * m) for c in range(m)]
+        for r, i, _ in L.rows:
+            add_re, add_im = _times(Tre, Tim, r[n:], i[n:])
+            re.append([-d * x for x in r[:n]] + [0] * m + add_re)
+            im.append([-d * x for x in i[:n]] + [0] * m + add_im)
+        return _lagrangian(m, linalg.eliminate(n, re, im))
     if kind == "forward":
-        if L.n != mcols:
+        if L.n != m:
             raise ValueError("forward: L must live over the domain")
-        n, m = nrows, mcols
-        # xi = e_t contributes the head -A^T e_t, a basis row b the head
-        # cot(b) and the tail A tangent(b)
-        E = linalg.identity(n, GS_ONE, GS_ZERO)
-        rows = [[-x for x in A[t]] + [GS_ZERO] * n + E[t] for t in range(n)]
-        adds = linalg.matmul([b[:m] for b in B], linalg.transpose(A))
-        rows += [list(b[m:]) + a + [GS_ZERO] * n for b, a in zip(B, adds)]
-        return Lagrangian.from_generators(n, linalg.eliminate(rows, m), allow_partial=True)
+        # xi = e_t contributes the head -A^T e_t and the tail d e_t; a basis
+        # row b the head d cot(b) and the tail A tangent(b)
+        re = [[-x for x in Are[t]] + [0] * n + [d if s == t else 0 for s in range(n)] for t in range(n)]
+        im = [[-x for x in Aim[t]] + [0] * (2 * n) for t in range(n)]
+        for r, i, _ in L.rows:
+            add_re, add_im = _times(Are, Aim, r[:m], i[:m])
+            re.append([d * x for x in r[m:]] + add_re + [0] * n)
+            im.append([d * x for x in i[m:]] + add_im + [0] * n)
+        return _lagrangian(n, linalg.eliminate(m, re, im))
     raise ValueError(f"unknown image kind {kind!r}")

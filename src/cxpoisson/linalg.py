@@ -1,13 +1,15 @@
 """Exact linear algebra over Q (Fraction) and Q(i) (GaussScalar).
 
-Everything works on lists of lists.  rref, and everything built on it, runs
-on integers internally (see rref); the other helpers only need +, -, *,
-unary minus and ==, so the same code serves both fields.  eliminate is the
-one intersect-and-project step: order the columns so that the coordinates
-required to vanish come first, and it returns the rest of each vector.
-solve is the one linear-system step: it solves M X = B for a whole block B
-of right-hand sides with one rref of [M | B], so an inverse is
-solve(A, identity(...)), which is None exactly when A is singular.
+The one elimination is echelon, fraction-free Gauss-Jordan on integer rows,
+and its rows come out canonical: a complex row is the tuple (re, im, d), the
+vector (re + i im)/d with d > 0, pivot entry (d, 0) and gcd(re, im, d) == 1;
+a real row is (ints, d) alike.  A span has one canonical basis, so span
+equality is tuple equality.  eliminate, the one intersect-and-project step,
+returns the canonical tails after the coordinates that must vanish.  rref is
+echelon for rows of ints, Fractions and GaussScalars, converting at its edges.
+solve is the one linear-system step: M X = B for a whole block B from one
+rref of [M | B], so an inverse is solve(A, identity(...)), None exactly when
+A is singular.
 """
 
 from __future__ import annotations
@@ -25,67 +27,45 @@ Matrix = List[Row]
 _F0 = Fraction(0)
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def echelon(re_rows, im_rows=None) -> Tuple[List[tuple], List[int]]:
+    """Canonical reduced row echelon form of the integer rows re_rows (over
+    Q) or re_rows + i im_rows (over Q(i)); returns (canonical rows, pivots).
 
-    Leftmost-pivot, leading-one normalization: the output is the canonical
-    basis of the row span, so span equality is list equality.
-
-    Entries are ints, Fractions or GaussScalars.  The elimination is
-    fraction-free Gauss-Jordan on integers: each row is scaled to clear its
-    denominators (a row over Q(i) becomes parallel real and imaginary int
-    lists), a row update is r_k <- p r_k - f r_pivot with p the pivot and f
-    the entry being cleared, and each updated row is divided by the gcd of
-    its entries.  Each pivot row is divided by its pivot once, at the end.
-    Rows come back as GaussScalars when any entry is one, else as Fractions.
-    """
-    rows = list(rows)
-    if any(type(x) is GaussScalar for r in rows for x in r):
-        return _rref_gauss(rows)
-    return _rref_rational(rows)
-
-
-def _rref_rational(rows) -> Tuple[Matrix, List[int]]:
-    m = [_rational_ints(row) for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
+    A row update is r_k <- p r_k - f r_pivot, p the pivot and f the entry
+    cleared, divided by the gcd of its entries; pivot rows are made canonical
+    once, at the end."""
+    if im_rows is not None:
+        return _echelon_gauss(list(re_rows), list(im_rows))
+    m = list(re_rows)
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, nrows) if m[k][c]), None)
+    for c in range(len(m[0]) if m else 0):
+        pr = next((k for k in range(r, len(m)) if m[k][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
         p = prow[c]
-        for k in range(nrows):
+        for k in range(len(m)):
             f = m[k][c]
             if f and k != r:
                 m[k] = _primitive([p * x - f * y for x, y in zip(m[k], prow)])
         pivots.append(c)
         r += 1
-        if r == nrows:
+        if r == len(m):
             break
     out = []
     for row, c in zip(m, pivots):
-        p = row[c]
-        out.append([Fraction(x, p) if x else _F0 for x in row])
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append((tuple(row) if g == 1 else tuple(x // g for x in row), row[c] // g))
     return out, pivots
 
 
-def _rref_gauss(rows) -> Tuple[Matrix, List[int]]:
-    re_rows, im_rows = [], []
-    for row in rows:
-        re, im = _gauss_ints(row)
-        re_rows.append(re)
-        im_rows.append(im)
-    if not re_rows:
-        return [], []
-    nrows, ncols = len(re_rows), len(re_rows[0])
+def _echelon_gauss(re_rows, im_rows) -> Tuple[List[tuple], List[int]]:
+    nrows = len(re_rows)
     pivots: List[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(re_rows[0]) if re_rows else 0):
         pr = next((k for k in range(r, nrows) if re_rows[k][c] or im_rows[k][c]), None)
         if pr is None:
             continue
@@ -113,32 +93,75 @@ def _rref_gauss(rows) -> Tuple[Matrix, List[int]]:
     out = []
     for re, im, c in zip(re_rows, im_rows, pivots):
         p, q = re[c], im[c]
-        if q == 0:
-            out.append([_make(x, y, p) if x or y else GS_ZERO for x, y in zip(re, im)])
-        else:
-            # (x + y i)/(p + q i) = ((x p + y q) + (y p - x q) i)/(p^2 + q^2)
-            n = p * p + q * q
-            out.append([
-                _make(x * p + y * q, y * p - x * q, n) if x or y else GS_ZERO
-                for x, y in zip(re, im)
-            ])
+        if q:
+            # times the conjugate pivot p - q i, which makes the pivot real
+            re, im = [x * p + y * q for x, y in zip(re, im)], [y * p - x * q for x, y in zip(re, im)]
+            p = re[c]
+        g = gcd(*re, *im) if p > 0 else -gcd(*re, *im)
+        out.append((tuple(x // g for x in re), tuple(y // g for y in im), p // g))
     return out, pivots
+
+
+def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
+    """Canonical basis of {v in span(rows) : v[:k] == 0}, given by the tails
+    v[k:], for integer rows as in echelon: in reduced echelon form the rows
+    whose pivot is at or after column k span exactly that intersection, and
+    their heads are zero, so their tails are canonical."""
+    red, pivots = echelon(re_rows, im_rows)
+    return [tuple(v[k:] for v in row[:-1]) + row[-1:] for row, c in zip(red, pivots) if c >= k]
+
+
+def _heads(rows: Sequence[tuple], k: int) -> List[tuple]:
+    """Canonical basis of the projection of span(rows) on the first k
+    coordinates: the heads of the rows with pivot before k, over their gcd."""
+    out = []
+    for *parts, d in rows:
+        heads = [v[:k] for v in parts]
+        if any(heads[0]):
+            g = gcd(*heads[0], *heads[-1])
+            out.append(tuple(tuple(x // g for x in v) for v in heads) + (d // g,))
+    return out
+
+
+def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Leading ones: the canonical basis of the row span, so span equality is
+    list equality.  Entries are ints, Fractions or GaussScalars; rows come
+    back as GaussScalars when any entry is one, else as Fractions."""
+    rows = list(rows)
+    red, pivots = echelon(*_ints(rows, any(type(x) is GaussScalar for r in rows for x in r)))
+    return [_scalars(r) for r in red], pivots
+
+
+def _ints(rows, is_complex: bool):
+    """echelon's arguments for rows of ints, Fractions and GaussScalars: the
+    primitive integer multiples, (re rows, im rows) or (rows, None) over Q."""
+    if not is_complex:
+        return [_primitive(_scaled_rational(r)[0]) for r in rows], None
+    pairs = [_primitive_pair(*_scaled_gauss(r)[:2]) for r in rows]
+    return [re for re, _ in pairs], [im for _, im in pairs]
+
+
+def _scalars(row: tuple) -> Row:
+    """The entries of a canonical row: Fractions over Q, GaussScalars over Q(i)."""
+    if len(row) == 2:
+        ints, d = row
+        return [Fraction(x, d) if x else _F0 for x in ints]
+    re, im, d = row
+    return [_make(a, b, d) if a or b else GS_ZERO for a, b in zip(re, im)]
 
 
 def _primitive(row: List[int]) -> List[int]:
     """row divided by the gcd of its entries."""
     g = gcd(*row)
-    if g > 1:
-        return [x // g for x in row]
-    return row
+    return [x // g for x in row] if g > 1 else row
 
 
 def _primitive_pair(re: List[int], im: List[int]) -> Tuple[List[int], List[int]]:
     """(re, im) divided by the gcd of all their entries."""
     g = gcd(*re, *im)
-    if g > 1:
-        return [x // g for x in re], [x // g for x in im]
-    return re, im
+    return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
 
 
 def _scaled_rational(row: Sequence) -> Tuple[List[int], int]:
@@ -164,34 +187,12 @@ def _scaled_gauss(row: Sequence) -> Tuple[List[int], List[int], int]:
     return [a * (den // d) for a, _, d in abd], [b * (den // d) for _, b, d in abd], den
 
 
-def _rational_ints(row: Sequence) -> List[int]:
-    """The primitive integer multiple of a row of ints and Fractions."""
-    return _primitive(_scaled_rational(row)[0])
-
-
-def _gauss_ints(row: Sequence) -> Tuple[List[int], List[int]]:
-    """(real parts, imaginary parts) of the primitive Gaussian-integer
-    multiple of a row of GaussScalars, ints and Fractions."""
-    re, im, _ = _scaled_gauss(row)
-    return _primitive_pair(re, im)
-
-
 def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[0])
-
-
-def eliminate(rows: Sequence[Sequence], k: int) -> Matrix:
-    """Basis of {v in span(rows) : v[:k] == 0}, given by the tails v[k:].
-
-    In reduced echelon form the rows whose pivot is at or after column k
-    span exactly that intersection, so their tails come back reduced.
-    """
-    red, pivots = rref(rows)
-    return [r[k:] for r, c in zip(red, pivots) if c >= k]
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:
@@ -264,13 +265,7 @@ def neg_matrix(A: Sequence[Sequence]) -> Matrix:
 
 def is_skew(A: Sequence[Sequence]) -> bool:
     n = len(A)
-    for i in range(n):
-        if A[i][i]:
-            return False
-        for j in range(i + 1, n):
-            if A[i][j] != -A[j][i]:
-                return False
-    return True
+    return all(A[i][j] == -A[j][i] for i in range(n) for j in range(i, n))
 
 
 def member(v: Sequence, basis_rref: Sequence[Sequence]) -> bool:

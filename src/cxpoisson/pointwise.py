@@ -23,7 +23,6 @@ from .lagrangian import (
     real_points,
     real_projection,
     tilde,
-    two_form_on_range,
 )
 from .poly import Chart, poly_eval
 from .scalars import GS_ONE, GS_ZERO, GaussScalar
@@ -253,18 +252,20 @@ def presymplectic_at(
 
 def hat_sign_check(pi: ComplexBivector, point: Point) -> bool:
     """Sign check: the two-form of hat(gr pi) on Delta equals omega_re with
-    the eps(X,Y) = xi(Y) orientation."""
+    the eps(X,Y) = xi(Y) orientation.
+
+    One block solve gives the combination C[:, a] of the rows of hat(gr pi)
+    with tangent part t_a, for the columns t_a of T (a basis of Delta); then
+    eps(t_a, t_b) = (C^T cot T)[a][b], cot the rows' cotangent parts.
+    """
     data = presymplectic_at(pi, point)
-    H = hat(graph_at(pi, point))
+    rows = hat(graph_at(pi, point)).basis
     n = pi.chart.dim
-    rows = [list(r) for r in H.basis]
-    basis = [list(t) for t in data.delta_basis.basis]
-    for a, ta in enumerate(basis):
-        for b, tb in enumerate(basis):
-            val = two_form_on_range(rows, n, ta, tb)
-            if val != data.omega_re[a][b]:
-                return False
-    return True
+    T = linalg.transpose(data.delta_basis.basis)
+    C = linalg.solve(linalg.transpose([r[:n] for r in rows]), T, len(rows), F0)
+    if C is None:
+        raise ValueError("a Delta basis vector is not in the tangent range")
+    return linalg.matmul(linalg.transpose(C), linalg.matmul([r[n:] for r in rows], T)) == data.omega_re
 
 
 # -- generalized complex matrix ----------------------------------------------

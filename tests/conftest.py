@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -123,6 +124,22 @@ def random_multifield(rng: random.Random, chart: Chart, degree: int) -> MultiFie
         if not p.is_zero():
             comps[idx] = p
     return MultiField(chart, degree, comps)
+
+
+def is_canonical(row, is_complex) -> bool:
+    """A canonical integer row: (re, im, d) over Q(i), (ints, d) over Q, as
+    tuples, with d > 0, first nonzero entry (d, 0) and gcd 1 over the entries
+    and d."""
+    if len(row) != (3 if is_complex else 2):
+        return False
+    *parts, d = row
+    re, im = parts[0], parts[-1] if is_complex else (0,) * len(parts[0])
+    c = next((j for j, (a, b) in enumerate(zip(re, im)) if a or b), None)
+    return (
+        all(type(v) is tuple for v in parts)
+        and d > 0 and c is not None and re[c] == d and im[c] == 0
+        and gcd(*re, *im, d) == 1
+    )
 
 
 @pytest.fixture

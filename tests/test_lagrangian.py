@@ -41,7 +41,7 @@ from cxpoisson.lagrangian import (
 )
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
-from conftest import random_lagrangian, random_skew
+from conftest import is_canonical, random_lagrangian, random_skew
 
 F = Fraction
 
@@ -106,6 +106,9 @@ def test_pairing_formula():
 def test_from_generators_rejects_non_isotropic():
     with pytest.raises(ValueError):
         Lagrangian.from_generators(1, [[GS_ONE, GS_ONE]])
+    with pytest.raises(ValueError):
+        # the pairing <e + i e*, e + i e*> = i is purely imaginary
+        Lagrangian.from_generators(1, [[GS_ONE, GS_I]])
     with pytest.raises(ValueError):
         # isotropic but not full-dimensional without the flag
         Lagrangian.from_generators(2, [[GS_ONE, GS_ZERO, GS_ZERO, GS_ZERO]])
@@ -558,3 +561,475 @@ def test_images_match_nullspace_formulation(data):
     assert images("backward", A, L) == ref_images("backward", A, L)
     L = data.draw(isotropics(m))
     assert images("forward", A, L) == ref_images("forward", A, L)
+
+
+# -- integer-row Subspace and Lagrangian against the GaussScalar ones ----------
+#
+# RefSubspace, RefLagrangian and the old_* functions are this module's code
+# from before Subspace kept canonical integer rows: bases of GaussScalars or
+# Fractions, re-reduced by rref on every build, isotropy by a GaussScalar
+# matmul.  The new classes must give the same bases, dimensions, equalities
+# and verdicts, and every constructor must leave canonical rows.
+
+
+class RefSubspace:
+    __slots__ = ("m", "basis", "is_complex")
+
+    def __init__(self, m, gens, is_complex=False):
+        for g in gens:
+            if len(g) != m:
+                raise ValueError(f"generator length {len(g)} != ambient {m}")
+        self.is_complex = is_complex or any(isinstance(x, GaussScalar) for g in gens for x in g)
+        if self.is_complex:
+            rows = [ref_gauss_row(g) for g in gens]
+        else:
+            rows = [[x if isinstance(x, (int, F)) else F(x) for x in g] for g in gens]
+        red, _ = linalg.rref(rows)
+        self.m = m
+        self.basis = tuple(tuple(r) for r in red)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def contains(self, v):
+        return linalg.member(list(v), [list(r) for r in self.basis])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, RefSubspace)
+            and self.is_complex == other.is_complex
+            and self.m == other.m
+            and self.basis == other.basis
+        )
+
+    def __hash__(self):
+        return hash((self.is_complex, self.m, self.basis))
+
+
+class RefLagrangian:
+    __slots__ = ("n", "space")
+
+    def __init__(self, n, space):
+        self.n = n
+        self.space = space
+
+    @classmethod
+    def from_generators(cls, n, gens, allow_partial=False):
+        space = RefSubspace(2 * n, gens, is_complex=True)
+        if not ref_is_isotropic(space.basis, n):
+            raise ValueError("generators do not span an isotropic subspace")
+        if space.dim != n and not allow_partial:
+            raise ValueError("not lagrangian")
+        return cls(n, space)
+
+    @property
+    def basis(self):
+        return self.space.basis
+
+    @property
+    def dim(self):
+        return self.space.dim
+
+    @property
+    def is_lagrangian(self):
+        return self.dim == self.n
+
+    def contains(self, v):
+        return self.space.contains(ref_gauss_row(v))
+
+    def __eq__(self, other):
+        return isinstance(other, RefLagrangian) and self.n == other.n and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.n, self.space))
+
+
+def ref_is_isotropic(basis, n):
+    swapped = [r[n:] + r[:n] for r in basis]
+    gram = linalg.matmul(basis, linalg.transpose(swapped))
+    return not any(x for row in gram for x in row)
+
+
+def ref_gauss_row(g):
+    return [x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in g]
+
+
+def ref_eliminate(rows, k):
+    red, pivots = linalg.rref(rows)
+    return [r[k:] for r, c in zip(red, pivots) if c >= k]
+
+
+def old_graph(datum, kind):
+    A = [ref_gauss_row(r) for r in datum]
+    n = len(A)
+    if not linalg.is_skew(A):
+        raise ValueError(f"{kind} datum must be skew-symmetric")
+    rows = []
+    for k in range(n):
+        e = [GS_ONE if t == k else GS_ZERO for t in range(n)]
+        if kind == "bivector":
+            rows.append([A[i][k] for i in range(n)] + e)
+        elif kind == "twoform":
+            rows.append(e + [A[k][j] for j in range(n)])
+        else:
+            raise ValueError(f"unknown graph kind {kind!r}")
+    return RefLagrangian.from_generators(n, rows)
+
+
+def old_bivector_of_graph(L):
+    n = L.n
+    red, pivots = linalg.rref([r[n:] + r[:n] for r in L.basis])
+    if pivots != list(range(n)):
+        return None
+    return linalg.transpose([r[n:] for r in red])
+
+
+def old_products(kind, L1, L2):
+    if kind in ("complex_tangent", "complex_cotangent"):
+        c1 = old_complexify_real(L1)
+        twist = "scalar_dot" if kind == "complex_tangent" else "scalar_bullet"
+        c2 = old_transform(twist, GS_I, old_complexify_real(L2))
+        return old_products("tangent" if kind == "complex_tangent" else "cotangent", c1, c2)
+    n = L1.n
+    lo, hi = (0, n) if kind == "tangent" else (n, 2 * n)
+    rows = [list(r[lo:hi] + r) for r in L1.basis]
+    rows += [
+        [-x for x in r[lo:hi]] + list(r[:lo]) + [GS_ZERO] * n + list(r[hi:])
+        for r in L2.basis
+    ]
+    return RefLagrangian.from_generators(n, ref_eliminate(rows, n), allow_partial=True)
+
+
+def old_complexify_real(S):
+    if isinstance(S, RefLagrangian):
+        return S
+    return RefLagrangian.from_generators(
+        S.m // 2, [[GaussScalar.of(x) for x in r] for r in S.basis], allow_partial=True
+    )
+
+
+def old_transform(kind, datum, L):
+    n = L.n
+    rows = []
+    if kind == "b_field":
+        B = [ref_gauss_row(r) for r in datum]
+        if not linalg.is_skew(B):
+            raise ValueError("b_field datum must be skew")
+        adds = linalg.matmul([r[:n] for r in L.basis], B)
+        for r, add in zip(L.basis, adds):
+            rows.append(list(r[:n]) + [x + y for x, y in zip(r[n:], add)])
+    elif kind == "beta":
+        P = [ref_gauss_row(r) for r in datum]
+        if not linalg.is_skew(P):
+            raise ValueError("beta datum must be skew")
+        adds = linalg.matmul([r[n:] for r in L.basis], linalg.transpose(P))
+        for r, add in zip(L.basis, adds):
+            rows.append([x + y for x, y in zip(r[:n], add)] + list(r[n:]))
+    elif kind == "scalar_dot":
+        z = datum if isinstance(datum, GaussScalar) else GaussScalar.of(datum)
+        for r in L.basis:
+            rows.append(list(r[:n]) + [z * x for x in r[n:]])
+    elif kind == "scalar_bullet":
+        z = datum if isinstance(datum, GaussScalar) else GaussScalar.of(datum)
+        for r in L.basis:
+            rows.append([z * x for x in r[:n]] + list(r[n:]))
+    elif kind == "conjugate":
+        for r in L.basis:
+            rows.append([x.conjugate() for x in r])
+    return RefLagrangian.from_generators(n, rows, allow_partial=not L.is_lagrangian)
+
+
+def old_realify(L):
+    rows = []
+    for r in L.basis:
+        re, im, _ = linalg._scaled_gauss(r)
+        rows.append(re + im)
+        rows.append([-y for y in im] + re)
+    return rows
+
+
+def old_slice_real(L, zero_cols, keep_cols):
+    cols = zero_cols + keep_cols
+    rows = [[r[c] for c in cols] for r in old_realify(L)]
+    return RefSubspace(len(keep_cols), ref_eliminate(rows, len(zero_cols)))
+
+
+def old_hat(L):
+    n = L.n
+    return old_slice_real(L, list(range(2 * n, 3 * n)), list(range(n)) + list(range(3 * n, 4 * n)))
+
+
+def old_check(L):
+    n = L.n
+    return old_slice_real(L, list(range(2 * n, 3 * n)), list(range(2 * n)))
+
+
+def old_tilde(L):
+    return old_products("complex_tangent", old_check(L), old_hat(L))
+
+
+def old_hat_cot(L):
+    n = L.n
+    return old_slice_real(L, list(range(3 * n, 4 * n)), list(range(2 * n, 3 * n)) + list(range(n, 2 * n)))
+
+
+def old_check_cot(L):
+    n = L.n
+    return old_slice_real(L, list(range(3 * n, 4 * n)), list(range(2 * n)))
+
+
+def old_tilde_cot(L):
+    return old_products("complex_cotangent", old_check_cot(L), old_hat_cot(L))
+
+
+def old_tangent_range(L):
+    return RefSubspace(L.n, [list(r[:L.n]) for r in L.basis], is_complex=True)
+
+
+def old_real_points(E):
+    m = E.m
+    return old_slice_real(E, list(range(m, 2 * m)), list(range(m)))
+
+
+def old_real_projection(E):
+    rows = []
+    for r in E.basis:
+        re, im, _ = linalg._scaled_gauss(r)
+        rows += [re, im]
+    return RefSubspace(E.m, rows)
+
+
+def old_kernel_space(L):
+    n = L.n
+    rows = [r[n:] + r[:n] for r in L.basis]
+    return RefSubspace(n, ref_eliminate(rows, n), is_complex=True)
+
+
+def old_indices(L):
+    n = L.n
+    E = old_tangent_range(L)
+    return (
+        old_slice_real(L, list(range(2 * n, 4 * n)), list(range(2 * n))).dim,
+        E.dim, old_real_points(E).dim, old_real_projection(E).dim, old_kernel_space(L).dim,
+    )
+
+
+def old_is_quasi_real(L):
+    E = old_tangent_range(L)
+    return E == RefSubspace(L.n, old_real_projection(E).basis, is_complex=True)
+
+
+def old_images(kind, A, L):
+    A = [ref_gauss_row(r) for r in A]
+    nrows, mcols, B = len(A), len(A[0]), L.basis
+    if kind == "backward":
+        n, m = nrows, mcols
+        At, E = linalg.transpose(A), linalg.identity(m, GS_ONE, GS_ZERO)
+        rows = [At[c] + E[c] + [GS_ZERO] * m for c in range(m)]
+        adds = linalg.matmul([b[n:] for b in B], A)
+        rows += [[-x for x in b[:n]] + [GS_ZERO] * m + a for b, a in zip(B, adds)]
+        return RefLagrangian.from_generators(m, ref_eliminate(rows, n), allow_partial=True)
+    n, m = nrows, mcols
+    E = linalg.identity(n, GS_ONE, GS_ZERO)
+    rows = [[-x for x in A[t]] + [GS_ZERO] * n + E[t] for t in range(n)]
+    adds = linalg.matmul([b[:m] for b in B], linalg.transpose(A))
+    rows += [list(b[m:]) + a + [GS_ZERO] * n for b, a in zip(B, adds)]
+    return RefLagrangian.from_generators(n, ref_eliminate(rows, m), allow_partial=True)
+
+
+def assert_canonical(S):
+    """S (a Subspace or a Lagrangian) keeps canonical rows in reduced echelon
+    form: the public constructor, fed its basis, gives the same rows."""
+    space = S.space if isinstance(S, Lagrangian) else S
+    assert type(space.rows) is tuple
+    assert all(is_canonical(r, space.is_complex) for r in space.rows)
+    assert Subspace(space.m, space.basis, space.is_complex).rows == space.rows
+
+
+def same(S, R):
+    """S and its reference R agree on basis (values and entry types) and dim."""
+    assert_canonical(S)
+    assert S.basis == R.basis and S.dim == R.dim
+    assert [[type(x) for x in r] for r in S.basis] == [[type(x) for x in r] for r in R.basis]
+    return True
+
+
+def both(new, old):
+    """new() and old() both raise ValueError, or both return; their results."""
+    try:
+        r_old = old()
+    except ValueError:
+        with pytest.raises(ValueError):
+            new()
+        return None, None
+    return new(), r_old
+
+
+QI = st.builds(GaussScalar.of, st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3))
+QQ = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def generators(draw, m, entries):
+    """0..5 generators of length m: random, zero, sparse, and combinations of
+    earlier ones, so dependent and empty sets are common."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("random", "zero", "sparse", "combo")))
+        if kind == "combo" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind == "zero":
+            rows.append([0] * m)
+        elif kind == "sparse":
+            rows.append([draw(entries) if draw(st.booleans()) else 0 for _ in range(m)])
+        else:
+            rows.append([draw(entries) for _ in range(m)])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subspace_matches_reference(data):
+    m = data.draw(st.integers(1, 5))
+    entries = data.draw(st.sampled_from((QQ, QI)))
+    is_complex = data.draw(st.booleans())
+    g1, g2 = data.draw(generators(m, entries)), data.draw(generators(m, entries))
+    S1, S2 = Subspace(m, g1, is_complex), Subspace(m, g2, is_complex)
+    R1, R2 = RefSubspace(m, g1, is_complex), RefSubspace(m, g2, is_complex)
+    assert same(S1, R1) and same(S2, R2) and S1.is_complex == R1.is_complex
+    assert (S1 == S2) == (R1 == R2)
+    assert S1 == Subspace(m, list(S1.basis) + g1, S1.is_complex)
+    if S1 == S2:
+        assert hash(S1) == hash(S2)
+    for v in g2 + [data.draw(st.lists(entries, min_size=m, max_size=m))]:
+        assert S1.contains(v) == R1.contains(v)
+
+
+@st.composite
+def lagrangian_generators(draw):
+    """(n, generators of C^{2n}): the basis of a random lagrangian, each row
+    scaled, plus combinations of its rows and, sometimes, a random row that
+    usually breaks isotropy; or a random set."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 4))
+    L = random_lagrangian(rnd, n)
+    scales = draw(st.lists(QI.filter(bool), min_size=n, max_size=n))
+    rows = [[x * s for x in r] for r, s in zip(L.basis, scales)]
+    rows = draw(st.lists(st.sampled_from(rows), max_size=n)) if draw(st.booleans()) else rows
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(QI), draw(QI)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    if draw(st.integers(0, 3)) == 0:
+        rows.append(draw(st.lists(QI, min_size=2 * n, max_size=2 * n)))
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(lagrangian_generators(), st.booleans())
+def test_lagrangian_constructor_matches_reference(case, allow_partial):
+    n, gens = case
+    L, R = both(lambda: Lagrangian.from_generators(n, gens, allow_partial),
+                lambda: RefLagrangian.from_generators(n, gens, allow_partial))
+    if L is None:
+        return
+    assert same(L, R) and L.is_lagrangian == R.is_lagrangian
+    assert L == Lagrangian.from_generators(n, list(L.basis), allow_partial)
+    assert hash(L) == hash(Lagrangian.from_generators(n, list(L.basis), allow_partial))
+    for v in gens[:2] + [[GS_ONE] * (2 * n)]:
+        assert L.contains(v) == R.contains(v)
+
+
+def ref_of(L):
+    return RefLagrangian.from_generators(L.n, list(L.basis), allow_partial=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(isotropics())
+def test_families_match_reference(L):
+    R = ref_of(L)
+    for new, old in ((hat, old_hat), (check, old_check), (hat_cot, old_hat_cot),
+                     (check_cot, old_check_cot), (tangent_range, old_tangent_range),
+                     (kernel_space, old_kernel_space)):
+        assert same(new(L), old(R))
+    assert same(tilde(L), old_tilde(R)) and same(tilde_cot(L), old_tilde_cot(R))
+    E, RE = tangent_range(L), old_tangent_range(R)
+    assert same(real_points(E), old_real_points(RE))
+    assert same(real_projection(E), old_real_projection(RE))
+    rec = indices(L)
+    assert (rec.real_index, rec.dim_range, rec.dim_delta, rec.dim_D, rec.kernel_dim) == old_indices(R)
+    assert is_quasi_real(L) == old_is_quasi_real(R)
+    assert bivector_of_graph(L) == old_bivector_of_graph(R)
+    assert same(complexify_real(check(L)), old_complexify_real(old_check(R)))
+    assert len(realify(L)) == 2 * L.dim
+    for S in k_and_perp(L):
+        assert_canonical(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(isotropics(n), isotropics(n))))
+def test_products_match_reference(pair):
+    L1, L2 = pair
+    R1, R2 = ref_of(L1), ref_of(L2)
+    for kind in ("tangent", "cotangent"):
+        assert same(products(kind, L1, L2), old_products(kind, R1, R2))
+    for kind in ("complex_tangent", "complex_cotangent"):
+        assert same(products(kind, check(L1), hat(L2)), old_products(kind, old_check(R1), old_hat(R2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_transforms_and_images_match_reference(data):
+    L = data.draw(isotropics())
+    R, n = ref_of(L), L.n
+    skew = [[GS_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = data.draw(QI)
+            skew[j][i] = -skew[i][j]
+    # a non-skew datum must be refused
+    bad = [list(r) for r in skew]
+    bad[0][0] = GS_ONE if data.draw(st.booleans()) else GS_ZERO
+    z = data.draw(st.one_of(QI, QQ))
+    for kind, datum in (("b_field", skew), ("beta", skew), ("b_field", bad), ("beta", bad),
+                        ("scalar_dot", z), ("scalar_bullet", z), ("conjugate", None)):
+        T, RT = both(lambda: transform(kind, datum, L), lambda: old_transform(kind, datum, R))
+        assert T is None or same(T, RT)
+    m = data.draw(st.integers(1, 4))
+    A = data.draw(st.lists(st.lists(QI, min_size=m, max_size=m), min_size=n, max_size=n))
+    assert same(images("backward", A, L), old_images("backward", A, R))
+    L2 = data.draw(isotropics(m))
+    assert same(images("forward", A, L2), old_images("forward", A, ref_of(L2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(QI, min_size=n, max_size=n), min_size=n, max_size=n)), st.booleans(),
+    st.sampled_from(("bivector", "twoform")))
+def test_graph_matches_reference(M, make_skew, kind):
+    n = len(M)
+    if make_skew:
+        M = [[M[i][j] if i < j else -M[j][i] if i > j else GS_ZERO for j in range(n)] for i in range(n)]
+    L, R = both(lambda: graph(M, kind), lambda: old_graph(M, kind))
+    if L is not None:
+        assert same(L, R)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(QQ, min_size=2 * n, max_size=2 * n), st.lists(QQ, min_size=2 * n, max_size=2 * n))))
+def test_pairing_of_rationals_is_a_fraction(case):
+    n, u, v = case
+    p = pairing(u, v, n)
+    assert type(p) is F
+    assert GaussScalar.of(p) == pairing(ref_gauss_row(u), ref_gauss_row(v), n)
+
+
+def test_pairing_of_ints_is_a_fraction():
+    assert pairing([1, 0, 0, 1], [0, 1, 1, 0], 2) == F(1)
+    assert type(pairing([1, 0, 0, 1], [0, 1, 1, 0], 2)) is F
+    assert type(pairing([1, 0], [0, 1], 1)) is F

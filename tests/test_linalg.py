@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from cxpoisson import linalg
 from cxpoisson.scalars import GaussScalar
 
+from conftest import is_canonical
+
 SMALL = st.integers(-3, 3)
 FIELDS = {
     "Q": (SMALL.map(Fraction), Fraction(0)),
@@ -216,7 +218,21 @@ def test_rref_refuses_entries_it_cannot_make_exact():
         linalg.rref([[GaussScalar.of(1), 0.5]])
 
 
-# -- eliminate -------------------------------------------------------------------
+# -- echelon and eliminate ------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
+def test_echelon_rows_are_canonical_and_read_as_the_rref(rows):
+    is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
+    red, pivots = linalg.echelon(*linalg._ints(rows, is_complex))
+    assert all(is_canonical(r, is_complex) for r in red)
+    assert ([linalg._scalars(r) for r in red], pivots) == reference_rref(rows)
+    # heads: the projection on the first k coordinates, already reduced
+    for k in range(len(rows[0]) + 1 if rows else 0):
+        heads = linalg._heads(red, k)
+        assert all(is_canonical(h, is_complex) for h in heads)
+        assert [linalg._scalars(h) for h in heads] == linalg.rref([r[:k] for r in rows])[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +240,10 @@ def test_rref_refuses_entries_it_cannot_make_exact():
 def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
     ncols = len(rows[0]) if rows else 0
     k = data.draw(st.integers(0, ncols))
-    tails = linalg.eliminate(rows, k)
+    is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
+    canonical = linalg.eliminate(k, *linalg._ints(rows, is_complex))
+    assert all(is_canonical(t, is_complex) for t in canonical)
+    tails = [linalg._scalars(t) for t in canonical]
     # dim(span ∩ {v[:k] = 0}) = rank(M) - rank(M[:, :k])
     assert len(tails) == linalg.rank(rows) - linalg.rank([r[:k] for r in rows])
     assert all(len(t) == ncols - k for t in tails)

@@ -11,9 +11,11 @@ from cxpoisson.bivector import _part_matrix
 from cxpoisson.lagrangian import (
     ComplexSubspace,
     Lagrangian,
+    hat,
     lagrangian_from_range_form,
     real_points,
     tangent_range,
+    two_form_on_range,
 )
 from cxpoisson.pointwise import (
     a_pi_at,
@@ -220,9 +222,10 @@ def test_delta_at_matches_profile():
 
 # -- block solves against the per-vector formulations ------------------------
 #
-# presymplectic_at and lagrangian_from_range_form solve one block system and
-# take X^T A X with matmul.  The references below are the per-vector solve
-# and skew_val loops they replaced; each solve passes a one-column block.
+# presymplectic_at, hat_sign_check and lagrangian_from_range_form solve one
+# block system and take X^T A X with matmul.  The references below are the
+# per-vector solve, skew_val and two_form_on_range loops they replaced; each
+# solve passes a one-column block.
 
 
 def ref_presymplectic(pi, point, pivot_variant=0):
@@ -262,6 +265,19 @@ def ref_presymplectic(pi, point, pivot_variant=0):
             omega_re[a][b] = skew_val(A1, xa, xb) + skew_val(A1, ea, eb)
             omega_im[a][b] = -skew_val(A2, xa, xb) - skew_val(A2, ea, eb)
     return omega_re, omega_im
+
+
+def ref_hat_sign_check(pi, point):
+    data = presymplectic_at(pi, point)
+    H = hat(graph_at(pi, point))
+    n = pi.chart.dim
+    rows = [list(r) for r in H.basis]
+    basis = [list(t) for t in data.delta_basis.basis]
+    for a, ta in enumerate(basis):
+        for b, tb in enumerate(basis):
+            if two_form_on_range(rows, n, ta, tb) != data.omega_re[a][b]:
+                return False
+    return True
 
 
 def ref_range_form(E_basis, eps, n):
@@ -320,6 +336,7 @@ def test_block_solves_match_per_vector_formulations(pi, upper):
     for variant in (0, 1, 2):
         d = presymplectic_at(pi, pt, pivot_variant=variant)
         assert (d.omega_re, d.omega_im) == ref_presymplectic(pi, pt, variant)
+    assert hat_sign_check(pi, pt) == ref_hat_sign_check(pi, pt)
     k = d.delta_basis.dim
     E_basis = [[GaussScalar.of(x) for x in r] for r in d.delta_basis.basis]
     eps = [[GaussScalar.of(d.omega_re[a][b], d.omega_im[a][b]) for b in range(k)] for a in range(k)]
