@@ -90,27 +90,28 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     """Real/imaginary Jacobi PDE residuals per coordinate triple i<j<k.
 
     Entry ((i,j,k), s, residual) with s=1 the real equation and s=2 the
-    imaginary one.  These are the real and imaginary parts of the coordinate
-    Jacobiator sum_l (pi_il d_l pi_jk + pi_kl d_l pi_ij + pi_jl d_l pi_ki).
+    imaginary one: the real and imaginary parts of the coordinate Jacobiator
+    r = sum_l (A_il d_l A_jk + A_kl d_l A_ij + A_jl d_l A_ki) of the complex
+    matrix A of pi.  Each partial d_l A_bc is taken once, and products with a
+    zero factor are skipped.
     """
     chart = pi.chart
     n = chart.dim
-    A1 = _part_matrix(pi.pi1, chart)
-    A2 = _part_matrix(pi.pi2, chart)
+    A = _part_matrix(pi.body, chart)
+    dA = {(b, c): [poly_partial(A[b][c], name) for name in chart.vars]
+          for b in range(n) for c in range(b + 1, n)}
     out: List[Tuple[Tuple[int, int, int], int, Poly]] = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                r1 = Poly.zero(chart)
-                r2 = Poly.zero(chart)
-                for (a, b, c) in ((i, j, k), (k, i, j), (j, k, i)):
-                    for l, name in enumerate(chart.vars):
-                        d1 = poly_partial(A1[b][c], name)
-                        d2 = poly_partial(A2[b][c], name)
-                        r1 = r1 + A1[a][l] * d1 - A2[a][l] * d2
-                        r2 = r2 + A2[a][l] * d1 + A1[a][l] * d2
-                out.append(((i, j, k), 1, r1))
-                out.append(((i, j, k), 2, r2))
+                r = Poly.zero(chart)
+                # d_l A_ki = -d_l A_ik
+                for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1)):
+                    for x, y in zip(A[a], dA[bc]):
+                        if x and y:
+                            r = r + x * y if sign > 0 else r - x * y
+                out.append(((i, j, k), 1, r.real_part()))
+                out.append(((i, j, k), 2, r.imag_part()))
     return out
 
 
@@ -166,17 +167,25 @@ def cotangent_bracket(pi: ComplexBivector, a: FormField, b: FormField) -> FormFi
 
 def _sharp(chart: Chart, M: List[List[Poly]], alpha: FormField) -> MultiField:
     """M#(alpha) with (M# alpha)_i = sum_j M[i][j] alpha_j; M need not be skew."""
-    n = chart.dim
-    a = [alpha.component((j,)) for j in range(n)]
-    comps: Dict[Tuple[int, ...], Poly] = {}
-    for i in range(n):
-        acc = Poly.zero(chart)
-        for j in range(n):
-            if a[j].is_zero() or M[i][j].is_zero():
-                continue
-            acc = acc + M[i][j] * a[j]
-        comps[(i,)] = acc
-    return MultiField(chart, 1, comps)
+    col = _matmul(chart, M, [[alpha.component((j,))] for j in range(chart.dim)])
+    return MultiField(chart, 1, {(i,): row[0] for i, row in enumerate(col)})
+
+
+def _matmul(chart: Chart, X: Sequence[Sequence[Poly]], Y: Sequence[Sequence[Poly]]) -> List[List[Poly]]:
+    """X Y for matrices of Polys, skipping the products with a zero factor."""
+    zero = Poly.zero(chart)
+    cols = list(zip(*Y))
+    out = []
+    for row in X:
+        out_row = []
+        for col in cols:
+            acc = zero
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:
@@ -251,15 +260,7 @@ def _nijenhuis_matrix(body: MultiField, N: Sequence[Sequence[Poly]]) -> List[Lis
     n = chart.dim
     if len(N) != n or any(len(row) != n for row in N):
         raise ValueError(f"N must be a {n}x{n} matrix of Polys")
-    A = _part_matrix(body, chart)
-    out = [[Poly.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Poly.zero(chart)
-            for k in range(n):
-                acc = acc + N[i][k] * A[k][j]
-            out[i][j] = acc
-    return out
+    return _matmul(chart, N, _part_matrix(body, chart))
 
 
 def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
@@ -274,28 +275,14 @@ def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
     n = chart.dim
     A = _part_matrix(body, chart)
     # sigma# N* has matrix A N^T; N sigma# has matrix N A.
-    first = [[Poly.zero(chart) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Poly.zero(chart)
-            for k in range(n):
-                acc = acc + A[i][k] * N[j][k] - N[i][k] * A[k][j]
-            first[i][j] = acc
-
     NA = _nijenhuis_matrix(body, N)
+    ANt = _matmul(chart, A, list(zip(*N)))
+    first = [[x - y for x, y in zip(r, s)] for r, s in zip(ANt, NA)]
 
     def nstar(alpha: FormField) -> FormField:
         # (N* a)_j = sum_i a_i N_ij
-        comps = {}
-        for j in range(n):
-            acc = Poly.zero(chart)
-            for i in range(n):
-                ai = alpha.component((i,))
-                if ai.is_zero():
-                    continue
-                acc = acc + ai * N[i][j]
-            comps[(j,)] = acc
-        return FormField(chart, 1, comps)
+        (row,) = _matmul(chart, [[alpha.component((i,)) for i in range(n)]], N)
+        return FormField(chart, 1, {(j,): p for j, p in enumerate(row)})
 
     second: List[FormField] = []
     for i in range(n):

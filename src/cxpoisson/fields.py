@@ -128,11 +128,6 @@ class GradedField:
             type(self), self.chart, self.degree, {k: p.scale(c) for k, p in self.comps.items()}
         )
 
-    def scale_poly(self, f: Poly):
-        return _field(
-            type(self), self.chart, self.degree, {k: p * f for k, p in self.comps.items()}
-        )
-
     def conjugate(self):
         return _field(
             type(self), self.chart, self.degree,

@@ -26,27 +26,20 @@ from . import linalg
 from .linalg import _dot
 from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
-_EXACT = (int, Fraction, GaussScalar)
-
-
-def _exact(row) -> list:
-    """row with entries that are not ints, Fractions or GaussScalars made
-    Fractions, so the elimination never meets a float."""
-    return [x if type(x) in _EXACT else Fraction(x) for x in row]
-
-
 class Subspace:
     """Canonical subspace of R^m or C^m in reduced row echelon form.
 
     Complex when is_complex (pass it when the generators may be empty) or any
-    generator entry is a GaussScalar.  rows is the basis as canonical integer
-    rows; basis is the same with GaussScalar (complex) or Fraction entries.
+    generator entry is a GaussScalar.  Entries are ints, Fractions and
+    GaussScalars; anything else is a TypeError.  rows is the basis as
+    canonical integer rows; basis is the same with GaussScalar (complex) or
+    Fraction entries.
     """
 
     __slots__ = ("m", "rows", "is_complex", "_basis")
 
     def __init__(self, m: int, gens: Sequence[Sequence], is_complex: bool = False):
-        gens = [_exact(g) for g in gens]
+        gens = [list(g) for g in gens]
         for g in gens:
             if len(g) != m:
                 raise ValueError(f"generator length {len(g)} != ambient {m}")
@@ -176,11 +169,18 @@ def _is_isotropic(rows, n: int) -> bool:
 
 
 def _int_matrix(M, skew: str = ""):
-    """(re, im, d) with M == (re + i im)/d entrywise, over one denominator;
-    a ValueError names skew if it is given and M is not skew-symmetric."""
-    M = [_exact(r) for r in M]
-    re, im, d = linalg._scaled_gauss([x for r in M for x in r])
+    """(re, im, d) with M == (re + i im)/d entrywise, over one denominator,
+    for entries that are ints, Fractions or GaussScalars (else TypeError).
+    A ValueError names the shape of a ragged M, and, if skew names the datum,
+    of one that is not square; it names skew if M is not skew-symmetric."""
+    M = [list(r) for r in M]
     w = len(M[0]) if M else 0
+    shape = [len(r) for r in M]
+    if any(k != w for k in shape):
+        raise ValueError(f"matrix rows have lengths {shape}: the datum is ragged")
+    if skew and w != len(M):
+        raise ValueError(f"{skew} datum has shape {len(M)}x{w}, expected a square matrix")
+    re, im, d = linalg._scaled_gauss([x for r in M for x in r])
     Mre, Mim = ([v[k * w:(k + 1) * w] for k in range(len(M))] for v in (re, im))
     if skew and not (linalg.is_skew(Mre) and linalg.is_skew(Mim)):
         raise ValueError(f"{skew} datum must be skew-symmetric")
@@ -288,7 +288,7 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
     # multiplies by z, i_X B = -B X on the cotangent half, P xi on the tangent
     tan, cot = slice(0, n), slice(n, 2 * n)
     if kind in ("scalar_dot", "scalar_bullet"):
-        (a,), (b,), d = linalg._scaled_gauss(_exact([datum]))
+        (a,), (b,), d = linalg._scaled_gauss([datum])
         src = dst = cot if kind == "scalar_dot" else tan
 
         def add(re, im):  # (z - 1) v, z - 1 = (a - d + b i)/d
@@ -415,14 +415,17 @@ def indices(L: Lagrangian) -> IndexRecord:
     n = L.n
     real_part = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
     E = tangent_range(L)
-    return IndexRecord(real_index=real_part.dim, dim_range=E.dim, dim_delta=real_points(E).dim,
-                       dim_D=real_projection(E).dim, kernel_dim=kernel_space(L).dim)
+    D = real_projection(E)
+    # Delta_C = E meet conj E and D_C = E + conj E
+    return IndexRecord(real_index=real_part.dim, dim_range=E.dim, dim_delta=2 * E.dim - D.dim,
+                       dim_D=D.dim, kernel_dim=kernel_space(L).dim)
 
 
 def is_quasi_real(L: Lagrangian) -> bool:
-    """True when the tangent range is the complexification of a real space."""
+    """True when the tangent range E is the complexification of a real space:
+    E + conj E = D_C has the dimension of E."""
     E = tangent_range(L)
-    return E == _subspace(L.n, [(ints, (0,) * L.n, d) for ints, d in real_projection(E).rows], True)
+    return real_projection(E).dim == E.dim
 
 
 def kernel_space(L: Lagrangian) -> Subspace:

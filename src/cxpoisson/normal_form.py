@@ -22,8 +22,8 @@ from .lagrangian import (
     images,
     transform,
 )
-from .poly import Chart, Poly, poly_eval, poly_partial, poly_subst_zero
-from .pointwise import bivector_at, complex_matrix
+from .poly import Chart, Poly, poly_partial, poly_subst_zero
+from .pointwise import matrix_at
 from .scalars import GS_ONE, GS_ZERO, GaussScalar
 
 F0 = Fraction(0)
@@ -116,15 +116,14 @@ def mixed_check(
     cc_ok = True
     failures = []
     for pt in pts:
-        A1, A2 = bivector_at(pi, pt)
+        A = matrix_at(pi.body, pt)
         # real condition: pi1(Ann TN) + TN = TM, directly and with trivial overlap
-        img = [[A1[i][a] for i in range(n)] for a in fiber_idx]  # pi1# d(fiber_a)
+        img = [[A[i][a].re for i in range(n)] for a in fiber_idx]  # pi1# d(fiber_a)
         tn = [[F1 if i == j else F0 for i in range(n)] for j in range(b)]
         if linalg.rank(img) != f or linalg.rank(img + tn) != n:
             ds_ok = False
             failures.append(tuple(sorted(pt.items())))
         # complex cosymplectic: pi(Ann T_CN) + T_CN = T_CM
-        A = complex_matrix(A1, A2)
         imgc = [[A[i][a] for i in range(n)] for a in fiber_idx]
         tnc = [
             [GS_ONE if i == j else GS_ZERO for i in range(n)] for j in range(b)
@@ -170,18 +169,6 @@ def moser_average(beta: FormField, bundle: BundleChart) -> FormField:
 # -- local model -----------------------------------------------------------------
 
 
-def form_matrix_at(form: FormField, point) -> List[List[GaussScalar]]:
-    """Skew GaussScalar matrix of a degree-2 form at a point."""
-    chart = form.chart
-    n = chart.dim
-    M = [[GS_ZERO] * n for _ in range(n)]
-    for (i, j), p in form.comps.items():
-        v = poly_eval(p, point)
-        M[i][j] = v
-        M[j][i] = -v
-    return M
-
-
 def inverse_bivector_matrix(B: List[List[GaussScalar]]) -> List[List[GaussScalar]]:
     """Coefficient matrix of the bivector inverse to the two-form B.
 
@@ -215,11 +202,11 @@ def local_model_at(
 ) -> LocalModelResult:
     """L(sigma~) = e^{sigma~} p^! gr(pi_N) at a point of the bundle chart."""
     base_pt = {v: point[v] for v in bundle.base_vars}
-    A1, A2 = bivector_at(pi_N, base_pt)
-    LN = graph(complex_matrix(A1, A2), "bivector")
+    AN = matrix_at(pi_N.body, base_pt)
+    LN = graph(AN, "bivector")
     P = projection_matrix(bundle)
     pulled = images("backward", P, LN)
-    B = form_matrix_at(ext.form, point)
+    B = matrix_at(ext.form, point)
     L = transform("b_field", B, pulled)
     mat = bivector_of_graph(L)
     is_graph = mat is not None
@@ -236,7 +223,6 @@ def local_model_at(
             formula_ok = False
         else:
             expected = [[GS_ZERO] * n for _ in range(n)]
-            AN = complex_matrix(A1, A2)
             for i in range(b):
                 for j in range(b):
                     expected[i][j] = AN[i][j]
@@ -279,8 +265,7 @@ def induced_base_bivector_at(
     b, f = bundle.b, bundle.f
     n = b + f
     pt = dict(base_pt, **{v: F0 for v in bundle.fiber_vars})
-    A1, A2 = bivector_at(pi, pt)
-    L = graph(complex_matrix(A1, A2), "bivector")
+    L = graph(matrix_at(pi.body, pt), "bivector")
     incl = [
         [GS_ONE if i == j else GS_ZERO for j in range(b)] for i in range(n)
     ]
@@ -341,9 +326,8 @@ def splitting_check(
         if AN is not None:
             LN = graph(AN, "bivector")
             pulled = images("backward", projection_matrix(bundle), LN)
-            model = transform("b_field", form_matrix_at(Bw, pt), pulled)
-            A1, A2 = bivector_at(pi, pt)
-            ok = model == graph(complex_matrix(A1, A2), "bivector")
+            model = transform("b_field", matrix_at(Bw, pt), pulled)
+            ok = model == graph(matrix_at(pi.body, pt), "bivector")
         results.append((tuple(sorted(pt.items())), ok))
     return SplittingReport(
         section_in_graph, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
@@ -387,9 +371,8 @@ def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
     base_pts = [{v: Fraction(p[v]) for v in bundle.base_vars} for p in points]
     for bp in base_pts:
         pt = dict(bp, **{v: F0 for v in bundle.fiber_vars})
-        A1, A2 = bivector_at(pi, pt)
-        A = complex_matrix(A1, A2)
-        M = form_matrix_at(Bw, pt)
+        A = matrix_at(pi.body, pt)
+        M = matrix_at(Bw, pt)
         # solve pi# zeta_a = d/d(fiber_a) with zeta in (Ann TN)_C = fiber
         # covectors, all a at once: the columns of Z
         units = [r[b:] for r in linalg.identity(n, GS_ONE, GS_ZERO)]
@@ -409,7 +392,7 @@ def extension_check(ext: Extension, bundle: BundleChart, points) -> bool:
     for p in points:
         pt = dict({v: Fraction(p[v]) for v in bundle.base_vars},
                   **{v: F0 for v in bundle.fiber_vars})
-        M = form_matrix_at(ext.form, pt)
+        M = matrix_at(ext.form, pt)
         block = [[M[b + a][b + c] for c in range(f)] for a in range(f)]
         if linalg.rank(block) != f:
             return False

@@ -3,6 +3,14 @@
 Rank profiles, the A_pi distribution, leafwise presymplectic forms, the
 generalized complex matrix of a real-index-zero structure, and the
 tilde-reconstruction check.  All points are rational; all verdicts exact.
+
+A bivector pi = pi1 + i pi2 is evaluated once, to its complex matrix A
+(matrix_at).  Every check that is complex linear algebra takes A as it is;
+its real and imaginary parts are read off it only where a real matrix is
+needed (bivector_at: A_pi, the presymplectic forms, the GCS matrix).  The
+dimensions of Delta = E meet R^n and D = Re E follow from E = range A and
+D: their complexifications are E meet conj E and E + conj E, so
+dim Delta = 2 dim E - dim D.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector
-from .fields import MultiField, schouten
+from .fields import GradedField, MultiField, schouten
 from .lagrangian import (
     Lagrangian,
     Subspace,
@@ -78,27 +86,29 @@ def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
 # -- pointwise matrices ------------------------------------------------------
 
 
-def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
-    """Exact skew matrices (A1, A2) of pi1, pi2 at a rational point."""
-    n = pi.chart.dim
-    A1 = [[F0] * n for _ in range(n)]
-    A2 = [[F0] * n for _ in range(n)]
-    for (i, j), p in pi.body.comps.items():
+def matrix_at(field: GradedField, point: Point) -> List[List[GaussScalar]]:
+    """Skew GaussScalar matrix M[i][j] = field(dx_i, dx_j) (or field(e_i, e_j))
+    of a degree-2 MultiField or FormField at a rational point; for a
+    bivector's body this is its complex matrix A = A1 + i A2."""
+    if field.degree != 2:
+        raise ValueError("matrix_at expects a degree-2 field")
+    n = field.chart.dim
+    M = [[GS_ZERO] * n for _ in range(n)]
+    for (i, j), p in field.comps.items():
         v = poly_eval(p, point)
-        re, im = v.re, v.im
-        A1[i][j], A1[j][i] = re, -re
-        A2[i][j], A2[j][i] = im, -im
-    return A1, A2
+        M[i][j], M[j][i] = v, -v
+    return M
 
 
-def complex_matrix(A1, A2) -> List[List[GaussScalar]]:
-    n = len(A1)
-    return [[GaussScalar.of(A1[i][j], A2[i][j]) for j in range(n)] for i in range(n)]
+def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
+    """Exact skew matrices (A1, A2) of pi1, pi2 at a rational point: the real
+    and imaginary parts of matrix_at(pi.body, point)."""
+    A = matrix_at(pi.body, point)
+    return [[x.re for x in r] for r in A], [[x.im for x in r] for r in A]
 
 
 def graph_at(pi: ComplexBivector, point: Point) -> Lagrangian:
-    A1, A2 = bivector_at(pi, point)
-    return graph(complex_matrix(A1, A2), "bivector")
+    return graph(matrix_at(pi.body, point), "bivector")
 
 
 # -- rank profiles -----------------------------------------------------------
@@ -116,22 +126,19 @@ class RankProfile:
 
 
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
-    A1, A2 = bivector_at(pi, point)
-    A = complex_matrix(A1, A2)
-    E = Subspace(len(A), A, is_complex=True)  # row span = column span by skewness
-    delta = real_points(E)
+    A = matrix_at(pi.body, point)
+    n = len(A)
+    E = Subspace(n, A, is_complex=True)  # row span = column span by skewness
     D = real_projection(E)
-    real_index = len(A2) - linalg.rank(A2)
-    prof = RankProfile(
+    return RankProfile(
         point=tuple(sorted(point.items())),
         dim_E=E.dim,
-        dim_Delta=delta.dim,
+        dim_Delta=2 * E.dim - D.dim,
         dim_D=D.dim,
-        real_index=real_index,
+        real_index=n - linalg.rank([[x.im for x in r] for r in A]),
         order=D.dim,
-        flags={"quasi_real_sample": delta.dim == D.dim},
+        flags={"quasi_real_sample": E.dim == D.dim},
     )
-    return prof
 
 
 def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[RankProfile], Dict[str, bool]]:
@@ -154,8 +161,8 @@ def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[R
 
 
 def delta_at(pi: ComplexBivector, point: Point) -> Subspace:
-    A1, A2 = bivector_at(pi, point)
-    return real_points(Subspace(len(A1), complex_matrix(A1, A2), is_complex=True))
+    A = matrix_at(pi.body, point)
+    return real_points(Subspace(len(A), A, is_complex=True))
 
 
 def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:

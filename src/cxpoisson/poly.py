@@ -231,10 +231,6 @@ class Poly:
     def conjugate(self) -> "Poly":
         return _poly(self.chart, {k: (a, -b) for k, (a, b) in self._num.items()}, self._den)
 
-    def total_degree(self) -> int:
-        dim = self.chart.dim
-        return max((sum(_unpack(k, dim)) for k in self._num), default=0)
-
     def __str__(self) -> str:
         return format_poly(self)
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxpoisson import (
     Chart,
@@ -13,8 +15,13 @@ from cxpoisson import (
     Poly,
     bivector_from_brackets,
     parse_poly,
+    poly_partial,
 )
 from cxpoisson.bivector import (
+    _bracket,
+    _nijenhuis_matrix,
+    _part_matrix,
+    _sharp,
     apply_vector,
     bracket_of_functions,
     casimir_residual,
@@ -361,3 +368,161 @@ def test_coeff_matrix_skew_and_sharp_consistency(rng):
         for i in range(3):
             contracted = contracted + a.component((i,)) * sb.component((i,))
         assert contracted == pi.pairing(a, b).component(())
+
+
+# -- the complex Jacobiator against the real-pair loop -----------------------
+#
+# old_jacobi_pde_residuals is the previous jacobi_pde_residuals: pi split into
+# real matrices A1, A2, four real products per term, and every partial taken
+# again for every triple and rotation.  The complex Jacobiator must give the
+# same list: order, labels and values.
+
+
+def old_jacobi_pde_residuals(pi):
+    chart = pi.chart
+    n = chart.dim
+    A1 = _part_matrix(pi.pi1, chart)
+    A2 = _part_matrix(pi.pi2, chart)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                r1 = Poly.zero(chart)
+                r2 = Poly.zero(chart)
+                for (a, b, c) in ((i, j, k), (k, i, j), (j, k, i)):
+                    for l, name in enumerate(chart.vars):
+                        d1 = poly_partial(A1[b][c], name)
+                        d2 = poly_partial(A2[b][c], name)
+                        r1 = r1 + A1[a][l] * d1 - A2[a][l] * d2
+                        r2 = r2 + A2[a][l] * d1 + A1[a][l] * d2
+                out.append(((i, j, k), 1, r1))
+                out.append(((i, j, k), 2, r2))
+    return out
+
+
+QI = st.builds(GaussScalar.of, st.fractions(-3, 3, max_denominator=3),
+               st.fractions(-3, 3, max_denominator=3))
+POISSON_KINDS = ("log_canonical", "lie_poisson", "constant")
+
+
+@st.composite
+def degree_two_bivectors(draw):
+    """(complex bivector with entries of degree <= 2 on n = 3..6 variables,
+    whether it is Poisson by construction): log-canonical q_ij x_i x_j,
+    complexified so(3) Lie-Poisson on three variables scaled by z, constant;
+    random; or one of the Poisson ones with one random entry added."""
+    n = draw(st.integers(3, 6))
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    x = [Poly.var(chart, v) for v in chart.vars]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(POISSON_KINDS + ("random", "perturbed")))
+    if kind == "random":
+        rnd = draw(st.randoms(use_true_random=False))
+        return bivector_from_brackets(chart, {ij: random_poly(rnd, chart) for ij in pairs}), False
+    family = kind if kind != "perturbed" else draw(st.sampled_from(POISSON_KINDS))
+    if family == "log_canonical":
+        comps = {(i, j): (x[i] * x[j]).scale(draw(QI)) for i, j in pairs}
+    elif family == "lie_poisson":
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        z = draw(QI)
+        comps = {(a, b): x[c].scale(z), (b, c): x[a].scale(z), (c, a): x[b].scale(z)}
+    else:
+        comps = {ij: Poly.const(chart, draw(QI)) for ij in pairs}
+    body = MultiField(chart, 2, comps)
+    if kind == "perturbed":
+        rnd = draw(st.randoms(use_true_random=False))
+        body = body + MultiField(chart, 2, {draw(st.sampled_from(pairs)): random_poly(rnd, chart)})
+    return ComplexBivector(body), kind != "perturbed"
+
+
+@settings(max_examples=80, deadline=None)
+@given(degree_two_bivectors())
+def test_jacobi_pde_residuals_match_the_real_pair_loop(case):
+    pi, poisson = case
+    new = jacobi_pde_residuals(pi)
+    assert new == old_jacobi_pde_residuals(pi)
+    if poisson:
+        assert all(r.is_zero() for _, _, r in new)
+
+
+# -- one Poly matrix product against the loops it replaced -------------------
+#
+# _sharp, _nijenhuis_matrix, the first Nijenhuis residual A N^T - N A and N*
+# are each one _matmul.  The old_* functions are the loops they replaced.
+
+
+def old_sharp(chart, M, alpha):
+    n = chart.dim
+    a = [alpha.component((j,)) for j in range(n)]
+    comps = {}
+    for i in range(n):
+        acc = Poly.zero(chart)
+        for j in range(n):
+            if a[j].is_zero() or M[i][j].is_zero():
+                continue
+            acc = acc + M[i][j] * a[j]
+        comps[(i,)] = acc
+    return MultiField(chart, 1, comps)
+
+
+def old_nijenhuis_matrix(A, N, chart):
+    n = chart.dim
+    return [[sum((N[i][k] * A[k][j] for k in range(n)), Poly.zero(chart)) for j in range(n)]
+            for i in range(n)]
+
+
+def old_nijenhuis_residuals(sigma, N):
+    chart = sigma.chart
+    n = chart.dim
+    A = _part_matrix(sigma, chart)
+    first = [[Poly.zero(chart) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = Poly.zero(chart)
+            for k in range(n):
+                acc = acc + A[i][k] * N[j][k] - N[i][k] * A[k][j]
+            first[i][j] = acc
+    NA = old_nijenhuis_matrix(A, N, chart)
+
+    def nstar(alpha):
+        comps = {}
+        for j in range(n):
+            acc = Poly.zero(chart)
+            for i in range(n):
+                ai = alpha.component((i,))
+                if ai.is_zero():
+                    continue
+                acc = acc + ai * N[i][j]
+            comps[(j,)] = acc
+        return FormField(chart, 1, comps)
+
+    second = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = FormField(chart, 1, {(i,): Poly.const(chart, 1)})
+            b = FormField(chart, 1, {(j,): Poly.const(chart, 1)})
+            lhs = _bracket(chart, NA, a, b)
+            rhs = (
+                _bracket(chart, A, nstar(a), b)
+                + _bracket(chart, A, a, nstar(b))
+                - nstar(_bracket(chart, A, a, b))
+            )
+            second.append(lhs - rhs)
+    return first, second
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.randoms(use_true_random=False))
+def test_poly_matrix_products_match_the_loops(n, rnd):
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    zero = Poly.zero(chart)
+    sigma = MultiField(chart, 2, {(i, j): random_poly(rnd, chart).real_part()
+                                  for i in range(n) for j in range(i + 1, n)})
+    N = [[random_poly(rnd, chart, 1) if rnd.random() < 0.5 else zero for _ in range(n)]
+         for _ in range(n)]
+    A = _part_matrix(sigma, chart)
+    assert _nijenhuis_matrix(sigma, N) == old_nijenhuis_matrix(A, N, chart)
+    assert nijenhuis_residuals(sigma, N) == old_nijenhuis_residuals(sigma, N)
+    alpha = random_one_form(rnd, chart)
+    for M in (N, A):
+        assert _sharp(chart, M, alpha) == old_sharp(chart, M, alpha)

@@ -1,6 +1,8 @@
-"""The package's only lint: no module imports a name it never uses.
+"""The package's lints: no module imports a name it never uses, and no
+function or method is defined that nothing reads.
 
-The package __init__ is exempt, since it imports names to re-export them.
+The package __init__ is exempt from the first, since it imports names to
+re-export them.
 """
 
 import ast
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cxpoisson"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cxpoisson"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a definition may be read: the package, its tests and its benchmark
+READERS = ("src", "tests", "perfbench")
 
 
 def unused_imports(source: str):
@@ -37,3 +42,51 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_functions(source: str):
+    """(line, name) of every function and method a module defines, dunders
+    left out."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def read_names(source: str):
+    """Every name a module reads, as a variable or as an attribute; an import
+    alone is not a read."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def unread_functions(modules, readers):
+    """(module, line, name) for each function or method defined in one of the
+    modules ({name: source}) whose name none of the readers (sources) reads."""
+    read = set().union(*(read_names(src) for src in readers))
+    return [
+        (mod, line, name)
+        for mod, src in sorted(modules.items())
+        for line, name in defined_functions(src)
+        if name not in read
+    ]
+
+
+def test_the_check_sees_an_unread_function():
+    lib = "class C:\n    def used(self): pass\n    def unused(self): pass\n    def __len__(self): pass\n" \
+          "def helper(): pass\ndef dead(): pass\n"
+    user = "from lib import dead\nC().used()\nhelper()\n"
+    assert unread_functions({"lib": lib}, [lib, user]) == [("lib", 3, "unused"), ("lib", 6, "dead")]
+
+
+def test_every_function_is_read_somewhere():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for d in READERS for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_functions(modules, readers) == []

@@ -41,7 +41,7 @@ from cxpoisson.lagrangian import (
 )
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
-from conftest import is_canonical, random_lagrangian, random_skew
+from conftest import is_canonical, random_lagrangian, random_real_lagrangian, random_skew
 
 F = Fraction
 
@@ -128,6 +128,39 @@ def test_graph_roundtrip_bivector(rng):
         L = graph(A, "bivector")
         assert L.is_lagrangian
         assert bivector_of_graph(L) == [list(r) for r in A]
+
+
+def test_lagrangian_data_take_only_exact_entries():
+    # ints, Fractions and GaussScalars; a float or a string is a TypeError,
+    # never a silently parsed Fraction
+    for bad in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            Subspace(2, [[bad, 0]])
+        with pytest.raises(TypeError):
+            Subspace(2, [[bad, GS_I]])
+        with pytest.raises(TypeError):
+            graph([[0, bad], [-1, 0]], "bivector")
+        with pytest.raises(TypeError):
+            transform("b_field", [[0, bad], [0, 0]], graph([[0, 1], [-1, 0]], "twoform"))
+        with pytest.raises(TypeError):
+            transform("scalar_dot", bad, graph([[0]], "bivector"))
+        with pytest.raises(TypeError):
+            images("backward", [[bad]], graph([[0]], "bivector"))
+    assert Subspace(2, [[1, F(1, 2)]]) == Subspace(2, [[2, 1]])
+
+
+def test_lagrangian_data_of_the_wrong_shape_name_it():
+    L = graph([[0, 1], [-1, 0]], "bivector")
+    for call in (lambda: graph([[0, 1], [-1]], "bivector"),
+                 lambda: transform("beta", [[0, 1], [-1]], L),
+                 lambda: images("forward", [[1, 0], [1]], L),
+                 lambda: images("backward", [[1], [1, 0]], L)):
+        with pytest.raises(ValueError, match=r"lengths \[2, 1\]|lengths \[1, 2\]"):
+            call()
+    with pytest.raises(ValueError, match="shape 1x2"):
+        graph([[0, 1]], "bivector")
+    with pytest.raises(ValueError, match="shape 2x1"):
+        transform("b_field", [[0], [0]], L)
 
 
 def test_graph_rejects_non_skew():
@@ -1033,3 +1066,51 @@ def test_pairing_of_ints_is_a_fraction():
     assert pairing([1, 0, 0, 1], [0, 1, 1, 0], 2) == F(1)
     assert type(pairing([1, 0, 0, 1], [0, 1, 1, 0], 2)) is F
     assert type(pairing([1, 0], [0, 1], 1)) is F
+
+
+# -- dimensions of Delta and D from E -----------------------------------------
+#
+# Delta = E meet R^m and D = Re E complexify to E meet conj E and E + conj E,
+# so dim Delta = 2 dim E - dim D.  indices, is_quasi_real and rank_profile
+# read Delta's dimension, and quasi-reality, off E and D.
+
+
+@st.composite
+def complex_subspaces(draw):
+    """A random complex subspace of C^m, m = 1..5; half of the time the
+    conjugate-closed span of its generators and their conjugates."""
+    m = draw(st.integers(1, 5))
+    gens = draw(generators(m, QI))
+    if draw(st.booleans()):
+        gens += [[x.conjugate() for x in g] for g in gens]
+    return Subspace(m, gens, is_complex=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_subspaces())
+def test_delta_dimension_is_twice_E_minus_D(E):
+    D = real_projection(E)
+    assert real_points(E).dim == 2 * E.dim - D.dim
+    RE = RefSubspace(E.m, list(E.basis), is_complex=True)
+    assert real_points(E).dim == old_real_points(RE).dim and D.dim == old_real_projection(RE).dim
+
+
+@st.composite
+def lagrangians_and_quasi_real_ones(draw):
+    """A random lagrangian (see isotropics), or a quasi-real one: a real
+    lagrangian, complexified or scaled by a complex z."""
+    kind = draw(st.sampled_from(("any", "real", "scaled")))
+    if kind == "any":
+        return draw(isotropics())
+    rnd = draw(st.randoms(use_true_random=False))
+    L = random_real_lagrangian(rnd, draw(st.integers(1, 4)))
+    return L if kind == "real" else transform("scalar_dot", draw(QI.filter(bool)), L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lagrangians_and_quasi_real_ones())
+def test_indices_and_quasi_real_match_the_real_points_formulation(L):
+    R = ref_of(L)
+    rec = indices(L)
+    assert (rec.real_index, rec.dim_range, rec.dim_delta, rec.dim_D, rec.kernel_dim) == old_indices(R)
+    assert is_quasi_real(L) == old_is_quasi_real(R) == (tilde(L) == L)

@@ -22,7 +22,6 @@ from cxpoisson.normal_form import (
     LocalModelResult,
     WeightZeroError,
     extension_check,
-    form_matrix_at,
     induced_base_bivector_at,
     inverse_bivector_matrix,
     local_model_at,
@@ -31,7 +30,7 @@ from cxpoisson.normal_form import (
     projection_matrix,
     splitting_check,
 )
-from cxpoisson.pointwise import bivector_at, complex_matrix, grid_points
+from cxpoisson.pointwise import grid_points, matrix_at
 from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import linalg
 
@@ -249,7 +248,7 @@ def test_extension_check():
 
 def test_form_matrix_at_skew():
     form = FormField(CH, 2, {(0, 3): Poly.var(CH, "u")})
-    M = form_matrix_at(form, {"u": F(5), "v": F(0), "q": F(1), "p": F(2)})
+    M = matrix_at(form, {"u": F(5), "v": F(0), "q": F(1), "p": F(2)})
     assert M[0][3] == GaussScalar.of(5) and M[3][0] == GaussScalar.of(-5)
 
 
@@ -265,7 +264,7 @@ def ref_fiber_pi(pi, bundle, pt):
     """pi(zeta_a, zeta_c) with pi# zeta_a = d/d(fiber_a), or None."""
     b, f = bundle.b, bundle.f
     n = b + f
-    A = complex_matrix(*bivector_at(pi, pt))
+    A = matrix_at(pi.body, pt)
     sub = [[A[i][b + c] for c in range(f)] for i in range(n)]
     zetas = []
     for a in range(f):
@@ -313,6 +312,6 @@ def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
         block[a][c] = block[a][c] + GS_ONE
     comps = {(b + a, b + c): Poly.const(chart, block[a][c]) for a in range(f) for c in range(a + 1, f)}
     Bw = FormField(chart, 2, {k: p for k, p in comps.items() if not p.is_zero()})
-    M = form_matrix_at(Bw, pt)
+    M = matrix_at(Bw, pt)
     ref_ok = expected is not None and [r[b:] for r in M[b:]] == expected
     assert _fiber_form_check(pi, bundle, Bw, points) == ref_ok

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import Chart, MultiField, Poly, bivector_from_brackets, parse_poly
+from cxpoisson import (
+    Chart,
+    ComplexBivector,
+    FormField,
+    MultiField,
+    Poly,
+    bivector_from_brackets,
+    parse_poly,
+    poly_eval,
+)
 from cxpoisson.bivector import _part_matrix
 from cxpoisson.lagrangian import (
     ComplexSubspace,
@@ -14,6 +23,7 @@ from cxpoisson.lagrangian import (
     hat,
     lagrangian_from_range_form,
     real_points,
+    real_projection,
     tangent_range,
     two_form_on_range,
 )
@@ -21,13 +31,13 @@ from cxpoisson.pointwise import (
     a_pi_at,
     a_pi_min_at,
     bivector_at,
-    complex_matrix,
     delta_at,
     gcs_matrix,
     graph_at,
     grid_points,
     hat_sign_check,
     involutivity_sample,
+    matrix_at,
     plus_i_eigenspace,
     presymplectic_at,
     profile_sample,
@@ -37,7 +47,7 @@ from cxpoisson.pointwise import (
 from cxpoisson.scalars import GaussScalar
 from cxpoisson import linalg
 
-from conftest import XYZ, nb_bivector, random_constant_bivector, random_skew
+from conftest import XYZ, nb_bivector, random_constant_bivector, random_poly, random_skew
 
 F = Fraction
 NB_POINTS = grid_points(XYZ, 10)
@@ -346,3 +356,95 @@ def test_block_solves_match_per_vector_formulations(pi, upper):
     for (a, b), z in zip([(a, b) for a in range(k) for b in range(a + 1, k)], upper):
         eps[a][b], eps[b][a] = z, -z
     assert lagrangian_from_range_form(E_basis, eps, n) == ref_range_form(E_basis, eps, n)
+
+
+# -- one point evaluator against the split-and-join pipeline -----------------
+#
+# old_bivector_at, old_complex_matrix, old_form_matrix_at and old_rank_profile
+# are the evaluation this module and normal_form made before matrix_at: pi1
+# and pi2 as two Fraction matrices joined into a GaussScalar one, a separate
+# evaluator for forms, and Delta built as the real points of E.
+
+
+def old_bivector_at(pi, point):
+    n = pi.chart.dim
+    A1 = [[F(0)] * n for _ in range(n)]
+    A2 = [[F(0)] * n for _ in range(n)]
+    for (i, j), p in pi.body.comps.items():
+        v = poly_eval(p, point)
+        re, im = v.re, v.im
+        A1[i][j], A1[j][i] = re, -re
+        A2[i][j], A2[j][i] = im, -im
+    return A1, A2
+
+
+def old_complex_matrix(A1, A2):
+    n = len(A1)
+    return [[GaussScalar.of(A1[i][j], A2[i][j]) for j in range(n)] for i in range(n)]
+
+
+def old_form_matrix_at(form, point):
+    n = form.chart.dim
+    M = [[GaussScalar.of(0)] * n for _ in range(n)]
+    for (i, j), p in form.comps.items():
+        v = poly_eval(p, point)
+        M[i][j] = v
+        M[j][i] = -v
+    return M
+
+
+def old_rank_profile(pi, point):
+    A1, A2 = old_bivector_at(pi, point)
+    A = old_complex_matrix(A1, A2)
+    E = ComplexSubspace(len(A), A, is_complex=True)
+    delta = real_points(E)
+    D = real_projection(E)
+    return (E.dim, delta.dim, D.dim, len(A2) - linalg.rank(A2), D.dim,
+            {"quasi_real_sample": delta.dim == D.dim})
+
+
+RAT = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def degree_two_fields(draw):
+    """(a degree-2 MultiField or FormField with polynomial entries of degree
+    <= 2 on n = 1..5 variables, a rational point)."""
+    n = draw(st.integers(1, 5))
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from((MultiField, FormField)))
+    comps = {(i, j): random_poly(rnd, chart) for i in range(n) for j in range(i + 1, n)
+             if draw(st.booleans())}
+    return kind(chart, 2, comps), {v: draw(RAT) for v in chart.vars}
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_two_fields())
+def test_matrix_at_matches_the_split_and_join_pipeline(case):
+    field, point = case
+    M = matrix_at(field, point)
+    assert M == old_form_matrix_at(field, point)
+    assert all(type(x) is GaussScalar for r in M for x in r)
+    if isinstance(field, MultiField):
+        pi = ComplexBivector(field)
+        assert M == old_complex_matrix(*old_bivector_at(pi, point))
+        A1, A2 = bivector_at(pi, point)
+        assert (A1, A2) == old_bivector_at(pi, point)
+        assert all(type(x) is F for r in A1 + A2 for x in r)
+
+
+def test_matrix_at_refuses_other_degrees():
+    with pytest.raises(ValueError):
+        matrix_at(MultiField(XYZ, 1, {(0,): Poly.const(XYZ, 1)}), NB_POINTS[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(constant_bivectors(), degree_two_fields().map(lambda c: ComplexBivector(
+    MultiField(c[0].chart, 2, c[0].comps)))), st.data())
+@example(DELTA_ZERO[1], None)
+def test_rank_profile_matches_the_real_points_formulation(pi, data):
+    point = {v: data.draw(RAT) for v in pi.chart.vars} if data else grid_points(pi.chart, 1)[0]
+    p = rank_profile(pi, point)
+    assert (p.dim_E, p.dim_Delta, p.dim_D, p.real_index, p.order, p.flags) == old_rank_profile(pi, point)
+    assert p.dim_Delta == delta_at(pi, point).dim
