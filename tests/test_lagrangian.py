@@ -1097,8 +1097,8 @@ def test_delta_dimension_is_twice_E_minus_D(E):
 
 @st.composite
 def lagrangians_and_quasi_real_ones(draw):
-    """A random lagrangian (see isotropics), or a quasi-real one: a real
-    lagrangian, complexified or scaled by a complex z."""
+    """A random lagrangian or isotropic subspace (see isotropics), or a
+    quasi-real lagrangian: a real one, complexified or scaled by a complex z."""
     kind = draw(st.sampled_from(("any", "real", "scaled")))
     if kind == "any":
         return draw(isotropics())
@@ -1113,4 +1113,7 @@ def test_indices_and_quasi_real_match_the_real_points_formulation(L):
     R = ref_of(L)
     rec = indices(L)
     assert (rec.real_index, rec.dim_range, rec.dim_delta, rec.dim_D, rec.kernel_dim) == old_indices(R)
-    assert is_quasi_real(L) == old_is_quasi_real(R) == (tilde(L) == L)
+    assert is_quasi_real(L) == old_is_quasi_real(R)
+    if L.dim == L.n:
+        # tilde(L) is a lagrangian, so only a lagrangian L can be its fixed point
+        assert is_quasi_real(L) == (tilde(L) == L)
