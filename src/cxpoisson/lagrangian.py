@@ -107,8 +107,11 @@ def pairing(u: Sequence, v: Sequence, n: int):
 class Lagrangian:
     """Isotropic subspace of C^{2n} in canonical echelon form.
 
-    Constructors check isotropy always; full dimension n unless the caller
-    opts into an intermediate isotropic family (products can drop rank).
+    from_generators checks isotropy, and full dimension n unless the caller
+    opts into an intermediate isotropic family.  The operations of this
+    module build their results with the trusted _lagrangian: graphs of a
+    skew datum, products, images and transforms of isotropic subspaces are
+    isotropic by construction.
     """
 
     __slots__ = ("n", "space")
@@ -118,7 +121,12 @@ class Lagrangian:
 
     @classmethod
     def from_generators(cls, n: int, gens, allow_partial: bool = False) -> "Lagrangian":
-        return _lagrangian(n, Subspace(2 * n, gens, is_complex=True).rows, allow_partial)
+        rows = Subspace(2 * n, gens, is_complex=True).rows
+        if not _is_isotropic(rows, n):
+            raise ValueError("generators do not span an isotropic subspace")
+        if len(rows) != n and not allow_partial:
+            raise ValueError(f"isotropic span has dimension {len(rows)}, expected lagrangian dimension {n}")
+        return _lagrangian(n, rows)
 
     @property
     def basis(self):
@@ -149,13 +157,9 @@ class Lagrangian:
         return f"Lagrangian(n={self.n}, dim={self.dim}, basis={self.basis!r})"
 
 
-def _lagrangian(n: int, rows, allow_partial: bool = True) -> Lagrangian:
-    """Trusted constructor from canonical rows of C^{2n}, after the isotropy
-    and dimension checks."""
-    if not _is_isotropic(rows, n):
-        raise ValueError("generators do not span an isotropic subspace")
-    if len(rows) != n and not allow_partial:
-        raise ValueError(f"isotropic span has dimension {len(rows)}, expected lagrangian dimension {n}")
+def _lagrangian(n: int, rows) -> Lagrangian:
+    """Trusted constructor: rows must be a canonical basis of an isotropic
+    subspace of C^{2n}."""
     return Lagrangian(n, _subspace(2 * n, rows, True))
 
 
@@ -212,7 +216,7 @@ def graph(datum: Sequence[Sequence[GaussScalar]], kind: str) -> Lagrangian:
     im = [[0] * n + [s * x for x in Aim[k]] for k in range(n)]
     if kind == "bivector":
         re, im = [r[n:] + r[:n] for r in re], [i[n:] + i[:n] for i in im]
-    return _lagrangian(n, linalg.echelon(re, im)[0], allow_partial=False)
+    return _lagrangian(n, linalg.echelon(re, im)[0])
 
 
 def bivector_of_graph(L: Lagrangian) -> Optional[List[List[GaussScalar]]]:
@@ -271,6 +275,14 @@ def complexify_real(S) -> Lagrangian:
         return S
     if not isinstance(S, Subspace) or S.is_complex or S.m % 2 != 0:
         raise ValueError("expected a real Subspace of R^{2n}")
+    L = _complexified(S)
+    if not _is_isotropic(L.rows, L.n):
+        raise ValueError("the real subspace is not isotropic")
+    return L
+
+
+def _complexified(S: Subspace) -> Lagrangian:
+    """complexify_real without the isotropy check, for a real slice of a lagrangian."""
     return _lagrangian(S.m // 2, [(ints, (0,) * S.m, d) for ints, d in S.rows])
 
 
@@ -282,7 +294,7 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
     if kind == "conjugate":
         # conjugating a canonical basis leaves it canonical
         rows = [(re, tuple(-y for y in im), d) for re, im, d in L.rows]
-        return _lagrangian(n, rows, allow_partial=not L.is_lagrangian)
+        return _lagrangian(n, rows)
     # each row becomes d row + M row[src] added to its half dst, M over d:
     # z - 1 on the half that scalar_dot (cotangent) or scalar_bullet (tangent)
     # multiplies by z, i_X B = -B X on the cotangent half, P xi on the tangent
@@ -311,7 +323,11 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
         i[dst] = [x + y for x, y in zip(i[dst], add_im)]
         re_rows.append(r)
         im_rows.append(i)
-    return _lagrangian(n, linalg.echelon(re_rows, im_rows)[0], allow_partial=not L.is_lagrangian)
+    rows = linalg.echelon(re_rows, im_rows)[0]
+    if L.is_lagrangian and len(rows) != n:
+        # a scalar 0 collapses a half
+        raise ValueError(f"{kind} transform has dimension {len(rows)}, expected lagrangian dimension {n}")
+    return _lagrangian(n, rows)
 
 
 # -- realification and the hat/check/tilde families ---------------------------
@@ -366,7 +382,8 @@ def check(L: Lagrangian) -> Subspace:
 def tilde(L: Lagrangian) -> Lagrangian:
     """check(L) *_C hat(L), the associated quasi-real lagrangian family."""
     n = L.n
-    return products("complex_tangent", *_check_hat(L, _cols(n, 2), _cols(n, 0, 1), _cols(n, 0, 3)))
+    slices = _check_hat(L, _cols(n, 2), _cols(n, 0, 1), _cols(n, 0, 3))
+    return products("complex_tangent", *map(_complexified, slices))
 
 
 def hat_cot(L: Lagrangian) -> Subspace:
@@ -381,7 +398,8 @@ def check_cot(L: Lagrangian) -> Subspace:
 
 def tilde_cot(L: Lagrangian) -> Lagrangian:
     n = L.n
-    return products("complex_cotangent", *_check_hat(L, _cols(n, 3), _cols(n, 0, 1), _cols(n, 2, 1)))
+    slices = _check_hat(L, _cols(n, 3), _cols(n, 0, 1), _cols(n, 2, 1))
+    return products("complex_cotangent", *map(_complexified, slices))
 
 
 # -- indices and distributions -------------------------------------------------

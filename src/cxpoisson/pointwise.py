@@ -5,12 +5,17 @@ generalized complex matrix of a real-index-zero structure, and the
 tilde-reconstruction check.  All points are rational; all verdicts exact.
 
 A bivector pi = pi1 + i pi2 is evaluated once, to its complex matrix A
-(matrix_at).  Every check that is complex linear algebra takes A as it is;
-its real and imaginary parts are read off it only where a real matrix is
-needed (bivector_at: A_pi, the presymplectic forms, the GCS matrix).  The
-dimensions of Delta = E meet R^n and D = Re E follow from E = range A and
-D: their complexifications are E meet conj E and E + conj E, so
-dim Delta = 2 dim E - dim D.
+(matrix_at).  Every check that is complex linear algebra takes A, or the
+Dirac structure gr pi (graph_at), as it is; its real and imaginary parts are
+read off it only where a real matrix is needed (bivector_at: the GCS
+matrix).  The dimensions of Delta = E meet R^n and D = Re E follow from
+E = range A and D: their complexifications are E meet conj E and
+E + conj E, so dim Delta = 2 dim E - dim D.
+
+The leafwise presymplectic forms are read off gr pi, as on any Dirac
+structure L: omega(X, Y) = zeta(Y) for X + zeta in L (Courant, "Dirac
+manifolds", Trans. AMS 319, 1990).  On the real tangent vectors of
+Delta its real and imaginary parts are the two-forms of check(L) and hat(L).
 """
 
 from __future__ import annotations
@@ -25,13 +30,16 @@ from .fields import GradedField, MultiField, schouten
 from .lagrangian import (
     Lagrangian,
     Subspace,
+    _cols,
+    _slice_real,
+    _subspace,
     graph,
-    hat,
     lagrangian_from_range_form,
     real_points,
     real_projection,
     tilde,
 )
+from .linalg import _dot
 from .poly import Chart, poly_eval
 from .scalars import GS_ONE, GS_ZERO, GaussScalar
 
@@ -169,25 +177,18 @@ def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:
     """A_pi at a point, by the preimage route and the annihilator route.
 
     Elements are realified covectors (xi, eta) in R^{2n} standing for
-    xi + i eta.  Preimage route: pi#(xi + i eta) real, i.e. A2 xi + A1 eta = 0.
-    Annihilator route: A_pi is the annihilator, under the real pairing
-    Re(zeta(v)) = xi(X) - eta(Y) for v = X + iY, of the realified image of
-    i pi# on real covectors (the dual elimination of the same system).
+    zeta = xi + i eta.  Preimage route: pi#(zeta) real, read off gr pi as
+    the cotangent parts of its elements with real tangent part (one real
+    slice).  Annihilator route: the nullspace of the realified images of
+    i pi# on the real coordinate covectors, under the real pairing
+    Re(zeta(v)) = xi(X) - eta(Y) for v = X + iY; by skewness
+    Re(zeta(i pi# e_j)) = Im(pi# zeta)_j, so it is the same space.
     """
     n = pi.chart.dim
-    A1, A2 = bivector_at(pi, point)
-    # preimage route
-    rows = [[A2[i][j] for j in range(n)] + [A1[i][j] for j in range(n)] for i in range(n)]
-    pre = Subspace(2 * n, linalg.nullspace(rows, 2 * n, F1, F0))
-
-    # annihilator route: realify i*pi#(e_j) = -A2[:,j] + i A1[:,j] for each
-    # real coordinate covector e_j, then annihilate under (xi,eta).(X,Y) =
-    # xi(X) - eta(Y).
-    cons: List[List[Fraction]] = []
-    for j in range(n):
-        X = [-A2[i][j] for i in range(n)]
-        Y = [A1[i][j] for i in range(n)]
-        cons.append(X + [-y for y in Y])
+    A = matrix_at(pi.body, point)
+    pre = _slice_real(graph(A, "bivector"), _cols(n, 2), _cols(n, 1, 3))
+    # i pi#(e_j) = -A2[:, j] + i A1[:, j], paired as xi(X) - eta(Y)
+    cons = [[-A[i][j].im for i in range(n)] + [-A[i][j].re for i in range(n)] for j in range(n)]
     ann = Subspace(2 * n, linalg.nullspace(cons, 2 * n, F1, F0))
     return pre, ann
 
@@ -214,65 +215,33 @@ class PresymplecticData:
     omega_im: List[List[Fraction]]
 
 
-def presymplectic_at(
-    pi: ComplexBivector, point: Point, pivot_variant: int = 0
-) -> PresymplecticData:
+def presymplectic_at(pi: ComplexBivector, point: Point) -> PresymplecticData:
     """omega_re/omega_im on the canonical basis of Delta_pi at the point.
 
-    Solves rho1(xi + i eta) = tau, rho2 = 0 for every basis vector tau at
-    once, then omega_re(tau, tau') = pi1(xi, xi') + pi1(eta, eta') and
-    omega_im(tau, tau') = -pi2(xi, xi') - pi2(eta, eta').
-    pivot_variant > 0 picks a different preimage (adds a nullspace element),
-    used to confirm well-definedness.
+    The leafwise form of the Dirac structure L = gr pi is omega(X, Y) =
+    zeta(Y) for X + zeta in L.  It is well defined on E = range pi#: two
+    elements over the same X differ by some zeta' in L, and isotropy of L
+    gives zeta'(Y) = 2 <zeta', Y + eta> = 0 for every Y + eta in L.  For
+    real tau_a, tau_b in Delta, omega_re(tau_a, tau_b) = Re zeta_a(tau_b) is
+    the two-form of check(L) and omega_im(tau_a, tau_b) = Im zeta_a(tau_b)
+    that of hat(L).
     """
-    n = pi.chart.dim
-    A1, A2 = bivector_at(pi, point)
-    delta = delta_at(pi, point)
-    # rho as a real 2n x 2n matrix acting on (xi, eta)
-    rho = [
-        [A1[i][j] for j in range(n)] + [-A2[i][j] for j in range(n)]
-        for i in range(n)
-    ] + [
-        [A2[i][j] for j in range(n)] + [A1[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    # one column (tau, 0) per basis vector
-    T = [[tau[i] for tau in delta.basis] for i in range(n)]
-    T += [[F0] * delta.dim for _ in range(n)]
-    X = linalg.solve(rho, T, 2 * n, F0)
-    if X is None:
-        raise ValueError("Delta basis vector has no preimage in A_pi")
-    if pivot_variant:
-        kernel = linalg.nullspace(rho, 2 * n, F1, F0)
-        if kernel:
-            kv = kernel[pivot_variant % len(kernel)]
-            X = [[x + k for x in row] for row, k in zip(X, kv)]
-    Xt = linalg.transpose(X)
-
-    def form(A):
-        # X_xi^T A X_xi + X_eta^T A X_eta
-        AA = [r + [F0] * n for r in A] + [[F0] * n + r for r in A]
-        return linalg.matmul(Xt, linalg.matmul(AA, X))
-
-    return PresymplecticData(delta, form(A1), linalg.neg_matrix(form(A2)))
+    return _presymplectic(graph_at(pi, point))
 
 
-def hat_sign_check(pi: ComplexBivector, point: Point) -> bool:
-    """Sign check: the two-form of hat(gr pi) on Delta equals omega_re with
-    the eps(X,Y) = xi(Y) orientation.
+def _presymplectic(L: Lagrangian) -> PresymplecticData:
+    """presymplectic_at on L = gr pi: one real slice of L keeps the elements
+    with real tangent part as rows (tau, Re zeta, Im zeta)/d.  Its rows with
+    tau != 0 lift the canonical basis of Delta; each omega entry is an
+    integer dot product over d_a d_b."""
+    n = L.n
+    W = _slice_real(L, _cols(n, 2), _cols(n, 0, 1, 3)).rows
+    lifts = [(v[:n], v[n:2 * n], v[2 * n:], d) for v, d in W if any(v[:n])]
 
-    One block solve gives the combination C[:, a] of the rows of hat(gr pi)
-    with tangent part t_a, for the columns t_a of T (a basis of Delta); then
-    eps(t_a, t_b) = (C^T cot T)[a][b], cot the rows' cotangent parts.
-    """
-    data = presymplectic_at(pi, point)
-    rows = hat(graph_at(pi, point)).basis
-    n = pi.chart.dim
-    T = linalg.transpose(data.delta_basis.basis)
-    C = linalg.solve(linalg.transpose([r[:n] for r in rows]), T, len(rows), F0)
-    if C is None:
-        raise ValueError("a Delta basis vector is not in the tangent range")
-    return linalg.matmul(linalg.transpose(C), linalg.matmul([r[n:] for r in rows], T)) == data.omega_re
+    def form(part):
+        return [[Fraction(_dot(a[part], b[0]), a[3] * b[3]) for b in lifts] for a in lifts]
+
+    return PresymplecticData(_subspace(n, linalg._heads(W, n), False), form(1), form(2))
 
 
 # -- generalized complex matrix ----------------------------------------------
@@ -327,18 +296,15 @@ def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:
 
 def theorem_7_18_check(pi: ComplexBivector, point: Point) -> bool:
     """tilde(gr pi) at the point equals L((Delta)_C, omega_re + i omega_im)."""
-    n = pi.chart.dim
     L = graph_at(pi, point)
-    T = tilde(L)
-    data = presymplectic_at(pi, point)
+    data = _presymplectic(L)
     k = data.delta_basis.dim
     E_basis = [[GaussScalar.of(x) for x in r] for r in data.delta_basis.basis]
     eps = [
         [GaussScalar.of(data.omega_re[a][b], data.omega_im[a][b]) for b in range(k)]
         for a in range(k)
     ]
-    model = lagrangian_from_range_form(E_basis, eps, n)
-    return T == model
+    return tilde(L) == lagrangian_from_range_form(E_basis, eps, L.n)
 
 
 # -- involutivity sampling ---------------------------------------------------

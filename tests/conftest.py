@@ -17,7 +17,9 @@ from cxpoisson import (
     parse_poly,
     transform,
 )
-from cxpoisson.scalars import GS_ONE, GaussScalar
+from cxpoisson.lagrangian import check, hat, two_form_on_range
+from cxpoisson.pointwise import graph_at
+from cxpoisson.scalars import GS_I, GS_ONE, GaussScalar
 
 XYZ = Chart(("x", "y", "z"))
 
@@ -36,6 +38,32 @@ def nb_bivector(a: int, b: int) -> ComplexBivector:
             ),
         },
     )
+
+
+def leafwise_bivectors():
+    """Bivectors whose Delta has dimension >= 2 at the grid points and whose
+    leafwise forms omega_re, omega_im are nonzero and differ:
+    (x + 2i y) dx^dy + i dz^dw on four variables, where Delta = R^4, and the
+    constant (1 + 2i) e0^e1 + (e2 + i e3)^(e4 + i e5) on six, where
+    Delta = span(e0, e1) lies in a range of dimension 4."""
+    xyzw = Chart(("x", "y", "z", "w"))
+    six = Chart(tuple(f"x{k}" for k in range(6)))
+    skew = {(0, 1): GaussScalar.of(1, 2), (2, 4): GS_ONE, (2, 5): GS_I, (3, 4): GS_I, (3, 5): -GS_ONE}
+    return [
+        bivector_from_brackets(xyzw, {(0, 1): parse_poly("x + 2*i*y", xyzw), (2, 3): Poly.const(xyzw, GS_I)}),
+        bivector_from_brackets(six, {ij: Poly.const(six, c) for ij, c in skew.items()}),
+    ]
+
+
+def slice_forms(pi: ComplexBivector, point, basis):
+    """The two-forms eps(x, y) = xi(y) of check(gr pi) and of hat(gr pi) on
+    the given basis of Delta, one two_form_on_range per pair of vectors."""
+    L, n = graph_at(pi, point), pi.chart.dim
+    forms = []
+    for S in (check(L), hat(L)):
+        rows = [list(r) for r in S.basis]
+        forms.append([[two_form_on_range(rows, n, list(a), list(b)) for b in basis] for a in basis])
+    return tuple(forms)
 
 
 def random_fraction(rng: random.Random, num: int = 5, den: int = 3) -> Fraction:

@@ -57,9 +57,9 @@ from cxpoisson.pointwise import (
     gcs_matrix,
     graph_at,
     grid_points,
-    hat_sign_check,
     involutivity_sample,
     plus_i_eigenspace,
+    presymplectic_at,
     profile_sample,
     rank_profile,
     theorem_7_18_check,
@@ -68,12 +68,14 @@ from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 from conftest import (
     XYZ,
+    leafwise_bivectors,
     nb_bivector,
     random_constant_bivector,
     random_lagrangian,
     random_multifield,
     random_poly,
     random_skew,
+    slice_forms,
 )
 
 F = Fraction
@@ -193,8 +195,14 @@ def test_criterion_6_tilde_reconstruction():
     pi = nb_bivector(1, 2)
     pts = grid_points(XYZ, 10)
     ok = all(theorem_7_18_check(pi, pt) for pt in pts)
-    ok = ok and all(hat_sign_check(pi, pt) for pt in pts)
-    verdict(6, ok, "pointwise tilde model and hat sign at 10 points")
+    # the forms of check(gr pi) and hat(gr pi) are omega_re and omega_im, on
+    # bivectors where the two differ (on NB, dim Delta = 1 and both are 0)
+    for rho in leafwise_bivectors():
+        for pt in grid_points(rho.chart, 5):
+            d = presymplectic_at(rho, pt)
+            ok = ok and d.omega_re != d.omega_im and theorem_7_18_check(rho, pt)
+            ok = ok and slice_forms(rho, pt, d.delta_basis.basis) == (d.omega_re, d.omega_im)
+    verdict(6, ok, "pointwise tilde model at 10 points; check/hat forms are omega_re/omega_im")
 
 
 def test_criterion_7_calculus_oracles():

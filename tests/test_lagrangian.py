@@ -93,6 +93,9 @@ def test_complexify_real_rejects_complex_subspace():
         complexify_real(Subspace(2, [[GS_ONE, GS_I]]))
     with pytest.raises(ValueError):
         complexify_real(Subspace(2, [], is_complex=True))
+    # X + xi with xi(X) = 1 is not isotropic
+    with pytest.raises(ValueError, match="not isotropic"):
+        complexify_real(Subspace(2, [[1, 1]]))
 
 
 def test_pairing_formula():
@@ -251,6 +254,12 @@ def test_transforms_preserve_lagrangian(rng):
         transform("b_field", [[GS_ZERO, GS_ONE], [GS_ONE, GS_ZERO]], L)
     with pytest.raises(ValueError):
         transform("unknown", None, L)
+    # the scalar 0 collapses the cotangent half: refused on a lagrangian,
+    # kept as a smaller isotropic subspace otherwise
+    with pytest.raises(ValueError, match="scalar_dot transform has dimension"):
+        dot(GS_ZERO, L)
+    line = Lagrangian.from_generators(2, [[GS_ONE, GS_ZERO, GS_ZERO, GS_ONE]], allow_partial=True)
+    assert dot(GS_ZERO, line).dim == 1
 
 
 def test_b_field_shears_graph(rng):

@@ -20,12 +20,10 @@ from cxpoisson.bivector import _part_matrix
 from cxpoisson.lagrangian import (
     ComplexSubspace,
     Lagrangian,
-    hat,
     lagrangian_from_range_form,
     real_points,
     real_projection,
     tangent_range,
-    two_form_on_range,
 )
 from cxpoisson.pointwise import (
     a_pi_at,
@@ -35,7 +33,6 @@ from cxpoisson.pointwise import (
     gcs_matrix,
     graph_at,
     grid_points,
-    hat_sign_check,
     involutivity_sample,
     matrix_at,
     plus_i_eigenspace,
@@ -47,7 +44,15 @@ from cxpoisson.pointwise import (
 from cxpoisson.scalars import GaussScalar
 from cxpoisson import linalg
 
-from conftest import XYZ, nb_bivector, random_constant_bivector, random_poly, random_skew
+from conftest import (
+    XYZ,
+    leafwise_bivectors,
+    nb_bivector,
+    random_constant_bivector,
+    random_poly,
+    random_skew,
+    slice_forms,
+)
 
 F = Fraction
 NB_POINTS = grid_points(XYZ, 10)
@@ -100,9 +105,14 @@ def test_real_index_triangulation(rng):
         assert prof.real_index == n - linalg.rank(A2)
 
 
-def test_a_pi_routes_agree():
-    pi = nb_bivector(1, 2)
-    for pt in NB_POINTS[:5]:
+def test_a_pi_routes_agree(rng):
+    # the preimage route is a slice of the graph, the annihilator route a
+    # nullspace of the realified images
+    cases = [(nb_bivector(1, 2), pt) for pt in NB_POINTS[:5]]
+    for _ in range(30):
+        pi = random_constant_bivector(rng, rng.choice((2, 3, 4)))
+        cases.append((pi, grid_points(pi.chart, 1)[0]))
+    for pi, pt in cases:
         pre, ann = a_pi_at(pi, pt)
         assert pre == ann
         amin = a_pi_min_at(pi, pt)
@@ -124,24 +134,47 @@ def test_a_pi_extreme_cases():
     assert pre == ann and pre.dim == 3 + 1
 
 
-def test_presymplectic_well_defined_across_preimages():
-    pi = nb_bivector(3, 5)
-    for pt in NB_POINTS[:4]:
-        d0 = presymplectic_at(pi, pt, pivot_variant=0)
-        d1 = presymplectic_at(pi, pt, pivot_variant=1)
-        d2 = presymplectic_at(pi, pt, pivot_variant=2)
-        assert d0.omega_re == d1.omega_re == d2.omega_re
-        assert d0.omega_im == d1.omega_im == d2.omega_im
-        k = d0.delta_basis.dim
+def nontrivial_leafwise_cases(rng):
+    """(pi, point) with dim Delta >= 2 and omega_re, omega_im nonzero and
+    different: leafwise_bivectors at grid points, and random constant
+    bivectors that pass the filter.  (On nb_bivector dim Delta is 1, so its
+    forms are all [[0]].)"""
+    cases = [(pi, pt) for pi in leafwise_bivectors() for pt in grid_points(pi.chart, 4)]
+    while len(cases) < 20:
+        pi = random_constant_bivector(rng, rng.choice((3, 4, 5)))
+        cases.append((pi, grid_points(pi.chart, 1)[0]))
+    found = []
+    for pi, pt in cases:
+        d = presymplectic_at(pi, pt)
+        if d.delta_basis.dim >= 2 and any(map(any, d.omega_re)) and any(map(any, d.omega_im)) \
+                and d.omega_re != d.omega_im:
+            found.append((pi, pt, d))
+    assert len(found) >= 12
+    return found
+
+
+def test_presymplectic_well_defined_across_preimages(rng):
+    for pi, pt, d in nontrivial_leafwise_cases(rng):
+        for variant in (0, 1, 2):
+            assert (d.omega_re, d.omega_im) == ref_presymplectic(pi, pt, variant)
+        assert d.delta_basis == delta_at(pi, pt)
+        k = d.delta_basis.dim
         for a in range(k):
             for b in range(k):
-                assert d0.omega_re[a][b] == -d0.omega_re[b][a]
-                assert d0.omega_im[a][b] == -d0.omega_im[b][a]
+                assert d.omega_re[a][b] == -d.omega_re[b][a]
+                assert d.omega_im[a][b] == -d.omega_im[b][a]
 
 
-def test_hat_sign_on_nb_points():
-    pi = nb_bivector(1, 2)
-    assert all(hat_sign_check(pi, pt) for pt in NB_POINTS)
+def test_check_and_hat_forms_are_omega_re_and_omega_im(rng):
+    # the real symplectic -1/2 dx0^dx1: omega_re is nonzero and the form of
+    # hat(gr pi) is 0, so hat's form is not omega_re
+    pi = constant_bivector(2, {(0, 1): GaussScalar.of(F(-1, 2))})
+    pt = grid_points(pi.chart, 1)[0]
+    d = presymplectic_at(pi, pt)
+    assert d.omega_re == [[0, -2], [2, 0]] and d.omega_im == [[0, 0], [0, 0]]
+    assert ref_check_hat_pairing(pi, pt)
+    for pi, pt, d in nontrivial_leafwise_cases(rng):
+        assert slice_forms(pi, pt, d.delta_basis.basis) == (d.omega_re, d.omega_im)
 
 
 def test_tilde_reconstruction_on_nb_points():
@@ -230,12 +263,13 @@ def test_delta_at_matches_profile():
         assert delta_at(pi, pt).dim == rank_profile(pi, pt).dim_Delta
 
 
-# -- block solves against the per-vector formulations ------------------------
+# -- presymplectic data and range forms against per-vector formulations -------
 #
-# presymplectic_at, hat_sign_check and lagrangian_from_range_form solve one
-# block system and take X^T A X with matmul.  The references below are the
-# per-vector solve, skew_val and two_form_on_range loops they replaced; each
-# solve passes a one-column block.
+# presymplectic_at reads omega off one slice of gr pi, and
+# lagrangian_from_range_form solves one block system.  ref_presymplectic is
+# the anchor route: it solves rho(xi + i eta) = tau per basis vector tau of
+# Delta, optionally shifted by an element of ker rho (another preimage), and
+# evaluates pi1 and pi2 on the preimages; ref_range_form solves per vector.
 
 
 def ref_presymplectic(pi, point, pivot_variant=0):
@@ -277,17 +311,10 @@ def ref_presymplectic(pi, point, pivot_variant=0):
     return omega_re, omega_im
 
 
-def ref_hat_sign_check(pi, point):
-    data = presymplectic_at(pi, point)
-    H = hat(graph_at(pi, point))
-    n = pi.chart.dim
-    rows = [list(r) for r in H.basis]
-    basis = [list(t) for t in data.delta_basis.basis]
-    for a, ta in enumerate(basis):
-        for b, tb in enumerate(basis):
-            if two_form_on_range(rows, n, ta, tb) != data.omega_re[a][b]:
-                return False
-    return True
+def ref_check_hat_pairing(pi, point):
+    """The two-forms of check(gr pi) and hat(gr pi) on Delta are the anchor
+    route's omega_re and omega_im."""
+    return slice_forms(pi, point, delta_at(pi, point).basis) == ref_presymplectic(pi, point)
 
 
 def ref_range_form(E_basis, eps, n):
@@ -343,10 +370,10 @@ def test_delta_zero_examples_have_delta_zero():
 def test_block_solves_match_per_vector_formulations(pi, upper):
     n = pi.chart.dim
     pt = grid_points(pi.chart, 1)[0]
+    d = presymplectic_at(pi, pt)
     for variant in (0, 1, 2):
-        d = presymplectic_at(pi, pt, pivot_variant=variant)
         assert (d.omega_re, d.omega_im) == ref_presymplectic(pi, pt, variant)
-    assert hat_sign_check(pi, pt) == ref_hat_sign_check(pi, pt)
+    assert ref_check_hat_pairing(pi, pt)
     k = d.delta_basis.dim
     E_basis = [[GaussScalar.of(x) for x in r] for r in d.delta_basis.basis]
     eps = [[GaussScalar.of(d.omega_re[a][b], d.omega_im[a][b]) for b in range(k)] for a in range(k)]
