@@ -123,6 +123,10 @@ def given_points(pf: ProblemFile, extra: Optional[str]) -> List[Dict[str, Fracti
                 vals = [Fraction(t) for t in chunk.split(",")]
             except ZeroDivisionError:
                 raise ValueError(f"--points entry {chunk!r} has a zero denominator") from None
+            except ValueError:
+                raise ValueError(
+                    f"--points entry {chunk!r} is not a comma-separated list of rationals"
+                ) from None
             if len(vals) != chart.dim:
                 raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
             pts.append(dict(zip(chart.vars, vals)))
@@ -334,7 +338,7 @@ _COMMAND_KINDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxpoisson",
         description="Exact checks for complex Poisson bivectors and Dirac structures",
@@ -348,7 +352,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--grid-size", type=_grid_size, default=20)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         p.add_argument("--check", default=None, help="comma-separated check ids")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: parse_args leaves the parser as it found it
+_PARSER = _parser()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.file, "r", encoding="utf-8") as fh:

@@ -358,15 +358,24 @@ def _slice_real(L, zero_cols, keep_cols) -> Subspace:
     return _subspace(len(keep_cols), linalg.eliminate(len(zero_cols), rows), False)
 
 
-def _check_hat(L, zero_cols, check_keep, hat_keep) -> Tuple[Subspace, Subspace]:
-    """Two slices of L on the same zero_cols from one elimination, with
-    check_keep first: the check slice is its heads, the hat slice is reduced."""
-    rest = check_keep + [c for c in hat_keep if c not in check_keep]
-    W = _slice_real(L, zero_cols, rest).rows
-    pos = [rest.index(c) for c in hat_keep]
-    hat_rows = linalg.echelon([[ints[p] for p in pos] for ints, _ in W])[0]
-    k = len(check_keep)
-    return _subspace(k, linalg._heads(W, k), False), _subspace(len(hat_keep), hat_rows, False)
+def _tilde_from_slice(kind: str, W: Subspace) -> Lagrangian:
+    """tilde (kind complex_tangent) or tilde_cot (complex_cotangent) from W,
+    the one real slice of L behind both of its slices.  W's blocks of n
+    columns are re tangent and re cotangent, the check slice, which is W's
+    heads, and then the block the hat slice adds: im cotangent for tilde,
+    im tangent for tilde_cot.  The hat slice is the reduced span of W's
+    blocks 0 and 2 (tilde) or 2 and 1 (tilde_cot)."""
+    n = W.m // 3
+    pos = _cols(n, *((0, 2) if kind == "complex_tangent" else (2, 1)))
+    hat_rows = linalg.echelon([[ints[p] for p in pos] for ints, _ in W.rows])[0]
+    check_rows = linalg._heads(W.rows, 2 * n)
+    return products(kind, *(_complexified(_subspace(2 * n, rows, False)) for rows in (check_rows, hat_rows)))
+
+
+def _tilde_slice(L: Lagrangian) -> Subspace:
+    """The real slice of L behind tilde: im tangent zero, keeping re tangent,
+    re cotangent and im cotangent."""
+    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1, 3))
 
 
 def hat(L: Lagrangian) -> Subspace:
@@ -381,9 +390,7 @@ def check(L: Lagrangian) -> Subspace:
 
 def tilde(L: Lagrangian) -> Lagrangian:
     """check(L) *_C hat(L), the associated quasi-real lagrangian family."""
-    n = L.n
-    slices = _check_hat(L, _cols(n, 2), _cols(n, 0, 1), _cols(n, 0, 3))
-    return products("complex_tangent", *map(_complexified, slices))
+    return _tilde_from_slice("complex_tangent", _tilde_slice(L))
 
 
 def hat_cot(L: Lagrangian) -> Subspace:
@@ -397,9 +404,7 @@ def check_cot(L: Lagrangian) -> Subspace:
 
 
 def tilde_cot(L: Lagrangian) -> Lagrangian:
-    n = L.n
-    slices = _check_hat(L, _cols(n, 3), _cols(n, 0, 1), _cols(n, 2, 1))
-    return products("complex_cotangent", *map(_complexified, slices))
+    return _tilde_from_slice("complex_cotangent", _slice_real(L, _cols(L.n, 3), _cols(L.n, 0, 1, 2)))
 
 
 # -- indices and distributions -------------------------------------------------

@@ -1,12 +1,17 @@
 """Exact linear algebra over Q (Fraction) and Q(i) (GaussScalar).
 
-The one elimination is echelon, fraction-free Gauss-Jordan on integer rows,
+The one reduction is echelon, fraction-free Gauss-Jordan on integer rows,
 and its rows come out canonical: a complex row is the tuple (re, im, d), the
 vector (re + i im)/d with d > 0, pivot entry (d, 0) and gcd(re, im, d) == 1;
 a real row is (ints, d) alike.  A span has one canonical basis, so span
 equality is tuple equality.  eliminate, the one intersect-and-project step,
-returns the canonical tails after the coordinates that must vanish.  rref is
-echelon for rows of ints, Fractions and GaussScalars, converting at its edges.
+returns the canonical tails after the k head coordinates that must vanish,
+in two phases: the head phase clears each head column with echelon's row
+update and drops that column's pivot row, which is never reduced; the tail
+phase is echelon of the tails left.  They span the intersection, and echelon
+gives a span its one canonical basis, so the tails are those the full
+echelon would have.  rref is echelon for rows of ints, Fractions and
+GaussScalars, converting at its edges.
 solve is the one linear-system step: M X = B for a whole block B from one
 rref of [M | B], so an inverse is solve(A, identity(...)), None exactly when
 A is singular.
@@ -76,16 +81,8 @@ def _echelon_gauss(re_rows, im_rows) -> Tuple[List[tuple], List[int]]:
         for k in range(nrows):
             kre, kim = re_rows[k], im_rows[k]
             f, h = kre[c], kim[c]
-            if k == r or not (f or h):
-                continue
-            if q == 0 and h == 0:
-                re = [p * x - f * y for x, y in zip(kre, pre)]
-                im = [p * x - f * y for x, y in zip(kim, pim)]
-            else:
-                # (p + q i)(x + y i) - (f + h i)(u + v i)
-                re = [p * x - q * y - f * u + h * v for x, y, u, v in zip(kre, kim, pre, pim)]
-                im = [p * y + q * x - f * v - h * u for x, y, u, v in zip(kre, kim, pre, pim)]
-            re_rows[k], im_rows[k] = _primitive_pair(re, im)
+            if k != r and (f or h):
+                re_rows[k], im_rows[k] = _cleared(p, q, pre, pim, f, h, kre, kim)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -104,11 +101,58 @@ def _echelon_gauss(re_rows, im_rows) -> Tuple[List[tuple], List[int]]:
 
 def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
     """Canonical basis of {v in span(rows) : v[:k] == 0}, given by the tails
-    v[k:], for integer rows as in echelon: in reduced echelon form the rows
-    whose pivot is at or after column k span exactly that intersection, and
-    their heads are zero, so their tails are canonical."""
-    red, pivots = echelon(re_rows, im_rows)
-    return [tuple(v[k:] for v in row[:-1]) + row[-1:] for row, c in zip(red, pivots) if c >= k]
+    v[k:], for integer rows as in echelon.
+
+    Head phase: for each of the first k columns, a row nonzero there clears
+    it in the other rows (echelon's update) and is dropped, with the column.
+    The rows left are zero in that column, so a vector of the span is zero
+    there exactly when it takes none of the dropped row: the rows left span
+    the intersection with {v[c] == 0}.  The dropped pivot rows are never
+    reduced.  Tail phase: echelon of the tails left, which is their
+    canonical basis, the one the span has."""
+    if im_rows is not None:
+        return _eliminate_gauss(k, list(re_rows), list(im_rows))
+    m = list(re_rows)
+    for _ in range(k):
+        pr = next((r for r, row in enumerate(m) if row[0]), None)
+        if pr is None:
+            m = [row[1:] for row in m]
+            continue
+        prow = m.pop(pr)
+        p, ptail = prow[0], prow[1:]
+        m = [_primitive([p * x - row[0] * y for x, y in zip(row[1:], ptail)]) if row[0] else row[1:]
+             for row in m]
+    return echelon(m)[0]
+
+
+def _eliminate_gauss(k: int, re_rows, im_rows) -> List[tuple]:
+    for _ in range(k):
+        pr = next((r for r in range(len(re_rows)) if re_rows[r][0] or im_rows[r][0]), None)
+        if pr is None:
+            re_rows, im_rows = [re[1:] for re in re_rows], [im[1:] for im in im_rows]
+            continue
+        pre, pim = re_rows.pop(pr), im_rows.pop(pr)
+        p, q, pre, pim = pre[0], pim[0], pre[1:], pim[1:]
+        tails = [
+            _cleared(p, q, pre, pim, kre[0], kim[0], kre[1:], kim[1:]) if kre[0] or kim[0]
+            else (kre[1:], kim[1:])
+            for kre, kim in zip(re_rows, im_rows)
+        ]
+        re_rows, im_rows = [re for re, _ in tails], [im for _, im in tails]
+    return echelon(re_rows, im_rows)[0]
+
+
+def _cleared(p, q, pre, pim, f, h, kre, kim) -> Tuple[List[int], List[int]]:
+    """(p + q i)(kre + i kim) - (f + h i)(pre + i pim), primitive: the row
+    kre + i kim with its entry f + h i cleared against the pivot entry p + q i
+    of the row pre + i pim."""
+    if q == 0 and h == 0:
+        re = [p * x - f * y for x, y in zip(kre, pre)]
+        im = [p * x - f * y for x, y in zip(kim, pim)]
+    else:
+        re = [p * x - q * y - f * u + h * v for x, y, u, v in zip(kre, kim, pre, pim)]
+        im = [p * y + q * x - f * v - h * u for x, y, u, v in zip(kre, kim, pre, pim)]
+    return _primitive_pair(re, im)
 
 
 def _heads(rows: Sequence[tuple], k: int) -> List[tuple]:
@@ -129,14 +173,17 @@ def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     Leading ones: the canonical basis of the row span, so span equality is
     list equality.  Entries are ints, Fractions or GaussScalars; rows come
     back as GaussScalars when any entry is one, else as Fractions."""
-    rows = list(rows)
-    red, pivots = echelon(*_ints(rows, any(type(x) is GaussScalar for r in rows for x in r)))
+    red, pivots = echelon(*_ints(list(rows)))
     return [_scalars(r) for r in red], pivots
 
 
-def _ints(rows, is_complex: bool):
+def _ints(rows, is_complex: Optional[bool] = None):
     """echelon's arguments for rows of ints, Fractions and GaussScalars: the
-    primitive integer multiples, (re rows, im rows) or (rows, None) over Q."""
+    primitive integer multiples, (re rows, im rows) over Q(i) or (rows, None)
+    over Q.  The field is Q(i) when is_complex, or, if it is None, when an
+    entry is a GaussScalar."""
+    if is_complex is None:
+        is_complex = any(type(x) is GaussScalar for r in rows for x in r)
     if not is_complex:
         return [_primitive(_scaled_rational(r)[0]) for r in rows], None
     pairs = [_primitive_pair(*_scaled_gauss(r)[:2]) for r in rows]
@@ -192,7 +239,7 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(echelon(*_ints(list(rows)))[0])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:

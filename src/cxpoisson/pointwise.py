@@ -33,11 +33,12 @@ from .lagrangian import (
     _cols,
     _slice_real,
     _subspace,
+    _tilde_from_slice,
+    _tilde_slice,
     graph,
     lagrangian_from_range_form,
     real_points,
     real_projection,
-    tilde,
 )
 from .linalg import _dot
 from .poly import Chart, poly_eval
@@ -226,22 +227,21 @@ def presymplectic_at(pi: ComplexBivector, point: Point) -> PresymplecticData:
     the two-form of check(L) and omega_im(tau_a, tau_b) = Im zeta_a(tau_b)
     that of hat(L).
     """
-    return _presymplectic(graph_at(pi, point))
+    return _presymplectic(_tilde_slice(graph_at(pi, point)))
 
 
-def _presymplectic(L: Lagrangian) -> PresymplecticData:
-    """presymplectic_at on L = gr pi: one real slice of L keeps the elements
-    with real tangent part as rows (tau, Re zeta, Im zeta)/d.  Its rows with
-    tau != 0 lift the canonical basis of Delta; each omega entry is an
-    integer dot product over d_a d_b."""
-    n = L.n
-    W = _slice_real(L, _cols(n, 2), _cols(n, 0, 1, 3)).rows
-    lifts = [(v[:n], v[n:2 * n], v[2 * n:], d) for v, d in W if any(v[:n])]
+def _presymplectic(W: Subspace) -> PresymplecticData:
+    """presymplectic_at from W, the real slice of L = gr pi that tilde makes
+    (lagrangian._tilde_slice): the elements with real tangent part, as rows
+    (tau, Re zeta, Im zeta)/d.  Its rows with tau != 0 lift the canonical
+    basis of Delta; each omega entry is an integer dot product over d_a d_b."""
+    n = W.m // 3
+    lifts = [(v[:n], v[n:2 * n], v[2 * n:], d) for v, d in W.rows if any(v[:n])]
 
     def form(part):
         return [[Fraction(_dot(a[part], b[0]), a[3] * b[3]) for b in lifts] for a in lifts]
 
-    return PresymplecticData(_subspace(n, linalg._heads(W, n), False), form(1), form(2))
+    return PresymplecticData(_subspace(n, linalg._heads(W.rows, n), False), form(1), form(2))
 
 
 # -- generalized complex matrix ----------------------------------------------
@@ -295,16 +295,18 @@ def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:
 
 
 def theorem_7_18_check(pi: ComplexBivector, point: Point) -> bool:
-    """tilde(gr pi) at the point equals L((Delta)_C, omega_re + i omega_im)."""
+    """tilde(gr pi) at the point equals L((Delta)_C, omega_re + i omega_im);
+    both sides are read off one real slice of gr pi."""
     L = graph_at(pi, point)
-    data = _presymplectic(L)
+    W = _tilde_slice(L)
+    data = _presymplectic(W)
     k = data.delta_basis.dim
     E_basis = [[GaussScalar.of(x) for x in r] for r in data.delta_basis.basis]
     eps = [
         [GaussScalar.of(data.omega_re[a][b], data.omega_im[a][b]) for b in range(k)]
         for a in range(k)
     ]
-    return tilde(L) == lagrangian_from_range_form(E_basis, eps, L.n)
+    return _tilde_from_slice("complex_tangent", W) == lagrangian_from_range_form(E_basis, eps, L.n)
 
 
 # -- involutivity sampling ---------------------------------------------------

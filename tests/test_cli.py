@@ -183,11 +183,18 @@ def test_dirac_samples_the_given_points(nb_file, capsys):
 
 @pytest.mark.parametrize(
     "command,points",
-    [("invariants", "1,2"), ("invariants", "1/0,1,1"), ("dirac", "1/0,1,1")],
+    [
+        ("invariants", "1,2"), ("invariants", "1/0,1,1"), ("dirac", "1/0,1,1"),
+        ("invariants", ";"), ("dirac", "1,,2"), ("invariants", "1 2 3"),
+    ],
 )
 def test_bad_points_flag_is_refusal(nb_file, capsys, command, points):
     code, out, err = run(capsys, [command, nb_file, "--points", points])
     assert code == 2 and "error" in err and not out
+    # the refusal names the flag, and the entry when it is not rationals
+    assert "--points entry" in err
+    if points in (";", "1,,2", "1 2 3"):
+        assert repr(points.split(";")[0]) in err
 
 
 @pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])

@@ -1,11 +1,13 @@
 """Exact linear algebra over Q and Q(i): single and block solves checked
 against the rank criterion and the old inverse, rref against
-field-division Gauss-Jordan and against sympy."""
+field-division Gauss-Jordan and against sympy, eliminate against the
+echelon-then-filter route it replaced."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cxpoisson import linalg
@@ -252,3 +254,72 @@ def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
         assert linalg.member([0] * k + t, linalg.rref(rows)[0])
     # ... and the tails are already a reduced echelon basis, so independent
     assert linalg.rref(tails)[0] == tails
+
+
+def reference_eliminate(k, re_rows, im_rows=None):
+    """The eliminate this package had before its head phase: echelon over
+    every column, then the tails of the rows with pivot at or after k."""
+    red, pivots = linalg.echelon(re_rows, im_rows)
+    return [tuple(v[k:] for v in row[:-1]) + row[-1:] for row, c in zip(red, pivots) if c >= k]
+
+
+@st.composite
+def integer_systems(draw):
+    """(k, re rows, im rows or None): unreduced integer rows, with zero rows,
+    multiples and combinations of earlier rows, and every k from 0 to the
+    width, which may be 0."""
+    is_complex = draw(st.booleans())
+    width = draw(st.integers(0, 7))
+    entry = st.integers(-4, 4)
+    re, im = [], []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("random", "sparse", "zero", "combo")))
+        if kind == "zero":
+            r, i = [0] * width, [0] * width
+        elif kind == "combo" and re:
+            pairs = st.sampled_from(list(zip(re, im)))
+            (a, b), (c, d) = draw(pairs), draw(pairs)
+            s, t = draw(entry), draw(entry)
+            r, i = [s * x + t * y for x, y in zip(a, c)], [s * x + t * y for x, y in zip(b, d)]
+        else:
+            keep = [kind == "random" or draw(st.booleans()) for _ in range(width)]
+            r = [draw(entry) if kp else 0 for kp in keep]
+            i = [draw(entry) if kp and is_complex else 0 for kp in keep]
+        re.append(r)
+        im.append(i)
+    return draw(st.integers(0, width)), re, im if is_complex else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_systems())
+@example((0, [[2, 4, 6], [1, 2, 3]], None))  # k = 0, dependent rows
+@example((3, [[2, 4, 6], [0, 0, 0]], None))  # k = width, a zero row
+@example((2, [], None))  # no rows
+@example((0, [[], []], [[], []]))  # width-0 rows
+@example((1, [[2, 1, 0], [1, 0, 1]], [[3, 0, 1], [1, 1, 0]]))  # head pivots with q != 0
+# the first head pivot is i (p = 0, q = 1)
+@example((2, [[0, 1, 1, 2], [1, 1, 0, 0], [1, 2, 1, 3]], [[1, 0, 0, 1], [2, 0, 1, 0], [0, 0, 1, 0]]))
+def test_eliminate_equals_the_full_echelon_route(system):
+    k, re, im = system
+    expected = reference_eliminate(k, re, im)
+    assert linalg.eliminate(k, re, im) == expected
+    assert all(is_canonical(t, im is not None) for t in expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w),
+                                                    min_size=4, max_size=4)))
+def test_cleared_row_is_the_primitive_fraction_free_update(rows):
+    # the update of echelon and of eliminate's head phase: row k times the
+    # pivot entry minus the pivot row times row k's entry, over its gcd
+    pre, pim, kre, kim = rows
+    if not (pre[0] or pim[0]):
+        pre[0] = 1
+    z = [GaussScalar.of(a, b) for a, b in zip(kre, kim)]
+    w = [GaussScalar.of(a, b) for a, b in zip(pre, pim)]
+    full = [w[0] * x - z[0] * y for x, y in zip(z, w)]
+    parts = [int(x.re) for x in full], [int(x.im) for x in full]
+    g = gcd(*parts[0], *parts[1]) or 1
+    assert linalg._cleared(pre[0], pim[0], pre, pim, kre[0], kim[0], kre, kim) == tuple(
+        [x // g for x in part] for part in parts
+    )
