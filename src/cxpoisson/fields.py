@@ -21,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-from .poly import Chart, Poly, poly_partial
-from .scalars import GaussScalar, Rational, _coerce
+from .poly import Chart, Poly, poly_eval, poly_partial
+from .scalars import GS_I, GaussScalar, Rational, _coerce
 
 Index = Tuple[int, ...]
 
@@ -191,8 +191,6 @@ def decompose(m: GradedField) -> Tuple[GradedField, GradedField]:
 
 
 def recompose(re: GradedField, im: GradedField) -> GradedField:
-    from .scalars import GS_I
-
     return re + im.scale(GS_I)
 
 
@@ -384,8 +382,6 @@ def _add_into(out: Dict[Index, Poly], t: GradedField, negate: bool):
 
 def eval_field(m: GradedField, point: Mapping[str, Rational]) -> Dict[Index, GaussScalar]:
     """Evaluate every component at a rational point; zeros dropped."""
-    from .poly import poly_eval
-
     out: Dict[Index, GaussScalar] = {}
     for idx, p in m.comps.items():
         v = poly_eval(p, point)

@@ -5,7 +5,9 @@ variable names, `+ - * ^` and parentheses.  Whitespace is ignored.  `^` takes
 a nonnegative integer exponent of at most MAX_EXPONENT.  Multiplication is
 always explicit (`2*x*y`).  A product, written or formed by `^`, whose
 operands' term counts multiply past MAX_PRODUCT_TERMS is refused before it
-is computed, so no coefficient takes unbounded time to parse.
+is computed, so no coefficient takes unbounded time to parse.  Parentheses
+and unary signs nest at most MAX_NESTING deep, and an integer literal has at
+most as many digits as Python converts (sys.get_int_max_str_digits()).
 
 The printer in poly.format_poly emits strings this parser accepts, so
 parse/print round-trips.
@@ -31,6 +33,9 @@ _TOKEN_RE = re.compile(
 MAX_EXPONENT = 64
 # largest product of two operands' term counts that `*` and `^` may form
 MAX_PRODUCT_TERMS = 100_000
+# deepest nesting of parentheses and unary signs; each level takes a few
+# stack frames of the recursive-descent parser
+MAX_NESTING = 100
 
 
 class PolyParseError(ValueError):
@@ -64,6 +69,7 @@ class _Parser:
         self.chart = chart
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k] if self.k < len(self.tokens) else None
@@ -79,6 +85,21 @@ class _Parser:
         tok = self.take()
         if tok[0] != "op" or tok[1] != op:
             raise PolyParseError(self.text, tok[2], f"expected {op!r}, got {tok[1]!r}")
+
+    def nested(self, parse, pos: int) -> Poly:
+        """parse() one nesting level deeper, refused past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise PolyParseError(self.text, pos, f"nesting deeper than the maximum {MAX_NESTING}")
+        self.depth += 1
+        p = parse()
+        self.depth -= 1
+        return p
+
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise PolyParseError(self.text, tok[2], f"integer of {len(tok[1])} digits is too long") from None
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -112,7 +133,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] in "+-":
             self.take()
-            p = self.factor()
+            p = self.nested(self.factor, tok[2])
             return -p if tok[1] == "-" else p
         return self.power()
 
@@ -124,7 +145,7 @@ class _Parser:
             etok = self.take()
             if etok[0] != "num":
                 raise PolyParseError(self.text, etok[2], "exponent must be an integer")
-            k = int(etok[1])
+            k = self.integer(etok)
             if k > MAX_EXPONENT:
                 raise PolyParseError(
                     self.text, etok[2], f"exponent {k} exceeds the maximum {MAX_EXPONENT}"
@@ -135,7 +156,7 @@ class _Parser:
     def atom(self) -> Poly:
         tok = self.take()
         if tok[0] == "num":
-            value = Fraction(int(tok[1]))
+            value = Fraction(self.integer(tok))
             nxt = self.peek()
             # rational literal p/q
             if nxt and nxt[0] == "op" and nxt[1] == "/":
@@ -143,9 +164,10 @@ class _Parser:
                 den = self.take()
                 if den[0] != "num":
                     raise PolyParseError(self.text, den[2], "denominator must be an integer")
-                if int(den[1]) == 0:
+                q = self.integer(den)
+                if q == 0:
                     raise PolyParseError(self.text, den[2], "zero denominator")
-                value /= int(den[1])
+                value /= q
             return Poly.const(self.chart, GaussScalar.of(value))
         if tok[0] == "name":
             if tok[1] == "i":
@@ -160,7 +182,7 @@ class _Parser:
                     self.text, tok[2], f"unknown variable {tok[1]!r}"
                 ) from None
         if tok[1] == "(":
-            p = self.expr()
+            p = self.nested(self.expr, tok[2])
             self.expect_op(")")
             return p
         raise PolyParseError(self.text, tok[2], f"unexpected token {tok[1]!r}")

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import _dot
-from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
+from .scalars import GS_I, GaussScalar
 
 class Subspace:
     """Canonical subspace of R^m or C^m in reduced row echelon form.
@@ -44,7 +45,8 @@ class Subspace:
             if len(g) != m:
                 raise ValueError(f"generator length {len(g)} != ambient {m}")
         is_complex = is_complex or any(type(x) is GaussScalar for g in gens for x in g)
-        rows, _ = linalg.echelon(*linalg._ints(gens, is_complex))
+        re, im, _ = _int_matrix(gens)
+        rows, _ = linalg.echelon(re, im if is_complex else None)
         self.m, self.rows, self.is_complex, self._basis = m, tuple(rows), is_complex, None
 
     @property
@@ -58,7 +60,14 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        return Subspace(self.m, [*self.basis, v], self.is_complex).dim == self.dim
+        """v is in the span (over C, as is a real span): echelon of the rows
+        with v added gains no row."""
+        if len(v) != self.m:
+            raise ValueError(f"vector length {len(v)} != ambient {self.m}")
+        (re,), (im,), _ = _int_matrix([v])
+        zero = (0,) * self.m
+        im_rows = [r[1] if self.is_complex else zero for r in self.rows] + [im]
+        return len(linalg.echelon([r[0] for r in self.rows] + [re], im_rows)[0]) == self.dim
 
     def __eq__(self, other):
         key = (self.is_complex, self.m, self.rows)
@@ -300,7 +309,7 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
     # multiplies by z, i_X B = -B X on the cotangent half, P xi on the tangent
     tan, cot = slice(0, n), slice(n, 2 * n)
     if kind in ("scalar_dot", "scalar_bullet"):
-        (a,), (b,), d = linalg._scaled_gauss([datum])
+        [[a]], [[b]], d = _int_matrix([[datum]])
         src = dst = cot if kind == "scalar_dot" else tan
 
         def add(re, im):  # (z - 1) v, z - 1 = (a - d + b i)/d
@@ -309,7 +318,7 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
         Mre, Mim, d = _int_matrix(datum, skew=kind)
         src, dst = (tan, cot) if kind == "b_field" else (cot, tan)
         if kind == "b_field":
-            Mre, Mim = linalg.neg_matrix(Mre), linalg.neg_matrix(Mim)
+            Mre, Mim = ([[-x for x in r] for r in M] for M in (Mre, Mim))
 
         def add(re, im):
             return _times(Mre, Mim, re, im)
@@ -463,23 +472,30 @@ def k_and_perp(L: Lagrangian) -> Tuple[Subspace, Subspace]:
     """K = L intersect (real T + T*), and its pairing-orthogonal in R^{2n}."""
     n = L.n
     K = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
-    cons = [list(r[n:]) + list(r[:n]) for r in K.basis]
-    return K, Subspace(2 * n, linalg.nullspace(cons, 2 * n, Fraction(1), Fraction(0)))
+    # <k, x> = 0 pairs the halves of k with the swapped halves of x
+    return K, _subspace(2 * n, linalg.nullspace(2 * n, [ints[n:] + ints[:n] for ints, _ in K.rows]), False)
 
 
 # -- two-form on the range -----------------------------------------------------
 
 
 def element_with_tangent(rows: List[List], n: int, x: List) -> Optional[List]:
-    """An element of span(rows) in C^{2n} (or R^{2n}) with tangent part x."""
+    """An element of span(rows) in C^{2n} (or R^{2n}) with tangent part x:
+    sum_k c_k rows[k], with c from solve (free coefficients zero)."""
     if not rows:
         return None
-    zero = x[0] * 0
-    tangents = linalg.transpose([r[:n] for r in rows])
-    combo = linalg.solve(tangents, [[t] for t in x], len(rows), zero)
+    k = len(rows)
+    # rows and x over one denominator; column s is (rows[0][s], ..., x[s])
+    re, im, d = _int_matrix([list(r) for r in rows] + [list(x) + [0] * n])
+    Tre, Tim = linalg.transpose(re), linalg.transpose(im)
+    combo = linalg.solve(k, Tre[:n], Tim[:n])
     if combo is None:
         return None
-    return [sum((c * row[s] for (c,), row in zip(combo, rows)), zero) for s in range(2 * n)]
+    D = lcm(*(dc for _, _, dc in combo))
+    el = _times([t[:k] for t in Tre], [t[:k] for t in Tim],
+                [a * (D // dc) for (a,), _, dc in combo], [b * (D // dc) for _, (b,), dc in combo])
+    is_complex = any(type(t) is GaussScalar for r in [*rows, x] for t in r)
+    return linalg._scalars((*el, D * d) if is_complex else (el[0], D * d))
 
 
 def two_form_on_range(rows: List[List], n: int, x: List, y: List):
@@ -497,16 +513,27 @@ def lagrangian_from_range_form(
     E_basis: List[List[GaussScalar]], eps: List[List[GaussScalar]], n: int
 ) -> Lagrangian:
     """L(E, eps) = {X + xi : X in E, xi|_E = i_X eps}, with eps(v_a, v_b)
-    given on the basis and the convention eps(X, w) = xi(w)."""
-    V = [list(v) for v in E_basis]
-    # column a of Xi is xi_a, with xi_a(v_b) = eps(v_a, v_b)
-    Xi = linalg.solve(V, linalg.transpose(eps), n, GS_ZERO)
-    if Xi is None:
+    given on the basis and the convention eps(X, w) = xi(w).
+
+    Its elements are X = sum_a c_a v_a with xi(v_b) = sum_a c_a eps(v_a, v_b)
+    for every b.  One eliminate keeps the (c, X + xi) spanned by c = e_a (head
+    -eps(v_a, .)) and xi = e_t (head v_.[t]) whose head vanishes; the form
+    is consistent when every c is kept."""
+    k = len(E_basis)
+    # [V | eps] over one denominator d
+    re, im, d = _int_matrix([list(v) + list(e) for v, e in zip(E_basis, eps)])
+    re_rows = [[-x for x in r[n:]] + [d if j == a else 0 for j in range(k)] + r[:n] + [0] * n
+               for a, r in enumerate(re)]
+    im_rows = [[-x for x in r[n:]] + [0] * k + r[:n] + [0] * n for r in im]
+    re_rows += [[r[t] for r in re] + [0] * (k + n) + [d if s == t else 0 for s in range(n)] for t in range(n)]
+    im_rows += [[r[t] for r in im] + [0] * (k + 2 * n) for t in range(n)]
+    tails = linalg.eliminate(k, re_rows, im_rows)
+    if sum(any(t[0][:k]) for t in tails) < k:
         raise ValueError("inconsistent range form")
-    rows = [v + xi for v, xi in zip(V, linalg.transpose(Xi))]
-    ann = linalg.nullspace(V, n, GS_ONE, GS_ZERO)
-    rows += [[GS_ZERO] * n + w for w in ann]
-    return Lagrangian.from_generators(n, rows, allow_partial=True)
+    rows, _ = linalg.echelon([t[0][k:] for t in tails], [t[1][k:] for t in tails])
+    if not _is_isotropic(rows, n):
+        raise ValueError("generators do not span an isotropic subspace")
+    return _lagrangian(n, rows)
 
 
 # -- images --------------------------------------------------------------------

@@ -10,11 +10,13 @@ in two phases: the head phase clears each head column with echelon's row
 update and drops that column's pivot row, which is never reduced; the tail
 phase is echelon of the tails left.  They span the intersection, and echelon
 gives a span its one canonical basis, so the tails are those the full
-echelon would have.  rref is echelon for rows of ints, Fractions and
-GaussScalars, converting at its edges.
-solve is the one linear-system step: M X = B for a whole block B from one
-rref of [M | B], so an inverse is solve(A, identity(...)), None exactly when
-A is singular.
+echelon would have.
+solve and nullspace take integer rows as echelon does and read their answer
+off one echelon, where each pivot entry is (d, 0): solve(ncols, [M | B])
+gives the block X with M X == B, row c of X the B part of the row with pivot
+c, and None when a pivot lies in B; nullspace gives one vector per free
+column.  Of the rest, rank and matmul take Fractions and GaussScalars, and
+_scalars reads a canonical row back as them.
 """
 
 from __future__ import annotations
@@ -167,29 +169,6 @@ def _heads(rows: Sequence[tuple], k: int) -> List[tuple]:
     return out
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Leading ones: the canonical basis of the row span, so span equality is
-    list equality.  Entries are ints, Fractions or GaussScalars; rows come
-    back as GaussScalars when any entry is one, else as Fractions."""
-    red, pivots = echelon(*_ints(list(rows)))
-    return [_scalars(r) for r in red], pivots
-
-
-def _ints(rows, is_complex: Optional[bool] = None):
-    """echelon's arguments for rows of ints, Fractions and GaussScalars: the
-    primitive integer multiples, (re rows, im rows) over Q(i) or (rows, None)
-    over Q.  The field is Q(i) when is_complex, or, if it is None, when an
-    entry is a GaussScalar."""
-    if is_complex is None:
-        is_complex = any(type(x) is GaussScalar for r in rows for x in r)
-    if not is_complex:
-        return [_primitive(_scaled_rational(r)[0]) for r in rows], None
-    pairs = [_primitive_pair(*_scaled_gauss(r)[:2]) for r in rows]
-    return [re for re, _ in pairs], [im for _, im in pairs]
-
-
 def _scalars(row: tuple) -> Row:
     """The entries of a canonical row: Fractions over Q, GaussScalars over Q(i)."""
     if len(row) == 2:
@@ -211,18 +190,6 @@ def _primitive_pair(re: List[int], im: List[int]) -> Tuple[List[int], List[int]]
     return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
 
 
-def _scaled_rational(row: Sequence) -> Tuple[List[int], int]:
-    """(ints, den) with row == ints / den, for a row of ints and Fractions."""
-    try:
-        dens = [x.denominator for x in row]
-    except AttributeError:
-        raise TypeError(f"expected int or Fraction entries, got {row!r}") from None
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
-
-
 def _scaled_gauss(row: Sequence) -> Tuple[List[int], List[int], int]:
     """(re, im, den) with row == (re + i im) / den, for a row of
     GaussScalars, ints and Fractions."""
@@ -239,37 +206,45 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(echelon(*_ints(list(rows)))[0])
+    """Rank of a matrix of ints, Fractions and GaussScalars."""
+    scaled = [_scaled_gauss(r) for r in rows]
+    im = [i for _, i, _ in scaled]
+    return len(echelon([r for r, _, _ in scaled], im if any(map(any, im)) else None)[0])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int, one, zero) -> Matrix:
-    """Basis of {x : M x = 0} for M given by rows of length ncols."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
-        basis.append(v)
-    return basis
+def nullspace(ncols: int, re_rows, im_rows=None) -> List[tuple]:
+    """Canonical basis of {x : M x = 0}, M given by integer rows of length
+    ncols as in echelon.  One echelon of M gives a vector per free column f:
+    x[f] = 1 and x[c] = -r[f]/d for the canonical row r = (..., d) with pivot
+    c; they are put over the lcm D of the d and made canonical."""
+    red, pivots = echelon(re_rows, im_rows)
+    D = lcm(*(r[-1] for r in red))
+    parts = []
+    for k in range(1 if im_rows is None else 2):
+        vectors = []
+        for f in (f for f in range(ncols) if f not in pivots):
+            v = [D if c == f and k == 0 else 0 for c in range(ncols)]
+            for r, c in zip(red, pivots):
+                v[c] = -(D // r[-1]) * r[k][f]
+            vectors.append(v)
+        parts.append(vectors)
+    return echelon(*parts)[0]
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence[Sequence], ncols: int, zero) -> Optional[Matrix]:
-    """X with M X == B, from one rref of [M | B].
-
-    M is given by rows of length ncols; B by rhs, one row per equation and
-    one column per right-hand side.  X has ncols rows, with free unknowns set
-    to zero.  None if any column of B is inconsistent.
-    """
-    red, pivots = rref([list(r) + list(b) for r, b in zip(rows, rhs)])
+def solve(ncols: int, re_rows, im_rows=None) -> Optional[List[tuple]]:
+    """X with M X == B, from one echelon of the integer rows of [M | B] (as
+    echelon takes them), M of ncols columns and B of one column per
+    right-hand side.  X has ncols rows, each as a canonical row is read:
+    (ints, d) over Q, (re, im, d) over Q(i).  Row c is the B part of the
+    row with pivot c, whose pivot entry is (d, 0); the free unknowns are
+    zero.  None if any column of B is inconsistent: a pivot in B."""
+    red, pivots = echelon(re_rows, im_rows)
     if pivots and pivots[-1] >= ncols:
         return None
-    width = len(rhs[0]) if rhs else 0
-    X = [[zero] * width for _ in range(ncols)]
-    for r, pc in zip(red, pivots):
-        X[pc] = r[ncols:]
+    zero = (0,) * (len(re_rows[0]) - ncols if re_rows else 0)
+    X = [(zero, 1) if im_rows is None else (zero, zero, 1)] * ncols
+    for (*parts, d), c in zip(red, pivots):
+        X[c] = tuple(p[ncols:] for p in parts) + (d,)
     return X
 
 
@@ -277,11 +252,11 @@ def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
     """A B for entries that are ints, Fractions or GaussScalars; the result is
     GaussScalars when any entry is one, else Fractions.  Each row of A and
     column of B is put over one denominator, so every entry costs one integer
-    dot product and one reduction."""
+    dot product (two, four over Q(i)) and one reduction."""
     cols = list(zip(*B))
+    rows_g = [_scaled_gauss(r) for r in A]
+    cols_g = [_scaled_gauss(c) for c in cols]
     if any(type(x) is GaussScalar for M in (A, cols) for r in M for x in r):
-        rows_g = [_scaled_gauss(r) for r in A]
-        cols_g = [_scaled_gauss(c) for c in cols]
         return [
             [
                 _make(_dot(xr, yr) - _dot(xi, yi), _dot(xr, yi) + _dot(xi, yr), dx * dy)
@@ -289,9 +264,7 @@ def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
             ]
             for xr, xi, dx in rows_g
         ]
-    rows_q = [_scaled_rational(r) for r in A]
-    cols_q = [_scaled_rational(c) for c in cols]
-    return [[Fraction(_dot(x, y), dx * dy) for y, dy in cols_q] for x, dx in rows_q]
+    return [[Fraction(_dot(xr, yr), dx * dy) for yr, _, dy in cols_g] for xr, _, dx in rows_g]
 
 
 def matvec(A: Sequence[Sequence], v: Sequence) -> Row:
@@ -306,17 +279,6 @@ def identity(n: int, one, zero) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def neg_matrix(A: Sequence[Sequence]) -> Matrix:
-    return [[-x for x in row] for row in A]
-
-
 def is_skew(A: Sequence[Sequence]) -> bool:
     n = len(A)
     return all(A[i][j] == -A[j][i] for i in range(n) for j in range(i, n))
-
-
-def member(v: Sequence, basis_rref: Sequence[Sequence]) -> bool:
-    """Test membership of v in a span given by its rref basis."""
-    combined, _ = rref(list(basis_rref) + [list(v)])
-    return len(combined) == len(basis_rref)
-

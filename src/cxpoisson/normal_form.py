@@ -14,9 +14,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector, _part_matrix
-from .fields import FormField, MultiField, d_complex
+from .fields import FormField, MultiField, d_complex, recompose
 from .lagrangian import (
     Lagrangian,
+    _int_matrix,
+    _times,
     bivector_of_graph,
     graph,
     images,
@@ -24,10 +26,9 @@ from .lagrangian import (
 )
 from .poly import Chart, Poly, poly_partial, poly_subst_zero
 from .pointwise import matrix_at
-from .scalars import GS_ONE, GS_ZERO, GaussScalar
+from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -116,19 +117,15 @@ def mixed_check(
     cc_ok = True
     failures = []
     for pt in pts:
-        A = matrix_at(pi.body, pt)
-        # real condition: pi1(Ann TN) + TN = TM, directly and with trivial overlap
-        img = [[A[i][a].re for i in range(n)] for a in fiber_idx]  # pi1# d(fiber_a)
-        tn = [[F1 if i == j else F0 for i in range(n)] for j in range(b)]
-        if linalg.rank(img) != f or linalg.rank(img + tn) != n:
+        # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans
+        # the base coordinates, so it holds exactly when the fiber block of
+        # pi1# on the d(fiber_a) is invertible; likewise for pi and the
+        # complex cosymplectic condition pi(Ann T_CN) + T_CN = T_CM
+        Are, Aim, _ = _int_matrix([r[b:] for r in matrix_at(pi.body, pt)[b:]])
+        if len(linalg.echelon(Are)[0]) != f:
             ds_ok = False
             failures.append(tuple(sorted(pt.items())))
-        # complex cosymplectic: pi(Ann T_CN) + T_CN = T_CM
-        imgc = [[A[i][a] for i in range(n)] for a in fiber_idx]
-        tnc = [
-            [GS_ONE if i == j else GS_ZERO for i in range(n)] for j in range(b)
-        ]
-        if linalg.rank(imgc) != f or linalg.rank(imgc + tnc) != n:
+        if len(linalg.echelon(Are, Aim)[0]) != f:
             cc_ok = False
     return MixedReport(
         pi2_annihilator_zero=ann_zero,
@@ -173,12 +170,15 @@ def inverse_bivector_matrix(B: List[List[GaussScalar]]) -> List[List[GaussScalar
     """Coefficient matrix of the bivector inverse to the two-form B.
 
     With the package's sharp convention, sharp(A) o flat(B) = Id forces
-    A = -B^{-1}.
+    A = -B^{-1}, the solution of B A = -Id.
     """
-    inv = linalg.solve(B, linalg.identity(len(B), GS_ONE, GS_ZERO), len(B), GS_ZERO)
-    if inv is None:
+    re, im, d = _int_matrix(B)
+    n = len(re)
+    A = linalg.solve(n, [r + [-d if j == i else 0 for j in range(n)] for i, r in enumerate(re)],
+                     [r + [0] * n for r in im])
+    if A is None:
         raise ValueError("two-form is degenerate, no inverse bivector")
-    return linalg.neg_matrix(inv)
+    return [linalg._scalars(r) for r in A]
 
 
 def projection_matrix(bundle: BundleChart) -> List[List[GaussScalar]]:
@@ -287,10 +287,6 @@ def splitting_check(
     Omega~(pi# z1, pi# z2) = pi(z1, z2) on Ann TN.
     """
     X, xi1, xi2 = epsilon
-    chart = bundle.chart
-    from .fields import recompose
-    from .scalars import GS_I
-
     xi = recompose(xi1, xi2)
     sharp_xi = pi.sharp(xi)
     section_in_graph = (sharp_xi - X).is_zero()
@@ -313,7 +309,6 @@ def splitting_check(
         return SplittingReport(section_in_graph, vanish, euler_ok, euler_warn,
                                None, None, None, ())
     Bw = B + omega.scale(GS_I)
-    ext = Extension(Bw)
 
     fiber_ok = _fiber_form_check(pi, bundle, Bw, points)
 
@@ -365,24 +360,24 @@ def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]
 
 def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
     """Fiber block of Bw on the zero section equals the induced fiber form
-    Omega~ with Omega~(pi# z1, pi# z2) = pi(z1, z2) on fiber covectors."""
+    Omega~ with Omega~(pi# z1, pi# z2) = pi(z1, z2) on fiber covectors.
+
+    The fiber covectors zeta_c with pi# zeta_c = d/d(fiber_c), the columns of
+    Z, solve A[:, fiber] Z = [0; Id], whose fiber rows say A_ff Z = Id; so Z
+    is unique and pi(zeta_a, zeta_c) = (Z^T A_ff Z)[a][c] = Z[c][a].  The
+    check M_ff = Z^T, with M_ff skew, is Z = -M_ff: A[:, fiber] times row c
+    of M_ff is the unit vector of fiber_c."""
     b, f = bundle.b, bundle.f
     n = b + f
     base_pts = [{v: Fraction(p[v]) for v in bundle.base_vars} for p in points]
     for bp in base_pts:
         pt = dict(bp, **{v: F0 for v in bundle.fiber_vars})
-        A = matrix_at(pi.body, pt)
-        M = matrix_at(Bw, pt)
-        # solve pi# zeta_a = d/d(fiber_a) with zeta in (Ann TN)_C = fiber
-        # covectors, all a at once: the columns of Z
-        units = [r[b:] for r in linalg.identity(n, GS_ONE, GS_ZERO)]
-        Z = linalg.solve([r[b:] for r in A], units, f, GS_ZERO)
-        if Z is None:
-            return False
-        # pi(zeta_a, zeta_c) = (Z^T A_ff Z)[a][c]
-        fiber_pi = linalg.matmul(linalg.transpose(Z), linalg.matmul([r[b:] for r in A[b:]], Z))
-        if [r[b:] for r in M[b:]] != fiber_pi:
-            return False
+        Are, Aim, dA = _int_matrix([r[b:] for r in matrix_at(pi.body, pt)])
+        Mre, Mim, dM = _int_matrix([r[b:] for r in matrix_at(Bw, pt)[b:]])
+        for c in range(f):
+            unit = [dA * dM if i == b + c else 0 for i in range(n)]
+            if _times(Are, Aim, Mre[c], Mim[c]) != (unit, [0] * n):
+                return False
     return True
 
 

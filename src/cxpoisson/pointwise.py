@@ -31,6 +31,7 @@ from .lagrangian import (
     Lagrangian,
     Subspace,
     _cols,
+    _int_matrix,
     _slice_real,
     _subspace,
     _tilde_from_slice,
@@ -42,10 +43,7 @@ from .lagrangian import (
 )
 from .linalg import _dot
 from .poly import Chart, poly_eval
-from .scalars import GS_ONE, GS_ZERO, GaussScalar
-
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .scalars import GS_ZERO, GaussScalar
 
 Point = Mapping[str, Fraction]
 
@@ -135,16 +133,17 @@ class RankProfile:
 
 
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
-    A = matrix_at(pi.body, point)
-    n = len(A)
-    E = Subspace(n, A, is_complex=True)  # row span = column span by skewness
+    Are, Aim, _ = _int_matrix(matrix_at(pi.body, point))
+    n = len(Are)
+    # row span = column span by skewness
+    E = _subspace(n, linalg.echelon(Are, Aim)[0], True)
     D = real_projection(E)
     return RankProfile(
         point=tuple(sorted(point.items())),
         dim_E=E.dim,
         dim_Delta=2 * E.dim - D.dim,
         dim_D=D.dim,
-        real_index=n - linalg.rank([[x.im for x in r] for r in A]),
+        real_index=n - len(linalg.echelon(Aim)[0]),
         order=D.dim,
         flags={"quasi_real_sample": E.dim == D.dim},
     )
@@ -188,9 +187,10 @@ def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:
     n = pi.chart.dim
     A = matrix_at(pi.body, point)
     pre = _slice_real(graph(A, "bivector"), _cols(n, 2), _cols(n, 1, 3))
-    # i pi#(e_j) = -A2[:, j] + i A1[:, j], paired as xi(X) - eta(Y)
-    cons = [[-A[i][j].im for i in range(n)] + [-A[i][j].re for i in range(n)] for j in range(n)]
-    ann = Subspace(2 * n, linalg.nullspace(cons, 2 * n, F1, F0))
+    # i pi#(e_j) = -A2[:, j] + i A1[:, j], paired as xi(X) - eta(Y): by
+    # skewness the row (A2[j], A1[j])
+    Are, Aim, _ = _int_matrix(A)
+    ann = _subspace(2 * n, linalg.nullspace(2 * n, [im + re for re, im in zip(Are, Aim)]), False)
     return pre, ann
 
 
@@ -198,12 +198,9 @@ def a_pi_min_at(pi: ComplexBivector, point: Point) -> Subspace:
     """A_pi^min = A_pi + i A_pi as a complex subspace of the cotangent fiber."""
     pre, _ = a_pi_at(pi, point)
     n = pi.chart.dim
-    gens = []
-    for row in pre.basis:
-        z = [GaussScalar.of(row[j], row[n + j]) for j in range(n)]
-        gens.append(z)
-        gens.append([GaussScalar.of(0, 1) * x for x in z])
-    return Subspace(n, gens, is_complex=True)
+    # the complex span of the z = xi + i eta, which holds i z as well
+    rows, _ = linalg.echelon([ints[:n] for ints, _ in pre.rows], [ints[n:] for ints, _ in pre.rows])
+    return _subspace(n, rows, True)
 
 
 # -- leafwise presymplectic data ---------------------------------------------
@@ -259,13 +256,16 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     """
     n = pi.chart.dim
     A1, A2 = bivector_at(pi, point)
-    inv2 = linalg.solve(A2, linalg.identity(n, F1, F0), n, F0)
-    if inv2 is None:
+    re, _, d = _int_matrix(A2)
+    # A2 X = Id over the denominator d of A2
+    X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] for i, r in enumerate(re)])
+    if X is None:
         nullity = n - linalg.rank(A2)
         raise ValueError(
             f"pi2 singular at the point (real index {nullity} > 0): no "
             "generalized complex matrix"
         )
+    inv2 = [linalg._scalars(r) for r in X]
     M11 = linalg.matmul(A1, inv2)
     M22 = linalg.matmul(inv2, A1)
     sigma = [
@@ -281,14 +281,10 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
 
 
 def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:
-    n2 = len(J)
-    rows = [
-        [GaussScalar.of(J[i][j], F0) for j in range(n2)] for i in range(n2)
-    ]
-    for i in range(n2):
-        rows[i][i] = rows[i][i] - GaussScalar.of(0, 1)
-    null = linalg.nullspace(rows, n2, GS_ONE, GS_ZERO)
-    return Subspace(n2, null, is_complex=True)
+    """The kernel of J - i Id, over the denominator d of J."""
+    re, im, d = _int_matrix(J)
+    im = [[x - d if i == j else x for j, x in enumerate(r)] for i, r in enumerate(im)]
+    return _subspace(len(re), linalg.nullspace(len(re), re, im), True)
 
 
 # -- tilde reconstruction ------------------------------------------------------
@@ -332,12 +328,9 @@ def involutivity_sample(
         for b in range(a + 1, len(generators)):
             brackets[(a, b)] = schouten(generators[a], generators[b])
     for pt in points:
-        vals = []
-        for g in generators:
-            vals.append([poly_eval(g.component((j,)), pt) for j in range(n)])
-        span, _ = linalg.rref(vals)
+        span = Subspace(n, [[poly_eval(g.component((j,)), pt) for j in range(n)] for g in generators], True)
         for (a, b), br in brackets.items():
             bv = [poly_eval(br.component((j,)), pt) for j in range(n)]
-            if any(bv) and not linalg.member(bv, span):
+            if any(bv) and not span.contains(bv):
                 failures.append((a, b, tuple(sorted(pt.items()))))
     return InvolutivityReport(not failures, tuple(failures))

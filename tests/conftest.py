@@ -154,6 +154,69 @@ def random_multifield(rng: random.Random, chart: Chart, degree: int) -> MultiFie
     return MultiField(chart, degree, comps)
 
 
+def reference_rref(rows):
+    """Field-division Gauss-Jordan, leftmost pivot, leading ones: the rref
+    this package used before its integer elimination.  Int entries are made
+    Fractions, so nothing divides into floats."""
+    m = [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for k in range(r, len(m)):
+            if m[k][c]:
+                pr = k
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][c]:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def reference_nullspace(rows, ncols, one, zero):
+    """Basis of {x : M x = 0} off reference_rref: per free column f, x[f] =
+    one and x[c] = -r[f] for the row r with pivot c."""
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, rhs, ncols, zero):
+    """X with M X == B off reference_rref of [M | B], free unknowns zero;
+    None if any column of B is inconsistent."""
+    red, pivots = reference_rref([list(r) + list(b) for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] >= ncols:
+        return None
+    X = [[zero] * (len(rhs[0]) if rhs else 0) for _ in range(ncols)]
+    for r, pc in zip(red, pivots):
+        X[pc] = r[ncols:]
+    return X
+
+
+def reference_contains(rows, v) -> bool:
+    """v lies in the span of rows: reference_rref gains no row."""
+    return len(reference_rref([*rows, v])[0]) == len(reference_rref(rows)[0])
+
+
 def is_canonical(row, is_complex) -> bool:
     """A canonical integer row: (re, im, d) over Q(i), (ints, d) over Q, as
     tuples, with d > 0, first nonzero entry (d, 0) and gcd 1 over the entries

@@ -286,6 +286,14 @@ def test_exponent_past_the_packed_limit_is_refusal(tmp_path, capsys):
     assert code == 2 and "line 3" in err and "32767" in err
 
 
+def test_deeply_nested_coefficient_is_refusal(tmp_path, capsys):
+    # refused by the parser's nesting bound, not a RecursionError
+    f = tmp_path / "deep.prob"
+    f.write_text(f"chart x y\nbivector B {{\n 1 2 = {'(' * 3000}x{')' * 3000}\n}}\ncheck c jacobi B\n")
+    code, out, err = run(capsys, ["check", str(f)])
+    assert code == 2 and out == "" and "line 3: bad coefficient" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, ["check", "/nonexistent/none.prob"])
     assert code == 2 and "error" in err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cxpoisson import Chart, Poly, parse_poly
-from cxpoisson.grammar import MAX_EXPONENT, PolyParseError
+from cxpoisson.grammar import MAX_EXPONENT, MAX_NESTING, PolyParseError
 from cxpoisson.scalars import GS_I, GaussScalar
 
 CH = Chart(("x", "y", "z"))
@@ -44,6 +44,10 @@ def test_parentheses_and_unary():
     assert parse_poly("-(x + y)", CH) == -(Poly.var(CH, "x") + Poly.var(CH, "y"))
     assert parse_poly("(1 + i)*(1 - i)", CH) == Poly.const(CH, 2)
     assert parse_poly("--x", CH) == Poly.var(CH, "x")
+    # MAX_NESTING bounds the depth, not the count: sibling groups and signs pass
+    k = MAX_NESTING + 1
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, CH) == Poly.var(CH, "x")
+    assert parse_poly(" + ".join(["(-x)"] * k), CH) == Poly.const(CH, -k) * Poly.var(CH, "x")
 
 
 def test_complex_coefficient_roundtrip():
@@ -57,27 +61,26 @@ def test_chart_variable_named_i_shadows_unit():
     assert p == Poly.var(ch, "i") * Poly.var(ch, "i")
 
 
-def test_errors_carry_column():
-    with pytest.raises(PolyParseError):
-        parse_poly("x +", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("w + 1", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("x^y", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("(x", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("x ? y", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("x y", CH)
-    with pytest.raises(PolyParseError):
-        parse_poly("1/0", CH)
-    err = None
-    try:
-        parse_poly("x + w", CH)
-    except PolyParseError as exc:
-        err = exc
-    assert err is not None and "column 5" in str(err)
+@pytest.mark.parametrize("text, column", [
+    pytest.param("x +", 4, id="end-of-input"),
+    pytest.param("w + 1", 1, id="unknown-variable"),
+    pytest.param("x + w", 5, id="unknown-variable-later"),
+    pytest.param("x^y", 3, id="exponent-not-an-integer"),
+    pytest.param("(x", 3, id="unclosed-parenthesis"),
+    pytest.param("x ? y", 2, id="unexpected-character"),
+    pytest.param("x y", 3, id="trailing-token"),
+    pytest.param("1/0", 3, id="zero-denominator"),
+    # each level of nesting is a few parser frames: refused past MAX_NESTING,
+    # not a RecursionError
+    pytest.param("(" * 3000 + "x" + ")" * 3000, MAX_NESTING + 1, id="deep-parentheses"),
+    pytest.param("-" * 3000 + "x", MAX_NESTING + 1, id="long-unary-chain"),
+    # past Python's 4,300-digit limit on str -> int, not a ValueError from int()
+    pytest.param("1" * 5000, 1, id="long-literal"),
+    pytest.param("x^" + "1" * 5000, 3, id="long-exponent"),
+])
+def test_errors_carry_column(text, column):
+    with pytest.raises(PolyParseError, match=f"^at column {column}: "):
+        parse_poly(text, CH)
 
 
 @pytest.mark.parametrize("base", ["x", "(3/2*y)", "(1 + i)", "(x - 2*i*y + 1/3)"])

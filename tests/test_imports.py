@@ -1,5 +1,6 @@
-"""The package's lints: no module imports a name it never uses, and no
-function or method is defined that nothing reads.
+"""The package's lints: no module imports a name it never uses, no
+function or method is defined that nothing reads, and no function assigns a
+local it never reads.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -90,3 +91,32 @@ def test_every_function_is_read_somewhere():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     readers = [p.read_text(encoding="utf-8") for d in READERS for p in sorted((ROOT / d).rglob("*.py"))]
     assert unread_functions(modules, readers) == []
+
+
+def unread_locals(source: str):
+    """(line, function, name) for each name a function assigns that nothing
+    in the function, nested functions included, reads; `_` is exempt."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node for node in ast.walk(fn) if isinstance(node, ast.Name)]
+            read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            out += sorted({
+                (node.lineno, fn.name, node.id)
+                for node in names
+                if isinstance(node.ctx, ast.Store) and node.id not in read and node.id != "_"
+            })
+    return out
+
+
+def test_the_check_sees_an_unread_local():
+    source = (
+        "def f(a):\n    x = a\n    y, _ = a\n    z = 1\n    for w in a:\n        pass\n"
+        "    def g():\n        return y\n    return g\n"
+    )
+    assert unread_locals(source) == [(2, "f", "x"), (4, "f", "z"), (5, "f", "w")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_reads_every_local_it_assigns(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []

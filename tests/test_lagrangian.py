@@ -41,7 +41,17 @@ from cxpoisson.lagrangian import (
 )
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
-from conftest import is_canonical, random_lagrangian, random_real_lagrangian, random_skew
+from conftest import (
+    is_canonical,
+    random_gauss,
+    random_lagrangian,
+    random_real_lagrangian,
+    random_skew,
+    reference_contains,
+    reference_nullspace,
+    reference_rref,
+    reference_solve,
+)
 
 F = Fraction
 
@@ -201,6 +211,20 @@ def test_twoform_graph_two_form_on_range(rng):
             assert two_form_on_range(rows, n, x, y) == expected
 
 
+def test_element_with_tangent_lies_in_the_span_over_that_tangent(rng):
+    # x is a complex combination of the tangent range, so the combination
+    # solve finds has complex coefficients
+    for _ in range(10):
+        n = rng.choice((2, 3))
+        L = random_lagrangian(rng, n)
+        rows = [list(r) for r in L.basis]
+        E = tangent_range(L).basis
+        coefs = [random_gauss(rng) for _ in E]
+        x = [sum((c * v[t] for c, v in zip(coefs, E)), GS_ZERO) for t in range(n)]
+        el = element_with_tangent(rows, n, x)
+        assert el[:n] == x and reference_contains(rows, el)
+
+
 def test_element_with_tangent_outside_range_is_none():
     n = 2
     L = Lagrangian.from_generators(
@@ -225,6 +249,16 @@ def test_range_form_reconstruction(rng):
         assert lagrangian_from_range_form(
             [list(v) for v in E.basis], eps, n
         ) == L
+
+
+def test_range_form_refuses_inconsistent_and_non_skew_forms():
+    # v_1 = 2 v_0, but eps(v_0, v_1) != 2 eps(v_0, v_0): no xi has xi|_E = i_X eps
+    E_basis = [[GS_ONE, GS_ZERO], [GaussScalar.of(2), GS_ZERO]]
+    with pytest.raises(ValueError, match="inconsistent"):
+        lagrangian_from_range_form(E_basis, [[GS_ZERO, GS_ONE], [-GS_ONE, GS_ZERO]], 2)
+    # a form that is not skew gives a subspace that is not isotropic
+    with pytest.raises(ValueError, match="isotropic"):
+        lagrangian_from_range_form([[GS_ONE, GS_ZERO]], [[GS_ONE]], 2)
 
 
 # -- products and transforms --------------------------------------------------
@@ -404,6 +438,7 @@ def test_k_perp_projects_onto_D(rng):
         prKp = SubspaceReal(n, [list(r[:n]) for r in Kp.basis])
         assert prKp == real_projection(tangent_range(L))
         assert K.dim + Kp.dim == 2 * n
+        assert not any(pairing(k, x, n) for k in K.basis for x in Kp.basis)
 
 
 def test_realify_doubles_dimension(rng):
@@ -468,10 +503,10 @@ def ref_slice_real(L, zero_cols, keep_cols):
     for r in L.basis:
         rows.append([x.re for x in r] + [x.im for x in r])
         rows.append([-x.im for x in r] + [x.re for x in r])
-    rows, _ = linalg.rref(rows)
+    rows, _ = reference_rref(rows)
     k = len(rows)
     cons = [[r[c] for r in rows] for c in zero_cols]
-    null = linalg.nullspace(cons, k, F(1), F(0))
+    null = reference_nullspace(cons, k, F(1), F(0))
     out = [[sum((w[i] * rows[i][c] for i in range(k)), F(0)) for c in keep_cols] for w in null]
     return Subspace(len(keep_cols), out)
 
@@ -507,7 +542,7 @@ def ref_products(kind, L1, L2):
     k1, k2 = len(B1), len(B2)
     lo, hi = (0, n) if kind == "tangent" else (n, 2 * n)
     cons = [[r[s] for r in B1] + [-r[s] for r in B2] for s in range(lo, hi)]
-    null = linalg.nullspace(cons, k1 + k2, GS_ONE, GS_ZERO)
+    null = reference_nullspace(cons, k1 + k2, GS_ONE, GS_ZERO)
     B2_off = [[GS_ZERO if lo <= s < hi else x for s, x in enumerate(r)] for r in B2]
     rows = [combine(w, list(B1) + B2_off, range(2 * n)) for w in null]
     return Lagrangian.from_generators(n, rows, allow_partial=True)
@@ -519,7 +554,7 @@ def ref_images(kind, A, L):
         n, m = nrows, mcols
         cons = [[A[t][c] for c in range(m)] + [-B[i][t] for i in range(k)] for t in range(n)]
         rows = []
-        for sol in linalg.nullspace(cons, m + k, GS_ONE, GS_ZERO):
+        for sol in reference_nullspace(cons, m + k, GS_ONE, GS_ZERO):
             eta = combine(sol[m:], B, range(n, 2 * n))
             At_eta = [sum((A[t][c] * eta[t] for t in range(n)), GS_ZERO) for c in range(m)]
             rows.append(sol[:m] + At_eta)
@@ -527,7 +562,7 @@ def ref_images(kind, A, L):
     n, m = nrows, mcols
     cons = [[-A[t][c] for t in range(n)] + [B[i][m + c] for i in range(k)] for c in range(m)]
     rows = []
-    for sol in linalg.nullspace(cons, n + k, GS_ONE, GS_ZERO):
+    for sol in reference_nullspace(cons, n + k, GS_ONE, GS_ZERO):
         X = combine(sol[n:], B, range(m))
         AX = [sum((A[t][c] * X[c] for c in range(m)), GS_ZERO) for t in range(n)]
         rows.append(AX + sol[:n])
@@ -537,7 +572,7 @@ def ref_images(kind, A, L):
 def ref_kernel_space(L):
     n = L.n
     cons = [[r[n + t] for r in L.basis] for t in range(n)]
-    null = linalg.nullspace(cons, L.dim, GS_ONE, GS_ZERO)
+    null = reference_nullspace(cons, L.dim, GS_ONE, GS_ZERO)
     return Subspace(n, [combine(w, L.basis, range(n)) for w in null], is_complex=True)
 
 
@@ -549,7 +584,7 @@ def ref_bivector_of_graph(L):
     cols = []
     for k in range(n):
         target = [GS_ONE if t == k else GS_ZERO for t in range(n)]
-        combo = linalg.solve(cot, [[t] for t in target], n, GS_ZERO)
+        combo = reference_solve(cot, [[t] for t in target], n, GS_ZERO)
         if combo is None:
             return None
         cols.append(combine([c for c, in combo], L.basis, range(n)))
@@ -609,7 +644,7 @@ def test_images_match_nullspace_formulation(data):
 #
 # RefSubspace, RefLagrangian and the old_* functions are this module's code
 # from before Subspace kept canonical integer rows: bases of GaussScalars or
-# Fractions, re-reduced by rref on every build, isotropy by a GaussScalar
+# Fractions, re-reduced by a field-division rref on every build, isotropy by a GaussScalar
 # matmul.  The new classes must give the same bases, dimensions, equalities
 # and verdicts, and every constructor must leave canonical rows.
 
@@ -626,7 +661,7 @@ class RefSubspace:
             rows = [ref_gauss_row(g) for g in gens]
         else:
             rows = [[x if isinstance(x, (int, F)) else F(x) for x in g] for g in gens]
-        red, _ = linalg.rref(rows)
+        red, _ = reference_rref(rows)
         self.m = m
         self.basis = tuple(tuple(r) for r in red)
 
@@ -635,7 +670,7 @@ class RefSubspace:
         return len(self.basis)
 
     def contains(self, v):
-        return linalg.member(list(v), [list(r) for r in self.basis])
+        return reference_contains([list(r) for r in self.basis], list(v))
 
     def __eq__(self, other):
         return (
@@ -698,7 +733,7 @@ def ref_gauss_row(g):
 
 
 def ref_eliminate(rows, k):
-    red, pivots = linalg.rref(rows)
+    red, pivots = reference_rref(rows)
     return [r[k:] for r, c in zip(red, pivots) if c >= k]
 
 
@@ -721,7 +756,7 @@ def old_graph(datum, kind):
 
 def old_bivector_of_graph(L):
     n = L.n
-    red, pivots = linalg.rref([r[n:] + r[:n] for r in L.basis])
+    red, pivots = reference_rref([r[n:] + r[:n] for r in L.basis])
     if pivots != list(range(n)):
         return None
     return linalg.transpose([r[n:] for r in red])

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and Q(i): single and block solves checked
-against the rank criterion and the old inverse, rref against
-field-division Gauss-Jordan and against sympy, eliminate against the
-echelon-then-filter route it replaced."""
+against the rank criterion and the field-division inverse, nullspace
+against the kernel, echelon's rows read as scalars against field-division
+Gauss-Jordan and against sympy, eliminate against the echelon-then-filter
+route it replaced."""
 
 from fractions import Fraction
 from math import gcd
@@ -10,16 +11,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import linalg
+from cxpoisson import Subspace, graph, linalg
+from cxpoisson.lagrangian import _int_matrix
 from cxpoisson.scalars import GaussScalar
 
-from conftest import is_canonical
+from conftest import is_canonical, reference_contains, reference_nullspace, reference_rref
 
 SMALL = st.integers(-3, 3)
 FIELDS = {
     "Q": (SMALL.map(Fraction), Fraction(0)),
     "Q(i)": (st.builds(GaussScalar.of, SMALL, SMALL), GaussScalar.of(0)),
 }
+
+
+def int_rows(rows):
+    """echelon's arguments for rows of Fractions or GaussScalars, over one
+    denominator: (re, im) over Q(i), (re, None) over Q."""
+    re, im, _ = _int_matrix(rows)
+    return re, im if any(isinstance(x, GaussScalar) for r in rows for x in r) else None
+
+
+def solved(ncols, rows, B):
+    """solve's X for M X == B, read as scalars; None when inconsistent."""
+    X = linalg.solve(ncols, *int_rows([list(r) + list(b) for r, b in zip(rows, B)]))
+    return None if X is None else [linalg._scalars(r) for r in X]
 
 
 @st.composite
@@ -40,7 +55,7 @@ def systems(draw, field):
 @given(st.sampled_from(sorted(FIELDS)).flatmap(systems))
 def test_solve_is_exact_and_none_iff_inconsistent(system):
     rows, rhs, ncols, zero = system
-    X = linalg.solve(rows, [[b] for b in rhs], ncols, zero)
+    X = solved(ncols, rows, [[b] for b in rhs])
     x = None if X is None else [c for c, in X]
     aug = [r + [b] for r, b in zip(rows, rhs)]
     assert (x is None) == (linalg.rank(aug) > linalg.rank(rows))
@@ -69,7 +84,7 @@ def block_systems(draw, field):
 @given(st.sampled_from(sorted(FIELDS)).flatmap(block_systems))
 def test_block_solve_is_exact_and_none_iff_some_column_inconsistent(system):
     rows, B, ncols, zero = system
-    X = linalg.solve(rows, B, ncols, zero)
+    X = solved(ncols, rows, B)
     aug = [r + b for r, b in zip(rows, B)]
     assert (X is None) == (linalg.rank(aug) > linalg.rank(rows))
     if X is not None:
@@ -78,11 +93,12 @@ def test_block_solve_is_exact_and_none_iff_some_column_inconsistent(system):
 
 
 def reference_inverse(A, one, zero):
-    """Matrix inverse by Gauss-Jordan on [A | I]; None if singular: the
-    inverse routine this package had before solve took a block."""
+    """Matrix inverse by field-division Gauss-Jordan on [A | I]; None if
+    singular: the inverse routine this package had before solve took a
+    block."""
     n = len(A)
     aug = [list(A[i]) + linalg.identity(n, one, zero)[i] for i in range(n)]
-    red, pivots = linalg.rref(aug)
+    red, pivots = reference_rref(aug)
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]
@@ -106,43 +122,12 @@ def square_matrices(draw, field):
 def test_solve_against_identity_is_the_inverse(case):
     A, one, zero = case
     n = len(A)
-    inv = linalg.solve(A, linalg.identity(n, one, zero), n, zero)
+    inv = solved(n, A, linalg.identity(n, one, zero))
     assert inv == reference_inverse(A, one, zero)
     assert (inv is None) == (linalg.rank(A) < n)
 
 
-# -- rref against field-division Gauss-Jordan ----------------------------------
-
-
-def reference_rref(rows):
-    """Field-division Gauss-Jordan, leftmost pivot, leading ones: the rref
-    this package used before its integer elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for k in range(r, len(m)):
-            if m[k][c]:
-                pr = k
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c]:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+# -- echelon read as scalars against field-division Gauss-Jordan --------------
 
 
 WIDE = st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**4))
@@ -178,7 +163,9 @@ def matrices(draw, field):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
 def test_rref_matches_field_division_gauss_jordan(rows):
-    red, pivots = linalg.rref(rows)
+    # echelon's canonical rows, read as scalars, are the rref
+    red, pivots = linalg.echelon(*int_rows(rows))
+    red = [linalg._scalars(r) for r in red]
     ref_red, ref_pivots = reference_rref(rows)
     assert pivots == ref_pivots
     assert red == ref_red
@@ -207,17 +194,37 @@ def test_rref_matches_sympy_domain_matrix(rows):
 
     M = DomainMatrix([[to_sympy(x) for x in r] for r in rows], (len(rows), len(rows[0])), QQ_I)
     ref, ref_pivots = M.rref()
-    red, pivots = linalg.rref(rows)
+    red, pivots = linalg.echelon(*int_rows(rows))
+    red = [linalg._scalars(r) for r in red]
     assert tuple(pivots) == tuple(ref_pivots)
     expected = [[from_sympy(q) for q in r] for r in ref.to_list()[: len(pivots)]]
     assert [[x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in r] for r in red] == expected
 
 
-def test_rref_refuses_entries_it_cannot_make_exact():
+def test_scalar_entries_refuse_floats():
+    # rank, Subspace and graph take scalars; a float cannot be made exact
     with pytest.raises(TypeError):
-        linalg.rref([[0.5, Fraction(1)]])
+        linalg.rank([[0.5, Fraction(1)]])
     with pytest.raises(TypeError):
-        linalg.rref([[GaussScalar.of(1), 0.5]])
+        Subspace(2, [[GaussScalar.of(1), 0.5]])
+    with pytest.raises(TypeError):
+        Subspace(2, [[Fraction(1), 2]]).contains([0.5, 1])
+    with pytest.raises(TypeError):
+        graph([[0, 0.5], [-0.5, 0]], "twoform")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
+def test_nullspace_is_the_canonical_kernel(rows):
+    ncols = len(rows[0]) if rows else 0
+    is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
+    null = linalg.nullspace(ncols, *int_rows(rows))
+    assert all(is_canonical(v, is_complex) for v in null)
+    assert len(null) == ncols - linalg.rank(rows)
+    zero = FIELDS["Q(i)" if is_complex else "Q"][1]
+    for v in null:
+        assert linalg.matvec(rows, linalg._scalars(v)) == [zero] * len(rows)
+    assert [linalg._scalars(v) for v in null] == reference_rref(reference_nullspace(rows, ncols, zero + 1, zero))[0]
 
 
 # -- echelon and eliminate ------------------------------------------------------
@@ -227,14 +234,14 @@ def test_rref_refuses_entries_it_cannot_make_exact():
 @given(st.sampled_from(sorted(FIELDS)).flatmap(matrices))
 def test_echelon_rows_are_canonical_and_read_as_the_rref(rows):
     is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
-    red, pivots = linalg.echelon(*linalg._ints(rows, is_complex))
+    red, pivots = linalg.echelon(*int_rows(rows))
     assert all(is_canonical(r, is_complex) for r in red)
     assert ([linalg._scalars(r) for r in red], pivots) == reference_rref(rows)
     # heads: the projection on the first k coordinates, already reduced
     for k in range(len(rows[0]) + 1 if rows else 0):
         heads = linalg._heads(red, k)
         assert all(is_canonical(h, is_complex) for h in heads)
-        assert [linalg._scalars(h) for h in heads] == linalg.rref([r[:k] for r in rows])[0]
+        assert [linalg._scalars(h) for h in heads] == reference_rref([r[:k] for r in rows])[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -243,7 +250,7 @@ def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
     ncols = len(rows[0]) if rows else 0
     k = data.draw(st.integers(0, ncols))
     is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
-    canonical = linalg.eliminate(k, *linalg._ints(rows, is_complex))
+    canonical = linalg.eliminate(k, *int_rows(rows))
     assert all(is_canonical(t, is_complex) for t in canonical)
     tails = [linalg._scalars(t) for t in canonical]
     # dim(span ∩ {v[:k] = 0}) = rank(M) - rank(M[:, :k])
@@ -251,9 +258,9 @@ def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
     assert all(len(t) == ncols - k for t in tails)
     # each tail, padded with k zeros, lies in the span ...
     for t in tails:
-        assert linalg.member([0] * k + t, linalg.rref(rows)[0])
+        assert reference_contains(rows, [0] * k + t)
     # ... and the tails are already a reduced echelon basis, so independent
-    assert linalg.rref(tails)[0] == tails
+    assert reference_rref(tails)[0] == tails
 
 
 def reference_eliminate(k, re_rows, im_rows=None):

@@ -34,6 +34,8 @@ from cxpoisson.pointwise import grid_points, matrix_at
 from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import linalg
 
+from conftest import reference_solve
+
 F = Fraction
 
 BUNDLE = BundleChart(("u", "v"), ("q", "p"))
@@ -148,6 +150,11 @@ def test_mixed_check_negative_pi2_hits_annihilator():
     )
     rep = mixed_check(pi, BUNDLE, base_points())
     assert not rep.pi2_annihilator_zero
+    # a purely imaginary fiber block: pi1 misses the fiber directions, pi
+    # does not, so the real direct sum fails and the complex one holds
+    pi = bivector_from_brackets(CH, {(0, 1): Poly.var(CH, "u"), (2, 3): parse_poly("i", CH)})
+    rep = mixed_check(pi, BUNDLE, base_points())
+    assert not rep.pi2_annihilator_zero and not rep.direct_sum_ok and rep.complex_cosymplectic_ok
 
 
 def test_mixed_check_rejects_wrong_chart():
@@ -269,7 +276,7 @@ def ref_fiber_pi(pi, bundle, pt):
     zetas = []
     for a in range(f):
         target = [GS_ONE if i == b + a else GS_ZERO for i in range(n)]
-        X = linalg.solve(sub, [[t] for t in target], f, GS_ZERO)
+        X = reference_solve(sub, [[t] for t in target], f, GS_ZERO)
         if X is None:
             return None
         zetas.append([c for c, in X])

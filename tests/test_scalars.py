@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxpoisson import Subspace
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
+
+from conftest import reference_rref
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 gauss = st.builds(GaussScalar.of, fractions, fractions)
@@ -167,8 +170,6 @@ def test_copy_and_pickle_round_trip():
 
 
 def test_post_init_is_called_once_per_scalar_made(monkeypatch):
-    from cxpoisson import linalg
-
     assert "__post_init__" in vars(GaussScalar)
     original = GaussScalar.__post_init__
     made = []
@@ -199,11 +200,14 @@ def test_post_init_is_called_once_per_scalar_made(monkeypatch):
     out = z * 2
     assert len(made) == 2 and made[1] is out
 
+    # a basis read off canonical integer rows makes each nonzero entry once
     rows = [[z, w, GS_ZERO], [w, z, GS_ONE], [z + w, z + w, GS_ONE]]
+    S = Subspace(3, rows)
     made.clear()
-    red, _ = linalg.rref(rows)
-    fresh = [x for r in red for x in r if x is not GS_ZERO]
+    basis = S.basis
+    fresh = [x for r in basis for x in r if x is not GS_ZERO]
     assert len(made) == len(fresh) and {id(x) for x in made} == {id(x) for x in fresh}
+    assert [list(r) for r in basis] == reference_rref(rows)[0]
 
 
 def test_instances_are_slotted_and_immutable():
