@@ -1,9 +1,14 @@
 """Batch command-line front end.
 
-Subcommands: check, invariants, dirac, normal-form.  Exit status 0 when every
-record passes, 1 when any record fails, 2 on refusal or parse error.  The
-machine format is one JSON record per line with a fixed key order; the human
-format is derived from the same records.
+Subcommands: check, invariants, dirac, normal-form.  Each runs the file's
+checks of its kind through one runner (_run), which selects them under
+--check, refuses a check whose first argument names no bivector, times each
+and records it; a subcommand supplies only its points and the body of one
+check.  Exit status 0 when every record passes, 1 when any record fails, 2 on
+refusal or parse error.  Witnesses are recorded as library values and turned
+into text in one place (_text).  The machine format is one JSON record per
+line with a fixed key order; the human format is derived from the same
+records.
 """
 
 from __future__ import annotations
@@ -50,6 +55,22 @@ from .pointwise import (
 from .problem import ProblemFile, ProblemParseError, parse_problem
 
 
+def _text(value):
+    """value with each library value in it (Poly, field, Fraction,
+    GaussScalar) turned into its text; containers keep their type, and
+    numbers, strings and None are kept as they are."""
+    if isinstance(value, dict):
+        return {k: _text(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_text, value))
+    if value is None or isinstance(value, (int, str)):
+        return value
+    try:
+        return str(value)
+    except ValueError:  # an integer past Python's digit limit on int -> str
+        return f"<not printed: more than {sys.get_int_max_str_digits()} digits>"
+
+
 class Report:
     """Ordered collection of per-check records."""
 
@@ -64,7 +85,7 @@ class Report:
                 "kind": kind,
                 "inputs": inputs,
                 "verdict": verdict,
-                "witness": witness,
+                "witness": _text(witness),
                 "time_ms": round((time.monotonic() - t0) * 1000, 3),
             }
         )
@@ -78,7 +99,7 @@ class Report:
 
     def render(self, fmt: str) -> str:
         if fmt == "machine":
-            return "\n".join(json.dumps(r, default=str) for r in self.records)
+            return "\n".join(json.dumps(r) for r in self.records)
         lines = []
         for r in self.records:
             lines.append(f"[{r['verdict'].upper():7s}] {r['check']} ({r['kind']}) "
@@ -150,64 +171,58 @@ def _grid_size(text: str) -> int:
     return n
 
 
-def _selected(pf: ProblemFile, kind: str, only: Optional[str]):
-    wanted = set(only.split(",")) if only else None
-    for cid, ckind, args in pf.checks:
-        if ckind != kind:
-            continue
-        if wanted and cid not in wanted:
-            continue
-        yield cid, args
-
-
 # -- commands --------------------------------------------------------------------
 
 
-def cmd_check(pf: ProblemFile, args) -> Report:
+# kinds whose checks name just a bivector: a record shows the name, and a file
+# with no check of the kind gets one per bivector
+_BIVECTOR_KINDS = ("jacobi", "invariants")
+
+
+def _run(pf: ProblemFile, args, kind: str, body) -> Report:
+    """One timed record per check of kind that --check selects.  A check names
+    its bivector first, and a name that is no bivector of pf is refused;
+    body(pi, rest) gives the verdict and witness on the bivector pi and the
+    check's other arguments."""
     rep = Report()
-    items = list(_selected(pf, "jacobi", args.check))
-    if not items and not args.check:
+    wanted = args.check.split(",") if args.check else None
+    items = [(cid, cargs) for cid, ckind, cargs in pf.checks
+             if ckind == kind and (wanted is None or cid in wanted)]
+    if not items and wanted is None and kind in _BIVECTOR_KINDS:
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
         name = cargs[0] if cargs else None
-        if name not in pf.bivectors:
-            rep.add(cid, "jacobi", name, "refused(unknown name)", None, t0)
-            continue
-        pi = ComplexBivector(build_field(pf, "bivector", name))
-        res = jacobi_residual(pi)
-        pc1, pc2 = pair_conditions(pi)
-        pde = jacobi_pde_residuals(pi)
-        bad_pde = [(ijk, s, str(p)) for ijk, s, p in pde if not p.is_zero()]
-        ok = res.is_zero() and pc1.is_zero() and pc2.is_zero() and not bad_pde
-        witness = None
-        if not ok:
-            witness = {
-                "jacobi_residual": str(res),
-                "pair_conditions": [str(pc1), str(pc2)],
-                "pde_residuals": bad_pde[:4],
-            }
-        rep.add(cid, "jacobi", name, "pass" if ok else "fail", witness, t0)
+        if name in pf.bivectors:
+            verdict, witness = body(ComplexBivector(build_field(pf, "bivector", name)), cargs[1:])
+        else:
+            verdict, witness = "refused(unknown name)", None
+        inputs = name if kind in _BIVECTOR_KINDS else cargs
+        rep.add(cid, kind, inputs, verdict, witness, t0)
     return rep
 
 
+def cmd_check(pf: ProblemFile, args) -> Report:
+    def jacobi(pi, _):
+        res = jacobi_residual(pi)
+        pc1, pc2 = pair_conditions(pi)
+        bad_pde = [r for r in jacobi_pde_residuals(pi) if not r[2].is_zero()]
+        if res.is_zero() and pc1.is_zero() and pc2.is_zero() and not bad_pde:
+            return "pass", None
+        return "fail", {"jacobi_residual": res, "pair_conditions": [pc1, pc2],
+                        "pde_residuals": bad_pde[:4]}
+
+    return _run(pf, args, "jacobi", jacobi)
+
+
 def cmd_invariants(pf: ProblemFile, args) -> Report:
-    rep = Report()
     pts = collect_points(pf, args.points, args.grid_size)
-    items = list(_selected(pf, "invariants", args.check))
-    if not items and not args.check:
-        items = [(name, [name]) for name in pf.bivectors]
-    for cid, cargs in items:
-        t0 = time.monotonic()
-        name = cargs[0] if cargs else None
-        if name not in pf.bivectors:
-            rep.add(cid, "invariants", name, "refused(unknown name)", None, t0)
-            continue
-        pi = ComplexBivector(build_field(pf, "bivector", name))
+
+    def invariants(pi, _):
         profs, summary = profile_sample(pi, pts)
         table = [
             {
-                "point": {k: str(v) for k, v in p.point},
+                "point": dict(p.point),
                 "dim_E": p.dim_E,
                 "dim_Delta": p.dim_Delta,
                 "dim_D": p.dim_D,
@@ -218,35 +233,36 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
         ]
         witness = {"summary": summary, "profiles": table}
         if all(p.real_index == 0 for p in profs):
-            J, sigma = gcs_matrix(pi, pts[0])
-            witness["gcs_matrix"] = [[str(x) for x in row] for row in J]
-            witness["gcs_sigma"] = [[str(x) for x in row] for row in sigma]
-        rep.add(cid, "invariants", name, "pass", witness, t0)
-    return rep
+            witness["gcs_matrix"], witness["gcs_sigma"] = gcs_matrix(pi, pts[0])
+        return "pass", witness
+
+    return _run(pf, args, "invariants", invariants)
 
 
+# dirac pipeline op -> the map it applies to the complexified lagrangian, or
+# None for indices and theorem_7_18, which report on it instead.  Each map
+# looks its function up by name when it runs, as a call in a function body
+# does, so a module name rebound after import is the one called.
 _DIRAC_OPS = {
-    "hat", "check", "tilde", "hat_cot", "check_cot", "tilde_cot",
-    "conjugate", "indices", "theorem_7_18",
+    "hat": lambda L: hat(L), "check": lambda L: lag_check(L), "tilde": lambda L: tilde(L),
+    "hat_cot": lambda L: hat_cot(L), "check_cot": lambda L: check_cot(L),
+    "tilde_cot": lambda L: tilde_cot(L),
+    "conjugate": lambda L: transform("conjugate", None, L),
+    "indices": None, "theorem_7_18": None,
 }
 
 
 def cmd_dirac(pf: ProblemFile, args) -> Report:
-    rep = Report()
     # dirac runs at the given points, or at three grid points when none are
     use_pts = given_points(pf, args.points) or collect_points(pf, None, args.grid_size)[:3]
-    for cid, cargs in _selected(pf, "dirac", args.check):
-        t0 = time.monotonic()
-        if not cargs:
-            rep.add(cid, "dirac", cargs, "refused(no bivector)", None, t0)
-            continue
-        name = cargs[0]
-        ops = [a for a in cargs[1:] if a not in (":", "|")]
+
+    def dirac(pi, rest):
+        ops = [a for a in rest if a not in (":", "|")]
         bad = [op for op in ops if op not in _DIRAC_OPS]
-        if name not in pf.bivectors or bad:
-            rep.add(cid, "dirac", cargs, f"refused(bad pipeline {bad or name})", None, t0)
-            continue
-        pi = ComplexBivector(build_field(pf, "bivector", name))
+        if bad:
+            return f"refused(bad pipeline {bad})", None
+        if not ops:
+            return "refused(empty pipeline)", None
         witness = []
         verdict = "pass"
         for pt in use_pts:
@@ -261,71 +277,49 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
                     continue
                 obj = complexify_real(obj)
                 if op == "indices":
-                    rec = indices(obj)
-                    steps.append({"op": op, "result": rec.__dict__})
-                    continue
-                if op == "conjugate":
-                    obj = transform("conjugate", None, obj)
+                    steps.append({"op": op, "result": indices(obj).__dict__})
                 else:
-                    fn = {"hat": hat, "check": lag_check, "hat_cot": hat_cot,
-                          "check_cot": check_cot, "tilde": tilde,
-                          "tilde_cot": tilde_cot}[op]
-                    obj = fn(obj)
-                steps.append({"op": op, "basis": [[str(x) for x in r] for r in obj.basis]})
-            witness.append({"point": {k: str(v) for k, v in sorted(pt.items())},
-                            "steps": steps})
-        rep.add(cid, "dirac", cargs, verdict, witness, t0)
-    return rep
+                    obj = _DIRAC_OPS[op](obj)
+                    steps.append({"op": op, "basis": [list(r) for r in obj.basis]})
+            witness.append({"point": dict(sorted(pt.items())), "steps": steps})
+        return verdict, witness
+
+    return _run(pf, args, "dirac", dirac)
 
 
 def cmd_normal_form(pf: ProblemFile, args) -> Report:
-    rep = Report()
-    for cid, cargs in _selected(pf, "normal_form", args.check):
-        t0 = time.monotonic()
+    def normal_form(pi, rest):
         if pf.bundle is None:
-            rep.add(cid, "normal_form", cargs, "refused(no bundle declared)", None, t0)
-            continue
-        tables = (pf.bivectors, pf.vectors, pf.oneforms, pf.oneforms)
-        if len(cargs) != 4 or any(a not in t for a, t in zip(cargs, tables)):
-            rep.add(cid, "normal_form", cargs,
-                    "refused(need: bivector vector oneform oneform)", None, t0)
-            continue
-        bname, xname, x1name, x2name = cargs
+            return "refused(no bundle declared)", None
+        tables = (pf.vectors, pf.oneforms, pf.oneforms)
+        if len(rest) != 3 or any(a not in t for a, t in zip(rest, tables)):
+            return "refused(need: bivector vector oneform oneform)", None
+        xname, x1name, x2name = rest
         bundle = BundleChart(*pf.bundle)
-        pi = ComplexBivector(build_field(pf, "bivector", bname))
-        X = build_field(pf, "vector", xname)
-        xi1 = build_field(pf, "oneform", x1name)
-        xi2 = build_field(pf, "oneform", x2name)
+        section = (build_field(pf, "vector", xname), build_field(pf, "oneform", x1name),
+                   build_field(pf, "oneform", x2name))
         pts = collect_points(pf, args.points, args.grid_size)
         base_pts = [{v: p[v] for v in bundle.base_vars} for p in pts[:10]]
         mrep = mixed_check(pi, bundle, base_pts)
         if not mrep.mixed:
-            rep.add(cid, "normal_form", cargs,
-                    "refused(no mixed submanifold: "
+            return ("refused(no mixed submanifold: "
                     f"pi2_annihilator_zero={mrep.pi2_annihilator_zero}, "
-                    f"direct_sum_ok={mrep.direct_sum_ok})", None, t0)
-            continue
+                    f"direct_sum_ok={mrep.direct_sum_ok})"), None
         try:
-            srep = splitting_check(pi, bundle, (X, xi1, xi2), pts[:10])
+            srep = splitting_check(pi, bundle, section, pts[:10])
         except WeightZeroError as exc:
-            rep.add(cid, "normal_form", cargs, f"refused(weight: {exc})", None, t0)
-            continue
+            return f"refused(weight: {exc})", None
         if not srep.section_in_graph:
-            rep.add(cid, "normal_form", cargs,
-                    "refused(section is not in the graph of pi)", None, t0)
-            continue
+            return "refused(section is not in the graph of pi)", None
         witness = {
-            "B": str(srep.B),
-            "omega": str(srep.omega),
+            "B": srep.B,
+            "omega": srep.omega,
             "fiber_form_ok": srep.fiber_form_ok,
-            "points": [
-                {"point": {k: str(v) for k, v in p}, "match": ok}
-                for p, ok in srep.point_results
-            ],
+            "points": [{"point": dict(p), "match": ok} for p, ok in srep.point_results],
         }
-        rep.add(cid, "normal_form", cargs,
-                "pass" if srep.passed else "fail", witness, t0)
-    return rep
+        return "pass" if srep.passed else "fail", witness
+
+    return _run(pf, args, "normal_form", normal_form)
 
 
 # -- entry point -------------------------------------------------------------------

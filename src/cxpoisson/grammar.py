@@ -24,8 +24,9 @@ from .scalars import GS_I, GaussScalar
 
 # a variable name the grammar can read
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one token, a run of whitespace, or any other character, which is refused
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[-+*/^()]))"
+    rf"(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)"
 )
 
 
@@ -46,20 +47,11 @@ class PolyParseError(ValueError):
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise PolyParseError(text, pos, f"unexpected character {text[pos]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise PolyParseError(text, m.start(), f"unexpected character {m.group()!r}")
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start()))
     return tokens
 
 

@@ -140,6 +140,8 @@ def parse_problem(text: str) -> ProblemFile:
             except ValueError:
                 raise ProblemParseError(lineno, "expected: point NAME = v, v, ...") from None
             name = name.strip()
+            if name in p.points:
+                raise ProblemParseError(lineno, f"duplicate point name {name!r}")
             vals = tuple(_parse_fraction(t, lineno) for t in rest.split(","))
             if len(vals) != len(p.chart_vars):
                 raise ProblemParseError(
@@ -184,6 +186,8 @@ def parse_problem(text: str) -> ProblemFile:
                         raise ProblemParseError(lineno2, f"index {v} out of range 1..{dim}")
                 if want == 2 and not nums[0] < nums[1]:
                     raise ProblemParseError(lineno2, "indices must satisfy i < j")
+                if any(e[:-1] == tuple(nums) for e in entries):
+                    raise ProblemParseError(lineno2, f"duplicate entry {' '.join(idxs)}")
                 coeff = coeff.strip()
                 if coeff not in p.polys:
                     try:

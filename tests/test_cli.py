@@ -150,13 +150,92 @@ def test_dirac_complexifies_real_steps(nb_file, capsys):
     assert [s["op"] for s in steps] == ["hat", "conjugate", "indices"]
 
 
-@pytest.mark.parametrize("command,kind", [("check", "jacobi"), ("invariants", "invariants")])
+@pytest.mark.parametrize("command,kind", [
+    ("check", "jacobi"), ("invariants", "invariants"),
+    # a dirac check without an op computes nothing, so it has no verdict
+    ("dirac", "dirac B"), ("dirac", "dirac B : |"),
+])
 def test_check_without_bivector_is_refusal(tmp_path, capsys, command, kind):
     f = tmp_path / "noname.prob"
     f.write_text(f"chart x y\nbivector B {{\n 1 2 = 1\n}}\ncheck c1 {kind}\n")
     code, out, _ = run(capsys, [command, str(f)])
     assert code == 2
     assert "REFUSED" in out.upper()
+    if command == "dirac":
+        assert "REFUSED(EMPTY PIPELINE)" in out
+
+
+NINES = "9" * 1000
+
+# coefficients whose witnesses hold integers past Python's 4,300-digit limit
+# on int -> str: (subcommand, problem text, exit status)
+LONG_WITNESSES = {
+    "jacobi-fails": ("check", f"""\
+chart x y z
+bivector B {{
+  1 2 = ({NINES}*x)^5
+  1 3 = z
+  2 3 = y
+}}
+check c jacobi B
+""", 1),
+    "dirac-passes": ("dirac", f"""\
+chart x y z
+point p = 1, 1, 1
+bivector B {{
+  1 2 = ({NINES})^5
+  1 3 = 1
+  2 3 = i
+}}
+check c dirac B : hat | indices
+""", 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("case", list(LONG_WITNESSES))
+def test_witness_past_the_digit_limit_keeps_the_verdict(tmp_path, capsys, case, fmt):
+    # the long values are shown as a note; the verdict and exit status stand
+    command, text, want = LONG_WITNESSES[case]
+    f = tmp_path / "long.prob"
+    f.write_text(text)
+    code, out, err = run(capsys, [command, str(f), "--format", fmt])
+    assert code == want and not err
+    if fmt == "machine":
+        [rec] = [json.loads(line) for line in out.strip().splitlines()]
+        assert rec["verdict"] == ("fail" if want else "pass")
+        assert rec["witness"] and "not printed" in json.dumps(rec["witness"])
+    else:
+        head, witness = out.strip().splitlines()
+        assert head.startswith("[FAIL" if want else "[PASS")
+        assert "not printed" in witness
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+def test_main_reaches_the_traced_names(monkeypatch, nb_file, split_file, capsys, command):
+    # a tracer times these names by rebinding them on the module, so main
+    # must call each through the module
+    from cxpoisson import cli
+
+    calls = {}
+
+    def counted(name):
+        inner = getattr(cli, name)
+
+        def wrapper(*a, **k):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*a, **k)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    cmd = "cmd_" + command.replace("-", "_")
+    for name in ("parse_problem", "build_field", cmd):
+        counted(name)
+    path = split_file if command == "normal-form" else nb_file
+    code = main([command, path, "--grid-size", "2"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert set(calls) == {"parse_problem", "build_field", cmd}
 
 
 def test_extra_points_flag(nb_file, capsys):
@@ -379,12 +458,16 @@ def problem_texts(draw):
     blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4, unique=True))
     for kw, name, arity in blocks:
         lines.append(f"{kw} {name} {{")
+        used = []
         for _ in range(draw(st.integers(0, 4))):
             if bad:
                 idx = draw(st.lists(st.integers(0, n + 1), min_size=arity, max_size=arity))
             elif arity <= n:
                 idx = sorted(draw(st.lists(st.integers(1, n), min_size=arity,
                                            max_size=arity, unique=True)))
+                if idx in used:  # a repeated index is a parse error
+                    continue
+                used.append(idx)
             else:
                 continue
             coeff = pick(COEFFS, BAD_COEFFS).format(v=draw(var), w=draw(var))

@@ -67,7 +67,7 @@ def test_chart_variable_named_i_shadows_unit():
     pytest.param("x + w", 5, id="unknown-variable-later"),
     pytest.param("x^y", 3, id="exponent-not-an-integer"),
     pytest.param("(x", 3, id="unclosed-parenthesis"),
-    pytest.param("x ? y", 2, id="unexpected-character"),
+    pytest.param("x ? y", 3, id="unexpected-character"),
     pytest.param("x y", 3, id="trailing-token"),
     pytest.param("1/0", 3, id="zero-denominator"),
     # each level of nesting is a few parser frames: refused past MAX_NESTING,

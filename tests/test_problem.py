@@ -89,6 +89,9 @@ def test_bundle_declaration():
         ("# c\nchart i j\nbivector B {\n 1 2 = 1 + i\n}\n", 2),  # i shadows the unit
         ("chart x y 1z\n", 1),  # a name the coefficient grammar cannot read
         ("chart x y-z\n", 1),
+        ("chart x y\npoint p = 1, 2\n\npoint p = 3, 4\n", 4),  # repeated point name
+        ("chart x y\nbivector B {\n 1 2 = 1\n 1 2 = x\n}\n", 4),  # repeated index
+        ("chart x y\nvector X {\n 1 = 1\n 2 = y\n 1 = x\n}\n", 5),
     ],
 )
 def test_errors_carry_line_numbers(text, lineno):
