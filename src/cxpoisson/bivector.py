@@ -22,7 +22,7 @@ from .fields import (
     lie_derivative,
     schouten,
 )
-from .poly import Chart, Poly, poly_partial
+from .poly import Chart, Poly, poly_partial, poly_sum_of_products
 from .scalars import GS_I
 
 
@@ -92,8 +92,8 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     Entry ((i,j,k), s, residual) with s=1 the real equation and s=2 the
     imaginary one: the real and imaginary parts of the coordinate Jacobiator
     r = sum_l (A_il d_l A_jk + A_kl d_l A_ij + A_jl d_l A_ki) of the complex
-    matrix A of pi.  Each partial d_l A_bc is taken once, and products with a
-    zero factor are skipped.
+    matrix A of pi, one poly_sum_of_products per triple.  Each partial
+    d_l A_bc is taken once.
     """
     chart = pi.chart
     n = chart.dim
@@ -104,12 +104,12 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                r = Poly.zero(chart)
                 # d_l A_ki = -d_l A_ik
-                for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1)):
-                    for x, y in zip(A[a], dA[bc]):
-                        if x and y:
-                            r = r + x * y if sign > 0 else r - x * y
+                r = poly_sum_of_products(chart, [
+                    (sign, x, y)
+                    for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1))
+                    for x, y in zip(A[a], dA[bc])
+                ])
                 out.append(((i, j, k), 1, r.real_part()))
                 out.append(((i, j, k), 2, r.imag_part()))
     return out
@@ -172,31 +172,19 @@ def _sharp(chart: Chart, M: List[List[Poly]], alpha: FormField) -> MultiField:
 
 
 def _matmul(chart: Chart, X: Sequence[Sequence[Poly]], Y: Sequence[Sequence[Poly]]) -> List[List[Poly]]:
-    """X Y for matrices of Polys, skipping the products with a zero factor."""
-    zero = Poly.zero(chart)
+    """X Y for matrices of Polys, one poly_sum_of_products per entry."""
     cols = list(zip(*Y))
-    out = []
-    for row in X:
-        out_row = []
-        for col in cols:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    return [
+        [poly_sum_of_products(chart, [(1, x, y) for x, y in zip(row, col)]) for col in cols]
+        for row in X
+    ]
 
 
 def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:
     """One-form bracket driven by a sharp matrix M (possibly non-skew):
     [a, b]_M = L_{M#b} a - L_{M#a} b - T_C(a(M#b))."""
     sa, sb = _sharp(chart, M, a), _sharp(chart, M, b)
-    pair = Poly.zero(chart)
-    for i in range(chart.dim):
-        ai, si = a.component((i,)), sb.component((i,))
-        if not (ai.is_zero() or si.is_zero()):
-            pair = pair + ai * si
+    pair = poly_sum_of_products(chart, [(1, ai, sb.comps[k]) for k, ai in a.comps.items() if k in sb.comps])
     return (
         lie_derivative(sb, a)
         - lie_derivative(sa, b)

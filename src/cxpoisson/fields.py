@@ -14,14 +14,18 @@ with left odd derivatives.  On vector fields this is the Lie bracket, on
 (X, f) it gives X(f), and graded antisymmetry/Jacobi hold identically.  This
 is the generator formula of the appendix extended by Leibniz, folded into one
 expression.
+
+Wedge, interior product and Schouten bracket group their signed products
+(c, P, Q) by output index, with no intermediate Poly, and sum each group with
+one poly.poly_sum_of_products.  [P, P] forms one half (see schouten).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .poly import Chart, Poly, poly_eval, poly_partial
+from .poly import Chart, Poly, poly_eval, poly_partial, poly_sum_of_products
 from .scalars import GS_I, GaussScalar, Rational, _coerce
 
 Index = Tuple[int, ...]
@@ -52,9 +56,9 @@ def _normalized(idx: Index) -> Tuple[int, Index]:
 class GradedField:
     """Shared representation for MultiField and FormField.
 
-    The constructor validates and sign-normalizes every index.  The
-    operations of this module build their results with _field, which trusts
-    that the keys are already normalized and only drops zero components.
+    The constructor checks each component's chart and sign-normalizes every
+    index.  The operations of this module build their results with _field,
+    which trusts that the keys are normalized and only drops zero components.
     """
 
     __slots__ = ("chart", "degree", "comps")
@@ -70,6 +74,8 @@ class GradedField:
                 raise ValueError(f"index {tuple(idx)} has wrong length for degree {degree}")
             if any(j < 0 or j >= chart.dim for j in idx):
                 raise ValueError(f"index {tuple(idx)} out of range for dim {chart.dim}")
+            if p.chart is not chart and p.chart != chart:
+                raise ValueError(f"component {tuple(idx)} is on chart {p.chart.vars}, not {chart.vars}")
             sign, key = normalize_index(idx)
             if sign == 0 or p.is_zero():
                 continue
@@ -171,6 +177,14 @@ def _field(cls, chart: Chart, degree: int, comps: Dict[Index, Poly]) -> GradedFi
     return m
 
 
+Groups = Dict[Index, List[Tuple[int, Poly, Poly]]]
+
+
+def _summed(cls, chart: Chart, degree: int, groups: Groups) -> GradedField:
+    """The field whose component at each index is the sum of the products grouped there."""
+    return _field(cls, chart, degree, {k: poly_sum_of_products(chart, t) for k, t in groups.items()})
+
+
 def _check_same(a: GradedField, b: GradedField):
     if type(a) is not type(b):
         raise TypeError(f"kind mismatch: {type(a).__name__} vs {type(b).__name__}")
@@ -202,19 +216,14 @@ def wedge(a: GradedField, b: GradedField) -> GradedField:
         raise TypeError("wedge requires operands of the same kind")
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
-    out: Dict[Index, Poly] = {}
-    if a.degree + b.degree > a.chart.dim:
-        return _field(type(a), a.chart, a.degree + b.degree, out)
+    # past the dimension every index repeats, so nothing is grouped
+    groups: Groups = {}
     for ia, pa in a.comps.items():
         for ib, pb in b.comps.items():
-            sign, key = normalize_index(ia + ib)
-            if sign == 0:
-                continue
-            term = pa * pb
-            if sign == -1:
-                term = -term
-            out[key] = out[key] + term if key in out else term
-    return _field(type(a), a.chart, a.degree + b.degree, out)
+            sign, key = _normalized(ia + ib)
+            if sign:
+                groups.setdefault(key, []).append((sign, pa, pb))
+    return _summed(type(a), a.chart, a.degree + b.degree, groups)
 
 
 # -- contraction -----------------------------------------------------------
@@ -246,18 +255,13 @@ def contract_form(alpha: FormField, m: MultiField) -> MultiField:
 
 def _interior(v: GradedField, field: GradedField) -> GradedField:
     """First-slot interior product of the degree-1 field v into field."""
-    out: Dict[Index, Poly] = {}
+    groups: Groups = {}
     for idx, p in field.comps.items():
         for pos, j in enumerate(idx):
-            vj = v.component((j,))
-            if vj.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = vj * p
-            if pos % 2 == 1:
-                term = -term
-            out[rest] = out[rest] + term if rest in out else term
-    return _field(type(field), field.chart, field.degree - 1, out)
+            vj = v.comps.get((j,))
+            if vj is not None:
+                groups.setdefault(idx[:pos] + idx[pos + 1:], []).append((1 - 2 * (pos % 2), vj, p))
+    return _summed(type(field), field.chart, field.degree - 1, groups)
 
 
 def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
@@ -322,25 +326,6 @@ def lie_derivative(z: MultiField, a: FormField) -> FormField:
 # -- Schouten bracket ------------------------------------------------------
 
 
-def _theta_partial(m: MultiField, l: int) -> MultiField:
-    """Left odd derivative d/dth_l in the superfunction picture."""
-    out: Dict[Index, Poly] = {}
-    for idx, p in m.comps.items():
-        if l not in idx:
-            continue
-        pos = idx.index(l)
-        rest = idx[:pos] + idx[pos + 1:]
-        term = p if pos % 2 == 0 else -p
-        out[rest] = out[rest] + term if rest in out else term
-    return _field(MultiField, m.chart, m.degree - 1, out)
-
-
-def _coeff_partial(m: MultiField, name: str) -> MultiField:
-    return _field(
-        MultiField, m.chart, m.degree, {k: poly_partial(p, name) for k, p in m.comps.items()}
-    )
-
-
 def schouten(a: MultiField, b: MultiField) -> MultiField:
     """Complexified Schouten-Nijenhuis bracket [a, b].
 
@@ -349,6 +334,11 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
     evaluation brings in the Koszul sign (-1)^{p(q-1)}.  This normalization
     has [X, Q] = L_X Q for every vector field X, [X, f] = X(f), and
     [a, b] = -(-1)^{(p-1)(q-1)} [b, a].
+
+    Each component is one poly_sum_of_products over the products +-P_I d_l Q_J
+    of both halves.  With a passed as b, graded antisymmetry gives [a, a] = 0
+    at odd degree; at even degree both halves are -sum_l da/dth_l da/dx_l, so
+    one is formed, with multiplicity 2.
     """
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
@@ -358,23 +348,28 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
     if deg < 0:
         # [f, g] = 0 for two functions
         return MultiField.zero(chart, 0)
-    out: Dict[Index, Poly] = {}
-    left_minus = (p + 1) % 2 == 1
-    right_minus = (p * (q - 1)) % 2 == 0
-    for l, name in enumerate(chart.vars):
-        if p >= 1:
-            _add_into(out, wedge(_theta_partial(a, l), _coeff_partial(b, name)), left_minus)
-        if q >= 1:
-            _add_into(out, wedge(_theta_partial(b, l), _coeff_partial(a, name)), right_minus)
-    return _field(MultiField, chart, deg, out)
+    groups: Groups = {}
+    if a is not b:
+        _schouten_half(groups, a, b, -1 if p % 2 == 0 else 1)
+        _schouten_half(groups, b, a, -1 if p * (q - 1) % 2 == 0 else 1)
+    elif p % 2 == 0:
+        _schouten_half(groups, a, a, -2)
+    return _summed(MultiField, chart, deg, groups)
 
 
-def _add_into(out: Dict[Index, Poly], t: GradedField, negate: bool):
-    """Add the components of t (or of -t when negate) to out."""
-    for key, term in t.comps.items():
-        if negate:
-            term = -term
-        out[key] = out[key] + term if key in out else term
+def _schouten_half(groups: Groups, a: MultiField, b: MultiField, c: int):
+    """Group c * sum_l da/dth_l ^ db/dx_l by output index, with the left odd
+    derivative d(th_I)/dth_l = (-1)^pos th_{I without l} for l at pos in I."""
+    # db[l]: the nonzero (J, db_J/dx_l)
+    db = [[(ib, d) for ib, pb in b.comps.items() if (d := poly_partial(pb, name))] for name in a.chart.vars]
+    for ia, pa in a.comps.items():
+        for pos, l in enumerate(ia):
+            rest = ia[:pos] + ia[pos + 1:]
+            sa = -c if pos % 2 else c
+            for ib, d in db[l]:
+                sign, key = _normalized(rest + ib)
+                if sign:
+                    groups.setdefault(key, []).append((sign * sa, pa, d))
 
 
 # -- evaluation at points --------------------------------------------------

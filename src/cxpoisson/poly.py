@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from .scalars import GS_ONE, GaussScalar, Rational, _coerce, _make
 
@@ -188,28 +188,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
         pa, pb = self._num, other._num
-        # per field, the OR of a dict's keys is at least its largest exponent;
-        # the exact maxima are taken only when two such bounds reach a guard
-        if (reduce(or_, pa, 0) + reduce(or_, pb, 0)) & _guard(len(self.chart.vars)):
-            _check_exponents(pa, pb, len(self.chart.vars))
-        out: Dict[int, Tuple[int, int]] = {}
-        get = out.get
-        for ka, (a1, b1) in pa.items():
-            for kb, (a2, b2) in pb.items():
-                k = ka + kb
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-                v = get(k)
-                if v is None:
-                    out[k] = (re, im)
-                else:
-                    re += v[0]
-                    im += v[1]
-                    if re or im:
-                        out[k] = (re, im)
-                    else:
-                        del out[k]
-        return _reduced(self.chart, out, self._den * other._den)
+        _check_product(pa, pb, len(self.chart.vars))
+        return _reduced(self.chart, _mul_into({}, pa, pb, 1), self._den * other._den)
 
     def scale(self, c: Union[Rational, GaussScalar]) -> "Poly":
         p, q, e = _coerce(c).abd
@@ -293,10 +273,12 @@ def _reduced(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
     return _poly(chart, num, den)
 
 
-def _check_exponents(pa, pb, dim: int):
-    """Raise if some product of a monomial of pa by one of pb has an
-    exponent past MAX_EXPONENT: for each variable, the two largest
-    exponents meet in some product."""
+def _check_product(pa, pb, dim: int):
+    """Raise OverflowError if a monomial of pa times one of pb passes
+    MAX_EXPONENT.  The OR of a dict's keys bounds its exponents per field; the
+    exact maxima, which meet in some product, are taken when two bounds reach a guard."""
+    if not (reduce(or_, pa, 0) + reduce(or_, pb, 0)) & _guard(dim):
+        return
     for j in range(dim):
         shift = FIELD_BITS * j
         top = max((k >> shift) & _FIELD for k in pa) + max((k >> shift) & _FIELD for k in pb)
@@ -304,6 +286,31 @@ def _check_exponents(pa, pb, dim: int):
             raise OverflowError(
                 f"a product has exponent {top}, past the maximum {MAX_EXPONENT}"
             )
+
+
+def _mul_into(out: Dict[int, Tuple[int, int]], pa, pb, s: int) -> Dict[int, Tuple[int, int]]:
+    """Add s * pa * pb to the numerator dict out, dropping the pairs that
+    cancel to (0, 0), and return out: the package's one product loop."""
+    get = out.get
+    for ka, (a1, b1) in pa.items():
+        if s != 1:
+            a1 *= s
+            b1 *= s
+        for kb, (a2, b2) in pb.items():
+            k = ka + kb
+            re = a1 * a2 - b1 * b2
+            im = a1 * b2 + b1 * a2
+            v = get(k)
+            if v is None:
+                out[k] = (re, im)
+            else:
+                re += v[0]
+                im += v[1]
+                if re or im:
+                    out[k] = (re, im)
+                else:
+                    del out[k]
+    return out
 
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
@@ -354,6 +361,21 @@ def poly_arith(op: str, a: Poly, b) -> Poly:
     if op == "scale":
         return a.scale(b)
     raise ValueError(f"unknown op kind {op!r}")
+
+
+def poly_sum_of_products(chart: Chart, terms: Iterable[Tuple[int, Poly, Poly]]) -> Poly:
+    """The sum of c * p * q over the (c, p, q) in terms, c a nonzero int, all
+    p and q on chart (not compared).  Every pair is checked for overflow as
+    p * q checks it before any product is formed; the products accumulate in
+    one numerator dict over the lcm of their denominators, reduced once."""
+    terms = [(c, p._num, q._num, p._den * q._den) for c, p, q in terms if p._num and q._num]
+    for _, pa, pb, _ in terms:
+        _check_product(pa, pb, chart.dim)
+    den = lcm(*(d for _, _, _, d in terms))
+    out: Dict[int, Tuple[int, int]] = {}
+    for c, pa, pb, d in terms:
+        _mul_into(out, pa, pb, c * (den // d))
+    return _reduced(chart, out, den)
 
 
 def poly_partial(p: Poly, var: str) -> Poly:

@@ -365,6 +365,23 @@ def test_exponent_past_the_packed_limit_is_refusal(tmp_path, capsys):
     assert code == 2 and "line 3" in err and "32767" in err
 
 
+@pytest.mark.parametrize("extra,code", [("", 0), ("*x", 2)])
+def test_schouten_square_at_and_past_the_packed_limit(tmp_path, capsys, extra, code):
+    # f = x^16384 makes the square form f * d_x(y f) = x^32767 y, the packed
+    # limit; one more power of x passes it, and check refuses before any product
+    f = "*".join(["x^64"] * 256) + extra
+    path = tmp_path / "square.prob"
+    path.write_text(f"chart x y z\nbivector B {{\n 1 2 = {f}\n 1 3 = y*{f}\n}}\ncheck j jacobi B\n")
+    got, out, err = run(capsys, ["check", str(path)])
+    assert got == code
+    if code == 2:
+        assert out == "" and err.splitlines() == [
+            "error: a product has exponent 32769, past the maximum 32767"
+        ]
+    else:
+        assert "[PASS" in out and err == ""
+
+
 def test_deeply_nested_coefficient_is_refusal(tmp_path, capsys):
     # refused by the parser's nesting bound, not a RecursionError
     f = tmp_path / "deep.prob"

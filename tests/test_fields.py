@@ -1,12 +1,18 @@
 """Graded calculus: wedge, contraction, d, Lie derivative, Schouten bracket."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxpoisson import Chart, FormField, MultiField, Poly, parse_poly
+from cxpoisson import poly as poly_module
 from cxpoisson.fields import (
+    _field,
     _interior,
     apply_to_forms,
     complex_differential,
@@ -21,7 +27,7 @@ from cxpoisson.fields import (
     schouten,
     wedge,
 )
-from cxpoisson.poly import poly_eval, poly_partial
+from cxpoisson.poly import MAX_EXPONENT, poly_eval, poly_partial
 from cxpoisson.scalars import GS_I, GaussScalar
 
 from conftest import random_multifield, random_poly
@@ -293,3 +299,177 @@ def test_trusted_results_equal_the_validating_constructor(rng):
             assert _rebuilt(out) == out
             assert all(list(k) == sorted(set(k)) for k in out.comps)
             assert all(not p.is_zero() for p in out.comps.values())
+
+
+def test_components_must_be_on_the_field_chart():
+    xyz = Chart(("x", "y", "z"))
+    with pytest.raises(ValueError, match=r"\('x', 'y', 'z'\).*\('x', 'y'\)"):
+        MultiField(Chart(("x", "y")), 1, {(0,): Poly.var(xyz, "z")})
+    with pytest.raises(ValueError, match="chart"):
+        FormField(CH, 0, {(): Poly.const(CH4, 1)})
+    # an equal chart built apart is the same chart
+    assert MultiField(Chart(("x", "y", "z")), 1, {(2,): Poly.var(CH, "z")}).chart == CH
+
+
+# -- the sum-of-products kernel against the loops it replaced -----------------
+#
+# old_wedge, old_interior and old_schouten (with its three helpers) are the
+# loops wedge, _interior and schouten ran before they grouped their products
+# for poly_sum_of_products: one Poly per product, negation and partial sum.
+
+
+def old_wedge(a, b):
+    out = {}
+    if a.degree + b.degree > a.chart.dim:
+        return _field(type(a), a.chart, a.degree + b.degree, out)
+    for ia, pa in a.comps.items():
+        for ib, pb in b.comps.items():
+            sign, key = normalize_index(ia + ib)
+            if sign == 0:
+                continue
+            term = pa * pb
+            if sign == -1:
+                term = -term
+            out[key] = out[key] + term if key in out else term
+    return _field(type(a), a.chart, a.degree + b.degree, out)
+
+
+def old_interior(v, field):
+    out = {}
+    for idx, p in field.comps.items():
+        for pos, j in enumerate(idx):
+            vj = v.component((j,))
+            if vj.is_zero():
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            term = vj * p
+            if pos % 2 == 1:
+                term = -term
+            out[rest] = out[rest] + term if rest in out else term
+    return _field(type(field), field.chart, field.degree - 1, out)
+
+
+def old_theta_partial(m, l):
+    out = {}
+    for idx, p in m.comps.items():
+        if l not in idx:
+            continue
+        pos = idx.index(l)
+        rest = idx[:pos] + idx[pos + 1:]
+        term = p if pos % 2 == 0 else -p
+        out[rest] = out[rest] + term if rest in out else term
+    return _field(MultiField, m.chart, m.degree - 1, out)
+
+
+def old_coeff_partial(m, name):
+    return _field(MultiField, m.chart, m.degree, {k: poly_partial(p, name) for k, p in m.comps.items()})
+
+
+def old_add_into(out, t, negate):
+    for key, term in t.comps.items():
+        if negate:
+            term = -term
+        out[key] = out[key] + term if key in out else term
+
+
+def old_schouten(a, b):
+    chart = a.chart
+    p, q = a.degree, b.degree
+    deg = p + q - 1
+    if deg < 0:
+        return MultiField.zero(chart, 0)
+    out = {}
+    left_minus = (p + 1) % 2 == 1
+    right_minus = (p * (q - 1)) % 2 == 0
+    for l, name in enumerate(chart.vars):
+        if p >= 1:
+            old_add_into(out, old_wedge(old_theta_partial(a, l), old_coeff_partial(b, name)), left_minus)
+        if q >= 1:
+            old_add_into(out, old_wedge(old_theta_partial(b, l), old_coeff_partial(a, name)), right_minus)
+    return _field(MultiField, chart, deg, out)
+
+
+# Gaussian rationals with mixed denominators, zero included
+GAUSS = st.builds(GaussScalar.of, st.fractions(-4, 4, max_denominator=6),
+                  st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def graded_fields(draw, chart, degree):
+    """A field of the given degree (0..3, possibly past the dimension, which
+    leaves only zero) with up to three terms of degree <= 2 per variable in
+    each component; one draw in eight is the zero field."""
+    if draw(st.integers(0, 7)) == 0:
+        return MultiField.zero(chart, degree)
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), GAUSS, min_size=1, max_size=3)
+    slots = itertools.combinations(range(chart.dim), degree)
+    return MultiField(chart, degree, draw(st.fixed_dictionaries({idx: polys.map(partial(Poly, chart)) for idx in slots})))
+
+
+def packed(m):
+    """A field as its degree and the packed numerator and denominator of
+    every component."""
+    return m.degree, {k: (p._num, p._den) for k, p in m.comps.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernel_callers_match_the_loops_they_replaced(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    a = data.draw(graded_fields(chart, data.draw(st.integers(0, 3))), label="a")
+    b = data.draw(graded_fields(chart, data.draw(st.integers(0, 3))), label="b")
+    # [a, a] takes the self-bracket rule at odd and at even degree
+    assert packed(schouten(a, a)) == packed(old_schouten(a, a))
+    assert packed(schouten(a, b)) == packed(old_schouten(a, b))
+    assert packed(wedge(a, b)) == packed(old_wedge(a, b))
+    v = data.draw(graded_fields(chart, 1), label="v")
+    if a.degree:
+        assert packed(_interior(v, a)) == packed(old_interior(v, a))
+
+
+@pytest.fixture
+def count_products(monkeypatch):
+    """A list that gets one entry per product loop the kernel runs."""
+    formed = []
+    loop = poly_module._mul_into
+    monkeypatch.setattr(poly_module, "_mul_into", lambda *args: formed.append(1) or loop(*args))
+    return formed
+
+
+def test_wedge_overflow_parity_with_the_product(count_products):
+    ch = Chart(("x", "y"))
+    a = MultiField(ch, 1, {(0,): Poly(ch, {(MAX_EXPONENT - 1, 0): 1})})
+    top = wedge(a, MultiField(ch, 1, {(1,): Poly.var(ch, "x")}))
+    assert top.comps == {(0, 1): Poly(ch, {(MAX_EXPONENT, 0): 1})}
+    b = MultiField(ch, 1, {(1,): Poly(ch, {(2, 0): 1})})
+    count_products.clear()
+    with pytest.raises(OverflowError):
+        wedge(a, b)
+    assert count_products == []
+
+
+def test_schouten_overflow_parity_with_the_product(count_products):
+    # with h = 2^14 the Schouten square of x^h (e0^e1 + e0^e2) forms the
+    # products x^h * d_x x^h = h x^(2h - 1) = h x^MAX_EXPONENT, which cancel;
+    # one more power passes the limit
+    h = (MAX_EXPONENT + 1) // 2
+    x = Poly.var(CH, "x")
+
+    def square(h):
+        f = Poly(CH, {(h, 0, 0): 1})
+        return MultiField(CH, 2, {(0, 1): f, (0, 2): f})
+
+    pi = square(h)
+    count_products.clear()
+    top = schouten(pi, pi)
+    assert count_products
+    assert top == old_schouten(pi, pi) == MultiField.zero(CH, 3)
+    for a, b in ((square(h + 1),) * 2, (MultiField(CH, 1, {(0,): Poly(CH, {(h + 1, 0, 0): 1})}), pi)):
+        count_products.clear()
+        with pytest.raises(OverflowError):
+            schouten(a, b)
+        assert count_products == []
+    # [X, X] = 0 for a vector field X is read off graded antisymmetry
+    vec = MultiField(CH, 1, {(0,): Poly(CH, {(MAX_EXPONENT, 0, 0): 1}), (1,): x})
+    assert schouten(vec, vec) == MultiField.zero(CH, 1)

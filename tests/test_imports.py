@@ -1,6 +1,6 @@
 """The package's lints: no module imports a name it never uses, no
-function or method is defined that nothing reads, and no function assigns a
-local it never reads.
+function or method is defined that nothing reads, no function assigns a
+local it never reads, and the graded calculus sums no products in a loop.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -120,3 +120,69 @@ def test_the_check_sees_an_unread_local():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_reads_every_local_it_assigns(path):
     assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+# the modules whose sums of Poly products all go through
+# poly.poly_sum_of_products
+KERNEL_CALLERS = ("fields", "bivector")
+
+
+def product_accumulations(source: str):
+    """(line, target) for each statement inside a loop that adds a product
+    to a running sum: `t += x * y`, `t = t + x * y`, `t = t - x * y + ...`,
+    or either branch of `t = t + u if c else u`, for a name or subscript t.
+    A name the loop assigns from a product counts as a product."""
+    out = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        body = list(ast.walk(loop))
+        products = set()
+
+        def has_product(node):
+            return any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                or isinstance(n, ast.Name) and n.id in products
+                for n in ast.walk(node)
+            )
+
+        for node in body:
+            if isinstance(node, ast.Assign) and has_product(node.value):
+                products.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in body:
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub)):
+                if has_product(node.value):
+                    out.add((node.lineno, ast.unparse(node.target)))
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = ast.unparse(node.targets[0])
+                value = node.value
+                for v in (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,):
+                    added = []
+                    while isinstance(v, ast.BinOp) and isinstance(v.op, (ast.Add, ast.Sub)):
+                        added.append(v.right)
+                        v = v.left
+                    if ast.unparse(v) == target and any(map(has_product, added)):
+                        out.add((node.lineno, target))
+    return sorted(out)
+
+
+def test_the_check_sees_a_product_accumulation():
+    source = (
+        "def f(xs, ys, out):\n"
+        "    acc = 0\n"
+        "    for x, y in zip(xs, ys):\n"
+        "        acc = acc + x * y\n"
+        "        out[0] = out[0] - x * y if x else out[0] + y\n"
+        "        acc += 2 * x\n"
+        "        acc = acc + x\n"
+        "        term = x * y\n"
+        "        out[x] = out[x] + term if x in out else term\n"
+        "        other = acc + x * y\n"
+        "    return acc + xs[0] * ys[0], other\n"
+    )
+    assert product_accumulations(source) == [(4, "acc"), (5, "out[0]"), (6, "acc"), (9, "out[x]")]
+
+
+@pytest.mark.parametrize("name", KERNEL_CALLERS)
+def test_graded_calculus_sums_products_only_through_the_kernel(name):
+    assert product_accumulations((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) == []

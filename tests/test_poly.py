@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxpoisson import Chart, Poly, format_poly, parse_poly
+from cxpoisson import poly as poly_module
 from cxpoisson.poly import (
     MAX_EXPONENT,
     poly_arith,
     poly_eval,
     poly_partial,
     poly_subst_zero,
+    poly_sum_of_products,
 )
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
@@ -346,3 +348,67 @@ def test_constructor_refuses_an_exponent_given_twice():
     # two distinct keys that read as the same exponent tuple
     with pytest.raises(ValueError):
         Poly(Chart(("x", "y")), {(0, 1): 1, range(2): 2})
+
+
+# -- the sum-of-products kernel ------------------------------------------------
+
+
+def naive_sum_of_products(chart, terms):
+    """The fold the kernel replaces: one Poly per product, scale and sum."""
+    acc = Poly.zero(chart)
+    for c, p, q in terms:
+        acc = acc + (p * q).scale(c)
+    return acc
+
+
+def assert_same_poly(p, q):
+    assert (p._num, p._den, p.chart) == (q._num, q._den, q.chart)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2)), polys, polys), max_size=5))
+def test_sum_of_products_is_the_naive_fold(terms):
+    out = poly_sum_of_products(CH, terms)
+    assert_canonical(out)
+    assert_same_poly(out, naive_sum_of_products(CH, terms))
+
+
+def test_sum_of_products_cancels_to_the_canonical_zero():
+    x, y = Poly.var(CH, "x"), Poly.var(CH, "y")
+    half = Poly.const(CH, Fraction(1, 2))
+    p = (x + y.scale(GS_I)).scale(Fraction(1, 3))
+    terms = [(2, p, x * half), (-1, x, p), (1, y, half), (-2, half, y.scale(Fraction(1, 2)))]
+    out = poly_sum_of_products(CH, terms)
+    assert out.is_zero() and out._den == 1
+    assert_same_poly(out, Poly.zero(CH))
+    assert_same_poly(poly_sum_of_products(CH, []), Poly.zero(CH))
+
+
+def test_sum_of_products_divides_out_a_content_across_denominators():
+    x, y = Poly.var(CH, "x"), Poly.var(CH, "y")
+    # x y / 2 + x y / 6 = 4 x y / 6 over the common denominator 6: content 2
+    terms = [(1, x.scale(Fraction(1, 2)), y), (1, x, y.scale(Fraction(1, 6)))]
+    out = poly_sum_of_products(CH, terms)
+    assert out.terms == {(1, 1, 0): GaussScalar.of(Fraction(2, 3))} and out._den == 3
+    assert_canonical(out)
+    assert_same_poly(out, naive_sum_of_products(CH, terms))
+
+
+def test_sum_of_products_checks_every_pair_before_any_product(monkeypatch):
+    formed = []
+    loop = poly_module._mul_into
+    monkeypatch.setattr(poly_module, "_mul_into", lambda *args: formed.append(1) or loop(*args))
+    ch = Chart(("x", "y"))
+    x, y = Poly.var(ch, "x"), Poly.var(ch, "y")
+    high = Poly(ch, {(MAX_EXPONENT - 1, 0): 1})
+    assert poly_sum_of_products(ch, [(1, high, x), (-1, y, high)]).terms == {
+        (MAX_EXPONENT, 0): GS_ONE, (MAX_EXPONENT - 1, 1): -GS_ONE,
+    }
+    # the first pair reaches the limit, the second passes it
+    terms = [(1, high, x), (1, x * x, high)]
+    formed.clear()
+    with pytest.raises(OverflowError):
+        poly_sum_of_products(ch, terms)
+    assert formed == []
+    # a zero factor forms no product, so it cannot overflow
+    assert poly_sum_of_products(ch, [(1, high * x, Poly.zero(ch))]).is_zero()
