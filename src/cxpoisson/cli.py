@@ -298,15 +298,15 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
         bundle = BundleChart(*pf.bundle)
         section = (build_field(pf, "vector", xname), build_field(pf, "oneform", x1name),
                    build_field(pf, "oneform", x2name))
-        pts = collect_points(pf, args.points, args.grid_size)
-        base_pts = [{v: p[v] for v in bundle.base_vars} for p in pts[:10]]
-        mrep = mixed_check(pi, bundle, base_pts)
+        # the grid is capped at ten points to bound the cost; no given point is dropped
+        pts = collect_points(pf, args.points, min(args.grid_size, 10))
+        mrep = mixed_check(pi, bundle, pts)
         if not mrep.mixed:
             return ("refused(no mixed submanifold: "
                     f"pi2_annihilator_zero={mrep.pi2_annihilator_zero}, "
                     f"direct_sum_ok={mrep.direct_sum_ok})"), None
         try:
-            srep = splitting_check(pi, bundle, section, pts[:10])
+            srep = splitting_check(pi, bundle, section, pts)
         except WeightZeroError as exc:
             return f"refused(weight: {exc})", None
         if not srep.section_in_graph:
@@ -315,6 +315,9 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
             "B": srep.B,
             "omega": srep.omega,
             "fiber_form_ok": srep.fiber_form_ok,
+            "vanishes_on_N": srep.vanishes_on_N,
+            "euler_linear_ok": srep.euler_linear_ok,
+            "euler_higher_order_warning": srep.euler_higher_order_warning,
             "points": [{"point": dict(p), "match": ok} for p, ok in srep.point_results],
         }
         return "pass" if srep.passed else "fail", witness

@@ -545,8 +545,11 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
     backward: result in C^{2m}: {X + A^T xi : A X + xi in L (ambient n)}.
     forward:  result in C^{2n}: {A X + xi : X + A^T xi in L (ambient m)}.
     """
+    if not A:
+        raise ValueError(f"{kind} image along a matrix of shape 0x?: with no rows, "
+                         "its domain size is unknown")
     Are, Aim, d = _int_matrix(A)
-    n, m = len(Are), len(Are[0]) if Are else 0
+    n, m = len(Are), len(Are[0])
     if kind == "backward":
         if L.n != n:
             raise ValueError("backward: L must live over the codomain")

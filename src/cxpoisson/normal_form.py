@@ -1,9 +1,15 @@
-"""Normal-form machinery on vector-bundle charts R^b x R^f.
+"""Normal-form machinery on vector-bundle charts R^b x R^f with b > 0.
 
-The submanifold N is always the zero section {fiber vars = 0}.  The tubular
-embedding is the identity on the bundle chart, so Moser averaging of a form
-is the exact weight-wise integral: each monomial is scaled by 1 / (fiber
-degree of its coefficient + number of fiber differentials).
+The submanifold N is always the zero section {fiber vars = 0}; _on_N maps a
+point of the bundle chart to the point of N under it.  The tubular embedding
+is the identity on the bundle chart, so Moser averaging of a form is the exact
+weight-wise integral: each monomial is scaled by 1 / (fiber degree of its
+coefficient + number of fiber differentials).
+
+The sampled checks make one pass per point.  splitting_check evaluates pi
+once on N and reads the fiber form and pi_N off that matrix, then once at the
+point, where gr(pi) must equal the local model e^B p^! gr(pi_N); one builder,
+_model, makes that model here and in local_model_at.
 """
 
 from __future__ import annotations
@@ -15,15 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .bivector import ComplexBivector, _part_matrix
 from .fields import FormField, MultiField, d_complex, recompose
-from .lagrangian import (
-    Lagrangian,
-    _int_matrix,
-    _times,
-    bivector_of_graph,
-    graph,
-    images,
-    transform,
-)
+from .lagrangian import Lagrangian, _int_matrix, _times, bivector_of_graph, graph, images, transform
 from .poly import Chart, Poly, poly_partial, poly_subst_zero
 from .pointwise import matrix_at
 from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
@@ -41,6 +39,8 @@ class BundleChart:
         object.__setattr__(self, "fiber_vars", tuple(self.fiber_vars))
         if set(self.base_vars) & set(self.fiber_vars):
             raise ValueError("base and fiber variables must be disjoint")
+        if not self.base_vars:
+            raise ValueError("bundle base is empty: N would be a point, which has no chart")
 
     @property
     def chart(self) -> Chart:
@@ -64,6 +64,18 @@ class Extension:
     """A degree-2 form on the bundle chart extending the fiber form."""
 
     form: FormField
+
+
+def _on_N(bundle: BundleChart, point: Mapping[str, Fraction]) -> Dict[str, Fraction]:
+    """The point of N under a point of the bundle chart: its base coordinates,
+    and 0 for every fiber coordinate; a point of the base alone will do."""
+    return {**{v: Fraction(point[v]) for v in bundle.base_vars},
+            **dict.fromkeys(bundle.fiber_vars, F0)}
+
+
+def _fiber_block(M: List[List], b: int) -> List[List]:
+    """The fiber-by-fiber block of a matrix on a bundle chart with b base vars."""
+    return [r[b:] for r in M[b:]]
 
 
 class WeightZeroError(ValueError):
@@ -97,31 +109,29 @@ def mixed_check(
     """Mixed-submanifold conditions for N = {fiber vars = 0}.
 
     pi2(Ann TN) = 0 is a polynomial identity after restricting to N; the
-    direct-sum conditions are checked exactly at the sampled points of N.
+    direct-sum conditions are checked exactly at the points of N under the
+    sample points, which may be points of the bundle chart or of the base.
     """
     chart = bundle.chart
     if pi.chart != chart:
         raise ValueError("bivector must live on the bundle chart")
     b, f = bundle.b, bundle.f
-    n = b + f
-    fiber_idx = list(range(b, n))
     # pi2(Ann TN)|_N = 0: fiber rows of the pi2 matrix vanish on N
-    A2sym = _part_matrix(pi.pi2, chart)
     ann_zero = all(
-        poly_subst_zero(A2sym[a][j], bundle.fiber_vars).is_zero()
-        for a in fiber_idx
-        for j in range(n)
+        poly_subst_zero(p, bundle.fiber_vars).is_zero()
+        for row in _part_matrix(pi.pi2, chart)[b:]
+        for p in row
     )
-    pts = [dict(p, **{v: F0 for v in bundle.fiber_vars}) for p in sample_points_on_N]
     ds_ok = True
     cc_ok = True
     failures = []
-    for pt in pts:
+    for p in sample_points_on_N:
+        pt = _on_N(bundle, p)
         # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans
         # the base coordinates, so it holds exactly when the fiber block of
         # pi1# on the d(fiber_a) is invertible; likewise for pi and the
         # complex cosymplectic condition pi(Ann T_CN) + T_CN = T_CM
-        Are, Aim, _ = _int_matrix([r[b:] for r in matrix_at(pi.body, pt)[b:]])
+        Are, Aim, _ = _int_matrix(_fiber_block(matrix_at(pi.body, pt), b))
         if len(linalg.echelon(Are)[0]) != f:
             ds_ok = False
             failures.append(tuple(sorted(pt.items())))
@@ -183,10 +193,7 @@ def inverse_bivector_matrix(B: List[List[GaussScalar]]) -> List[List[GaussScalar
 
 def projection_matrix(bundle: BundleChart) -> List[List[GaussScalar]]:
     """Matrix of the bundle projection differential, b x (b+f)."""
-    b, n = bundle.b, bundle.b + bundle.f
-    return [
-        [GS_ONE if i == j else GS_ZERO for j in range(n)] for i in range(b)
-    ]
+    return linalg.identity(bundle.b + bundle.f, GS_ONE, GS_ZERO)[:bundle.b]
 
 
 @dataclass(frozen=True)
@@ -197,40 +204,31 @@ class LocalModelResult:
     model_formula_ok: Optional[bool]  # pi_N + (sigma_C)^{-1} check at zero section
 
 
+def _model(bundle: BundleChart, AN: List[List[GaussScalar]], B: List[List[GaussScalar]]) -> Lagrangian:
+    """e^B p^! gr(pi_N), with AN the matrix of pi_N at the base point and B
+    that of the two-form at the point of the bundle chart."""
+    pulled = images("backward", projection_matrix(bundle), graph(AN, "bivector"))
+    return transform("b_field", B, pulled)
+
+
 def local_model_at(
     pi_N: ComplexBivector, ext: Extension, bundle: BundleChart, point: Mapping[str, Fraction]
 ) -> LocalModelResult:
     """L(sigma~) = e^{sigma~} p^! gr(pi_N) at a point of the bundle chart."""
-    base_pt = {v: point[v] for v in bundle.base_vars}
-    AN = matrix_at(pi_N.body, base_pt)
-    LN = graph(AN, "bivector")
-    P = projection_matrix(bundle)
-    pulled = images("backward", P, LN)
+    b = bundle.b
+    AN = matrix_at(pi_N.body, point)  # pi_N reads only the base coordinates
     B = matrix_at(ext.form, point)
-    L = transform("b_field", B, pulled)
+    L = _model(bundle, AN, B)
     mat = bivector_of_graph(L)
-    is_graph = mat is not None
     formula_ok = None
-    if all(point[v] == 0 for v in bundle.fiber_vars) and mat is not None:
-        b, f = bundle.b, bundle.f
-        n = b + f
-        fiber_block = [[B[b + a][b + c] for c in range(f)] for a in range(f)]
+    if mat is not None and all(point[v] == 0 for v in bundle.fiber_vars):
         try:
-            inv = inverse_bivector_matrix(fiber_block)
+            inv = inverse_bivector_matrix(_fiber_block(B, b))
         except ValueError:
-            inv = None
-        if inv is None:
             formula_ok = False
         else:
-            expected = [[GS_ZERO] * n for _ in range(n)]
-            for i in range(b):
-                for j in range(b):
-                    expected[i][j] = AN[i][j]
-            for a in range(f):
-                for c in range(f):
-                    expected[b + a][b + c] = inv[a][c]
-            formula_ok = mat == expected
-    return LocalModelResult(L, is_graph, mat, formula_ok)
+            formula_ok = mat == [r + [GS_ZERO] * bundle.f for r in AN] + [[GS_ZERO] * b + r for r in inv]
+    return LocalModelResult(L, mat is not None, mat, formula_ok)
 
 
 # -- splitting check ---------------------------------------------------------------
@@ -262,14 +260,15 @@ def induced_base_bivector_at(
     pi: ComplexBivector, bundle: BundleChart, base_pt: Mapping[str, Fraction]
 ) -> Optional[List[List[GaussScalar]]]:
     """pi_N at a base point: backward image of gr(pi)|_N along the inclusion."""
-    b, f = bundle.b, bundle.f
-    n = b + f
-    pt = dict(base_pt, **{v: F0 for v in bundle.fiber_vars})
-    L = graph(matrix_at(pi.body, pt), "bivector")
-    incl = [
-        [GS_ONE if i == j else GS_ZERO for j in range(b)] for i in range(n)
-    ]
-    return bivector_of_graph(images("backward", incl, L))
+    return _pi_N(bundle, matrix_at(pi.body, _on_N(bundle, base_pt)))
+
+
+def _pi_N(bundle: BundleChart, A: List[List[GaussScalar]]) -> Optional[List[List[GaussScalar]]]:
+    """pi_N read off the matrix A of pi at a point of N: the backward image of
+    gr(pi) along the inclusion, the transpose of the projection; None when
+    that image is no bivector's graph."""
+    incl = linalg.transpose(projection_matrix(bundle))
+    return bivector_of_graph(images("backward", incl, graph(A, "bivector")))
 
 
 def splitting_check(
@@ -310,19 +309,16 @@ def splitting_check(
                                None, None, None, ())
     Bw = B + omega.scale(GS_I)
 
-    fiber_ok = _fiber_form_check(pi, bundle, Bw, points)
-
+    fiber_ok = True
     results = []
-    for pt in points:
-        pt = {k: Fraction(v) for k, v in pt.items()}
-        base_pt = {v: pt[v] for v in bundle.base_vars}
-        AN = induced_base_bivector_at(pi, bundle, base_pt)
-        ok = False
-        if AN is not None:
-            LN = graph(AN, "bivector")
-            pulled = images("backward", projection_matrix(bundle), LN)
-            model = transform("b_field", matrix_at(Bw, pt), pulled)
-            ok = model == graph(matrix_at(pi.body, pt), "bivector")
+    for p in points:
+        pt = {k: Fraction(v) for k, v in p.items()}
+        on_N = _on_N(bundle, pt)
+        A = matrix_at(pi.body, on_N)  # the one evaluation of pi on N
+        fiber_ok = fiber_ok and _fiber_form_check(bundle, A, matrix_at(Bw, on_N))
+        AN = _pi_N(bundle, A)
+        ok = AN is not None and (
+            _model(bundle, AN, matrix_at(Bw, pt)) == graph(matrix_at(pi.body, pt), "bivector"))
         results.append((tuple(sorted(pt.items())), ok))
     return SplittingReport(
         section_in_graph, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
@@ -333,14 +329,14 @@ def splitting_check(
 def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]:
     """Linear part of X at N must be the fiberwise Euler field."""
     chart = bundle.chart
+    b = bundle.b
     ok = True
     higher = False
-    fiber_set = set(bundle.fiber_vars)
     for j, name in enumerate(chart.vars):
         comp = X.component((j,))
         if not poly_subst_zero(comp, bundle.fiber_vars).is_zero():
             ok = False
-        if name in fiber_set:
+        if j >= b:
             # normal-bundle linearization: fiber components linearize to the
             # Euler field; base components only shift along TN and are free
             for fv in bundle.fiber_vars:
@@ -348,47 +344,36 @@ def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]
                 expect = Poly.const(chart, 1 if name == fv else 0)
                 if d != expect:
                     ok = False
-        # flag genuine higher-order fiber terms
-        for exp in comp.terms:
-            fdeg = sum(
-                exp[chart.index(v)] for v in bundle.fiber_vars
-            )
-            if fdeg >= 2:
-                higher = True
+        # flag genuine higher-order fiber terms; the fiber positions are the
+        # last f of the chart
+        if any(sum(exp[b:]) >= 2 for exp in comp.terms):
+            higher = True
     return ok, higher
 
 
-def _fiber_form_check(pi, bundle: BundleChart, Bw: FormField, points) -> bool:
-    """Fiber block of Bw on the zero section equals the induced fiber form
-    Omega~ with Omega~(pi# z1, pi# z2) = pi(z1, z2) on fiber covectors.
+def _fiber_form_check(bundle: BundleChart, A: List[List[GaussScalar]],
+                      M: List[List[GaussScalar]]) -> bool:
+    """At a point of N, with A the matrix of pi and M that of Bw there: the
+    fiber block of Bw equals the induced fiber form Omega~ with
+    Omega~(pi# z1, pi# z2) = pi(z1, z2) on fiber covectors.
 
     The fiber covectors zeta_c with pi# zeta_c = d/d(fiber_c), the columns of
     Z, solve A[:, fiber] Z = [0; Id], whose fiber rows say A_ff Z = Id; so Z
     is unique and pi(zeta_a, zeta_c) = (Z^T A_ff Z)[a][c] = Z[c][a].  The
     check M_ff = Z^T, with M_ff skew, is Z = -M_ff: A[:, fiber] times row c
     of M_ff is the unit vector of fiber_c."""
-    b, f = bundle.b, bundle.f
-    n = b + f
-    base_pts = [{v: Fraction(p[v]) for v in bundle.base_vars} for p in points]
-    for bp in base_pts:
-        pt = dict(bp, **{v: F0 for v in bundle.fiber_vars})
-        Are, Aim, dA = _int_matrix([r[b:] for r in matrix_at(pi.body, pt)])
-        Mre, Mim, dM = _int_matrix([r[b:] for r in matrix_at(Bw, pt)[b:]])
-        for c in range(f):
-            unit = [dA * dM if i == b + c else 0 for i in range(n)]
-            if _times(Are, Aim, Mre[c], Mim[c]) != (unit, [0] * n):
-                return False
-    return True
+    b, n = bundle.b, bundle.b + bundle.f
+    Are, Aim, dA = _int_matrix([r[b:] for r in A])
+    Mre, Mim, dM = _int_matrix(_fiber_block(M, b))
+    return all(
+        _times(Are, Aim, Mre[c], Mim[c]) == ([dA * dM if i == b + c else 0 for i in range(n)], [0] * n)
+        for c in range(bundle.f)
+    )
 
 
 def extension_check(ext: Extension, bundle: BundleChart, points) -> bool:
     """Fiber block of the extension is nondegenerate on the zero section."""
-    b, f = bundle.b, bundle.f
-    for p in points:
-        pt = dict({v: Fraction(p[v]) for v in bundle.base_vars},
-                  **{v: F0 for v in bundle.fiber_vars})
-        M = matrix_at(ext.form, pt)
-        block = [[M[b + a][b + c] for c in range(f)] for a in range(f)]
-        if linalg.rank(block) != f:
-            return False
-    return True
+    return all(
+        linalg.rank(_fiber_block(matrix_at(ext.form, _on_N(bundle, p)), bundle.b)) == bundle.f
+        for p in points
+    )

@@ -41,6 +41,11 @@ from .grammar import NAME_RE, PolyParseError, parse_poly
 from .poly import Chart, Poly
 
 
+# the check kinds; every argument of a check names a block, except dirac's
+# pipeline op names, which are validated at run time
+CHECK_KINDS = ("jacobi", "invariants", "dirac", "normal_form")
+
+
 class ProblemParseError(ValueError):
     def __init__(self, lineno: int, msg: str):
         super().__init__(f"line {lineno}: {msg}")
@@ -210,6 +215,10 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ProblemParseError(lineno, "expected: check ID KIND args...")
             cid, ckind = parts[1], parts[2]
             args = parts[3:]
+            if ckind not in CHECK_KINDS:
+                raise ProblemParseError(
+                    lineno, f"unknown check kind {ckind!r}, expected one of {', '.join(CHECK_KINDS)}"
+                )
             if any(c[0] == cid for c in p.checks):
                 raise ProblemParseError(lineno, f"duplicate check id {cid!r}")
             p.checks.append((cid, ckind, args))
@@ -225,12 +234,10 @@ def parse_problem(text: str) -> ProblemFile:
 def _validate_names(pf: ProblemFile):
     known = set(pf.bivectors) | set(pf.forms) | set(pf.vectors) | set(pf.oneforms)
     for cid, kind, args in pf.checks:
+        if kind == "dirac":
+            continue
         for a in args:
-            if a in ("|", ":"):
-                continue
-            if kind == "dirac" and a not in known:
-                continue  # pipeline op names are validated at run time
-            if kind in ("jacobi", "invariants", "normal_form") and a not in known:
+            if a not in known and a not in ("|", ":"):
                 raise ProblemParseError(
                     pf.check_lines.get(cid, 0),
                     f"check {cid!r} references unknown name {a!r}",

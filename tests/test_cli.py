@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cxpoisson.cli import main
-from cxpoisson.problem import ProblemParseError, parse_problem
+from cxpoisson.problem import CHECK_KINDS, ProblemParseError, parse_problem
 
 NB_PROBLEM = """\
 chart x y z
@@ -426,6 +426,41 @@ def test_normal_form_refuses_without_bundle(tmp_path, capsys):
     assert "no bundle" in out.lower()
 
 
+def test_normal_form_samples_the_given_points(split_file, capsys):
+    # the default grid of 20 gives its first ten points, then the given one
+    code, out, _ = run(capsys, ["normal-form", split_file, "--format", "machine",
+                                "--points", "7,11,13,17"])
+    assert code == 0
+    points = [p["point"] for p in json.loads(out.strip())["witness"]["points"]]
+    assert len(points) == 11 and points[-1] == {"u": "7", "v": "11", "q": "13", "p": "17"}
+
+
+def test_normal_form_refuses_an_empty_base(tmp_path, capsys):
+    # the fiber data of SPLIT_PROBLEM, which pass; but N would be a point
+    f = tmp_path / "point.prob"
+    f.write_text(
+        "chart q p\nbundle base: ; fiber: q p\nbivector PI {\n 1 2 = 1\n}\n"
+        "vector X {\n 1 = q\n 2 = p\n}\noneform xi1 {\n 1 = -1*p\n 2 = q\n}\n"
+        "oneform xi2 {\n 1 = 0\n}\ncheck s1 normal_form PI X xi1 xi2\n"
+    )
+    code, out, err = run(capsys, ["normal-form", str(f)])
+    assert code == 2 and not out
+    assert err.count("error:") == 1 and "base is empty" in err
+
+
+def test_normal_form_fails_on_a_section_that_is_no_euler_field(tmp_path, capsys):
+    # X = 2q, 2p with xi1 = -2p, 2q stays in the graph of pi, but it
+    # linearizes to twice the Euler field
+    f = tmp_path / "doubled.prob"
+    f.write_text(SPLIT_PROBLEM.replace("= q\n", "= 2*q\n").replace("= p\n", "= 2*p\n")
+                 .replace("-1*p", "-2*p"))
+    code, out, _ = run(capsys, ["normal-form", str(f), "--format", "machine"])
+    assert code == 1
+    rec = json.loads(out.strip())
+    assert rec["verdict"] == "fail"
+    assert rec["witness"]["euler_linear_ok"] is False and rec["witness"]["vanishes_on_N"] is True
+
+
 # -- fuzzing the exit-code contract ------------------------------------------
 #
 # Problem texts are built from chart, bundle, point, block, entry, check and
@@ -465,8 +500,8 @@ def problem_texts(draw):
     n = len(names)
     var = st.sampled_from(names or ["x"])
     lines = ["chart " + " ".join(names)]
-    if n > 1 and draw(st.booleans()):
-        k = draw(st.integers(1, n - 1))
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n))  # the base or the fiber may be empty
         lines.append(f"bundle base: {' '.join(names[:k])} ; fiber: {' '.join(names[k:])}")
     for p in range(draw(st.integers(0, 2))):
         size = n + draw(st.integers(-1, 1)) if bad else n
@@ -494,7 +529,8 @@ def problem_texts(draw):
     known = {name for _, name, _ in blocks}
     for c in draw(st.lists(st.sampled_from(CHECKS), max_size=4, unique=True)):
         _, kind, *args = c.split()
-        if bad or kind not in ("jacobi", "invariants", "normal_form") or set(args) <= known:
+        # a check of no kind, or one naming no block, is malformed
+        if bad or kind == "dirac" or (kind in CHECK_KINDS and set(args) <= known):
             lines.append("check " + c)
     if bad:
         for _ in range(draw(st.integers(0, 2))):

@@ -162,6 +162,13 @@ def test_lagrangian_data_take_only_exact_entries():
     assert Subspace(2, [[1, F(1, 2)]]) == Subspace(2, [[2, 1]])
 
 
+def test_images_refuse_a_matrix_with_no_rows():
+    # with no rows the domain size cannot be read off the matrix
+    for kind in ("backward", "forward"):
+        with pytest.raises(ValueError, match="shape 0x\\?"):
+            images(kind, [], graph([[0, 1], [-1, 0]], "bivector"))
+
+
 def test_lagrangian_data_of_the_wrong_shape_name_it():
     L = graph([[0, 1], [-1, 0]], "bivector")
     for call in (lambda: graph([[0, 1], [-1]], "bivector"),

@@ -67,6 +67,9 @@ def base_points(count=5):
 def test_bundle_chart_validation():
     with pytest.raises(ValueError):
         BundleChart(("x", "y"), ("y", "z"))
+    # N would be a point, and a point has no chart
+    with pytest.raises(ValueError, match="base is empty"):
+        BundleChart((), ("q", "p"))
     assert BUNDLE.b == 2 and BUNDLE.f == 2
     assert BUNDLE.chart.vars == ("u", "v", "q", "p")
     assert BUNDLE.base_chart.vars == ("u", "v")
@@ -131,6 +134,13 @@ def test_mixed_check_positive():
     assert rep.pi2_annihilator_zero
     assert rep.direct_sum_ok and rep.complex_cosymplectic_ok
     assert rep.mixed and not rep.direct_sum_points
+
+
+def test_mixed_check_reads_the_base_of_bundle_points():
+    # a point of the bundle chart stands for the point of N under it
+    pi = bivector_from_brackets(CH, {(0, 1): Poly.var(CH, "u")})
+    bundle_pts = [dict(p, q=F(7), p=F(-3)) for p in base_points()]
+    assert mixed_check(pi, BUNDLE, bundle_pts) == mixed_check(pi, BUNDLE, base_points())
 
 
 def test_mixed_check_negative_no_fiber_block():
@@ -246,6 +256,25 @@ def test_euler_linear_check_flags():
     assert rep.section_in_graph and not rep.euler_linear_ok
 
 
+def test_splitting_check_evaluates_pi_twice_per_point(monkeypatch):
+    # once at the point of N, read for both the fiber form and pi_N, and once
+    # at the point itself
+    from cxpoisson import normal_form
+
+    pi = splitting_bivector()
+    calls = []
+
+    def counted(field, point):
+        calls.append(field is pi.body)
+        return matrix_at(field, point)
+
+    monkeypatch.setattr(normal_form, "matrix_at", counted)
+    for k in (1, 3, 5):
+        calls.clear()
+        rep = splitting_check(pi, BUNDLE, splitting_section(), splitting_points(k))
+        assert rep.passed and sum(calls) == 2 * k
+
+
 def test_extension_check():
     good = Extension(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)}))
     assert extension_check(good, BUNDLE, base_points())
@@ -309,7 +338,6 @@ def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
                 continue
             brackets[(i, j)] = Poly.const(chart, data.draw(GAUSS))
     pi = bivector_from_brackets(chart, brackets)
-    points = [{v: F(1) for v in chart.vars}]
     pt = dict({v: F(1) for v in bundle.base_vars}, **{v: F(0) for v in bundle.fiber_vars})
     expected = ref_fiber_pi(pi, bundle, pt)
     block = expected or [[data.draw(GAUSS) for _ in range(f)] for _ in range(f)]
@@ -321,4 +349,4 @@ def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
     Bw = FormField(chart, 2, {k: p for k, p in comps.items() if not p.is_zero()})
     M = matrix_at(Bw, pt)
     ref_ok = expected is not None and [r[b:] for r in M[b:]] == expected
-    assert _fiber_form_check(pi, bundle, Bw, points) == ref_ok
+    assert _fiber_form_check(bundle, matrix_at(pi.body, pt), M) == ref_ok

@@ -130,3 +130,11 @@ def test_each_coefficient_is_parsed_once(monkeypatch):
     pf.vectors["X"] = [(3, "x*z")]
     monkeypatch.setattr(cli, "parse_poly", parse_poly)
     assert cli.build_field(pf, "vector", "X").component((2,)) == parse_poly("x*z", pf.chart)
+
+
+def test_misspelled_check_kind_is_refused_at_its_line():
+    text = "chart x y\nbivector B {\n 1 2 = x\n}\ncheck c0 jacobi B\ncheck c1 jacobbi B\n"
+    with pytest.raises(ProblemParseError, match="unknown check kind 'jacobbi'") as err:
+        parse_problem(text)
+    assert err.value.lineno == 6
+    assert "jacobi, invariants, dirac, normal_form" in str(err.value)
