@@ -519,9 +519,12 @@ def lagrangian_from_range_form(
     for every b.  One eliminate keeps the (c, X + xi) spanned by c = e_a (head
     -eps(v_a, .)) and xi = e_t (head v_.[t]) whose head vanishes; the form
     is consistent when every c is kept."""
-    k = len(E_basis)
-    # [V | eps] over one denominator d
-    re, im, d = _int_matrix([list(v) + list(e) for v, e in zip(E_basis, eps)])
+    return _range_form(*_int_matrix([list(v) + list(e) for v, e in zip(E_basis, eps)]), n)
+
+
+def _range_form(re, im, d, n: int) -> Lagrangian:
+    """lagrangian_from_range_form for the rows [V | eps] == (re + i im)/d."""
+    k = len(re)
     re_rows = [[-x for x in r[n:]] + [d if j == a else 0 for j in range(k)] + r[:n] + [0] * n
                for a, r in enumerate(re)]
     im_rows = [[-x for x in r[n:]] + [0] * k + r[:n] + [0] * n for r in im]

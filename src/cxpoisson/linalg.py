@@ -4,11 +4,15 @@ The one reduction is echelon, fraction-free Gauss-Jordan on integer rows,
 and its rows come out canonical: a complex row is the tuple (re, im, d), the
 vector (re + i im)/d with d > 0, pivot entry (d, 0) and gcd(re, im, d) == 1;
 a real row is (ints, d) alike.  A span has one canonical basis, so span
-equality is tuple equality.  eliminate, the one intersect-and-project step,
-returns the canonical tails after the k head coordinates that must vanish,
-in two phases: the head phase clears each head column with echelon's row
-update and drops that column's pivot row, which is never reduced; the tail
-phase is echelon of the tails left.  They span the intersection, and echelon
+equality is tuple equality.  Over Q(i) every pivot is made real before it is
+used, so a row update multiplies a row by a rational integer, which the
+integer gcd of the updated row removes again; a complex pivot would leave in
+the row a Gaussian factor such as 2 + i, which no integer gcd can see, and
+such factors would pile up at every step.  eliminate, the one
+intersect-and-project step, returns the canonical tails after the k head
+coordinates that must vanish, in two phases: the head phase clears each head
+column with echelon's row update and drops that column's pivot row, which is
+never reduced; the tail phase is echelon of the tails left.  They span the intersection, and echelon
 gives a span its one canonical basis, so the tails are those the full
 echelon would have.
 solve and nullspace take integer rows as echelon does and read their answer
@@ -39,8 +43,9 @@ def echelon(re_rows, im_rows=None) -> Tuple[List[tuple], List[int]]:
     Q) or re_rows + i im_rows (over Q(i)); returns (canonical rows, pivots).
 
     A row update is r_k <- p r_k - f r_pivot, p the pivot and f the entry
-    cleared, divided by the gcd of its entries; pivot rows are made canonical
-    once, at the end."""
+    cleared, divided by the gcd of its entries; over Q(i) the pivot row is
+    first multiplied by the conjugate of its pivot, so p is a rational
+    integer.  Pivot rows are made canonical once, at the end."""
     if im_rows is not None:
         return _echelon_gauss(list(re_rows), list(im_rows))
     m = list(re_rows)
@@ -78,26 +83,23 @@ def _echelon_gauss(re_rows, im_rows) -> Tuple[List[tuple], List[int]]:
             continue
         re_rows[r], re_rows[pr] = re_rows[pr], re_rows[r]
         im_rows[r], im_rows[pr] = im_rows[pr], im_rows[r]
+        if im_rows[r][c]:
+            re_rows[r], im_rows[r] = _real_pivot(re_rows[r], im_rows[r], c)
         pre, pim = re_rows[r], im_rows[r]
-        p, q = pre[c], pim[c]
+        p = pre[c]
         for k in range(nrows):
             kre, kim = re_rows[k], im_rows[k]
             f, h = kre[c], kim[c]
             if k != r and (f or h):
-                re_rows[k], im_rows[k] = _cleared(p, q, pre, pim, f, h, kre, kim)
+                re_rows[k], im_rows[k] = _cleared(p, pre, pim, f, h, kre, kim)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     out = []
     for re, im, c in zip(re_rows, im_rows, pivots):
-        p, q = re[c], im[c]
-        if q:
-            # times the conjugate pivot p - q i, which makes the pivot real
-            re, im = [x * p + y * q for x, y in zip(re, im)], [y * p - x * q for x, y in zip(re, im)]
-            p = re[c]
-        g = gcd(*re, *im) if p > 0 else -gcd(*re, *im)
-        out.append((tuple(x // g for x in re), tuple(y // g for y in im), p // g))
+        g = gcd(*re, *im) if re[c] > 0 else -gcd(*re, *im)
+        out.append((tuple(x // g for x in re), tuple(y // g for y in im), re[c] // g))
     return out, pivots
 
 
@@ -134,9 +136,11 @@ def _eliminate_gauss(k: int, re_rows, im_rows) -> List[tuple]:
             re_rows, im_rows = [re[1:] for re in re_rows], [im[1:] for im in im_rows]
             continue
         pre, pim = re_rows.pop(pr), im_rows.pop(pr)
-        p, q, pre, pim = pre[0], pim[0], pre[1:], pim[1:]
+        if pim[0]:
+            pre, pim = _real_pivot(pre, pim, 0)
+        p, pre, pim = pre[0], pre[1:], pim[1:]
         tails = [
-            _cleared(p, q, pre, pim, kre[0], kim[0], kre[1:], kim[1:]) if kre[0] or kim[0]
+            _cleared(p, pre, pim, kre[0], kim[0], kre[1:], kim[1:]) if kre[0] or kim[0]
             else (kre[1:], kim[1:])
             for kre, kim in zip(re_rows, im_rows)
         ]
@@ -144,16 +148,24 @@ def _eliminate_gauss(k: int, re_rows, im_rows) -> List[tuple]:
     return echelon(re_rows, im_rows)[0]
 
 
-def _cleared(p, q, pre, pim, f, h, kre, kim) -> Tuple[List[int], List[int]]:
-    """(p + q i)(kre + i kim) - (f + h i)(pre + i pim), primitive: the row
-    kre + i kim with its entry f + h i cleared against the pivot entry p + q i
-    of the row pre + i pim."""
-    if q == 0 and h == 0:
-        re = [p * x - f * y for x, y in zip(kre, pre)]
-        im = [p * x - f * y for x, y in zip(kim, pim)]
+def _real_pivot(re, im, c) -> Tuple[List[int], List[int]]:
+    """The row re + i im times the conjugate p - q i of its entry at c, over
+    its gcd: the same complex line, with the positive integer |p + q i|^2/g
+    at c."""
+    p, q = re[c], im[c]
+    return _primitive_pair([p * x + q * y for x, y in zip(re, im)], [p * y - q * x for x, y in zip(re, im)])
+
+
+def _cleared(p, pre, pim, f, h, kre, kim) -> Tuple[List[int], List[int]]:
+    """p (kre + i kim) - (f + h i)(pre + i pim), primitive: the row
+    kre + i kim with its entry f + h i cleared against the real pivot entry
+    p of the row pre + i pim."""
+    if h == 0:
+        re = [p * x - f * u for x, u in zip(kre, pre)]
+        im = [p * y - f * v for y, v in zip(kim, pim)]
     else:
-        re = [p * x - q * y - f * u + h * v for x, y, u, v in zip(kre, kim, pre, pim)]
-        im = [p * y + q * x - f * v - h * u for x, y, u, v in zip(kre, kim, pre, pim)]
+        re = [p * x - f * u + h * v for x, u, v in zip(kre, pre, pim)]
+        im = [p * y - f * v - h * u for y, u, v in zip(kim, pre, pim)]
     return _primitive_pair(re, im)
 
 

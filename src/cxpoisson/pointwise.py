@@ -32,12 +32,12 @@ from .lagrangian import (
     Subspace,
     _cols,
     _int_matrix,
+    _range_form,
     _slice_real,
     _subspace,
     _tilde_from_slice,
     _tilde_slice,
     graph,
-    lagrangian_from_range_form,
     real_points,
     real_projection,
 )
@@ -233,12 +233,18 @@ def _presymplectic(W: Subspace) -> PresymplecticData:
     (tau, Re zeta, Im zeta)/d.  Its rows with tau != 0 lift the canonical
     basis of Delta; each omega entry is an integer dot product over d_a d_b."""
     n = W.m // 3
-    lifts = [(v[:n], v[n:2 * n], v[2 * n:], d) for v, d in W.rows if any(v[:n])]
+    lifts = _lifts(W)
 
     def form(part):
         return [[Fraction(_dot(a[part], b[0]), a[3] * b[3]) for b in lifts] for a in lifts]
 
     return PresymplecticData(_subspace(n, linalg._heads(W.rows, n), False), form(1), form(2))
+
+
+def _lifts(W: Subspace) -> List[tuple]:
+    """The rows (tau, Re zeta, Im zeta, d) of W with tau != 0."""
+    n = W.m // 3
+    return [(v[:n], v[n:2 * n], v[2 * n:], d) for v, d in W.rows if any(v[:n])]
 
 
 # -- generalized complex matrix ----------------------------------------------
@@ -292,17 +298,16 @@ def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:
 
 def theorem_7_18_check(pi: ComplexBivector, point: Point) -> bool:
     """tilde(gr pi) at the point equals L((Delta)_C, omega_re + i omega_im);
-    both sides are read off one real slice of gr pi."""
+    both sides are read off one real slice of gr pi.  The lifts' integer
+    tangents tau_a span Delta, and on them the form takes the integer values
+    N_ab = zeta_a(tau_b), which _presymplectic divides by d_a d_b: the range
+    form is the integer rows [tau_a | N_ab]."""
     L = graph_at(pi, point)
     W = _tilde_slice(L)
-    data = _presymplectic(W)
-    k = data.delta_basis.dim
-    E_basis = [[GaussScalar.of(x) for x in r] for r in data.delta_basis.basis]
-    eps = [
-        [GaussScalar.of(data.omega_re[a][b], data.omega_im[a][b]) for b in range(k)]
-        for a in range(k)
-    ]
-    return _tilde_from_slice("complex_tangent", W) == lagrangian_from_range_form(E_basis, eps, L.n)
+    lifts = _lifts(W)
+    re = [list(tau) + [_dot(zre, b[0]) for b in lifts] for tau, zre, _, _ in lifts]
+    im = [[0] * L.n + [_dot(zim, b[0]) for b in lifts] for _, _, zim, _ in lifts]
+    return _tilde_from_slice("complex_tangent", W) == _range_form(re, im, 1, L.n)
 
 
 # -- involutivity sampling ---------------------------------------------------

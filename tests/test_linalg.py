@@ -2,8 +2,11 @@
 against the rank criterion and the field-division inverse, nullspace
 against the kernel, echelon's rows read as scalars against field-division
 Gauss-Jordan and against sympy, eliminate against the echelon-then-filter
-route it replaced."""
+route it replaced; the real-pivot row update and pivot normalization
+against GaussScalar arithmetic, dense Gaussian-integer rows against the
+rref, and the width of the row updates of one dense beta-transform."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import Subspace, graph, linalg
+from cxpoisson import Subspace, graph, linalg, transform
 from cxpoisson.lagrangian import _int_matrix
 from cxpoisson.scalars import GaussScalar
 
-from conftest import is_canonical, reference_contains, reference_nullspace, reference_rref
+from conftest import is_canonical, random_fraction, reference_contains, reference_nullspace, reference_rref
 
 SMALL = st.integers(-3, 3)
 FIELDS = {
@@ -186,12 +189,6 @@ def test_rref_matches_sympy_domain_matrix(rows):
         z = x if isinstance(x, GaussScalar) else GaussScalar.of(x)
         return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
 
-    def from_sympy(q):
-        return GaussScalar.of(
-            Fraction(int(q.x.numerator), int(q.x.denominator)),
-            Fraction(int(q.y.numerator), int(q.y.denominator)),
-        )
-
     M = DomainMatrix([[to_sympy(x) for x in r] for r in rows], (len(rows), len(rows[0])), QQ_I)
     ref, ref_pivots = M.rref()
     red, pivots = linalg.echelon(*int_rows(rows))
@@ -199,6 +196,14 @@ def test_rref_matches_sympy_domain_matrix(rows):
     assert tuple(pivots) == tuple(ref_pivots)
     expected = [[from_sympy(q) for q in r] for r in ref.to_list()[: len(pivots)]]
     assert [[x if isinstance(x, GaussScalar) else GaussScalar.of(x) for x in r] for r in red] == expected
+
+
+def from_sympy(q):
+    """A GaussScalar from an element of sympy's QQ_I."""
+    return GaussScalar.of(
+        Fraction(int(q.x.numerator), int(q.x.denominator)),
+        Fraction(int(q.y.numerator), int(q.y.denominator)),
+    )
 
 
 def test_scalar_entries_refuse_floats():
@@ -317,16 +322,109 @@ def test_eliminate_equals_the_full_echelon_route(system):
 @given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w),
                                                     min_size=4, max_size=4)))
 def test_cleared_row_is_the_primitive_fraction_free_update(rows):
-    # the update of echelon and of eliminate's head phase: row k times the
-    # pivot entry minus the pivot row times row k's entry, over its gcd
+    # the update of echelon and of eliminate's head phase against a real
+    # pivot p: row k times p minus the pivot row times row k's entry, over
+    # its gcd
     pre, pim, kre, kim = rows
-    if not (pre[0] or pim[0]):
-        pre[0] = 1
+    pre[0], pim[0] = pre[0] or 1, 0
+    p = pre[0]
     z = [GaussScalar.of(a, b) for a, b in zip(kre, kim)]
     w = [GaussScalar.of(a, b) for a, b in zip(pre, pim)]
-    full = [w[0] * x - z[0] * y for x, y in zip(z, w)]
+    full = [p * x - z[0] * y for x, y in zip(z, w)]
     parts = [int(x.re) for x in full], [int(x.im) for x in full]
     g = gcd(*parts[0], *parts[1]) or 1
-    assert linalg._cleared(pre[0], pim[0], pre, pim, kre[0], kim[0], kre, kim) == tuple(
+    assert linalg._cleared(p, pre, pim, kre[0], kim[0], kre, kim) == tuple(
         [x // g for x in part] for part in parts
     )
+
+
+GAUSS_INT = st.integers(-(2**6), 2**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda w: st.tuples(
+    st.lists(GAUSS_INT, min_size=w, max_size=w), st.lists(GAUSS_INT, min_size=w, max_size=w),
+    st.integers(0, w - 1))))
+def test_real_pivot_keeps_the_complex_line(case):
+    re, im, c = case
+    if not (re[c] or im[c]):
+        im[c] = 1
+    out_re, out_im = linalg._real_pivot(re, im, c)
+    row = [GaussScalar.of(a, b) for a, b in zip(re, im)]
+    assert reference_rref([[GaussScalar.of(a, b) for a, b in zip(out_re, out_im)]]) == reference_rref([row])
+    assert out_re[c] > 0 and out_im[c] == 0
+    assert gcd(*out_re, *out_im) == 1
+
+
+@st.composite
+def dense_gauss_rows(draw):
+    """Dense Gaussian-integer rows, up to 8 x 16 with entries up to 2^6 in
+    absolute value, so complex pivots meet complex entries at every step;
+    a third of them get a last row that combines the first two."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    re = [[draw(GAUSS_INT) for _ in range(ncols)] for _ in range(nrows)]
+    im = [[draw(GAUSS_INT) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and draw(st.integers(0, 2)) == 0:
+        s = draw(GAUSS_INT)
+        re[-1] = [s * x + y for x, y in zip(re[0], re[1])]
+        im[-1] = [s * x + y for x, y in zip(im[0], im[1])]
+    return draw(st.integers(0, ncols)), re, im
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_gauss_rows())
+def test_dense_gauss_echelon_and_eliminate_match_the_rref(case):
+    k, re, im = case
+    rows = [[GaussScalar.of(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
+    ref_red, ref_pivots = reference_rref(rows)
+    red, pivots = linalg.echelon(re, im)
+    assert all(is_canonical(r, True) for r in red)
+    assert ([linalg._scalars(r) for r in red], pivots) == (ref_red, ref_pivots)
+    # the rref rows with pivot at or after k are zero before k: their tails
+    # are the canonical basis of the span meeting {v[:k] == 0}
+    tails = [r[k:] for r, c in zip(ref_red, ref_pivots) if c >= k]
+    assert [linalg._scalars(t) for t in linalg.eliminate(k, re, im)] == tails
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ZZ_I = sympy.ZZ_I
+    M = DomainMatrix([[ZZ_I(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)], (len(re), len(re[0])), ZZ_I)
+    ref, sympy_pivots = M.to_field().rref()
+    assert tuple(pivots) == tuple(sympy_pivots)
+    assert [linalg._scalars(r) for r in red] == [[from_sympy(q) for q in r] for r in ref.to_list()[: len(pivots)]]
+
+
+def _skew(rng, n):
+    """n x n skew matrix with entries a/b + (c/d) i, a, c in -3..3, b, d in 1..2."""
+    M = [[GaussScalar.of(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = GaussScalar.of(random_fraction(rng, 3, 2), random_fraction(rng, 3, 2))
+            M[i][j], M[j][i] = v, -v
+    return M
+
+
+def test_dense_beta_transform_keeps_row_updates_narrow(monkeypatch):
+    # a pivot left complex leaves a Gaussian factor in every row it clears,
+    # which no integer gcd removes: on this case such updates reach 5,223
+    # bits for an answer of 63
+    rng = random.Random(3)
+    n = 8
+    A, B, P = _skew(rng, n), _skew(rng, n), _skew(rng, n)
+    L = transform("b_field", B, graph(A, "bivector"))
+    widest = [0]
+    cleared = linalg._cleared
+
+    def recording(*args):
+        out = cleared(*args)
+        widest[0] = max(widest[0], *(abs(x).bit_length() for part in out for x in part))
+        return out
+
+    monkeypatch.setattr(linalg, "_cleared", recording)
+    result = transform("beta", P, L)
+    gens = [
+        [x + y for x, y in zip(r[:n], add)] + list(r[n:])
+        for r, add in zip(L.basis, linalg.matmul([r[n:] for r in L.basis], linalg.transpose(P)))
+    ]
+    assert [linalg._scalars(r) for r in result.rows] == reference_rref(gens)[0]
+    assert 0 < widest[0] <= 256
