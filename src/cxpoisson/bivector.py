@@ -22,7 +22,7 @@ from .fields import (
     lie_derivative,
     schouten,
 )
-from .poly import Chart, Poly, poly_partial, poly_sum_of_products
+from .poly import Chart, Poly, poly_sum_of_products
 from .scalars import GS_I
 
 
@@ -93,22 +93,22 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     imaginary one: the real and imaginary parts of the coordinate Jacobiator
     r = sum_l (A_il d_l A_jk + A_kl d_l A_ij + A_jl d_l A_ki) of the complex
     matrix A of pi, one poly_sum_of_products per triple.  Each partial
-    d_l A_bc is taken once.
+    d_l A_bc is read from the partials table of pi's body, so it is taken
+    once, and once for all the checks on pi.
     """
     chart = pi.chart
     n = chart.dim
     A = _part_matrix(pi.body, chart)
-    dA = {(b, c): [poly_partial(A[b][c], name) for name in chart.vars]
-          for b in range(n) for c in range(b + 1, n)}
+    dA = pi.body.partials
     out: List[Tuple[Tuple[int, int, int], int, Poly]] = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 # d_l A_ki = -d_l A_ik
                 r = poly_sum_of_products(chart, [
-                    (sign, x, y)
+                    (sign, A[a][l], dl[bc])
                     for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1))
-                    for x, y in zip(A[a], dA[bc])
+                    for l, dl in enumerate(dA) if bc in dl
                 ])
                 out.append(((i, j, k), 1, r.real_part()))
                 out.append(((i, j, k), 2, r.imag_part()))

@@ -45,13 +45,7 @@ from .normal_form import (
     mixed_check,
     splitting_check,
 )
-from .pointwise import (
-    gcs_matrix,
-    graph_at,
-    grid_points,
-    profile_sample,
-    theorem_7_18_check,
-)
+from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
 from .problem import ProblemFile, ProblemParseError, parse_problem
 
 
@@ -206,7 +200,9 @@ def cmd_check(pf: ProblemFile, args) -> Report:
     def jacobi(pi, _):
         res = jacobi_residual(pi)
         pc1, pc2 = pair_conditions(pi)
-        bad_pde = [r for r in jacobi_pde_residuals(pi) if not r[2].is_zero()]
+        # the triple in the file's 1-based indices, and the part of the equation
+        bad_pde = [(tuple(x + 1 for x in t), ("re", "im")[s - 1], r)
+                   for t, s, r in jacobi_pde_residuals(pi) if not r.is_zero()]
         if res.is_zero() and pc1.is_zero() and pc2.is_zero() and not bad_pde:
             return "pass", None
         return "fail", {"jacobi_residual": res, "pair_conditions": [pc1, pc2],
@@ -240,9 +236,10 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
 
 
 # dirac pipeline op -> the map it applies to the complexified lagrangian, or
-# None for indices and theorem_7_18, which report on it instead.  Each map
-# looks its function up by name when it runs, as a call in a function body
-# does, so a module name rebound after import is the one called.
+# None for indices, which reports on the current object, and theorem_7_18,
+# which reports on gr pi wherever it sits in the pipeline.  Each map looks its
+# function up by name when it runs, as a call in a function body does, so a
+# module name rebound after import is the one called.
 _DIRAC_OPS = {
     "hat": lambda L: hat(L), "check": lambda L: lag_check(L), "tilde": lambda L: tilde(L),
     "hat_cot": lambda L: hat_cot(L), "check_cot": lambda L: check_cot(L),
@@ -266,11 +263,11 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
         witness = []
         verdict = "pass"
         for pt in use_pts:
-            obj = graph_at(pi, pt)
+            gr = obj = graph_at(pi, pt)
             steps = []
             for op in ops:
                 if op == "theorem_7_18":
-                    ok = theorem_7_18_check(pi, pt)
+                    ok = _theorem_7_18(gr)
                     steps.append({"op": op, "result": "pass" if ok else "fail"})
                     if not ok:
                         verdict = "fail"

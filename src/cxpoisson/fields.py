@@ -18,6 +18,11 @@ expression.
 Wedge, interior product and Schouten bracket group their signed products
 (c, P, Q) by output index, with no intermediate Poly, and sum each group with
 one poly.poly_sum_of_products.  [P, P] forms one half (see schouten).
+
+Every derivative of a field's components (d, T_C, both Schouten halves, the
+Jacobi PDE, the normal form's Euler check) is read from the field's own table
+of nonzero partials, d[l] = {I: dP_I/dx_l} (GradedField.partials), so a field
+that several of them differentiate takes each partial once.
 """
 
 from __future__ import annotations
@@ -59,9 +64,12 @@ class GradedField:
     The constructor checks each component's chart and sign-normalizes every
     index.  The operations of this module build their results with _field,
     which trusts that the keys are normalized and only drops zero components.
+
+    A field is not changed once it is made: partials builds its table on
+    first read and keeps it, so nothing assigns into comps afterwards.
     """
 
-    __slots__ = ("chart", "degree", "comps")
+    __slots__ = ("chart", "degree", "comps", "_partials")
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Sequence[int], Poly]):
         if degree < 0:
@@ -95,6 +103,16 @@ class GradedField:
 
     def is_zero(self) -> bool:
         return not self.comps
+
+    @property
+    def partials(self) -> List[Dict[Index, Poly]]:
+        """d[l] = {I: dP_I/dx_l} over the nonzero partials; built on first read and kept."""
+        try:
+            return self._partials
+        except AttributeError:
+            self._partials = [{idx: dp for idx, p in self.comps.items() if (dp := poly_partial(p, name))}
+                              for name in self.chart.vars]
+            return self._partials
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,31 +302,21 @@ def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
 def d_complex(a: FormField) -> FormField:
     """Complexified exterior derivative d(a1 + i a2) = d a1 + i d a2."""
     out: Dict[Index, Poly] = {}
-    chart = a.chart
-    for idx, p in a.comps.items():
-        for j, name in enumerate(chart.vars):
-            dp = poly_partial(p, name)
-            if dp.is_zero():
-                continue
-            sign, key = normalize_index((j,) + idx)
+    for j, dj in enumerate(a.partials):
+        for idx, dp in dj.items():
+            sign, key = _normalized((j,) + idx)
             if sign == 0:
                 continue
             term = dp if sign == 1 else -dp
             out[key] = out[key] + term if key in out else term
-    return _field(FormField, chart, a.degree + 1, out)
+    return _field(FormField, a.chart, a.degree + 1, out)
 
 
 def complex_differential(f: MultiField) -> FormField:
     """T_C f = d f1 + i d f2 for a degree-0 field f = f1 + i f2."""
     if f.degree != 0:
         raise ValueError("complex_differential expects a degree-0 MultiField")
-    p = f.component(())
-    return _field(
-        FormField,
-        f.chart,
-        1,
-        {(j,): poly_partial(p, name) for j, name in enumerate(f.chart.vars)},
-    )
+    return _field(FormField, f.chart, 1, {(j,): dj[()] for j, dj in enumerate(f.partials) if dj})
 
 
 def lie_derivative(z: MultiField, a: FormField) -> FormField:
@@ -360,13 +368,12 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
 def _schouten_half(groups: Groups, a: MultiField, b: MultiField, c: int):
     """Group c * sum_l da/dth_l ^ db/dx_l by output index, with the left odd
     derivative d(th_I)/dth_l = (-1)^pos th_{I without l} for l at pos in I."""
-    # db[l]: the nonzero (J, db_J/dx_l)
-    db = [[(ib, d) for ib, pb in b.comps.items() if (d := poly_partial(pb, name))] for name in a.chart.vars]
+    db = b.partials
     for ia, pa in a.comps.items():
         for pos, l in enumerate(ia):
             rest = ia[:pos] + ia[pos + 1:]
             sa = -c if pos % 2 else c
-            for ib, d in db[l]:
+            for ib, d in db[l].items():
                 sign, key = _normalized(rest + ib)
                 if sign:
                     groups.setdefault(key, []).append((sign * sa, pa, d))

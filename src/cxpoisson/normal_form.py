@@ -22,7 +22,7 @@ from . import linalg
 from .bivector import ComplexBivector, _part_matrix
 from .fields import FormField, MultiField, d_complex, recompose
 from .lagrangian import Lagrangian, _int_matrix, _times, bivector_of_graph, graph, images, transform
-from .poly import Chart, Poly, poly_partial, poly_subst_zero
+from .poly import Chart, Poly, poly_subst_zero
 from .pointwise import matrix_at
 from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
@@ -330,6 +330,7 @@ def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]
     """Linear part of X at N must be the fiberwise Euler field."""
     chart = bundle.chart
     b = bundle.b
+    dX = X.partials
     ok = True
     higher = False
     for j, name in enumerate(chart.vars):
@@ -340,7 +341,7 @@ def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]
             # normal-bundle linearization: fiber components linearize to the
             # Euler field; base components only shift along TN and are free
             for fv in bundle.fiber_vars:
-                d = poly_subst_zero(poly_partial(comp, fv), bundle.fiber_vars)
+                d = poly_subst_zero(dX[X.chart.index(fv)].get((j,), Poly.zero(X.chart)), bundle.fiber_vars)
                 expect = Poly.const(chart, 1 if name == fv else 0)
                 if d != expect:
                     ok = False

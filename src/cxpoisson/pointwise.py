@@ -52,28 +52,8 @@ Point = Mapping[str, Fraction]
 
 # fixed nonzero rational values cycled through coordinates; chosen so that the
 # sparse polynomial examples in scope stay at generic rank
-_GRID_VALUES = [
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(-1, 3),
-    Fraction(2),
-    Fraction(-1),
-    Fraction(3, 2),
-    Fraction(1, 4),
-    Fraction(-2),
-    Fraction(5, 3),
-    Fraction(-3, 4),
-    Fraction(3),
-    Fraction(-1, 5),
-    Fraction(7, 2),
-    Fraction(2, 5),
-    Fraction(-5, 2),
-    Fraction(1, 3),
-    Fraction(4),
-    Fraction(-2, 3),
-    Fraction(5, 4),
-    Fraction(-4, 5),
-]
+_GRID_VALUES = [Fraction(v) for v in (
+    "1 1/2 -1/3 2 -1 3/2 1/4 -2 5/3 -3/4 3 -1/5 7/2 2/5 -5/2 1/3 4 -2/3 5/4 -4/5".split())]
 
 
 def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
@@ -302,7 +282,11 @@ def theorem_7_18_check(pi: ComplexBivector, point: Point) -> bool:
     tangents tau_a span Delta, and on them the form takes the integer values
     N_ab = zeta_a(tau_b), which _presymplectic divides by d_a d_b: the range
     form is the integer rows [tau_a | N_ab]."""
-    L = graph_at(pi, point)
+    return _theorem_7_18(graph_at(pi, point))
+
+
+def _theorem_7_18(L: Lagrangian) -> bool:
+    """theorem_7_18_check on L = gr pi at the point."""
     W = _tilde_slice(L)
     lifts = _lifts(W)
     re = [list(tau) + [_dot(zre, b[0]) for b in lifts] for tau, zre, _, _ in lifts]

@@ -1,6 +1,7 @@
 """Complex bivectors: integrability residuals, brackets, constructors."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cxpoisson import (
     parse_poly,
     poly_partial,
 )
+from cxpoisson import fields
 from cxpoisson.bivector import (
     _bracket,
     _nijenhuis_matrix,
@@ -83,6 +85,24 @@ def test_pde_residuals_match_schouten_with_factor_two(rng):
         for idx, parts in by_triple.items():
             expected = (parts[1] + parts[2].scale(GS_I)).scale(2)
             assert res.component(idx) == expected
+
+
+def test_the_three_routes_take_each_partial_once(monkeypatch):
+    taken = Counter()
+    take = fields.poly_partial
+    monkeypatch.setattr(fields, "poly_partial", lambda p, name: taken.update([(id(p), name)]) or take(p, name))
+    ch = Chart(("x", "y", "z", "w"))
+    pi = bivector_from_brackets(ch, {
+        (0, 1): parse_poly("(1 + i)*x*y + z", ch), (0, 2): parse_poly("2*w - i*y^2", ch),
+        (1, 3): parse_poly("x*z + 3*i*w", ch), (2, 3): parse_poly("y + i*x*z*w", ch),
+    })
+    jacobi_residual(pi)
+    pair_conditions(pi)
+    jacobi_pde_residuals(pi)
+    comps = [p for f in (pi.body, pi.pi1, pi.pi2) for p in f.comps.values()]
+    assert len({id(p) for p in comps}) == len(comps) == 12
+    assert set(taken) == {(id(p), name) for p in comps for name in ch.vars}
+    assert max(taken.values()) == 1
 
 
 def test_perturbed_bracket_fails_jacobi():

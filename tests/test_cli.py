@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cxpoisson import pointwise
 from cxpoisson.cli import main
 from cxpoisson.problem import CHECK_KINDS, ProblemParseError, parse_problem
 
@@ -99,7 +100,8 @@ def test_machine_format_is_json_lines(nb_file, capsys):
     by_id = {r["check"]: r for r in records}
     assert by_id["good"]["verdict"] == "pass"
     assert by_id["bad"]["verdict"] == "fail"
-    assert by_id["bad"]["witness"]["pde_residuals"]
+    # the PDE witness names the file's 1-based triple and the part of the equation
+    assert by_id["bad"]["witness"]["pde_residuals"] == [[[1, 2, 3], "re", "1 + -1*y"]]
 
 
 def test_invariants_reports_profiles(nb_file, capsys):
@@ -127,6 +129,22 @@ def test_dirac_pipeline(nb_file, capsys):
     steps = by_id["dir"]["witness"][0]["steps"]
     assert [s["op"] for s in steps] == ["tilde", "indices"]
     assert by_id["thm"]["witness"][0]["steps"][0]["result"] == "pass"
+
+
+def test_dirac_evaluates_pi_once_per_point(nb_file, capsys, monkeypatch):
+    # theorem_7_18 reports on gr pi wherever it sits, so it reads the graph
+    # the point's pipeline started from
+    with open(nb_file, "a") as fh:
+        fh.write("check ht dirac NB : hat | conjugate | theorem_7_18\n")
+    made = []
+    matrix_at = pointwise.matrix_at
+    monkeypatch.setattr(pointwise, "matrix_at", lambda *a: made.append(1) or matrix_at(*a))
+    code, out, _ = run(capsys, ["dirac", nb_file, "--format", "machine", "--check", "ht",
+                                "--points", "1,1,1"])
+    assert code == 0
+    witness = json.loads(out.strip())["witness"]
+    assert len(witness) == len(made) == 2
+    assert all(w["steps"][2] == {"op": "theorem_7_18", "result": "pass"} for w in witness)
 
 
 def test_dirac_refuses_unknown_op(tmp_path, capsys):

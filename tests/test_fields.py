@@ -395,15 +395,15 @@ GAUSS = st.builds(GaussScalar.of, st.fractions(-4, 4, max_denominator=6),
 
 
 @st.composite
-def graded_fields(draw, chart, degree):
-    """A field of the given degree (0..3, possibly past the dimension, which
-    leaves only zero) with up to three terms of degree <= 2 per variable in
-    each component; one draw in eight is the zero field."""
+def graded_fields(draw, chart, degree, cls=MultiField):
+    """A field of kind cls and the given degree (0..3, possibly past the
+    dimension, which leaves only zero) with up to three terms of degree <= 2
+    per variable in each component; one draw in eight is the zero field."""
     if draw(st.integers(0, 7)) == 0:
-        return MultiField.zero(chart, degree)
+        return cls.zero(chart, degree)
     polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), GAUSS, min_size=1, max_size=3)
     slots = itertools.combinations(range(chart.dim), degree)
-    return MultiField(chart, degree, draw(st.fixed_dictionaries({idx: polys.map(partial(Poly, chart)) for idx in slots})))
+    return cls(chart, degree, draw(st.fixed_dictionaries({idx: polys.map(partial(Poly, chart)) for idx in slots})))
 
 
 def packed(m):
@@ -426,6 +426,23 @@ def test_kernel_callers_match_the_loops_they_replaced(data):
     v = data.draw(graded_fields(chart, 1), label="v")
     if a.degree:
         assert packed(_interior(v, a)) == packed(old_interior(v, a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partials_table_holds_every_nonzero_partial(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    cls, top = data.draw(st.sampled_from(((MultiField, 3), (FormField, 2))), label="kind")
+    m = data.draw(graded_fields(chart, data.draw(st.integers(0, top)), cls), label="m")
+    # -m is made by the trusted constructor, m by the validating one
+    for f in (m, -m):
+        d = f.partials
+        assert len(d) == n
+        for l, name in enumerate(chart.vars):
+            taken = {idx: poly_partial(p, name) for idx, p in f.comps.items()}
+            assert d[l] == {idx: dp for idx, dp in taken.items() if not dp.is_zero()}
+        assert f.partials is d
 
 
 @pytest.fixture

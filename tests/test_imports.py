@@ -1,6 +1,7 @@
 """The package's lints: no module imports a name it never uses, no
 function or method is defined that nothing reads, no function assigns a
-local it never reads, and the graded calculus sums no products in a loop.
+local it never reads, the graded calculus sums no products in a loop, and
+no module but poly takes a partial derivative outside the partials table.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -186,3 +187,37 @@ def test_the_check_sees_a_product_accumulation():
 @pytest.mark.parametrize("name", KERNEL_CALLERS)
 def test_graded_calculus_sums_products_only_through_the_kernel(name):
     assert product_accumulations((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+def partial_readers(source: str):
+    """(line, function) for each read of the name poly_partial, with the
+    innermost function around it (None at module level)."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                and getattr(node, "id", getattr(node, "attr", None)) == "poly_partial":
+            out.append((node.lineno, fn))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_check_sees_a_partial_outside_the_table():
+    source = (
+        "from .poly import poly_partial\n"
+        "D = poly_partial\n"
+        "def partials(p):\n    return poly_partial(p, 'x')\n"
+        "def other(p):\n    def inner():\n        return poly.poly_partial(p, 'y')\n    return inner\n"
+    )
+    assert partial_readers(source) == [(2, None), (4, "partials"), (7, "inner")]
+
+
+def test_partials_are_taken_only_by_the_fields_table():
+    readers = {(p.stem, fn) for p in MODULES if p.stem != "poly"
+               for _, fn in partial_readers(p.read_text(encoding="utf-8"))}
+    assert readers == {("fields", "partials")}
