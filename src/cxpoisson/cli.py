@@ -27,7 +27,7 @@ from .bivector import (
     pair_conditions,
 )
 from .fields import FormField, GradedField, MultiField
-from .grammar import parse_poly
+from .grammar import PolyParseError, parse_poly, parse_rational
 from .lagrangian import (
     check as lag_check,
     check_cot,
@@ -42,6 +42,7 @@ from .lagrangian import (
 from .normal_form import (
     BundleChart,
     WeightZeroError,
+    _at_N,
     mixed_check,
     splitting_check,
 )
@@ -135,12 +136,10 @@ def given_points(pf: ProblemFile, extra: Optional[str]) -> List[Dict[str, Fracti
     if extra:
         for chunk in extra.split(";"):
             try:
-                vals = [Fraction(t) for t in chunk.split(",")]
-            except ZeroDivisionError:
-                raise ValueError(f"--points entry {chunk!r} has a zero denominator") from None
-            except ValueError:
+                vals = [Fraction(*parse_rational(t.strip())) for t in chunk.split(",")]
+            except PolyParseError as exc:
                 raise ValueError(
-                    f"--points entry {chunk!r} is not a comma-separated list of rationals"
+                    f"--points entry {chunk!r} is not a comma-separated list of rationals: {exc}"
                 ) from None
             if len(vals) != chart.dim:
                 raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
@@ -297,13 +296,15 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
                    build_field(pf, "oneform", x2name))
         # the grid is capped at ten points to bound the cost; no given point is dropped
         pts = collect_points(pf, args.points, min(args.grid_size, 10))
-        mrep = mixed_check(pi, bundle, pts)
+        # pi on N, evaluated once per point for both checks
+        at_N = _at_N(pi, bundle, pts)
+        mrep = mixed_check(pi, bundle, pts, at_N=at_N)
         if not mrep.mixed:
             return ("refused(no mixed submanifold: "
                     f"pi2_annihilator_zero={mrep.pi2_annihilator_zero}, "
                     f"direct_sum_ok={mrep.direct_sum_ok})"), None
         try:
-            srep = splitting_check(pi, bundle, section, pts)
+            srep = splitting_check(pi, bundle, section, pts, at_N=at_N)
         except WeightZeroError as exc:
             return f"refused(weight: {exc})", None
         if not srep.section_in_graph:

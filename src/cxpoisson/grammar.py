@@ -1,4 +1,4 @@
-"""Text grammar for polynomial coefficients.
+"""Text grammar for polynomial coefficients and rational literals.
 
 Accepted tokens: integers, rationals `p/q`, the imaginary unit `i`, chart
 variable names, `+ - * ^` and parentheses.  Whitespace is ignored.  `^` takes
@@ -9,6 +9,18 @@ is computed, so no coefficient takes unbounded time to parse.  Parentheses
 and unary signs nest at most MAX_NESTING deep, and an integer literal has at
 most as many digits as Python converts (sys.get_int_max_str_digits()).
 
+Values are built in the packed form of poly.Poly, through its trusted
+constructor: `p/q` is the numerator pair (p/g, 0) over q/g with g their gcd,
+`i` is (0, 1) over 1, and a variable is its packed monomial key over 1; sums
+and products are Poly arithmetic on those integers.  The token list ends in
+the end sentinel "", and each token is its own text, so an operator is
+compared directly and the parser reads the current token without a bounds
+test; a token's column is found again only for an error.
+
+parse_rational reads a point coordinate with the same literal reader: an
+optional sign, then `p` or `p/q`, and nothing else (no decimal point,
+exponent or digit separator).
+
 The printer in poly.format_poly emits strings this parser accepts, so
 parse/print round-trips.
 """
@@ -16,18 +28,20 @@ parse/print round-trips.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 from typing import List, Tuple
 
-from .poly import Chart, Poly
-from .scalars import GS_I, GaussScalar
+from .poly import FIELD_BITS, Chart, Poly, _poly
 
 # a variable name the grammar can read
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-# one token, a run of whitespace, or any other character, which is refused
-_TOKEN_RE = re.compile(
-    rf"(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)"
-)
+# one token after optional whitespace
+_TOKEN_RE = re.compile(rf"\s*(\d+|{NAME_RE.pattern}|[-+*/^()])")
+# a character that no token holds
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_\-+*/^()]")
+# the tokens that are no name, the end sentinel among them, though a Chart
+# built in code may hold them as variable names
+_NOT_NAMES = frozenset(["", "-", "+", "*", "/", "^", "(", ")"])
 
 
 # largest exponent accepted after `^`; a larger one is a parse error
@@ -45,17 +59,21 @@ class PolyParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise PolyParseError(text, m.start(), f"unexpected character {m.group()!r}")
-        if m.lastgroup != "space":
-            tokens.append((m.lastgroup, m.group(), m.start()))
+def _tokenize(text: str) -> List[str]:
+    """The tokens of text, each its own text, then the end sentinel ""."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise PolyParseError(text, bad.start(), f"unexpected character {bad.group()!r}")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens; self.k is the current token's
+    index.  Token positions are needed only for errors, so error() finds
+    them again."""
+
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
@@ -63,149 +81,160 @@ class _Parser:
         self.k = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
+    def error(self, k: int, msg: str) -> PolyParseError:
+        """msg at token k, or unexpected end of input at the end sentinel."""
+        if k == len(self.tokens) - 1:
+            return PolyParseError(self.text, len(self.text), "unexpected end of input")
+        pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text)][k]
+        return PolyParseError(self.text, pos, msg)
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError(self.text, len(self.text), "unexpected end of input")
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise PolyParseError(self.text, tok[2], f"expected {op!r}, got {tok[1]!r}")
-
-    def nested(self, parse, pos: int) -> Poly:
-        """parse() one nesting level deeper, refused past MAX_NESTING."""
+    def nested(self, parse, k: int) -> Poly:
+        """parse() one nesting level deeper, for the token k that opens it;
+        refused past MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise PolyParseError(self.text, pos, f"nesting deeper than the maximum {MAX_NESTING}")
+            raise self.error(k, f"nesting deeper than the maximum {MAX_NESTING}")
         self.depth += 1
         p = parse()
         self.depth -= 1
         return p
 
-    def integer(self, tok) -> int:
+    def integer(self, k: int) -> int:
+        tok = self.tokens[k]
         try:
-            return int(tok[1])
+            return int(tok)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise PolyParseError(self.text, tok[2], f"integer of {len(tok[1])} digits is too long") from None
+            raise self.error(k, f"integer of {len(tok)} digits is too long") from None
 
-    def parse(self) -> Poly:
-        p = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise PolyParseError(self.text, tok[2], f"trailing token {tok[1]!r}")
-        return p
+    def finish(self):
+        tok = self.tokens[self.k]
+        if tok:
+            raise self.error(self.k, f"trailing token {tok!r}")
 
     def expr(self) -> Poly:
         p = self.term()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                q = self.term()
-                p = p + q if tok[1] == "+" else p - q
+            op = tokens[self.k]
+            if op == "+":
+                self.k += 1
+                p = p + self.term()
+            elif op == "-":
+                self.k += 1
+                p = p - self.term()
             else:
                 return p
 
     def term(self) -> Poly:
         p = self.factor()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.take()
-                p = _product(p, self.factor(), self.text, tok[2])
-            else:
-                return p
+        while self.tokens[self.k] == "*":
+            k = self.k
+            self.k = k + 1
+            p = self.product(p, self.factor(), k)
+        return p
 
     def factor(self) -> Poly:
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            p = self.nested(self.factor, tok[2])
-            return -p if tok[1] == "-" else p
+        k = self.k
+        sign = self.tokens[k]
+        if sign == "-" or sign == "+":
+            self.k = k + 1
+            p = self.nested(self.factor, k)
+            return -p if sign == "-" else p
         return self.power()
 
     def power(self) -> Poly:
         base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.take()
-            etok = self.take()
-            if etok[0] != "num":
-                raise PolyParseError(self.text, etok[2], "exponent must be an integer")
-            k = self.integer(etok)
-            if k > MAX_EXPONENT:
-                raise PolyParseError(
-                    self.text, etok[2], f"exponent {k} exceeds the maximum {MAX_EXPONENT}"
-                )
-            return _power(base, k, self.text, tok[2])
-        return base
+        k = self.k
+        if self.tokens[k] != "^":
+            return base
+        self.k = k + 2
+        if not self.tokens[k + 1].isdecimal():
+            raise self.error(k + 1, "exponent must be an integer")
+        e = self.integer(k + 1)
+        if e > MAX_EXPONENT:
+            raise self.error(k + 1, f"exponent {e} exceeds the maximum {MAX_EXPONENT}")
+        # base^e by repeated squaring: about 2 log2(e) multiplications
+        result = _poly(base.chart, {0: (1, 0)}, 1)
+        while e:
+            if e & 1:
+                result = self.product(result, base, k)
+            e >>= 1
+            if e:
+                base = self.product(base, base, k)
+        return result
+
+    def product(self, p: Poly, q: Poly, k: int) -> Poly:
+        """p * q for the operator at token k, refused before it is formed
+        when it exceeds MAX_PRODUCT_TERMS or when an exponent of it would
+        pass poly.MAX_EXPONENT."""
+        if len(p._num) * len(q._num) > MAX_PRODUCT_TERMS:
+            raise self.error(
+                k, f"a product of {len(p._num)} by {len(q._num)} terms "
+                f"exceeds the maximum {MAX_PRODUCT_TERMS}"
+            )
+        try:
+            return p * q
+        except OverflowError as exc:
+            raise self.error(k, str(exc)) from None
+
+    def rational(self, k: int) -> Tuple[int, int]:
+        """The literal p or p/q whose first token k, a number, is the one just
+        taken, as (p, q) in lowest terms with q > 0."""
+        p = self.integer(k)
+        if self.tokens[k + 1] != "/":
+            return p, 1
+        self.k = k + 3
+        if not self.tokens[k + 2].isdecimal():
+            raise self.error(k + 2, "denominator must be an integer")
+        q = self.integer(k + 2)
+        if q == 0:
+            raise self.error(k + 2, "zero denominator")
+        g = gcd(p, q)
+        return p // g, q // g
 
     def atom(self) -> Poly:
-        tok = self.take()
-        if tok[0] == "num":
-            value = Fraction(self.integer(tok))
-            nxt = self.peek()
-            # rational literal p/q
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.take()
-                den = self.take()
-                if den[0] != "num":
-                    raise PolyParseError(self.text, den[2], "denominator must be an integer")
-                q = self.integer(den)
-                if q == 0:
-                    raise PolyParseError(self.text, den[2], "zero denominator")
-                value /= q
-            return Poly.const(self.chart, GaussScalar.of(value))
-        if tok[0] == "name":
-            if tok[1] == "i":
-                if "i" in self.chart.vars:
-                    # a chart variable named i shadows the imaginary unit
-                    return Poly.var(self.chart, "i")
-                return Poly.const(self.chart, GS_I)
-            try:
-                return Poly.var(self.chart, tok[1])
-            except KeyError:
-                raise PolyParseError(
-                    self.text, tok[2], f"unknown variable {tok[1]!r}"
-                ) from None
-        if tok[1] == "(":
-            p = self.nested(self.expr, tok[2])
-            self.expect_op(")")
+        k = self.k
+        tok = self.tokens[k]
+        self.k = k + 1
+        chart = self.chart
+        if tok.isdecimal():
+            p, q = self.rational(k)
+            return _poly(chart, {0: (p, 0)}, q) if p else _poly(chart, {}, 1)
+        # a chart variable named i shadows the imaginary unit
+        if tok in chart.vars and tok not in _NOT_NAMES:
+            return _poly(chart, {1 << (FIELD_BITS * chart.vars.index(tok)): (1, 0)}, 1)
+        if tok == "i":
+            return _poly(chart, {0: (0, 1)}, 1)
+        if tok == "(":
+            p = self.nested(self.expr, k)
+            close = self.tokens[self.k]
+            if close != ")":
+                raise self.error(self.k, f"expected ')', got {close!r}")
+            self.k += 1
             return p
-        raise PolyParseError(self.text, tok[2], f"unexpected token {tok[1]!r}")
-
-
-def _product(p: Poly, q: Poly, text: str, pos: int) -> Poly:
-    """p * q, refused before it is formed when it exceeds MAX_PRODUCT_TERMS
-    or when an exponent of it would pass poly.MAX_EXPONENT."""
-    if len(p.terms) * len(q.terms) > MAX_PRODUCT_TERMS:
-        raise PolyParseError(
-            text, pos, f"a product of {len(p.terms)} by {len(q.terms)} terms "
-            f"exceeds the maximum {MAX_PRODUCT_TERMS}"
-        )
-    try:
-        return p * q
-    except OverflowError as exc:
-        raise PolyParseError(text, pos, str(exc)) from None
-
-
-def _power(base: Poly, k: int, text: str, pos: int) -> Poly:
-    """base^k by repeated squaring: about 2 log2(k) multiplications."""
-    result = Poly.const(base.chart, 1)
-    while k:
-        if k & 1:
-            result = _product(result, base, text, pos)
-        k >>= 1
-        if k:
-            base = _product(base, base, text, pos)
-    return result
+        if NAME_RE.match(tok):
+            raise self.error(k, f"unknown variable {tok!r}")
+        raise self.error(k, f"unexpected token {tok!r}")
 
 
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse a polynomial string on the given chart."""
-    return _Parser(text, chart).parse()
+    parser = _Parser(text, chart)
+    p = parser.expr()
+    parser.finish()
+    return p
+
+
+def parse_rational(text: str) -> Tuple[int, int]:
+    """The rational literal [+-]p or [+-]p/q in text as (numerator,
+    denominator) in lowest terms, the denominator positive; anything else,
+    a zero denominator or an integer past the digit limit raises
+    PolyParseError."""
+    parser = _Parser(text, None)
+    tokens = parser.tokens
+    k = 1 if tokens[0] in ("-", "+") else 0
+    if not tokens[k].isdecimal():
+        raise parser.error(k, f"expected a number, got {tokens[k]!r}")
+    parser.k = k + 1
+    p, q = parser.rational(k)
+    parser.finish()
+    return -p if tokens[0] == "-" else p, q

@@ -218,6 +218,11 @@ def graph(datum: Sequence[Sequence[GaussScalar]], kind: str) -> Lagrangian:
     Are, Aim, d = _int_matrix(datum, skew=kind)
     if kind not in ("bivector", "twoform"):
         raise ValueError(f"unknown graph kind {kind!r}")
+    return _graph(Are, Aim, d, kind)
+
+
+def _graph(Are: List[List[int]], Aim: List[List[int]], d: int, kind: str) -> Lagrangian:
+    """graph of the skew matrix (Are + i Aim)/d, given as integer rows."""
     n, s = len(Are), -1 if kind == "bivector" else 1
     # twoform row k: d e_k, then row k of W; bivector row k: A e_k, which is
     # minus row k of A by skewness, then d e_k

@@ -6,10 +6,13 @@ is the identity on the bundle chart, so Moser averaging of a form is the exact
 weight-wise integral: each monomial is scaled by 1 / (fiber degree of its
 coefficient + number of fiber differentials).
 
-The sampled checks make one pass per point.  splitting_check evaluates pi
-once on N and reads the fiber form and pi_N off that matrix, then once at the
-point, where gr(pi) must equal the local model e^B p^! gr(pi_N); one builder,
-_model, makes that model here and in local_model_at.
+The sampled checks make one pass per point.  pi is evaluated once on N, to
+the integer rows of its matrix there (_at_N), which mixed_check reads the
+direct-sum ranks off and splitting_check the fiber form and pi_N; a caller
+running both hands them the same rows, so pi is evaluated on N once per
+point.  splitting_check evaluates pi once more at the point itself, where
+gr(pi) must equal the local model e^B p^! gr(pi_N); one builder, _model,
+makes that model here and in local_model_at.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .bivector import ComplexBivector, _part_matrix
 from .fields import FormField, MultiField, d_complex, recompose
-from .lagrangian import Lagrangian, _int_matrix, _times, bivector_of_graph, graph, images, transform
+from .lagrangian import Lagrangian, _graph, _int_matrix, _times, bivector_of_graph, graph, images, transform
 from .poly import Chart, Poly, poly_subst_zero
-from .pointwise import matrix_at
+from .pointwise import _rows_at, matrix_at
 from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 F0 = Fraction(0)
@@ -73,6 +76,16 @@ def _on_N(bundle: BundleChart, point: Mapping[str, Fraction]) -> Dict[str, Fract
             **dict.fromkeys(bundle.fiber_vars, F0)}
 
 
+# the integer rows (re, im, d) of a skew matrix (re + i im)/d
+Rows = Tuple[List[List[int]], List[List[int]], int]
+
+
+def _at_N(pi: ComplexBivector, bundle: BundleChart,
+          points: Sequence[Mapping[str, Fraction]]) -> List[Tuple[Dict[str, Fraction], Rows]]:
+    """(the point of N under p, the rows of pi there) for each of the points."""
+    return [(q, _rows_at(pi.body, q)) for q in (_on_N(bundle, p) for p in points)]
+
+
 def _fiber_block(M: List[List], b: int) -> List[List]:
     """The fiber-by-fiber block of a matrix on a bundle chart with b base vars."""
     return [r[b:] for r in M[b:]]
@@ -104,13 +117,16 @@ class MixedReport:
 
 
 def mixed_check(
-    pi: ComplexBivector, bundle: BundleChart, sample_points_on_N: Sequence[Mapping[str, Fraction]]
+    pi: ComplexBivector, bundle: BundleChart, sample_points_on_N: Sequence[Mapping[str, Fraction]],
+    *, at_N: Optional[List[Tuple[Dict[str, Fraction], Rows]]] = None,
 ) -> MixedReport:
     """Mixed-submanifold conditions for N = {fiber vars = 0}.
 
     pi2(Ann TN) = 0 is a polynomial identity after restricting to N; the
     direct-sum conditions are checked exactly at the points of N under the
     sample points, which may be points of the bundle chart or of the base.
+    at_N, when given, is _at_N(pi, bundle, sample_points_on_N), made once
+    for this check and splitting_check.
     """
     chart = bundle.chart
     if pi.chart != chart:
@@ -125,17 +141,16 @@ def mixed_check(
     ds_ok = True
     cc_ok = True
     failures = []
-    for p in sample_points_on_N:
-        pt = _on_N(bundle, p)
+    for pt, (Are, Aim, _) in at_N or _at_N(pi, bundle, sample_points_on_N):
         # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans
         # the base coordinates, so it holds exactly when the fiber block of
         # pi1# on the d(fiber_a) is invertible; likewise for pi and the
         # complex cosymplectic condition pi(Ann T_CN) + T_CN = T_CM
-        Are, Aim, _ = _int_matrix(_fiber_block(matrix_at(pi.body, pt), b))
-        if len(linalg.echelon(Are)[0]) != f:
+        Fre = _fiber_block(Are, b)
+        if len(linalg.echelon(Fre)[0]) != f:
             ds_ok = False
             failures.append(tuple(sorted(pt.items())))
-        if len(linalg.echelon(Are, Aim)[0]) != f:
+        if len(linalg.echelon(Fre, _fiber_block(Aim, b))[0]) != f:
             cc_ok = False
     return MixedReport(
         pi2_annihilator_zero=ann_zero,
@@ -260,15 +275,15 @@ def induced_base_bivector_at(
     pi: ComplexBivector, bundle: BundleChart, base_pt: Mapping[str, Fraction]
 ) -> Optional[List[List[GaussScalar]]]:
     """pi_N at a base point: backward image of gr(pi)|_N along the inclusion."""
-    return _pi_N(bundle, matrix_at(pi.body, _on_N(bundle, base_pt)))
+    return _pi_N(bundle, _rows_at(pi.body, _on_N(bundle, base_pt)))
 
 
-def _pi_N(bundle: BundleChart, A: List[List[GaussScalar]]) -> Optional[List[List[GaussScalar]]]:
-    """pi_N read off the matrix A of pi at a point of N: the backward image of
+def _pi_N(bundle: BundleChart, A: Rows) -> Optional[List[List[GaussScalar]]]:
+    """pi_N read off the rows A of pi at a point of N: the backward image of
     gr(pi) along the inclusion, the transpose of the projection; None when
     that image is no bivector's graph."""
     incl = linalg.transpose(projection_matrix(bundle))
-    return bivector_of_graph(images("backward", incl, graph(A, "bivector")))
+    return bivector_of_graph(images("backward", incl, _graph(*A, "bivector")))
 
 
 def splitting_check(
@@ -276,6 +291,7 @@ def splitting_check(
     bundle: BundleChart,
     epsilon: Tuple[MultiField, FormField, FormField],
     points: Sequence[Mapping[str, Fraction]],
+    *, at_N: Optional[List[Tuple[Dict[str, Fraction], Rows]]] = None,
 ) -> SplittingReport:
     """Verify the Moser-averaged splitting at sample points.
 
@@ -283,7 +299,8 @@ def splitting_check(
     B = average(d xi1), omega = average(d xi2); at each point p the model
     e^{B+i omega} p^! gr(pi_N) must equal gr(pi), and on the zero section the
     fiber block of B + i omega must reproduce Omega~ with
-    Omega~(pi# z1, pi# z2) = pi(z1, z2) on Ann TN.
+    Omega~(pi# z1, pi# z2) = pi(z1, z2) on Ann TN.  at_N, when given, is
+    _at_N(pi, bundle, points), as in mixed_check.
     """
     X, xi1, xi2 = epsilon
     xi = recompose(xi1, xi2)
@@ -311,14 +328,12 @@ def splitting_check(
 
     fiber_ok = True
     results = []
-    for p in points:
+    for p, (on_N, A) in zip(points, at_N or _at_N(pi, bundle, points)):
         pt = {k: Fraction(v) for k, v in p.items()}
-        on_N = _on_N(bundle, pt)
-        A = matrix_at(pi.body, on_N)  # the one evaluation of pi on N
-        fiber_ok = fiber_ok and _fiber_form_check(bundle, A, matrix_at(Bw, on_N))
+        fiber_ok = fiber_ok and _fiber_form_check(bundle, A, _rows_at(Bw, on_N))
         AN = _pi_N(bundle, A)
         ok = AN is not None and (
-            _model(bundle, AN, matrix_at(Bw, pt)) == graph(matrix_at(pi.body, pt), "bivector"))
+            _model(bundle, AN, matrix_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
         results.append((tuple(sorted(pt.items())), ok))
     return SplittingReport(
         section_in_graph, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
@@ -352,9 +367,8 @@ def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]
     return ok, higher
 
 
-def _fiber_form_check(bundle: BundleChart, A: List[List[GaussScalar]],
-                      M: List[List[GaussScalar]]) -> bool:
-    """At a point of N, with A the matrix of pi and M that of Bw there: the
+def _fiber_form_check(bundle: BundleChart, A: Rows, M: Rows) -> bool:
+    """At a point of N, with A the rows of pi and M those of Bw there: the
     fiber block of Bw equals the induced fiber form Omega~ with
     Omega~(pi# z1, pi# z2) = pi(z1, z2) on fiber covectors.
 
@@ -364,10 +378,10 @@ def _fiber_form_check(bundle: BundleChart, A: List[List[GaussScalar]],
     check M_ff = Z^T, with M_ff skew, is Z = -M_ff: A[:, fiber] times row c
     of M_ff is the unit vector of fiber_c."""
     b, n = bundle.b, bundle.b + bundle.f
-    Are, Aim, dA = _int_matrix([r[b:] for r in A])
-    Mre, Mim, dM = _int_matrix(_fiber_block(M, b))
+    Are, Aim = [r[b:] for r in A[0]], [r[b:] for r in A[1]]
+    Mre, Mim = _fiber_block(M[0], b), _fiber_block(M[1], b)
     return all(
-        _times(Are, Aim, Mre[c], Mim[c]) == ([dA * dM if i == b + c else 0 for i in range(n)], [0] * n)
+        _times(Are, Aim, Mre[c], Mim[c]) == ([A[2] * M[2] if i == b + c else 0 for i in range(n)], [0] * n)
         for c in range(bundle.f)
     )
 

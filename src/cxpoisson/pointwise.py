@@ -4,13 +4,15 @@ Rank profiles, the A_pi distribution, leafwise presymplectic forms, the
 generalized complex matrix of a real-index-zero structure, and the
 tilde-reconstruction check.  All points are rational; all verdicts exact.
 
-A bivector pi = pi1 + i pi2 is evaluated once, to its complex matrix A
-(matrix_at).  Every check that is complex linear algebra takes A, or the
-Dirac structure gr pi (graph_at), as it is; its real and imaginary parts are
-read off it only where a real matrix is needed (bivector_at: the GCS
-matrix).  The dimensions of Delta = E meet R^n and D = Re E follow from
-E = range A and D: their complexifications are E meet conj E and
-E + conj E, so dim Delta = 2 dim E - dim D.
+A bivector pi = pi1 + i pi2 is evaluated once per point, to the integer
+rows (re, im, d) of its complex matrix A = (re + i im)/d (_rows_at, one call
+of poly.poly_values).  rank_profile, graph_at, a_pi_at and the normal-form
+checks read those rows; matrix_at makes the GaussScalar matrix of them for
+the checks that take A as it is, and its real and imaginary parts are read
+off it only where a real matrix is needed (bivector_at: the GCS matrix).
+The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
+and D: their complexifications are E meet conj E and E + conj E, so
+dim Delta = 2 dim E - dim D.
 
 The leafwise presymplectic forms are read off gr pi, as on any Dirac
 structure L: omega(X, Y) = zeta(Y) for X + zeta in L (Courant, "Dirac
@@ -31,19 +33,19 @@ from .lagrangian import (
     Lagrangian,
     Subspace,
     _cols,
+    _graph,
     _int_matrix,
     _range_form,
     _slice_real,
     _subspace,
     _tilde_from_slice,
     _tilde_slice,
-    graph,
     real_points,
     real_projection,
 )
 from .linalg import _dot
-from .poly import Chart, poly_eval
-from .scalars import GS_ZERO, GaussScalar
+from .poly import Chart, poly_eval, poly_values
+from .scalars import GS_ZERO, GaussScalar, _make
 
 Point = Mapping[str, Fraction]
 
@@ -73,18 +75,27 @@ def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
 # -- pointwise matrices ------------------------------------------------------
 
 
-def matrix_at(field: GradedField, point: Point) -> List[List[GaussScalar]]:
-    """Skew GaussScalar matrix M[i][j] = field(dx_i, dx_j) (or field(e_i, e_j))
-    of a degree-2 MultiField or FormField at a rational point; for a
-    bivector's body this is its complex matrix A = A1 + i A2."""
+def _rows_at(field: GradedField, point: Point) -> Tuple[List[List[int]], List[List[int]], int]:
+    """(re, im, d) with field(dx_i, dx_j) (or field(e_i, e_j)) = (re[i][j] +
+    i im[i][j])/d for a degree-2 MultiField or FormField at a rational point:
+    integer rows over one denominator with content 1, as _int_matrix gives
+    them.  For a bivector's body this is its complex matrix A = A1 + i A2."""
     if field.degree != 2:
         raise ValueError("matrix_at expects a degree-2 field")
     n = field.chart.dim
-    M = [[GS_ZERO] * n for _ in range(n)]
-    for (i, j), p in field.comps.items():
-        v = poly_eval(p, point)
-        M[i][j], M[j][i] = v, -v
-    return M
+    vals, d = poly_values(field.chart, field.comps.values(), point)
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for (i, j), (a, b) in zip(field.comps, vals):
+        re[i][j], re[j][i] = a, -a
+        im[i][j], im[j][i] = b, -b
+    return re, im, d
+
+
+def matrix_at(field: GradedField, point: Point) -> List[List[GaussScalar]]:
+    """The skew GaussScalar matrix of _rows_at(field, point)."""
+    re, im, d = _rows_at(field, point)
+    return [[_make(a, b, d) if a or b else GS_ZERO for a, b in zip(r, i)] for r, i in zip(re, im)]
 
 
 def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
@@ -95,7 +106,7 @@ def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]]
 
 
 def graph_at(pi: ComplexBivector, point: Point) -> Lagrangian:
-    return graph(matrix_at(pi.body, point), "bivector")
+    return _graph(*_rows_at(pi.body, point), "bivector")
 
 
 # -- rank profiles -----------------------------------------------------------
@@ -113,7 +124,7 @@ class RankProfile:
 
 
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
-    Are, Aim, _ = _int_matrix(matrix_at(pi.body, point))
+    Are, Aim, _ = _rows_at(pi.body, point)
     n = len(Are)
     # row span = column span by skewness
     E = _subspace(n, linalg.echelon(Are, Aim)[0], True)
@@ -165,11 +176,10 @@ def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:
     Re(zeta(i pi# e_j)) = Im(pi# zeta)_j, so it is the same space.
     """
     n = pi.chart.dim
-    A = matrix_at(pi.body, point)
-    pre = _slice_real(graph(A, "bivector"), _cols(n, 2), _cols(n, 1, 3))
+    Are, Aim, d = _rows_at(pi.body, point)
+    pre = _slice_real(_graph(Are, Aim, d, "bivector"), _cols(n, 2), _cols(n, 1, 3))
     # i pi#(e_j) = -A2[:, j] + i A1[:, j], paired as xi(X) - eta(Y): by
     # skewness the row (A2[j], A1[j])
-    Are, Aim, _ = _int_matrix(A)
     ann = _subspace(2 * n, linalg.nullspace(2 * n, [im + re for re, im in zip(Are, Aim)]), False)
     return pre, ann
 

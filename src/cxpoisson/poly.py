@@ -16,11 +16,15 @@ pairs (a, b), meaning a + b i, over one positive integer denominator d.
 
 Only the public constructor Poly(chart, terms) validates.  Arithmetic,
 partials, parts and substitution build their results through a trusted
-constructor and reduce the content only when d > 1.  GaussScalars are made
+constructor and reduce the content only when d > 1; so does the coefficient
+grammar, which builds its atoms as numerator pairs.  Evaluation at a
+rational point stays in integers too: poly_values writes the point once as
+numerators over one denominator and returns the values of several Polys as
+numerator pairs over one denominator with content 1.  GaussScalars are made
 only at the API edge: the .terms view ({exponent tuple: GaussScalar},
-unpacked on first read and cached), poly_eval, printing and hash.  Printing
-uses graded lexicographic order on the chart's variable order, which makes
-output canonical.
+unpacked on first read and cached), poly_eval (poly_values for one Poly),
+printing and hash.  Printing uses graded lexicographic order on the chart's
+variable order, which makes output canonical.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .scalars import GS_ONE, GaussScalar, Rational, _coerce, _make
 
@@ -390,38 +394,71 @@ def poly_partial(p: Poly, var: str) -> Poly:
     return _reduced(p.chart, out, p._den)
 
 
-def poly_eval(p: Poly, point: Mapping[str, Rational]) -> GaussScalar:
-    """p at a rational point, as the exact sum of integer terms over the
-    point's common denominator."""
-    vals = []
-    for name in p.chart.vars:
+def poly_values(chart: Chart, polys: Iterable[Poly], point: Mapping[str, Rational]) -> Tuple[List[Tuple[int, int]], int]:
+    """The values of polys, all on chart, at a rational point, as Gaussian
+    integer numerators (re, im) over one denominator d > 0 with content 1:
+    the package's one evaluation loop.
+
+    The point is written once as integers n_j over their common denominator
+    D.  A term c x^e of degree k of a Poly N/e is then c n^e D^(T - k) over
+    e D^T, T the largest degree of any term, and each Poly's sum is scaled
+    to L D^T, L the lcm of the e."""
+    nums = []
+    dens = []
+    for name in chart.vars:
         if name not in point:
             raise KeyError(f"point missing value for variable {name!r}")
-        vals.append(Fraction(point[name]))
-    # v_j = n_j / D; each term is scaled by D^top, top the largest degree
-    D = lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (D // v.denominator) for v in vals]
-    terms = []
+        v = point[name]
+        if type(v) is not int and type(v) is not Fraction:
+            v = Fraction(v)
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+    D = lcm(*dens)
+    nums = [n * (D // d) for n, d in zip(nums, dens)]
+    sums = []
     top = 0
-    for key, (a, b) in p._num.items():
-        m = 1
-        deg = 0
-        j = 0
-        while key:
-            e = key & _FIELD
-            if e:
-                m *= nums[j] ** e
-                deg += e
-            key >>= FIELD_BITS
-            j += 1
-        terms.append((a * m, b * m, deg))
-        top = max(top, deg)
-    re = im = 0
-    for a, b, deg in terms:
-        s = D ** (top - deg)
-        re += a * s
-        im += b * s
-    return _make(re, im, p._den * D**top)
+    for p in polys:
+        terms = []
+        for key, (a, b) in p._num.items():
+            m = 1
+            deg = 0
+            j = 0
+            while key:
+                e = key & _FIELD
+                if e:
+                    m *= nums[j] ** e
+                    deg += e
+                key >>= FIELD_BITS
+                j += 1
+            terms.append((a * m, b * m, deg))
+            if deg > top:
+                top = deg
+        sums.append((terms, p._den))
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * D)
+    L = lcm(*(e for _, e in sums))
+    out = []
+    for terms, e in sums:
+        re = im = 0
+        for a, b, deg in terms:
+            s = powers[top - deg]
+            re += a * s
+            im += b * s
+        s = L // e
+        out.append((re * s, im * s))
+    den = L * powers[top]
+    g = gcd(den, *(x for pair in out for x in pair))
+    if g != 1:
+        out = [(a // g, b // g) for a, b in out]
+        den //= g
+    return out, den
+
+
+def poly_eval(p: Poly, point: Mapping[str, Rational]) -> GaussScalar:
+    """p at a rational point (poly_values for one Poly)."""
+    ((re, im),), d = poly_values(p.chart, (p,), point)
+    return _make(re, im, d)
 
 
 def poly_subst_zero(p: Poly, names) -> Poly:

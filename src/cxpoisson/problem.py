@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .grammar import NAME_RE, PolyParseError, parse_poly
+from .grammar import NAME_RE, PolyParseError, parse_poly, parse_rational
 from .poly import Chart, Poly
 
 
@@ -80,9 +80,9 @@ def _strip(line: str) -> str:
 
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
     try:
-        return Fraction(tok.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ProblemParseError(lineno, f"bad rational {tok!r}") from None
+        return Fraction(*parse_rational(tok.strip()))
+    except PolyParseError as exc:
+        raise ProblemParseError(lineno, f"bad rational: {exc}") from None
 
 
 def parse_problem(text: str) -> ProblemFile:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import pointwise
+from cxpoisson import normal_form, pointwise
 from cxpoisson.cli import main
+from cxpoisson.fields import MultiField
 from cxpoisson.problem import CHECK_KINDS, ProblemParseError, parse_problem
 
 NB_PROBLEM = """\
@@ -71,6 +72,21 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def evaluated_fields(monkeypatch):
+    """The list of fields each evaluation at a point (pointwise._rows_at,
+    under every module name bound to it) is made on, filled as they run."""
+    made = []
+    rows_at = pointwise._rows_at
+
+    def counted(field, point):
+        made.append(field)
+        return rows_at(field, point)
+
+    for mod in (pointwise, normal_form):
+        monkeypatch.setattr(mod, "_rows_at", counted)
+    return made
 
 
 def test_check_pass_only(nb_file, capsys):
@@ -136,9 +152,7 @@ def test_dirac_evaluates_pi_once_per_point(nb_file, capsys, monkeypatch):
     # the point's pipeline started from
     with open(nb_file, "a") as fh:
         fh.write("check ht dirac NB : hat | conjugate | theorem_7_18\n")
-    made = []
-    matrix_at = pointwise.matrix_at
-    monkeypatch.setattr(pointwise, "matrix_at", lambda *a: made.append(1) or matrix_at(*a))
+    made = evaluated_fields(monkeypatch)
     code, out, _ = run(capsys, ["dirac", nb_file, "--format", "machine", "--check", "ht",
                                 "--points", "1,1,1"])
     assert code == 0
@@ -283,6 +297,9 @@ def test_dirac_samples_the_given_points(nb_file, capsys):
     [
         ("invariants", "1,2"), ("invariants", "1/0,1,1"), ("dirac", "1/0,1,1"),
         ("invariants", ";"), ("dirac", "1,,2"), ("invariants", "1 2 3"),
+        # a coordinate is [+-]p or [+-]p/q, under the digit limit
+        ("invariants", "1.5,1,1"), ("dirac", "1,1e9,1"), ("invariants", "1e999999999,1,1"),
+        ("invariants", "1_0,1,1"), ("dirac", "1,1," + "9" * 5000),
     ],
 )
 def test_bad_points_flag_is_refusal(nb_file, capsys, command, points):
@@ -290,7 +307,7 @@ def test_bad_points_flag_is_refusal(nb_file, capsys, command, points):
     assert code == 2 and "error" in err and not out
     # the refusal names the flag, and the entry when it is not rationals
     assert "--points entry" in err
-    if points in (";", "1,,2", "1 2 3"):
+    if points != "1,2":
         assert repr(points.split(";")[0]) in err
 
 
@@ -453,6 +470,17 @@ def test_normal_form_samples_the_given_points(split_file, capsys):
     assert len(points) == 11 and points[-1] == {"u": "7", "v": "11", "q": "13", "p": "17"}
 
 
+@pytest.mark.parametrize("grid, points, k", [(3, None, 3), (2, "7,11,13,17;1,2,0,0", 4)])
+def test_normal_form_evaluates_pi_twice_per_point(split_file, capsys, monkeypatch, grid, points, k):
+    # once on N, for the mixed and the splitting check, and once at the point
+    made = evaluated_fields(monkeypatch)
+    argv = ["normal-form", split_file, "--format", "machine", "--grid-size", str(grid)]
+    code, out, _ = run(capsys, argv + (["--points", points] if points else []))
+    assert code == 0
+    assert len(json.loads(out.strip())["witness"]["points"]) == k
+    assert sum(isinstance(f, MultiField) for f in made) == 2 * k
+
+
 def test_normal_form_refuses_an_empty_base(tmp_path, capsys):
     # the fiber data of SPLIT_PROBLEM, which pass; but N would be a point
     f = tmp_path / "point.prob"
@@ -491,7 +519,7 @@ def test_normal_form_fails_on_a_section_that_is_no_euler_field(tmp_path, capsys)
 CHARTS, BAD_CHARTS = ["x y", "x y z", "u v q p", "x"], ["x x", "i j", "x y 1z", ""]
 COEFFS = ["0", "1", "i", "1 + 2*i", "{v}", "-1*{v}", "{v}^2 - i*{w}", "{v}*{w} + 1/2"]
 BAD_COEFFS = ["({v}", "1/0", "{v}^99", "nosuchvar", ""]
-RATIONALS, BAD_RATIONALS = ["0", "1", "-2", "1/2", "3"], ["1/0", "a", ""]
+RATIONALS, BAD_RATIONALS = ["0", "1", "-2", "1/2", "3"], ["1/0", "a", "", "1e9", "1_0"]
 BLOCKS = [("bivector", "B", 2), ("bivector", "C", 2), ("vector", "X", 1),
           ("oneform", "a", 1), ("oneform", "b", 1), ("form", "w", 2)]
 CHECKS = ["c1 jacobi B", "c2 invariants B", "c3 dirac B : tilde | indices",
@@ -556,7 +584,7 @@ def problem_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-POINTS = ["1,2", "1/2,1,0", "3,5,7", "1,1,1,1", "1/0,1", "a", "", ";", "1,2;3,4", "0,0"]
+POINTS = ["1,2", "1/2,1,0", "3,5,7", "1,1,1,1", "1/0,1", "a", "", ";", "1,2;3,4", "0,0", "1e9,1", "1_0,2"]
 
 
 @st.composite

@@ -4,9 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cxpoisson import Chart, Poly, parse_poly
-from cxpoisson.grammar import MAX_EXPONENT, MAX_NESTING, PolyParseError
+from cxpoisson import Chart, Poly, format_poly, parse_poly
+from cxpoisson.grammar import MAX_EXPONENT, MAX_NESTING, PolyParseError, parse_rational
 from cxpoisson.scalars import GS_I, GaussScalar
 
 CH = Chart(("x", "y", "z"))
@@ -61,6 +63,16 @@ def test_chart_variable_named_i_shadows_unit():
     assert p == Poly.var(ch, "i") * Poly.var(ch, "i")
 
 
+def test_chart_names_that_are_operators_stay_operators():
+    # a Chart built in code may name a variable like an operator or the end
+    with pytest.raises(PolyParseError, match="^at column 3: unexpected token"):
+        parse_poly("x*)", Chart(("x", ")")))
+    with pytest.raises(PolyParseError, match="^at column 4: unexpected end of input"):
+        parse_poly("x +", Chart(("x", "")))
+    ch = Chart(("x", "("))
+    assert parse_poly("(x)", ch) == Poly.var(ch, "x")
+
+
 @pytest.mark.parametrize("text, column", [
     pytest.param("x +", 4, id="end-of-input"),
     pytest.param("w + 1", 1, id="unknown-variable"),
@@ -108,3 +120,102 @@ def test_exponent_above_the_maximum_is_refused_fast():
         with pytest.raises(PolyParseError, match="exceeds the maximum"):
             parse_poly(text, xyzw)
     assert time.perf_counter() - t0 < 1.0
+
+
+# -- differential test against Poly arithmetic -----------------------------
+#
+# An expression tree is (text, level, value): its text in the grammar, the
+# precedence level of its outermost construct (1 sum, 2 product, 3 unary
+# sign, 4 power, 5 atom) and its value built with Poly.const, Poly.var and
+# Poly + - *.  A child is parenthesized only where the grammar needs it, so
+# the trees exercise precedence as well as the atoms.
+
+SP = st.sampled_from(["", " "])
+
+
+def wrap(tree, level):
+    text, lv, _ = tree
+    return text if lv >= level else f"({text})"
+
+
+LEAVES = st.one_of(
+    st.integers(0, 10**6).map(lambda k: (str(k), 5, Poly.const(CH, k))),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)).map(
+        lambda pq: (f"{pq[0]}/{pq[1]}", 5, Poly.const(CH, Fraction(*pq)))),
+    st.just(("i", 5, Poly.const(CH, GS_I))),
+    st.sampled_from(CH.vars).map(lambda v: (v, 5, Poly.var(CH, v))),
+)
+
+
+def binary(a, op, b, sp):
+    # sums and products associate to the left: the right operand binds tighter
+    level = 1 if op in "+-" else 2
+    value = a[2] + b[2] if op == "+" else a[2] - b[2] if op == "-" else a[2] * b[2]
+    return (f"{wrap(a, level)}{sp}{op}{sp}{wrap(b, level + 1 if op in '+-' else 3)}", level, value)
+
+
+def unary(sign, a, sp):
+    return (f"{sign}{sp}{wrap(a, 3)}", 3, -a[2] if sign == "-" else a[2])
+
+
+def power(a, k):
+    value = Poly.const(CH, 1)
+    for _ in range(k):
+        value = value * a[2]
+    return (f"{wrap(a, 5)}^{k}", 4, value)
+
+
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.builds(binary, kids, st.sampled_from("+-*"), kids, SP),
+    st.builds(unary, st.sampled_from("+-"), kids, SP),
+    st.builds(power, kids, st.integers(0, 3)),
+    kids.map(lambda a: (f"({a[0]})", 5, a[2])),
+), max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_parse_equals_poly_arithmetic(tree):
+    text, _, value = tree
+    assert parse_poly(text, CH) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES)
+def test_format_then_parse_is_the_identity(tree):
+    value = tree[2]
+    assert parse_poly(format_poly(value), CH) == value
+
+
+# -- rational literals --------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", (0, 1)), ("-0", (0, 1)), ("7", (7, 1)), ("+7", (7, 1)), ("-3/6", (-1, 2)),
+    (" 10/4 ", (5, 2)), ("0/5", (0, 1)), ("1" + "0" * 100, (10**100, 1)),
+])
+def test_rational_literals(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text, column", [
+    pytest.param("", 1, id="empty"),
+    pytest.param("1.5", 2, id="decimal-point"),
+    pytest.param("1e9", 2, id="exponent"),
+    pytest.param("1e999999999", 2, id="huge-exponent"),
+    pytest.param("1_0", 2, id="digit-separator"),
+    pytest.param("--1", 2, id="two-signs"),
+    pytest.param("x", 1, id="name"),
+    pytest.param("1/0", 3, id="zero-denominator"),
+    pytest.param("1/", 3, id="no-denominator"),
+    pytest.param("1/-2", 3, id="signed-denominator"),
+    pytest.param("1/2/3", 4, id="two-slashes"),
+    pytest.param("(1)", 1, id="parenthesis"),
+    pytest.param("1" * 5000, 1, id="long-numerator"),
+    pytest.param("1/" + "1" * 5000, 3, id="long-denominator"),
+])
+def test_rational_refusals_carry_column(text, column):
+    t0 = time.perf_counter()
+    with pytest.raises(PolyParseError, match=f"^at column {column}: "):
+        parse_rational(text)
+    assert time.perf_counter() - t0 < 0.5

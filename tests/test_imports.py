@@ -1,7 +1,8 @@
 """The package's lints: no module imports a name it never uses, no
 function or method is defined that nothing reads, no function assigns a
-local it never reads, the graded calculus sums no products in a loop, and
-no module but poly takes a partial derivative outside the partials table.
+local it never reads, the graded calculus sums no products in a loop, no
+module but poly takes a partial derivative outside the partials table, and
+the grammar builds its values without Fraction or GaussScalar.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -221,3 +222,30 @@ def test_partials_are_taken_only_by_the_fields_table():
     readers = {(p.stem, fn) for p in MODULES if p.stem != "poly"
                for _, fn in partial_readers(p.read_text(encoding="utf-8"))}
     assert readers == {("fields", "partials")}
+
+
+def scalar_reads(source: str, names=("Fraction", "GaussScalar")):
+    """(line, name) for each import of one of names, under any alias, and
+    each read of one as an attribute (fractions.Fraction)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_the_check_sees_a_scalar_import():
+    source = (
+        "from fractions import Fraction as F\n"
+        "from .scalars import GS_I, GaussScalar\n"
+        "import fractions\n"
+        "x = fractions.Fraction(1)\n"
+        "from .poly import Poly\n"
+    )
+    assert scalar_reads(source) == [(1, "Fraction"), (2, "GaussScalar"), (4, "Fraction")]
+
+
+def test_grammar_builds_values_without_scalar_objects():
+    assert scalar_reads((PACKAGE / "grammar.py").read_text(encoding="utf-8")) == []

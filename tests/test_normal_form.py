@@ -30,7 +30,7 @@ from cxpoisson.normal_form import (
     projection_matrix,
     splitting_check,
 )
-from cxpoisson.pointwise import grid_points, matrix_at
+from cxpoisson.pointwise import _rows_at, grid_points, matrix_at
 from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import linalg
 
@@ -266,9 +266,9 @@ def test_splitting_check_evaluates_pi_twice_per_point(monkeypatch):
 
     def counted(field, point):
         calls.append(field is pi.body)
-        return matrix_at(field, point)
+        return _rows_at(field, point)
 
-    monkeypatch.setattr(normal_form, "matrix_at", counted)
+    monkeypatch.setattr(normal_form, "_rows_at", counted)
     for k in (1, 3, 5):
         calls.clear()
         rep = splitting_check(pi, BUNDLE, splitting_section(), splitting_points(k))
@@ -349,4 +349,4 @@ def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
     Bw = FormField(chart, 2, {k: p for k, p in comps.items() if not p.is_zero()})
     M = matrix_at(Bw, pt)
     ref_ok = expected is not None and [r[b:] for r in M[b:]] == expected
-    assert _fiber_form_check(bundle, matrix_at(pi.body, pt), M) == ref_ok
+    assert _fiber_form_check(bundle, _rows_at(pi.body, pt), _rows_at(Bw, pt)) == ref_ok

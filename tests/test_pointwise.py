@@ -1,6 +1,7 @@
 """Pointwise Dirac linear algebra: profiles, A_pi, presymplectic data, GCS."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,12 +21,14 @@ from cxpoisson.bivector import _part_matrix
 from cxpoisson.lagrangian import (
     ComplexSubspace,
     Lagrangian,
+    _int_matrix,
     lagrangian_from_range_form,
     real_points,
     real_projection,
     tangent_range,
 )
 from cxpoisson.pointwise import (
+    _rows_at,
     a_pi_at,
     a_pi_min_at,
     bivector_at,
@@ -435,26 +438,36 @@ def old_rank_profile(pi, point):
 RAT = st.fractions(-3, 3, max_denominator=4)
 
 
+# coordinates with numerators and denominators up to 10^6
+WIDE_RAT = st.fractions(-10**6, 10**6, max_denominator=10**6)
+
+
 @st.composite
-def degree_two_fields(draw):
+def degree_two_fields(draw, rat=RAT):
     """(a degree-2 MultiField or FormField with polynomial entries of degree
-    <= 2 on n = 1..5 variables, a rational point)."""
+    <= 2 on n = 1..5 variables, a point with coordinates drawn from rat)."""
     n = draw(st.integers(1, 5))
     chart = Chart(tuple(f"x{k}" for k in range(n)))
     rnd = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from((MultiField, FormField)))
     comps = {(i, j): random_poly(rnd, chart) for i in range(n) for j in range(i + 1, n)
              if draw(st.booleans())}
-    return kind(chart, 2, comps), {v: draw(RAT) for v in chart.vars}
+    return kind(chart, 2, comps), {v: draw(rat) for v in chart.vars}
 
 
 @settings(max_examples=150, deadline=None)
-@given(degree_two_fields())
+@given(degree_two_fields(st.one_of(RAT, WIDE_RAT)))
+@example((MultiField(XYZ, 2, {}), NB_POINTS[0]))
+@example((FormField(XYZ, 2, {}), {"x": F(0), "y": F(-7, 10**6), "z": F(10**6, 999_983)}))
 def test_matrix_at_matches_the_split_and_join_pipeline(case):
     field, point = case
     M = matrix_at(field, point)
     assert M == old_form_matrix_at(field, point)
     assert all(type(x) is GaussScalar for r in M for x in r)
+    # the integer rows are those of the GaussScalar matrix, in lowest terms
+    re, im, d = _rows_at(field, point)
+    assert (re, im, d) == _int_matrix(M)
+    assert d > 0 and gcd(d, *(x for r in re + im for x in r)) == 1
     if isinstance(field, MultiField):
         pi = ComplexBivector(field)
         assert M == old_complex_matrix(*old_bivector_at(pi, point))

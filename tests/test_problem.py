@@ -72,6 +72,15 @@ def test_bundle_declaration():
         ("chart\n", 1),  # no variable
         ("chart x y\npoint p = 1", 2),  # wrong coordinate count
         ("chart x y\npoint p = 1, a", 2),  # bad rational
+        # a coordinate is [+-]p or [+-]p/q, under the digit limit
+        ("chart x y\npoint p = 1.5, 1", 2),
+        ("chart x y\npoint p = 1, 1e9", 2),
+        ("chart x y\n#\npoint p = 1e999999999, 1", 3),
+        ("chart x y\npoint p = 1_0, 1", 2),
+        ("chart x y\npoint p = 1, 2/0", 2),
+        ("chart x y\npoint p = 1, 2/", 2),
+        ("chart x y\npoint p = --1, 1", 2),
+        ("chart x y\npoint p = 1, " + "7" * 5000, 2),
         ("chart x y\nbivector B {\n 1 2 = 1", 2),  # unterminated block
         ("chart x y\nbivector B {\n 2 1 = 1\n}", 3),  # i < j violated
         ("chart x y\nbivector B {\n 1 3 = 1\n}", 3),  # index out of range
@@ -138,3 +147,10 @@ def test_misspelled_check_kind_is_refused_at_its_line():
         parse_problem(text)
     assert err.value.lineno == 6
     assert "jacobi, invariants, dirac, normal_form" in str(err.value)
+
+
+def test_point_coordinates_are_rational_literals():
+    pf = parse_problem("chart x y z\npoint p = -3/6, +2, 10/4\n")
+    assert pf.points["p"] == (Fraction(-1, 2), Fraction(2), Fraction(5, 2))
+    with pytest.raises(ProblemParseError, match="^line 2: bad rational: at column 2: trailing token 'e9'"):
+        parse_problem("chart x y\npoint p = 1, 1e9\n")
