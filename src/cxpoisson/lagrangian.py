@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import _dot
-from .scalars import GS_I, GaussScalar
+from .scalars import GaussScalar
 
 class Subspace:
     """Canonical subspace of R^m or C^m in reduced row echelon form.
@@ -254,17 +254,16 @@ def products(kind: str, L1, L2) -> Lagrangian:
 
     tangent:  L1 * L2 = {X + eta1 + eta2 : X + eta1 in L1, X + eta2 in L2}
     cotangent: {X1 + X2 + eta : X1 + eta in L1, X2 + eta in L2}
-    complex variants take real lagrangians (real Subspace of R^{2n}):
-    L1 *_C L2 = (L1)_C * (i . (L2)_C), likewise with the cotangent product.
+    complex variants take real lagrangians (real Subspace of R^{2n}, or its
+    complexification): L1 *_C L2 = (L1)_C * (i . (L2)_C), likewise with the
+    cotangent product.  As both factors are real, a complex product is one
+    real eliminate and one echelon over Q(i) (_complex_product).
     """
     if kind in ("complex_tangent", "complex_cotangent"):
-        c1 = complexify_real(L1)
-        # the i-twist acts on the half that is summed by the product:
-        # scalar_dot for the tangent product, scalar_bullet for the cotangent
-        twist = "scalar_dot" if kind == "complex_tangent" else "scalar_bullet"
-        c2 = transform(twist, GS_I, complexify_real(L2))
-        base = "tangent" if kind == "complex_tangent" else "cotangent"
-        return products(base, c1, c2)
+        c1, c2 = _real_factor(L1), _real_factor(L2)
+        if c1.n != c2.n:
+            raise ValueError("ambient dimension mismatch")
+        return _complex_product(kind, c1.n, [re for re, _, _ in c1.rows], [re for re, _, _ in c2.rows])
     if kind not in ("tangent", "cotangent"):
         raise ValueError(f"unknown product kind {kind!r}")
     if L1.n != L2.n:
@@ -283,21 +282,49 @@ def products(kind: str, L1, L2) -> Lagrangian:
     return _lagrangian(n, linalg.eliminate(n, re, im))
 
 
+def _complex_product(kind: str, n: int, rows1, rows2) -> Lagrangian:
+    """products(kind, L1, L2) for the complex kinds, the real lagrangians
+    L1 and L2 of R^{2n} given by integer rows that span them.
+
+    Write w for the shared half (tangent for complex_tangent, cotangent for
+    complex_cotangent) and u for the summed one.  The real (w, u1, u2) with
+    w + u1 in L1 and w + u2 in L2 form a space S defined over R, so S_C holds
+    every complex solution, and the product is the complex span of
+    w + u1 + i u2 over S: the i-twist of L2 multiplies its summed half by i.
+    S is one real eliminate: an L1 row puts its shared half in the head and
+    in w, its summed half in u1; an L2 row puts minus its shared half in the
+    head and its summed half in u2."""
+    lo, hi = (0, n) if kind == "complex_tangent" else (n, 2 * n)
+    zero = [0] * n
+    rows = [[*r[lo:hi], *r[lo:hi], *r[:lo], *r[hi:], *zero] for r in rows1]
+    rows += [[*(-x for x in r[lo:hi]), *zero, *zero, *r[:lo], *r[hi:]] for r in rows2]
+    S = [ints for ints, _ in linalg.eliminate(n, rows)]
+    if kind == "complex_tangent":
+        re, im = [v[:2 * n] for v in S], [[*zero, *v[2 * n:]] for v in S]
+    else:
+        re, im = [[*v[n:2 * n], *v[:n]] for v in S], [[*v[2 * n:], *zero] for v in S]
+    return _lagrangian(n, linalg.echelon(re, im)[0])
+
+
+def _real_factor(S) -> Lagrangian:
+    """complexify_real(S) for a factor of a complex product, which must be
+    the complexification of a real lagrangian."""
+    L = complexify_real(S)
+    if any(any(im) for _, im, _ in L.rows):
+        raise ValueError("expected a real Subspace of R^{2n}, got a complex Lagrangian")
+    return L
+
+
 def complexify_real(S) -> Lagrangian:
     """Complexification of a real lagrangian subspace of R^{2n}."""
     if isinstance(S, Lagrangian):
         return S
     if not isinstance(S, Subspace) or S.is_complex or S.m % 2 != 0:
         raise ValueError("expected a real Subspace of R^{2n}")
-    L = _complexified(S)
-    if not _is_isotropic(L.rows, L.n):
+    rows = [(ints, (0,) * S.m, d) for ints, d in S.rows]
+    if not _is_isotropic(rows, S.m // 2):
         raise ValueError("the real subspace is not isotropic")
-    return L
-
-
-def _complexified(S: Subspace) -> Lagrangian:
-    """complexify_real without the isotropy check, for a real slice of a lagrangian."""
-    return _lagrangian(S.m // 2, [(ints, (0,) * S.m, d) for ints, d in S.rows])
+    return _lagrangian(S.m // 2, rows)
 
 
 # -- transforms ---------------------------------------------------------------
@@ -377,13 +404,15 @@ def _tilde_from_slice(kind: str, W: Subspace) -> Lagrangian:
     the one real slice of L behind both of its slices.  W's blocks of n
     columns are re tangent and re cotangent, the check slice, which is W's
     heads, and then the block the hat slice adds: im cotangent for tilde,
-    im tangent for tilde_cot.  The hat slice is the reduced span of W's
-    blocks 0 and 2 (tilde) or 2 and 1 (tilde_cot)."""
+    im tangent for tilde_cot.  The hat slice is the span of W's blocks 0
+    and 2 (tilde) or 2 and 1 (tilde_cot), reduced by one real echelon:
+    the projected rows of W, unreduced, would put wider integers into the
+    product's elimination."""
     n = W.m // 3
     pos = _cols(n, *((0, 2) if kind == "complex_tangent" else (2, 1)))
     hat_rows = linalg.echelon([[ints[p] for p in pos] for ints, _ in W.rows])[0]
     check_rows = linalg._heads(W.rows, 2 * n)
-    return products(kind, *(_complexified(_subspace(2 * n, rows, False)) for rows in (check_rows, hat_rows)))
+    return _complex_product(kind, n, [ints for ints, _ in check_rows], [ints for ints, _ in hat_rows])
 
 
 def _tilde_slice(L: Lagrangian) -> Subspace:

@@ -4,17 +4,21 @@ The one reduction is echelon, fraction-free Gauss-Jordan on integer rows,
 and its rows come out canonical: a complex row is the tuple (re, im, d), the
 vector (re + i im)/d with d > 0, pivot entry (d, 0) and gcd(re, im, d) == 1;
 a real row is (ints, d) alike.  A span has one canonical basis, so span
-equality is tuple equality.  Over Q(i) every pivot is made real before it is
+equality is tuple equality.  Inside the reduction a Gaussian row is one
+integer list [re | im].  Over Q(i) every pivot is made real before it is
 used, so a row update multiplies a row by a rational integer, which the
 integer gcd of the updated row removes again; a complex pivot would leave in
 the row a Gaussian factor such as 2 + i, which no integer gcd can see, and
-such factors would pile up at every step.  eliminate, the one
-intersect-and-project step, returns the canonical tails after the k head
-coordinates that must vanish, in two phases: the head phase clears each head
-column with echelon's row update and drops that column's pivot row, which is
-never reduced; the tail phase is echelon of the tails left.  They span the intersection, and echelon
-gives a span its one canonical basis, so the tails are those the full
-echelon would have.
+such factors would pile up at every step.  With the real pivot row P and i P
+formed once per pivot, clearing the entry f + h i of a row K is one list,
+p K - f P - h (i P), and one gcd.  eliminate, the one intersect-and-project
+step, returns the canonical tails after the k head coordinates that must
+vanish, in two phases: the head phase clears each head column with
+echelon's row update, on full-width rows, and drops that column's pivot
+row, which is never reduced; the tail phase slices the tails of the rows
+left once and reduces them as echelon does.  They span the intersection,
+and echelon gives a span its one canonical basis, so the tails are those
+the full echelon would have.
 solve and nullspace take integer rows as echelon does and read their answer
 off one echelon, where each pivot entry is (d, 0): solve(ncols, [M | B])
 gives the block X with M X == B, row c of X the B part of the row with pivot
@@ -46,60 +50,86 @@ def echelon(re_rows, im_rows=None) -> Tuple[List[tuple], List[int]]:
     cleared, divided by the gcd of its entries; over Q(i) the pivot row is
     first multiplied by the conjugate of its pivot, so p is a rational
     integer.  Pivot rows are made canonical once, at the end."""
-    if im_rows is not None:
-        return _echelon_gauss(list(re_rows), list(im_rows))
-    m = list(re_rows)
+    if im_rows is None:
+        m = list(re_rows)
+        return _canonical(m, _reduce(m), 0)
+    w = len(re_rows[0]) if re_rows else 0
+    m = [[*re, *im] for re, im in zip(re_rows, im_rows)]
+    return _canonical(m, _reduce_gauss(m, w), w)
+
+
+def _reduce(m: list) -> List[int]:
+    """Gauss-Jordan on the integer rows m, in place; the pivot columns."""
+    nrows = len(m)
     pivots: List[int] = []
     r = 0
     for c in range(len(m[0]) if m else 0):
-        pr = next((k for k in range(r, len(m)) if m[k][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if m[pr][c]:
+                break
+        else:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        p = prow[c]
-        for k in range(len(m)):
-            f = m[k][c]
-            if f and k != r:
-                m[k] = _primitive([p * x - f * y for x, y in zip(m[k], prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    out = []
-    for row, c in zip(m, pivots):
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
-        out.append((tuple(row) if g == 1 else tuple(x // g for x in row), row[c] // g))
-    return out, pivots
-
-
-def _echelon_gauss(re_rows, im_rows) -> Tuple[List[tuple], List[int]]:
-    nrows = len(re_rows)
-    pivots: List[int] = []
-    r = 0
-    for c in range(len(re_rows[0]) if re_rows else 0):
-        pr = next((k for k in range(r, nrows) if re_rows[k][c] or im_rows[k][c]), None)
-        if pr is None:
-            continue
-        re_rows[r], re_rows[pr] = re_rows[pr], re_rows[r]
-        im_rows[r], im_rows[pr] = im_rows[pr], im_rows[r]
-        if im_rows[r][c]:
-            re_rows[r], im_rows[r] = _real_pivot(re_rows[r], im_rows[r], c)
-        pre, pim = re_rows[r], im_rows[r]
-        p = pre[c]
+        P = m[pr]
+        m[pr] = m[r]
+        m[r] = P
+        p = P[c]
         for k in range(nrows):
-            kre, kim = re_rows[k], im_rows[k]
-            f, h = kre[c], kim[c]
-            if k != r and (f or h):
-                re_rows[k], im_rows[k] = _cleared(p, pre, pim, f, h, kre, kim)
+            K = m[k]
+            f = K[c]
+            if f and k != r:
+                m[k] = _cleared_real(p, P, f, K)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _reduce_gauss(m: list, w: int) -> List[int]:
+    """Gauss-Jordan on the fused rows [re | im] of width w (lists), in
+    place; the pivot columns.  Each pivot row is made real first, and i
+    times it is formed once for all the rows it clears."""
+    nrows = len(m)
+    pivots: List[int] = []
+    r = 0
+    for c in range(w):
+        for pr in range(r, nrows):
+            P = m[pr]
+            if P[c] or P[w + c]:
+                break
+        else:
+            continue
+        if P[w + c]:
+            P = _real_pivot(P, c, w)
+        m[pr] = m[r]
+        m[r] = P
+        p = P[c]
+        iP = [-y for y in P[w:]] + P[:w]
+        for k in range(nrows):
+            K = m[k]
+            f = K[c]
+            h = K[w + c]
+            if (f or h) and k != r:
+                m[k] = _cleared(p, P, iP, f, h, K)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _canonical(m: list, pivots: List[int], w: int) -> Tuple[List[tuple], List[int]]:
+    """The canonical rows of the pivot rows of a reduced m: over their
+    signed gcd, as (ints, d) or, for fused rows of width w > 0, (re, im, d).
+    A Gaussian row of width 0 has no pivot, so w == 0 reads the real form."""
     out = []
-    for re, im, c in zip(re_rows, im_rows, pivots):
-        g = gcd(*re, *im) if re[c] > 0 else -gcd(*re, *im)
-        out.append((tuple(x // g for x in re), tuple(y // g for y in im), re[c] // g))
+    for row, c in zip(m, pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
+        out.append((tuple(row[:w]), tuple(row[w:]), row[c]) if w else (tuple(row), row[c]))
     return out, pivots
 
 
@@ -108,65 +138,70 @@ def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
     v[k:], for integer rows as in echelon.
 
     Head phase: for each of the first k columns, a row nonzero there clears
-    it in the other rows (echelon's update) and is dropped, with the column.
-    The rows left are zero in that column, so a vector of the span is zero
-    there exactly when it takes none of the dropped row: the rows left span
-    the intersection with {v[c] == 0}.  The dropped pivot rows are never
-    reduced.  Tail phase: echelon of the tails left, which is their
+    it in the other rows (echelon's update) and is dropped.  The rows left
+    are zero in that column, so a vector of the span is zero there exactly
+    when it takes none of the dropped row: the rows left span the
+    intersection with {v[c] == 0}.  The rows keep their full width, and the
+    dropped pivot rows are never reduced.  Tail phase: the tails of the rows
+    left, sliced once, are reduced as in echelon, which gives them their
     canonical basis, the one the span has."""
-    if im_rows is not None:
-        return _eliminate_gauss(k, list(re_rows), list(im_rows))
-    m = list(re_rows)
-    for _ in range(k):
-        pr = next((r for r, row in enumerate(m) if row[0]), None)
-        if pr is None:
-            m = [row[1:] for row in m]
+    if im_rows is None:
+        m = list(re_rows)
+        for c in range(k):
+            for pr, P in enumerate(m):
+                if P[c]:
+                    break
+            else:
+                continue
+            del m[pr]
+            p = P[c]
+            m = [_cleared_real(p, P, K[c], K) if K[c] else K for K in m]
+        m = [row[k:] for row in m]
+        return _canonical(m, _reduce(m), 0)[0]
+    w = len(re_rows[0]) if re_rows else 0
+    m = [[*re, *im] for re, im in zip(re_rows, im_rows)]
+    for c in range(k):
+        for pr, P in enumerate(m):
+            if P[c] or P[w + c]:
+                break
+        else:
             continue
-        prow = m.pop(pr)
-        p, ptail = prow[0], prow[1:]
-        m = [_primitive([p * x - row[0] * y for x, y in zip(row[1:], ptail)]) if row[0] else row[1:]
-             for row in m]
-    return echelon(m)[0]
+        del m[pr]
+        if P[w + c]:
+            P = _real_pivot(P, c, w)
+        p = P[c]
+        iP = [-y for y in P[w:]] + P[:w]
+        m = [_cleared(p, P, iP, K[c], K[w + c], K) if K[c] or K[w + c] else K for K in m]
+    m = [row[k:w] + row[w + k:] for row in m]
+    return _canonical(m, _reduce_gauss(m, w - k), w - k)[0]
 
 
-def _eliminate_gauss(k: int, re_rows, im_rows) -> List[tuple]:
-    for _ in range(k):
-        pr = next((r for r in range(len(re_rows)) if re_rows[r][0] or im_rows[r][0]), None)
-        if pr is None:
-            re_rows, im_rows = [re[1:] for re in re_rows], [im[1:] for im in im_rows]
-            continue
-        pre, pim = re_rows.pop(pr), im_rows.pop(pr)
-        if pim[0]:
-            pre, pim = _real_pivot(pre, pim, 0)
-        p, pre, pim = pre[0], pre[1:], pim[1:]
-        tails = [
-            _cleared(p, pre, pim, kre[0], kim[0], kre[1:], kim[1:]) if kre[0] or kim[0]
-            else (kre[1:], kim[1:])
-            for kre, kim in zip(re_rows, im_rows)
-        ]
-        re_rows, im_rows = [re for re, _ in tails], [im for _, im in tails]
-    return echelon(re_rows, im_rows)[0]
+def _real_pivot(row: List[int], c: int, w: int) -> List[int]:
+    """The fused row [re | im] of width w times the conjugate p - q i of its
+    entry p + q i at c, over its gcd: the same complex line, with the
+    positive integer |p + q i|^2/g at c."""
+    p, q = row[c], row[w + c]
+    re, im = row[:w], row[w:]
+    out = [p * x + q * y for x, y in zip(re, im)] + [p * y - q * x for x, y in zip(re, im)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
-def _real_pivot(re, im, c) -> Tuple[List[int], List[int]]:
-    """The row re + i im times the conjugate p - q i of its entry at c, over
-    its gcd: the same complex line, with the positive integer |p + q i|^2/g
-    at c."""
-    p, q = re[c], im[c]
-    return _primitive_pair([p * x + q * y for x, y in zip(re, im)], [p * y - q * x for x, y in zip(re, im)])
+def _cleared(p: int, P: List[int], iP: List[int], f: int, h: int, K) -> List[int]:
+    """p K - (f + h i) P, primitive, for fused rows [re | im]: the row K with
+    its entry f + h i cleared against the real pivot entry p of the row P,
+    iP being i P."""
+    row = [p * x - f * u - h * v for x, u, v in zip(K, P, iP)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def _cleared(p, pre, pim, f, h, kre, kim) -> Tuple[List[int], List[int]]:
-    """p (kre + i kim) - (f + h i)(pre + i pim), primitive: the row
-    kre + i kim with its entry f + h i cleared against the real pivot entry
-    p of the row pre + i pim."""
-    if h == 0:
-        re = [p * x - f * u for x, u in zip(kre, pre)]
-        im = [p * y - f * v for y, v in zip(kim, pim)]
-    else:
-        re = [p * x - f * u + h * v for x, u, v in zip(kre, pre, pim)]
-        im = [p * y - f * v - h * u for y, u, v in zip(kim, pre, pim)]
-    return _primitive_pair(re, im)
+def _cleared_real(p: int, P, f: int, K) -> List[int]:
+    """p K - f P, primitive: the integer row K with its entry f cleared
+    against the pivot entry p of the row P."""
+    row = [p * x - f * u for x, u in zip(K, P)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _heads(rows: Sequence[tuple], k: int) -> List[tuple]:
@@ -188,18 +223,6 @@ def _scalars(row: tuple) -> Row:
         return [Fraction(x, d) if x else _F0 for x in ints]
     re, im, d = row
     return [_make(a, b, d) if a or b else GS_ZERO for a, b in zip(re, im)]
-
-
-def _primitive(row: List[int]) -> List[int]:
-    """row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _primitive_pair(re: List[int], im: List[int]) -> Tuple[List[int], List[int]]:
-    """(re, im) divided by the gcd of all their entries."""
-    g = gcd(*re, *im)
-    return ([x // g for x in re], [x // g for x in im]) if g > 1 else (re, im)
 
 
 def _scaled_gauss(row: Sequence) -> Tuple[List[int], List[int], int]:

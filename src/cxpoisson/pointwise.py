@@ -6,10 +6,10 @@ tilde-reconstruction check.  All points are rational; all verdicts exact.
 
 A bivector pi = pi1 + i pi2 is evaluated once per point, to the integer
 rows (re, im, d) of its complex matrix A = (re + i im)/d (_rows_at, one call
-of poly.poly_values).  rank_profile, graph_at, a_pi_at and the normal-form
-checks read those rows; matrix_at makes the GaussScalar matrix of them for
-the checks that take A as it is, and its real and imaginary parts are read
-off it only where a real matrix is needed (bivector_at: the GCS matrix).
+of poly.poly_values).  rank_profile, graph_at, a_pi_at, gcs_matrix and the
+normal-form checks read those rows; matrix_at makes the GaussScalar matrix
+of them for the checks that take A as it is, and bivector_at splits that
+into the Fraction matrices of pi1 and pi2.
 The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
 and D: their complexifications are E meet conj E and E + conj E, so
 dim Delta = 2 dim E - dim D.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from . import linalg
@@ -251,29 +252,35 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     symplectic-type structure.
     """
     n = pi.chart.dim
-    A1, A2 = bivector_at(pi, point)
-    re, _, d = _int_matrix(A2)
-    # A2 X = Id over the denominator d of A2
-    X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] for i, r in enumerate(re)])
+    re, im, d = _rows_at(pi.body, point)
+    # A1 = re/d and A2 = im/d, so A2 X = Id is im X = d Id
+    X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] for i, r in enumerate(im)])
     if X is None:
-        nullity = n - linalg.rank(A2)
+        nullity = n - len(linalg.echelon(im)[0])
         raise ValueError(
             f"pi2 singular at the point (real index {nullity} > 0): no "
             "generalized complex matrix"
         )
-    inv2 = [linalg._scalars(r) for r in X]
-    M11 = linalg.matmul(A1, inv2)
-    M22 = linalg.matmul(inv2, A1)
-    sigma = [
-        [x + y for x, y in zip(r1, r2)]
-        for r1, r2 in zip(linalg.matmul(M11, A1), A2)
-    ]
-    J = [
-        M11[i] + [-x for x in sigma[i]] for i in range(n)
-    ] + [
-        inv2[i] + [-x for x in M22[i]] for i in range(n)
-    ]
+    # A2^-1 = V/D; then A1 A2^-1 = re V/(d D), A2^-1 A1 = V re/(D d) and
+    # sigma = (re V re + d D im)/(d^2 D)
+    D = lcm(*(dx for _, dx in X))
+    V = [[x * (D // dx) for x in ints] for ints, dx in X]
+    M11, M22 = _int_product(re, V), _int_product(V, re)
+    S = [[x + d * D * y for x, y in zip(r, i)] for r, i in zip(_int_product(M11, re), im)]
+
+    def frac(M, den):
+        return [[Fraction(x, den) for x in r] for r in M]
+
+    sigma = frac(S, d * d * D)
+    J = [a + [-x for x in b] for a, b in zip(frac(M11, d * D), sigma)]
+    J += [a + [-x for x in b] for a, b in zip(frac(V, D), frac(M22, D * d))]
     return J, sigma
+
+
+def _int_product(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The integer matrix product A B."""
+    cols = list(zip(*B))
+    return [[_dot(r, c) for c in cols] for r in A]
 
 
 def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:

@@ -6,7 +6,7 @@ and gcd(a, b, d) == 1.  Every value has exactly one such triple, so
 structural equality is value equality.  Add, subtract, multiply, divide,
 inverse and conjugate are integer arithmetic followed by one gcd; when both
 operands are real the imaginary part is skipped.  The parts are read back as
-Fractions through .re and .im.
+Fractions through .re and .im; str prints them from abd.
 
 This is the coefficient field for every computation in the package: all
 identity checks are exact, with tolerance zero.
@@ -156,13 +156,15 @@ class GaussScalar:
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return _imag_str(im)
-        sign = "+" if im > 0 else "-"
-        return f"{re} {sign} {_imag_str(abs(im))}"
+        """"re", "k*i" or "re + k*i", each part as its Fraction prints,
+        read off abd without making one."""
+        a, b, d = self.abd
+        if b == 0:
+            return _ratio_str(a, d)
+        if a == 0:
+            return _imag_str(b, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_str(a, d)} {sign} {_imag_str(abs(b), d)}"
 
     def __repr__(self) -> str:
         return f"GaussScalar({self.re!r}, {self.im!r})"
@@ -189,12 +191,18 @@ def _parts(x) -> Tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
+def _ratio_str(a: int, d: int) -> str:
+    """str(Fraction(a, d)) for d > 0."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
+
+
+def _imag_str(b: int, d: int) -> str:
+    if b == d:
         return "i"
-    if im == -1:
+    if b == -d:
         return "-i"
-    return f"{im}*i"
+    return f"{_ratio_str(b, d)}*i"
 
 
 def _coerce(x) -> GaussScalar:

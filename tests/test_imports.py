@@ -1,14 +1,16 @@
 """The package's lints: no module imports a name it never uses, no
 function or method is defined that nothing reads, no function assigns a
 local it never reads, the graded calculus sums no products in a loop, no
-module but poly takes a partial derivative outside the partials table, and
-the grammar builds its values without Fraction or GaussScalar.
+module but poly takes a partial derivative outside the partials table, the
+grammar builds its values without Fraction or GaussScalar, and every module
+parses as the oldest Python that pyproject.toml admits.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -249,3 +251,25 @@ def test_the_check_sees_a_scalar_import():
 
 def test_grammar_builds_values_without_scalar_objects():
     assert scalar_reads((PACKAGE / "grammar.py").read_text(encoding="utf-8")) == []
+
+
+# -- the declared Python floor ---------------------------------------------------
+
+
+def python_floor():
+    """(major, minor) of requires-python = ">=X.Y" in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_the_check_sees_syntax_past_the_floor():
+    # except* came in Python 3.11
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=python_floor())

@@ -1,6 +1,7 @@
 """Lagrangian subspaces of C^{2n}: graphs, products, transforms, indices."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1052,6 +1053,66 @@ def test_families_match_reference(L):
     assert len(realify(L)) == 2 * L.dim
     for S in k_and_perp(L):
         assert_canonical(S)
+
+
+# -- complex products: one real elimination against the twisted route ----------
+
+
+@st.composite
+def real_lagrangians(draw, n):
+    """A real lagrangian of R^{2n}: a real slice of a random complex
+    lagrangian (check, hat, check_cot or hat_cot), or the real span of a
+    random real one, which also comes as its complexification."""
+    rnd = draw(st.randoms(use_true_random=False))
+    how = draw(st.sampled_from(("check", "hat", "check_cot", "hat_cot", "real", "complexified")))
+    if how in ("real", "complexified"):
+        S = real_rows_of(random_real_lagrangian(rnd, n))
+        return S if how == "real" else complexify_real(S)
+    return {"check": check, "hat": hat, "check_cot": check_cot, "hat_cot": hat_cot}[how](random_lagrangian(rnd, n))
+
+
+def twisted_product(kind, S1, S2):
+    """The complex product by the route the package took before: complexify
+    both factors, twist the second by i on its summed half, then take the
+    base product."""
+    twist, base = ("scalar_dot", "tangent") if kind == "complex_tangent" else ("scalar_bullet", "cotangent")
+    return products(base, complexify_real(S1), transform(twist, GS_I, complexify_real(S2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(real_lagrangians(n), real_lagrangians(n), isotropics(n))))
+def test_complex_products_match_the_twisted_route(case):
+    S1, S2, L = case
+    for kind in ("complex_tangent", "complex_cotangent"):
+        P = products(kind, S1, S2)
+        assert_canonical(P)
+        assert P == twisted_product(kind, S1, S2)
+    assert tilde(L) == twisted_product("complex_tangent", check(L), hat(L))
+    assert tilde_cot(L) == twisted_product("complex_cotangent", check_cot(L), hat_cot(L))
+
+
+def test_complex_products_keep_their_refusals():
+    real = check(random_lagrangian(random.Random(5), 2))
+    not_real = re.escape("expected a real Subspace of R^{2n}")
+    refused = [
+        (Subspace(4, [[GS_ONE, GS_I, 0, 0]]), not_real),
+        (Subspace(4, [], is_complex=True), not_real),
+        (Subspace(3, [[1, 0, 0]]), not_real),
+        # X + xi with xi(X) = 1
+        (Subspace(4, [[1, 0, 1, 0]]), "the real subspace is not isotropic"),
+        (check(random_lagrangian(random.Random(5), 3)), "ambient dimension mismatch"),
+    ]
+    for kind in ("complex_tangent", "complex_cotangent"):
+        for bad, message in refused:
+            for pair in ((bad, real), (real, bad)):
+                with pytest.raises(ValueError, match=message):
+                    twisted_product(kind, *pair)
+                with pytest.raises(ValueError, match=message):
+                    products(kind, *pair)
+        # a complex lagrangian is not a complexification: refused here,
+        # where the twisted route took it as it was
+        with pytest.raises(ValueError, match="complex Lagrangian"):
+            products(kind, real, graph([[0, GS_I], [-GS_I, 0]], "bivector"))
 
 
 @settings(max_examples=60, deadline=None)

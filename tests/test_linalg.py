@@ -4,7 +4,9 @@ against the kernel, echelon's rows read as scalars against field-division
 Gauss-Jordan and against sympy, eliminate against the echelon-then-filter
 route it replaced; the real-pivot row update and pivot normalization
 against GaussScalar arithmetic, dense Gaussian-integer rows against the
-rref, and the width of the row updates of one dense beta-transform."""
+rref, echelon of integer rows (tuples, width 0, zero imaginary parts among
+them) against the rref and fed its own canonical rows, and the width of the
+row updates of one dense beta-transform."""
 
 import random
 from fractions import Fraction
@@ -309,6 +311,10 @@ def integer_systems(draw):
 @example((2, [], None))  # no rows
 @example((0, [[], []], [[], []]))  # width-0 rows
 @example((1, [[2, 1, 0], [1, 0, 1]], [[3, 0, 1], [1, 1, 0]]))  # head pivots with q != 0
+@example((0, [[], []], None))  # width-0 real rows
+@example((1, [(1, 2, 3), (2, 0, 1)], None))  # tuple rows, as canonical rows are
+@example((1, [(1, 0, 2), (0, 1, 1)], [(0, 0, 1), (1, 0, 0)]))  # tuple Gaussian rows
+@example((1, [[1, 2, 0], [3, 1, 1]], [[0, 0, 0], [0, 0, 0]]))  # Gaussian rows with zero imaginary parts
 # the first head pivot is i (p = 0, q = 1)
 @example((2, [[0, 1, 1, 2], [1, 1, 0, 0], [1, 2, 1, 3]], [[1, 0, 0, 1], [2, 0, 1, 0], [0, 0, 1, 0]]))
 def test_eliminate_equals_the_full_echelon_route(system):
@@ -318,13 +324,35 @@ def test_eliminate_equals_the_full_echelon_route(system):
     assert all(is_canonical(t, im is not None) for t in expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+@example((0, [[], []], None))  # width-0 real rows
+@example((0, [[], []], [[], []]))  # width-0 Gaussian rows
+@example((0, [(2, 4, 0), (1, 3, 1)], None))  # tuple rows
+@example((0, [(1, 0, 2), (0, 1, -1)], [(0, 0, 1), (0, 0, 3)]))  # canonical rows fed back
+@example((0, [[2, 4, 1], [1, 3, 0]], [[0, 0, 0], [0, 0, 0]]))  # Gaussian rows with zero imaginary parts
+def test_echelon_is_the_rref_and_fixes_its_own_rows(system):
+    _, re, im = system
+    if im is None:
+        rows = [[Fraction(a) for a in r] for r in re]
+    else:
+        rows = [[GaussScalar.of(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)]
+    red, pivots = linalg.echelon(re, im)
+    assert all(is_canonical(r, im is not None) for r in red)
+    assert ([linalg._scalars(r) for r in red], pivots) == reference_rref(rows)
+    # the canonical rows, which are tuples, are their own echelon form
+    again = linalg.echelon([r[0] for r in red], None if im is None else [r[1] for r in red])
+    assert again == (red, pivots)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w),
                                                     min_size=4, max_size=4)))
 def test_cleared_row_is_the_primitive_fraction_free_update(rows):
     # the update of echelon and of eliminate's head phase against a real
     # pivot p: row k times p minus the pivot row times row k's entry, over
-    # its gcd
+    # its gcd; a Gaussian row is the one list [re | im], and i times the
+    # pivot row is [-im | re]
     pre, pim, kre, kim = rows
     pre[0], pim[0] = pre[0] or 1, 0
     p = pre[0]
@@ -333,9 +361,12 @@ def test_cleared_row_is_the_primitive_fraction_free_update(rows):
     full = [p * x - z[0] * y for x, y in zip(z, w)]
     parts = [int(x.re) for x in full], [int(x.im) for x in full]
     g = gcd(*parts[0], *parts[1]) or 1
-    assert linalg._cleared(p, pre, pim, kre[0], kim[0], kre, kim) == tuple(
-        [x // g for x in part] for part in parts
-    )
+    i_pivot = [-y for y in pim] + pre
+    assert linalg._cleared(p, pre + pim, i_pivot, kre[0], kim[0], kre + kim) == [
+        x // g for part in parts for x in part
+    ]
+    real = [p * x - kre[0] * y for x, y in zip(kre, pre)]
+    assert linalg._cleared_real(p, pre, kre[0], kre) == [x // (gcd(*real) or 1) for x in real]
 
 
 GAUSS_INT = st.integers(-(2**6), 2**6)
@@ -349,7 +380,8 @@ def test_real_pivot_keeps_the_complex_line(case):
     re, im, c = case
     if not (re[c] or im[c]):
         im[c] = 1
-    out_re, out_im = linalg._real_pivot(re, im, c)
+    out = linalg._real_pivot(re + im, c, len(re))
+    out_re, out_im = out[:len(re)], out[len(re):]
     row = [GaussScalar.of(a, b) for a, b in zip(re, im)]
     assert reference_rref([[GaussScalar.of(a, b) for a, b in zip(out_re, out_im)]]) == reference_rref([row])
     assert out_re[c] > 0 and out_im[c] == 0
@@ -417,7 +449,7 @@ def test_dense_beta_transform_keeps_row_updates_narrow(monkeypatch):
 
     def recording(*args):
         out = cleared(*args)
-        widest[0] = max(widest[0], *(abs(x).bit_length() for part in out for x in part))
+        widest[0] = max(widest[0], *(abs(x).bit_length() for x in out))
         return out
 
     monkeypatch.setattr(linalg, "_cleared", recording)

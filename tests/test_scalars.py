@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import Subspace
+from cxpoisson import Subspace, scalars
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 from conftest import reference_rref
@@ -101,6 +102,22 @@ def model_str(re: Fraction, im: Fraction) -> str:
     if re == 0:
         return imag(im)
     return f"{re} {'+' if im > 0 else '-'} {imag(abs(im))}"
+
+
+def no_fraction(*args):
+    raise AssertionError("Fraction built while printing")
+
+
+@given(st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+       st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)),
+       st.one_of(st.integers(1, 3), st.integers(1, 10**20)))
+@settings(max_examples=300)
+def test_str_prints_from_the_triple_as_the_fraction_parts_would(a, b, d):
+    # small values make parts of 0, 1 and -1 (printed "i", "-i") common
+    z = scalars._make(a, b, d)
+    with patch.object(scalars, "Fraction", no_fraction):
+        text = str(z)
+    assert text == model_str(Fraction(a, d), Fraction(b, d))
 
 
 def check_against(z, re: Fraction, im: Fraction):
