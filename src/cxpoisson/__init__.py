@@ -75,7 +75,6 @@ from .pointwise import (
     PresymplecticData,
     RankProfile,
     a_pi_at,
-    bivector_at,
     delta_at,
     gcs_matrix,
     graph_at,

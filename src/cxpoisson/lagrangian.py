@@ -200,10 +200,14 @@ def _int_matrix(M, skew: str = ""):
     return Mre, Mim, d
 
 
-def _times(Mre, Mim, re, im) -> Tuple[List[int], List[int]]:
-    """M v for the Gaussian-integer matrix Mre + i Mim and vector re + i im."""
-    pairs = list(zip(Mre, Mim))
-    return [_dot(a, re) - _dot(b, im) for a, b in pairs], [_dot(a, im) + _dot(b, re) for a, b in pairs]
+def _fused(Mre, Mim) -> List[Tuple[List[int], List[int]]]:
+    """Mre + i Mim as the row pairs ([Mre | -Mim], [Mim | Mre]) _times takes."""
+    return [([*a, *[-y for y in b]], [*b, *a]) for a, b in zip(Mre, Mim)]
+
+
+def _times(fused, v) -> Tuple[List[int], List[int]]:
+    """(re, im) of M v, for M from _fused and v fused as [re | im]: two dots an entry."""
+    return [_dot(a, v) for a, _ in fused], [_dot(b, v) for _, b in fused]
 
 
 # -- graphs -----------------------------------------------------------------
@@ -351,9 +355,10 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
         src, dst = (tan, cot) if kind == "b_field" else (cot, tan)
         if kind == "b_field":
             Mre, Mim = ([[-x for x in r] for r in M] for M in (Mre, Mim))
+        M = _fused(Mre, Mim)
 
         def add(re, im):
-            return _times(Mre, Mim, re, im)
+            return _times(M, re + im)
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
     re_rows, im_rows = [], []
@@ -526,8 +531,8 @@ def element_with_tangent(rows: List[List], n: int, x: List) -> Optional[List]:
     if combo is None:
         return None
     D = lcm(*(dc for _, _, dc in combo))
-    el = _times([t[:k] for t in Tre], [t[:k] for t in Tim],
-                [a * (D // dc) for (a,), _, dc in combo], [b * (D // dc) for _, (b,), dc in combo])
+    el = _times(_fused([t[:k] for t in Tre], [t[:k] for t in Tim]),
+                [a * (D // dc) for (a,), _, dc in combo] + [b * (D // dc) for _, (b,), dc in combo])
     is_complex = any(type(t) is GaussScalar for r in [*rows, x] for t in r)
     return linalg._scalars((*el, D * d) if is_complex else (el[0], D * d))
 
@@ -595,8 +600,9 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
         Tre, Tim = linalg.transpose(Are), linalg.transpose(Aim)
         re = [Tre[c] + [d if t == c else 0 for t in range(m)] + [0] * m for c in range(m)]
         im = [Tim[c] + [0] * (2 * m) for c in range(m)]
+        T = _fused(Tre, Tim)
         for r, i, _ in L.rows:
-            add_re, add_im = _times(Tre, Tim, r[n:], i[n:])
+            add_re, add_im = _times(T, r[n:] + i[n:])
             re.append([-d * x for x in r[:n]] + [0] * m + add_re)
             im.append([-d * x for x in i[:n]] + [0] * m + add_im)
         return _lagrangian(m, linalg.eliminate(n, re, im))
@@ -607,8 +613,9 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
         # row b the head d cot(b) and the tail A tangent(b)
         re = [[-x for x in Are[t]] + [0] * n + [d if s == t else 0 for s in range(n)] for t in range(n)]
         im = [[-x for x in Aim[t]] + [0] * (2 * n) for t in range(n)]
+        M = _fused(Are, Aim)
         for r, i, _ in L.rows:
-            add_re, add_im = _times(Are, Aim, r[:m], i[:m])
+            add_re, add_im = _times(M, r[:m] + i[:m])
             re.append([d * x for x in r[m:]] + add_re + [0] * n)
             im.append([d * x for x in i[m:]] + add_im + [0] * n)
         return _lagrangian(n, linalg.eliminate(m, re, im))

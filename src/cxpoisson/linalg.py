@@ -23,8 +23,9 @@ solve and nullspace take integer rows as echelon does and read their answer
 off one echelon, where each pivot entry is (d, 0): solve(ncols, [M | B])
 gives the block X with M X == B, row c of X the B part of the row with pivot
 c, and None when a pivot lies in B; nullspace gives one vector per free
-column.  Of the rest, rank and matmul take Fractions and GaussScalars, and
-_scalars reads a canonical row back as them.
+column.  Of the rest, matmul takes Fractions and GaussScalars,
+_scaled_gauss puts such a row over one denominator, and _scalars reads a
+canonical row back as them.
 """
 
 from __future__ import annotations
@@ -240,13 +241,6 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix of ints, Fractions and GaussScalars."""
-    scaled = [_scaled_gauss(r) for r in rows]
-    im = [i for _, i, _ in scaled]
-    return len(echelon([r for r, _, _ in scaled], im if any(map(any, im)) else None)[0])
-
-
 def nullspace(ncols: int, re_rows, im_rows=None) -> List[tuple]:
     """Canonical basis of {x : M x = 0}, M given by integer rows of length
     ncols as in echelon.  One echelon of M gives a vector per free column f:
@@ -302,16 +296,8 @@ def matmul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
     return [[Fraction(_dot(xr, yr), dx * dy) for yr, _, dy in cols_g] for xr, _, dx in rows_g]
 
 
-def matvec(A: Sequence[Sequence], v: Sequence) -> Row:
-    return [sum((a * x for a, x in zip(row, v)), start=row[0] * 0) for row in A]
-
-
 def transpose(A: Sequence[Sequence]) -> Matrix:
     return [list(col) for col in zip(*A)]
-
-
-def identity(n: int, one, zero) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def is_skew(A: Sequence[Sequence]) -> bool:

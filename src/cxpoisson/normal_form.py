@@ -11,23 +11,24 @@ the integer rows of its matrix there (_at_N), which mixed_check reads the
 direct-sum ranks off and splitting_check the fiber form and pi_N; a caller
 running both hands them the same rows, so pi is evaluated on N once per
 point.  splitting_check evaluates pi once more at the point itself, where
-gr(pi) must equal the local model e^B p^! gr(pi_N); one builder, _model,
-makes that model here and in local_model_at.
+gr(pi) must equal the local model e^B p^! gr(pi_N): on integer rows, pi_N
+is one eliminate (_pi_N) and the model one echelon (_model).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector, _part_matrix
 from .fields import FormField, MultiField, d_complex, recompose
-from .lagrangian import Lagrangian, _graph, _int_matrix, _times, bivector_of_graph, graph, images, transform
+from .lagrangian import Lagrangian, _fused, _graph, _lagrangian, _times, bivector_of_graph
 from .poly import Chart, Poly, poly_subst_zero
-from .pointwise import _rows_at, matrix_at
-from .scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
+from .pointwise import _rows_at
+from .scalars import GS_I, GaussScalar
 
 F0 = Fraction(0)
 
@@ -191,26 +192,6 @@ def moser_average(beta: FormField, bundle: BundleChart) -> FormField:
 # -- local model -----------------------------------------------------------------
 
 
-def inverse_bivector_matrix(B: List[List[GaussScalar]]) -> List[List[GaussScalar]]:
-    """Coefficient matrix of the bivector inverse to the two-form B.
-
-    With the package's sharp convention, sharp(A) o flat(B) = Id forces
-    A = -B^{-1}, the solution of B A = -Id.
-    """
-    re, im, d = _int_matrix(B)
-    n = len(re)
-    A = linalg.solve(n, [r + [-d if j == i else 0 for j in range(n)] for i, r in enumerate(re)],
-                     [r + [0] * n for r in im])
-    if A is None:
-        raise ValueError("two-form is degenerate, no inverse bivector")
-    return [linalg._scalars(r) for r in A]
-
-
-def projection_matrix(bundle: BundleChart) -> List[List[GaussScalar]]:
-    """Matrix of the bundle projection differential, b x (b+f)."""
-    return linalg.identity(bundle.b + bundle.f, GS_ONE, GS_ZERO)[:bundle.b]
-
-
 @dataclass(frozen=True)
 class LocalModelResult:
     lagrangian: Lagrangian
@@ -219,30 +200,47 @@ class LocalModelResult:
     model_formula_ok: Optional[bool]  # pi_N + (sigma_C)^{-1} check at zero section
 
 
-def _model(bundle: BundleChart, AN: List[List[GaussScalar]], B: List[List[GaussScalar]]) -> Lagrangian:
-    """e^B p^! gr(pi_N), with AN the matrix of pi_N at the base point and B
-    that of the two-form at the point of the bundle chart."""
-    pulled = images("backward", projection_matrix(bundle), graph(AN, "bivector"))
-    return transform("b_field", B, pulled)
+def _model(bundle: BundleChart, AN: Rows, B: Rows) -> Lagrangian:
+    """e^B p^! gr(pi_N), one echelon, for the rows AN = (Nre + i Nim)/D of pi_N
+    and B = (Bre + i Bim)/d: p^! gr(pi_N) is spanned by X = (pi_N e_k, 0) with
+    eta = e_k and by X = e_j (j a fiber index) with eta = 0, and e^B adds
+    i_X B = -B X to the cotangent: rows d D (X, e_k - B X) and d (e_j, -B e_j)."""
+    (Nre, Nim, D), (Bre, Bim, d) = AN, B
+    b, n = bundle.b, len(Bre)
+    fiber, M = [0] * (n - b), _fused(Bre, Bim)
+    re, im = [], []
+    for k in range(b):
+        # D pi_N e_k is minus row k of Nre + i Nim by skewness, fused as [re | im]
+        X = [-x for x in Nre[k]] + fiber + [-y for y in Nim[k]] + fiber
+        BXre, BXim = _times(M, X)
+        re.append([d * x for x in X[:n]] + [(d * D if t == k else 0) - y for t, y in enumerate(BXre)])
+        im.append([d * y for y in X[n:]] + [-y for y in BXim])
+    # -B e_j is row j of B by skewness
+    re += [[d if t == j else 0 for t in range(n)] + Bre[j] for j in range(b, n)]
+    im += [[0] * n + Bim[j] for j in range(b, n)]
+    return _lagrangian(n, linalg.echelon(re, im)[0])
 
 
 def local_model_at(
     pi_N: ComplexBivector, ext: Extension, bundle: BundleChart, point: Mapping[str, Fraction]
 ) -> LocalModelResult:
-    """L(sigma~) = e^{sigma~} p^! gr(pi_N) at a point of the bundle chart."""
-    b = bundle.b
-    AN = matrix_at(pi_N.body, point)  # pi_N reads only the base coordinates
-    B = matrix_at(ext.form, point)
+    """L(sigma~) = e^{sigma~} p^! gr(pi_N) at a point of the bundle chart.
+
+    On the zero section its bivector must be pi_N + (sigma_C)^{-1}, which is
+    -B_ff^{-1} on the fiber block B_ff of B.  That bivector exists exactly
+    when the model of B_ff alone (B with its other blocks zero) is a graph,
+    and then that model is its graph: both hold (pi_N e_k, 0) + (e_k, 0) and,
+    for each fiber vector Y, (0, Y) + (0, -B_ff Y).  So the formula holds
+    when L is that model."""
+    b, n = bundle.b, bundle.b + bundle.f
+    AN = _rows_at(pi_N.body, point)  # pi_N reads only the base coordinates
+    B = _rows_at(ext.form, point)
     L = _model(bundle, AN, B)
     mat = bivector_of_graph(L)
     formula_ok = None
     if mat is not None and all(point[v] == 0 for v in bundle.fiber_vars):
-        try:
-            inv = inverse_bivector_matrix(_fiber_block(B, b))
-        except ValueError:
-            formula_ok = False
-        else:
-            formula_ok = mat == [r + [GS_ZERO] * bundle.f for r in AN] + [[GS_ZERO] * b + r for r in inv]
+        fiber_only = [[[0] * b + r[b:] if i >= b else [0] * n for i, r in enumerate(M)] for M in B[:2]]
+        formula_ok = L == _model(bundle, AN, (*fiber_only, B[2]))
     return LocalModelResult(L, mat is not None, mat, formula_ok)
 
 
@@ -275,15 +273,29 @@ def induced_base_bivector_at(
     pi: ComplexBivector, bundle: BundleChart, base_pt: Mapping[str, Fraction]
 ) -> Optional[List[List[GaussScalar]]]:
     """pi_N at a base point: backward image of gr(pi)|_N along the inclusion."""
-    return _pi_N(bundle, _rows_at(pi.body, _on_N(bundle, base_pt)))
+    AN = _pi_N(bundle, _rows_at(pi.body, _on_N(bundle, base_pt)))
+    return None if AN is None else [linalg._scalars((r, i, AN[2])) for r, i in zip(AN[0], AN[1])]
 
 
-def _pi_N(bundle: BundleChart, A: Rows) -> Optional[List[List[GaussScalar]]]:
-    """pi_N read off the rows A of pi at a point of N: the backward image of
-    gr(pi) along the inclusion, the transpose of the projection; None when
-    that image is no bivector's graph."""
-    incl = linalg.transpose(projection_matrix(bundle))
-    return bivector_of_graph(images("backward", incl, _graph(*A, "bivector")))
+def _pi_N(bundle: BundleChart, A: Rows) -> Optional[Rows]:
+    """The rows of pi_N off the rows A = (Are + i Aim)/d of pi at a point of N:
+    the backward image of gr(pi) along the inclusion, {xi_base + (A xi)_base :
+    (A xi)_fiber = 0}, is one eliminate over xi = d e_k, with heads (A xi)_fiber
+    and tails [xi_base | (A xi)_base].  None (no graph) if a tail's covector half
+    is zero; else tail k is d_k (e_k, pi_N e_k), over the lcm D of the d_k."""
+    Are, Aim, d = A
+    b = bundle.b
+    # A (d e_k) is column k of Are + i Aim, minus row k by skewness; row k of
+    # pi_N is likewise minus the tangent half of tail k, over d_k
+    re = [[-x for x in r[b:]] + [d if t == k else 0 for t in range(b)] + [-x for x in r[:b]]
+          for k, r in enumerate(Are)]
+    im = [[-y for y in r[b:]] + [0] * b + [-y for y in r[:b]] for r in Aim]
+    tails = linalg.eliminate(len(Are) - b, re, im)
+    if not all(any(tre[:b]) for tre, _, _ in tails):
+        return None
+    D = lcm(*(dk for _, _, dk in tails))
+    return ([[-x * (D // dk) for x in tre[b:]] for tre, _, dk in tails],
+            [[-y * (D // dk) for y in tim[b:]] for _, tim, dk in tails], D)
 
 
 def splitting_check(
@@ -333,7 +345,7 @@ def splitting_check(
         fiber_ok = fiber_ok and _fiber_form_check(bundle, A, _rows_at(Bw, on_N))
         AN = _pi_N(bundle, A)
         ok = AN is not None and (
-            _model(bundle, AN, matrix_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
+            _model(bundle, AN, _rows_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
         results.append((tuple(sorted(pt.items())), ok))
     return SplittingReport(
         section_in_graph, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
@@ -378,17 +390,16 @@ def _fiber_form_check(bundle: BundleChart, A: Rows, M: Rows) -> bool:
     check M_ff = Z^T, with M_ff skew, is Z = -M_ff: A[:, fiber] times row c
     of M_ff is the unit vector of fiber_c."""
     b, n = bundle.b, bundle.b + bundle.f
-    Are, Aim = [r[b:] for r in A[0]], [r[b:] for r in A[1]]
+    Af = _fused([r[b:] for r in A[0]], [r[b:] for r in A[1]])
     Mre, Mim = _fiber_block(M[0], b), _fiber_block(M[1], b)
     return all(
-        _times(Are, Aim, Mre[c], Mim[c]) == ([A[2] * M[2] if i == b + c else 0 for i in range(n)], [0] * n)
+        _times(Af, Mre[c] + Mim[c]) == ([A[2] * M[2] if i == b + c else 0 for i in range(n)], [0] * n)
         for c in range(bundle.f)
     )
 
 
 def extension_check(ext: Extension, bundle: BundleChart, points) -> bool:
     """Fiber block of the extension is nondegenerate on the zero section."""
-    return all(
-        linalg.rank(_fiber_block(matrix_at(ext.form, _on_N(bundle, p)), bundle.b)) == bundle.f
-        for p in points
-    )
+    b, f = bundle.b, bundle.f
+    rows = (_rows_at(ext.form, _on_N(bundle, p)) for p in points)
+    return all(len(linalg.echelon(_fiber_block(re, b), _fiber_block(im, b))[0]) == f for re, im, _ in rows)

@@ -6,10 +6,9 @@ tilde-reconstruction check.  All points are rational; all verdicts exact.
 
 A bivector pi = pi1 + i pi2 is evaluated once per point, to the integer
 rows (re, im, d) of its complex matrix A = (re + i im)/d (_rows_at, one call
-of poly.poly_values).  rank_profile, graph_at, a_pi_at, gcs_matrix and the
-normal-form checks read those rows; matrix_at makes the GaussScalar matrix
-of them for the checks that take A as it is, and bivector_at splits that
-into the Fraction matrices of pi1 and pi2.
+of poly.poly_values).  rank_profile, delta_at, graph_at, a_pi_at, gcs_matrix
+and the normal-form checks read those rows; matrix_at makes the GaussScalar
+matrix of them, for callers that want A itself.
 The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
 and D: their complexifications are E meet conj E and E + conj E, so
 dim Delta = 2 dim E - dim D.
@@ -82,7 +81,7 @@ def _rows_at(field: GradedField, point: Point) -> Tuple[List[List[int]], List[Li
     integer rows over one denominator with content 1, as _int_matrix gives
     them.  For a bivector's body this is its complex matrix A = A1 + i A2."""
     if field.degree != 2:
-        raise ValueError("matrix_at expects a degree-2 field")
+        raise ValueError(f"expected a degree-2 field at a point, got degree {field.degree}")
     n = field.chart.dim
     vals, d = poly_values(field.chart, field.comps.values(), point)
     re = [[0] * n for _ in range(n)]
@@ -97,13 +96,6 @@ def matrix_at(field: GradedField, point: Point) -> List[List[GaussScalar]]:
     """The skew GaussScalar matrix of _rows_at(field, point)."""
     re, im, d = _rows_at(field, point)
     return [[_make(a, b, d) if a or b else GS_ZERO for a, b in zip(r, i)] for r, i in zip(re, im)]
-
-
-def bivector_at(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
-    """Exact skew matrices (A1, A2) of pi1, pi2 at a rational point: the real
-    and imaginary parts of matrix_at(pi.body, point)."""
-    A = matrix_at(pi.body, point)
-    return [[x.re for x in r] for r in A], [[x.im for x in r] for r in A]
 
 
 def graph_at(pi: ComplexBivector, point: Point) -> Lagrangian:
@@ -161,8 +153,9 @@ def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[R
 
 
 def delta_at(pi: ComplexBivector, point: Point) -> Subspace:
-    A = matrix_at(pi.body, point)
-    return real_points(Subspace(len(A), A, is_complex=True))
+    """Delta = E meet R^n, E = range A the row span of A, as in rank_profile."""
+    Are, Aim, _ = _rows_at(pi.body, point)
+    return real_points(_subspace(len(Are), linalg.echelon(Are, Aim)[0], True))
 
 
 def a_pi_at(pi: ComplexBivector, point: Point) -> Tuple[Subspace, Subspace]:

@@ -186,6 +186,20 @@ def reference_rref(rows):
     return m[:r], pivots
 
 
+def reference_rank(rows) -> int:
+    """The number of pivots of reference_rref."""
+    return len(reference_rref(rows)[0])
+
+
+def reference_matvec(A, v):
+    """A v, entry by entry, for Fraction or GaussScalar entries."""
+    return [sum((a * x for a, x in zip(row, v)), start=row[0] * 0) for row in A]
+
+
+def identity_matrix(n: int, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def reference_nullspace(rows, ncols, one, zero):
     """Basis of {x : M x = 0} off reference_rref: per free column f, x[f] =
     one and x[c] = -r[f] for the row r with pivot c."""

@@ -2,8 +2,10 @@
 function or method is defined that nothing reads, no function assigns a
 local it never reads, the graded calculus sums no products in a loop, no
 module but poly takes a partial derivative outside the partials table, the
-grammar builds its values without Fraction or GaussScalar, and every module
-parses as the oldest Python that pyproject.toml admits.
+grammar builds its values without Fraction or GaussScalar, normal_form
+builds pi_N and its local model without the GaussScalar point route
+(matrix_at, graph, images, transform), and every module parses as the
+oldest Python that pyproject.toml admits.
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -226,7 +228,12 @@ def test_partials_are_taken_only_by_the_fields_table():
     assert readers == {("fields", "partials")}
 
 
-def scalar_reads(source: str, names=("Fraction", "GaussScalar")):
+SCALARS = ("Fraction", "GaussScalar")
+# the GaussScalar-taking point route that normal_form does without
+POINT_ROUTE = ("matrix_at", "graph", "images", "transform")
+
+
+def name_reads(source: str, names):
     """(line, name) for each import of one of names, under any alias, and
     each read of one as an attribute (fractions.Fraction)."""
     out = []
@@ -246,11 +253,24 @@ def test_the_check_sees_a_scalar_import():
         "x = fractions.Fraction(1)\n"
         "from .poly import Poly\n"
     )
-    assert scalar_reads(source) == [(1, "Fraction"), (2, "GaussScalar"), (4, "Fraction")]
+    assert name_reads(source, SCALARS) == [(1, "Fraction"), (2, "GaussScalar"), (4, "Fraction")]
 
 
 def test_grammar_builds_values_without_scalar_objects():
-    assert scalar_reads((PACKAGE / "grammar.py").read_text(encoding="utf-8")) == []
+    assert name_reads((PACKAGE / "grammar.py").read_text(encoding="utf-8"), SCALARS) == []
+
+
+def test_the_check_sees_a_point_route_import():
+    source = (
+        "from .pointwise import _rows_at, matrix_at\n"
+        "from .lagrangian import _graph, bivector_of_graph, graph as g, images\n"
+        "L = lagrangian.transform('b_field', B, L)\n"
+    )
+    assert name_reads(source, POINT_ROUTE) == [(1, "matrix_at"), (2, "graph"), (2, "images"), (3, "transform")]
+
+
+def test_normal_form_builds_its_model_from_rows():
+    assert name_reads((PACKAGE / "normal_form.py").read_text(encoding="utf-8"), POINT_ROUTE) == []
 
 
 # -- the declared Python floor ---------------------------------------------------

@@ -43,6 +43,7 @@ from cxpoisson.lagrangian import (
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 from conftest import (
+    identity_matrix,
     is_canonical,
     random_gauss,
     random_lagrangian,
@@ -910,13 +911,13 @@ def old_images(kind, A, L):
     nrows, mcols, B = len(A), len(A[0]), L.basis
     if kind == "backward":
         n, m = nrows, mcols
-        At, E = linalg.transpose(A), linalg.identity(m, GS_ONE, GS_ZERO)
+        At, E = linalg.transpose(A), identity_matrix(m, GS_ONE, GS_ZERO)
         rows = [At[c] + E[c] + [GS_ZERO] * m for c in range(m)]
         adds = linalg.matmul([b[n:] for b in B], A)
         rows += [[-x for x in b[:n]] + [GS_ZERO] * m + a for b, a in zip(B, adds)]
         return RefLagrangian.from_generators(m, ref_eliminate(rows, n), allow_partial=True)
     n, m = nrows, mcols
-    E = linalg.identity(n, GS_ONE, GS_ZERO)
+    E = identity_matrix(n, GS_ONE, GS_ZERO)
     rows = [[-x for x in A[t]] + [GS_ZERO] * n + E[t] for t in range(n)]
     adds = linalg.matmul([b[:m] for b in B], linalg.transpose(A))
     rows += [list(b[m:]) + a + [GS_ZERO] * n for b, a in zip(B, adds)]

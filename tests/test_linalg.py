@@ -20,7 +20,16 @@ from cxpoisson import Subspace, graph, linalg, transform
 from cxpoisson.lagrangian import _int_matrix
 from cxpoisson.scalars import GaussScalar
 
-from conftest import is_canonical, random_fraction, reference_contains, reference_nullspace, reference_rref
+from conftest import (
+    identity_matrix,
+    is_canonical,
+    random_fraction,
+    reference_contains,
+    reference_matvec,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+)
 
 SMALL = st.integers(-3, 3)
 FIELDS = {
@@ -50,7 +59,7 @@ def systems(draw, field):
     nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     if draw(st.booleans()):
-        rhs = linalg.matvec(rows, [draw(entries) for _ in range(ncols)])
+        rhs = reference_matvec(rows, [draw(entries) for _ in range(ncols)])
     else:
         rhs = [draw(entries) for _ in range(nrows)]
     return rows, rhs, ncols, zero
@@ -63,9 +72,9 @@ def test_solve_is_exact_and_none_iff_inconsistent(system):
     X = solved(ncols, rows, [[b] for b in rhs])
     x = None if X is None else [c for c, in X]
     aug = [r + [b] for r, b in zip(rows, rhs)]
-    assert (x is None) == (linalg.rank(aug) > linalg.rank(rows))
+    assert (x is None) == (reference_rank(aug) > reference_rank(rows))
     if x is not None:
-        assert len(x) == ncols and linalg.matvec(rows, x) == rhs
+        assert len(x) == ncols and reference_matvec(rows, x) == rhs
 
 
 @st.composite
@@ -78,7 +87,7 @@ def block_systems(draw, field):
     cols = []
     for _ in range(width):
         if draw(st.booleans()):
-            cols.append(linalg.matvec(rows, [draw(entries) for _ in range(ncols)]))
+            cols.append(reference_matvec(rows, [draw(entries) for _ in range(ncols)]))
         else:
             cols.append([draw(entries) for _ in range(nrows)])
     B = [[c[i] for c in cols] for i in range(nrows)]
@@ -91,7 +100,7 @@ def test_block_solve_is_exact_and_none_iff_some_column_inconsistent(system):
     rows, B, ncols, zero = system
     X = solved(ncols, rows, B)
     aug = [r + b for r, b in zip(rows, B)]
-    assert (X is None) == (linalg.rank(aug) > linalg.rank(rows))
+    assert (X is None) == (reference_rank(aug) > reference_rank(rows))
     if X is not None:
         assert len(X) == ncols and all(len(r) == len(B[0]) for r in X)
         assert linalg.matmul(rows, X) == B
@@ -102,7 +111,7 @@ def reference_inverse(A, one, zero):
     singular: the inverse routine this package had before solve took a
     block."""
     n = len(A)
-    aug = [list(A[i]) + linalg.identity(n, one, zero)[i] for i in range(n)]
+    aug = [list(A[i]) + identity_matrix(n, one, zero)[i] for i in range(n)]
     red, pivots = reference_rref(aug)
     if pivots[:n] != list(range(n)):
         return None
@@ -127,9 +136,9 @@ def square_matrices(draw, field):
 def test_solve_against_identity_is_the_inverse(case):
     A, one, zero = case
     n = len(A)
-    inv = solved(n, A, linalg.identity(n, one, zero))
+    inv = solved(n, A, identity_matrix(n, one, zero))
     assert inv == reference_inverse(A, one, zero)
-    assert (inv is None) == (linalg.rank(A) < n)
+    assert (inv is None) == (reference_rank(A) < n)
 
 
 # -- echelon read as scalars against field-division Gauss-Jordan --------------
@@ -209,9 +218,9 @@ def from_sympy(q):
 
 
 def test_scalar_entries_refuse_floats():
-    # rank, Subspace and graph take scalars; a float cannot be made exact
+    # matmul, Subspace and graph take scalars; a float cannot be made exact
     with pytest.raises(TypeError):
-        linalg.rank([[0.5, Fraction(1)]])
+        linalg.matmul([[0.5, Fraction(1)]], [[1], [1]])
     with pytest.raises(TypeError):
         Subspace(2, [[GaussScalar.of(1), 0.5]])
     with pytest.raises(TypeError):
@@ -227,10 +236,10 @@ def test_nullspace_is_the_canonical_kernel(rows):
     is_complex = any(isinstance(x, GaussScalar) for r in rows for x in r)
     null = linalg.nullspace(ncols, *int_rows(rows))
     assert all(is_canonical(v, is_complex) for v in null)
-    assert len(null) == ncols - linalg.rank(rows)
+    assert len(null) == ncols - reference_rank(rows)
     zero = FIELDS["Q(i)" if is_complex else "Q"][1]
     for v in null:
-        assert linalg.matvec(rows, linalg._scalars(v)) == [zero] * len(rows)
+        assert reference_matvec(rows, linalg._scalars(v)) == [zero] * len(rows)
     assert [linalg._scalars(v) for v in null] == reference_rref(reference_nullspace(rows, ncols, zero + 1, zero))[0]
 
 
@@ -261,7 +270,7 @@ def test_eliminate_is_the_span_meeting_a_vanishing_head(rows, data):
     assert all(is_canonical(t, is_complex) for t in canonical)
     tails = [linalg._scalars(t) for t in canonical]
     # dim(span ∩ {v[:k] = 0}) = rank(M) - rank(M[:, :k])
-    assert len(tails) == linalg.rank(rows) - linalg.rank([r[:k] for r in rows])
+    assert len(tails) == reference_rank(rows) - reference_rank([r[:k] for r in rows])
     assert all(len(t) == ncols - k for t in tails)
     # each tail, padded with k zeros, lies in the span ...
     for t in tails:

@@ -1,5 +1,6 @@
 """Normal forms on bundle charts: Moser averaging, local model, splitting."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,24 +16,27 @@ from cxpoisson import (
     bivector_from_brackets,
     parse_poly,
 )
+from cxpoisson.lagrangian import _graph, bivector_of_graph, graph, images, transform
 from cxpoisson.normal_form import (
     BundleChart,
+    _at_N,
     _fiber_form_check,
+    _model,
+    _on_N,
+    _pi_N,
     Extension,
     LocalModelResult,
     WeightZeroError,
     extension_check,
     induced_base_bivector_at,
-    inverse_bivector_matrix,
     local_model_at,
     mixed_check,
     moser_average,
-    projection_matrix,
     splitting_check,
 )
-from cxpoisson.pointwise import _rows_at, grid_points, matrix_at
+from cxpoisson.pointwise import _rows_at, delta_at, grid_points, matrix_at
 from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
-from cxpoisson import linalg
+from cxpoisson import lagrangian, linalg
 
 from conftest import reference_solve
 
@@ -111,21 +115,6 @@ def test_moser_rejects_foreign_chart():
         moser_average(beta, BUNDLE)
 
 
-# -- inverse bivector of a two-form -------------------------------------------
-
-
-def test_inverse_bivector_matrix():
-    B = [[GS_ZERO, GS_ONE], [-GS_ONE, GS_ZERO]]
-    A = inverse_bivector_matrix(B)
-    assert A == [[GS_ZERO, GS_ONE], [-GS_ONE, GS_ZERO]]
-    # sharp(A) o flat(B) = Id: (A (B x))_i with flat(B)_j = sum_i x_i B_ij
-    # reduces to A = -B^{-1}, checked by A B = -Id
-    prod = linalg.matmul(A, B)
-    assert prod == [[-GS_ONE, GS_ZERO], [GS_ZERO, -GS_ONE]]
-    with pytest.raises(ValueError):
-        inverse_bivector_matrix([[GS_ZERO, GS_ZERO], [GS_ZERO, GS_ZERO]])
-
-
 # -- mixed submanifold check ---------------------------------------------------
 
 
@@ -201,12 +190,6 @@ def test_local_model_degenerate_extension():
     assert not res.is_graph and res.bivector_matrix is None
 
 
-def test_projection_matrix_shape():
-    P = projection_matrix(BUNDLE)
-    assert len(P) == 2 and len(P[0]) == 4
-    assert P[0][0] == GS_ONE and P[1][1] == GS_ONE and P[0][2] == GS_ZERO
-
-
 # -- splitting -------------------------------------------------------------------
 
 
@@ -280,6 +263,10 @@ def test_extension_check():
     assert extension_check(good, BUNDLE, base_points())
     bad = Extension(FormField(CH, 2, {(0, 2): Poly.const(CH, 1)}))
     assert not extension_check(bad, BUNDLE, base_points())
+    # an extension is a two-form; the refusal names the degree it got
+    three = Extension(FormField(CH, 3, {(0, 2, 3): Poly.const(CH, 1)}))
+    with pytest.raises(ValueError, match="expected a degree-2 field at a point, got degree 3"):
+        extension_check(three, BUNDLE, base_points())
 
 
 def test_form_matrix_at_skew():
@@ -350,3 +337,155 @@ def test_fiber_form_check_matches_per_vector_formulation(b, f, data):
     M = matrix_at(Bw, pt)
     ref_ok = expected is not None and [r[b:] for r in M[b:]] == expected
     assert _fiber_form_check(bundle, _rows_at(pi.body, pt), _rows_at(Bw, pt)) == ref_ok
+
+
+# -- pi_N and the local model against the public composition -----------------
+#
+# _pi_N and _model build pi_N and e^B p^! gr(pi_N) from integer rows, one
+# reduction each.  The reference composes the public GaussScalar operations:
+# pi_N is the bivector of the backward image of gr(pi) along the inclusion of
+# N, the model the b_field transform of the backward image of graph(pi_N)
+# along the projection.
+
+
+def linear_field(data, kind, chart, pairs, always=()):
+    """A degree-2 field with an entry c + c' v (v a chart variable) on each
+    pair of always and on each other pair drawn from pairs."""
+    comps = {}
+    for ij in pairs:
+        if ij in always or data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(chart.vars))
+            p = Poly.const(chart, data.draw(GAUSS)) + Poly.var(chart, v).scale(data.draw(GAUSS))
+            if not p.is_zero():
+                comps[ij] = p
+    return kind(chart, 2, comps)
+
+
+def scalar_rows(M):
+    """The GaussScalar matrix of integer rows (re, im, d)."""
+    return [linalg._scalars((r, i, M[2])) for r, i in zip(M[0], M[1])]
+
+
+def reference_model(bundle, AN, B):
+    """e^B p^! gr(pi_N) for GaussScalar matrices AN and B, through the public
+    operations: the backward image along the projection p, then b_field."""
+    P = [[GS_ONE if i == j else GS_ZERO for j in range(bundle.b + bundle.f)] for i in range(bundle.b)]
+    return transform("b_field", B, images("backward", P, graph(AN, "bivector")))
+
+
+def draw_point(data, bundle, on_N):
+    rat = st.fractions(-3, 3, max_denominator=3)
+    pt = {v: data.draw(rat) for v in bundle.base_vars}
+    pt.update({v: F(0) if on_N else data.draw(rat) for v in bundle.fiber_vars})
+    return pt
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_pi_N_and_model_match_the_public_composition(b, f, data):
+    bundle = BundleChart(tuple(f"u{k}" for k in range(b)), tuple(f"q{k}" for k in range(f)))
+    chart, n = bundle.chart, b + f
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    fiber_pairs = [(i, j) for i, j in pairs if i >= b]
+    # a filled fiber block of pi makes pi_N defined for most even f
+    filled = data.draw(st.sampled_from([(), fiber_pairs]))
+    pi = ComplexBivector(linear_field(data, MultiField, chart, pairs, filled))
+    # a degenerate B has no fiber block at all, any other a filled one
+    degenerate = data.draw(st.booleans())
+    Bw = linear_field(data, FormField, chart, [ij for ij in pairs if not (degenerate and ij in fiber_pairs)],
+                      () if degenerate else fiber_pairs)
+    pt = draw_point(data, bundle, data.draw(st.booleans()))
+    A = _rows_at(pi.body, _on_N(bundle, pt))
+    incl = [[GS_ONE if i == j else GS_ZERO for j in range(b)] for i in range(n)]
+    ref_AN = bivector_of_graph(images("backward", incl, _graph(*A, "bivector")))
+    AN = _pi_N(bundle, A)
+    assert (AN is None) == (ref_AN is None)
+    if AN is not None:
+        assert scalar_rows(AN) == ref_AN
+        assert _model(bundle, AN, _rows_at(Bw, pt)) == reference_model(bundle, ref_AN, matrix_at(Bw, pt))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([1, 2, 4]), st.data())
+def test_local_model_at_matches_the_public_composition_and_its_formula(b, f, data):
+    bundle = BundleChart(tuple(f"u{k}" for k in range(b)), tuple(f"q{k}" for k in range(f)))
+    chart, base, n = bundle.chart, bundle.base_chart, b + f
+    entries = {(i, j): data.draw(GAUSS) for i in range(b) for j in range(i + 1, b)}
+    pi_N = bivector_from_brackets(base, {ij: Poly.const(base, z) for ij, z in entries.items() if z})
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    fiber_pairs = [(i, j) for i, j in pairs if i >= b]
+    # the formula holds when B is its fiber block on N; a degenerate B has
+    # no fiber block
+    only_fiber, degenerate = data.draw(st.booleans()), data.draw(st.booleans())
+    Bw = linear_field(data, FormField, chart, fiber_pairs if only_fiber else pairs,
+                      () if degenerate else fiber_pairs)
+    pt = draw_point(data, bundle, data.draw(st.booleans()))
+    AN, B = matrix_at(pi_N.body, pt), matrix_at(Bw, pt)
+    res = local_model_at(pi_N, Extension(Bw), bundle, pt)
+    assert res.lagrangian == reference_model(bundle, AN, B)
+    assert res.bivector_matrix == bivector_of_graph(res.lagrangian)
+    assert res.is_graph == (res.bivector_matrix is not None)
+    if not res.is_graph or any(pt[v] for v in bundle.fiber_vars):
+        assert res.model_formula_ok is None
+        return
+    # (sigma_C)^{-1} is the bivector A of the fiber block B_ff with
+    # sharp(A) o flat(B_ff) = Id, which forces B_ff A = -Id
+    minus_id = [[-GS_ONE if i == j else GS_ZERO for j in range(f)] for i in range(f)]
+    inv = reference_solve([r[b:] for r in B[b:]], minus_id, f, GS_ZERO)
+    expected = inv and [r + [GS_ZERO] * f for r in AN] + [[GS_ZERO] * b + list(r) for r in inv]
+    assert res.model_formula_ok == (res.bivector_matrix == expected)
+
+
+# -- what a point costs -------------------------------------------------------
+
+
+def test_point_checks_make_no_scalar_round_trip(monkeypatch):
+    # the point checks read the integer rows of _rows_at; none of them turns
+    # a GaussScalar matrix back into integers.  _int_matrix is wrapped under
+    # every module name bound to it
+    original = lagrangian._int_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("cxpoisson") and getattr(m, "_int_matrix", None) is original]
+    for mod in bound:
+        monkeypatch.setattr(mod, "_int_matrix", counted)
+    assert lagrangian in bound
+    graph([[GS_ZERO, GS_ONE], [-GS_ONE, GS_ZERO]], "bivector")
+    assert len(calls) == 1  # the wrapper sees the public API edge
+    calls.clear()
+    pi = splitting_bivector()
+    assert splitting_check(pi, BUNDLE, splitting_section(), splitting_points()).passed
+    assert mixed_check(pi, BUNDLE, base_points()).mixed
+    assert extension_check(Extension(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)})), BUNDLE, base_points())
+    assert delta_at(pi, splitting_points(1)[0]).dim == 4  # pi is real and invertible there
+    assert calls == []
+
+
+def test_splitting_check_makes_three_reductions_per_point(monkeypatch):
+    # per point: one eliminate for pi_N, one echelon for the model and one
+    # for gr(pi) at the point
+    counts = {"echelon": 0, "eliminate": 0}
+
+    def counted(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    pi = splitting_bivector()
+    for k in (1, 3, 5):
+        points = splitting_points(k)
+        at_N = _at_N(pi, BUNDLE, points)
+        with monkeypatch.context() as m:
+            for name in counts:
+                m.setattr(linalg, name, counted(name))
+            counts.update(echelon=0, eliminate=0)
+            assert splitting_check(pi, BUNDLE, splitting_section(), points, at_N=at_N).passed
+        assert counts == {"echelon": 2 * k, "eliminate": k}
