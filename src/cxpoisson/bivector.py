@@ -22,20 +22,36 @@ from .fields import (
     lie_derivative,
     schouten,
 )
-from .poly import Chart, Poly, poly_sum_of_products
+from .poly import Chart, Poly, poly_sum_of_products, poly_sums_of_products
 from .scalars import GS_I
 
 
 class ComplexBivector:
-    """A degree-2 MultiField with cached real/imaginary parts."""
+    """A degree-2 MultiField pi = pi1 + i pi2.  The real and imaginary parts
+    are split off on the first read of pi1 or pi2 and kept, so a bivector
+    that no check splits never pays for it."""
 
-    __slots__ = ("body", "pi1", "pi2")
+    __slots__ = ("body", "_parts")
 
     def __init__(self, body: MultiField):
         if body.degree != 2:
             raise ValueError("ComplexBivector needs a degree-2 MultiField")
         self.body = body
-        self.pi1, self.pi2 = decompose(body)
+
+    @property
+    def pi1(self) -> MultiField:
+        return self._split()[0]
+
+    @property
+    def pi2(self) -> MultiField:
+        return self._split()[1]
+
+    def _split(self) -> Tuple[MultiField, MultiField]:
+        try:
+            return self._parts
+        except AttributeError:
+            self._parts = decompose(self.body)
+            return self._parts
 
     @property
     def chart(self) -> Chart:
@@ -92,7 +108,7 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     Entry ((i,j,k), s, residual) with s=1 the real equation and s=2 the
     imaginary one: the real and imaginary parts of the coordinate Jacobiator
     r = sum_l (A_il d_l A_jk + A_kl d_l A_ij + A_jl d_l A_ki) of the complex
-    matrix A of pi, one poly_sum_of_products per triple.  Each partial
+    matrix A of pi, all triples in one poly_sums_of_products.  Each partial
     d_l A_bc is read from the partials table of pi's body, so it is taken
     once, and once for all the checks on pi.
     """
@@ -100,18 +116,18 @@ def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int]
     n = chart.dim
     A = _part_matrix(pi.body, chart)
     dA = pi.body.partials
+    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+    # d_l A_ki = -d_l A_ik
+    sums = poly_sums_of_products(chart, [
+        [(sign, A[a][l], dl[bc])
+         for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1))
+         for l, dl in enumerate(dA) if bc in dl]
+        for i, j, k in triples
+    ])
     out: List[Tuple[Tuple[int, int, int], int, Poly]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # d_l A_ki = -d_l A_ik
-                r = poly_sum_of_products(chart, [
-                    (sign, A[a][l], dl[bc])
-                    for a, bc, sign in ((i, (j, k), 1), (k, (i, j), 1), (j, (i, k), -1))
-                    for l, dl in enumerate(dA) if bc in dl
-                ])
-                out.append(((i, j, k), 1, r.real_part()))
-                out.append(((i, j, k), 2, r.imag_part()))
+    for t, r in zip(triples, sums):
+        out.append((t, 1, r.real_part()))
+        out.append((t, 2, r.imag_part()))
     return out
 
 
@@ -172,12 +188,10 @@ def _sharp(chart: Chart, M: List[List[Poly]], alpha: FormField) -> MultiField:
 
 
 def _matmul(chart: Chart, X: Sequence[Sequence[Poly]], Y: Sequence[Sequence[Poly]]) -> List[List[Poly]]:
-    """X Y for matrices of Polys, one poly_sum_of_products per entry."""
+    """X Y for matrices of Polys, every entry in one poly_sums_of_products."""
     cols = list(zip(*Y))
-    return [
-        [poly_sum_of_products(chart, [(1, x, y) for x, y in zip(row, col)]) for col in cols]
-        for row in X
-    ]
+    flat = poly_sums_of_products(chart, [[(1, x, y) for x, y in zip(row, col)] for row in X for col in cols])
+    return [flat[r * len(cols):(r + 1) * len(cols)] for r in range(len(X))]
 
 
 def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:

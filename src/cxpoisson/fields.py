@@ -15,9 +15,16 @@ with left odd derivatives.  On vector fields this is the Lie bracket, on
 is the generator formula of the appendix extended by Leibniz, folded into one
 expression.
 
-Wedge, interior product and Schouten bracket group their signed products
-(c, P, Q) by output index, with no intermediate Poly, and sum each group with
-one poly.poly_sum_of_products.  [P, P] forms one half (see schouten).
+Wedge, interior product and Schouten bracket each make one pass over their
+term pairs: one poly.poly_graded_products per operation.  A field enters as
+an operand, its components P_I each with the index set I as a theta-mask
+(bit j for th_j).  Two components multiply only when their masks are
+disjoint, with the sign that sorts th_I th_J read from a table keyed by the
+two masks.  The Schouten halves are the pairs (dP/dth_l, dQ/dx_l), one per
+l; the interior product by a degree-1 field v puts v_j on the mask -2^j,
+which stands for d/dth_j, so that i_v F is one product of v by F.  Each
+output component sums in its own numerator dict over one denominator and is
+reduced once.  [P, P] forms one half (see schouten).
 
 Every derivative of a field's components (d, T_C, both Schouten halves, the
 Jacobi PDE, the normal form's Euler check) is read from the field's own table
@@ -30,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .poly import Chart, Poly, poly_eval, poly_partial, poly_sum_of_products
+from .poly import Chart, Poly, _Memo, poly_eval, poly_graded_products, poly_partial
 from .scalars import GS_I, GaussScalar, Rational, _coerce
 
 Index = Tuple[int, ...]
@@ -195,12 +202,32 @@ def _field(cls, chart: Chart, degree: int, comps: Dict[Index, Poly]) -> GradedFi
     return m
 
 
-Groups = Dict[Index, List[Tuple[int, Poly, Poly]]]
+# the theta-mask of a strictly increasing index, bit j set for each j in it,
+# and back
+_MASKS = _Memo(lambda idx: sum(1 << j for j in idx))
+_INDICES = _Memo(lambda mask: tuple(j for j in range(mask.bit_length()) if mask >> j & 1))
 
 
-def _summed(cls, chart: Chart, degree: int, groups: Groups) -> GradedField:
-    """The field whose component at each index is the sum of the products grouped there."""
-    return _field(cls, chart, degree, {k: poly_sum_of_products(chart, t) for k, t in groups.items()})
+def _graded(cls, chart: Chart, degree: int, terms) -> GradedField:
+    """The field of kind cls whose superfunction is the sum of c * A * B over
+    the (c, A, B) in terms: one poly_graded_products."""
+    return _field(cls, chart, degree, {_INDICES[m]: p for m, p in poly_graded_products(chart, terms).items()})
+
+
+def _parts(comps: Mapping[Index, Poly]):
+    """The superfunction sum_I comps[I] th_I as the parts of one operand."""
+    return [(_MASKS[idx], 1, p) for idx, p in comps.items()]
+
+
+def _theta_partials(m: GradedField):
+    """[dm/dth_l for each l] as operand parts, with the left odd derivative
+    d(th_I)/dth_l = (-1)^pos th_(I without l) for l at pos in I."""
+    parts = [[] for _ in range(m.chart.dim)]
+    for idx, p in m.comps.items():
+        mask = _MASKS[idx]
+        for pos, l in enumerate(idx):
+            parts[l].append((mask ^ (1 << l), -1 if pos % 2 else 1, p))
+    return parts
 
 
 def _check_same(a: GradedField, b: GradedField):
@@ -234,14 +261,7 @@ def wedge(a: GradedField, b: GradedField) -> GradedField:
         raise TypeError("wedge requires operands of the same kind")
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
-    # past the dimension every index repeats, so nothing is grouped
-    groups: Groups = {}
-    for ia, pa in a.comps.items():
-        for ib, pb in b.comps.items():
-            sign, key = _normalized(ia + ib)
-            if sign:
-                groups.setdefault(key, []).append((sign, pa, pb))
-    return _summed(type(a), a.chart, a.degree + b.degree, groups)
+    return _graded(type(a), a.chart, a.degree + b.degree, [(1, _parts(a.comps), _parts(b.comps))])
 
 
 # -- contraction -----------------------------------------------------------
@@ -272,14 +292,11 @@ def contract_form(alpha: FormField, m: MultiField) -> MultiField:
 
 
 def _interior(v: GradedField, field: GradedField) -> GradedField:
-    """First-slot interior product of the degree-1 field v into field."""
-    groups: Groups = {}
-    for idx, p in field.comps.items():
-        for pos, j in enumerate(idx):
-            vj = v.comps.get((j,))
-            if vj is not None:
-                groups.setdefault(idx[:pos] + idx[pos + 1:], []).append((1 - 2 * (pos % 2), vj, p))
-    return _summed(type(field), field.chart, field.degree - 1, groups)
+    """First-slot interior product of the degree-1 field v into field,
+    sum_j v_j dfield/dth_j: the product of v, on the masks -2^j that stand
+    for d/dth_j, by field."""
+    dv = [(-1 << j, 1, vj) for (j,), vj in v.comps.items()]
+    return _graded(type(field), field.chart, field.degree - 1, [(1, dv, _parts(field.comps))])
 
 
 def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
@@ -343,10 +360,11 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
     has [X, Q] = L_X Q for every vector field X, [X, f] = X(f), and
     [a, b] = -(-1)^{(p-1)(q-1)} [b, a].
 
-    Each component is one poly_sum_of_products over the products +-P_I d_l Q_J
-    of both halves.  With a passed as b, graded antisymmetry gives [a, a] = 0
-    at odd degree; at even degree both halves are -sum_l da/dth_l da/dx_l, so
-    one is formed, with multiplicity 2.
+    Both halves, as the terms c * da/dth_l * db/dx_l over l with
+    db/dx_l read from b's partials table, go to one poly_graded_products.
+    With a passed as b, graded antisymmetry gives [a, a] = 0 at odd degree;
+    at even degree both halves are -sum_l da/dth_l da/dx_l, so one is
+    formed, with multiplicity 2.
     """
     if a.chart != b.chart:
         raise ValueError("chart mismatch")
@@ -356,27 +374,15 @@ def schouten(a: MultiField, b: MultiField) -> MultiField:
     if deg < 0:
         # [f, g] = 0 for two functions
         return MultiField.zero(chart, 0)
-    groups: Groups = {}
     if a is not b:
-        _schouten_half(groups, a, b, -1 if p % 2 == 0 else 1)
-        _schouten_half(groups, b, a, -1 if p * (q - 1) % 2 == 0 else 1)
-    elif p % 2 == 0:
-        _schouten_half(groups, a, a, -2)
-    return _summed(MultiField, chart, deg, groups)
-
-
-def _schouten_half(groups: Groups, a: MultiField, b: MultiField, c: int):
-    """Group c * sum_l da/dth_l ^ db/dx_l by output index, with the left odd
-    derivative d(th_I)/dth_l = (-1)^pos th_{I without l} for l at pos in I."""
-    db = b.partials
-    for ia, pa in a.comps.items():
-        for pos, l in enumerate(ia):
-            rest = ia[:pos] + ia[pos + 1:]
-            sa = -c if pos % 2 else c
-            for ib, d in db[l].items():
-                sign, key = _normalized(rest + ib)
-                if sign:
-                    groups.setdefault(key, []).append((sign * sa, pa, d))
+        halves = ((a, b, -1 if p % 2 == 0 else 1), (b, a, -1 if p * (q - 1) % 2 == 0 else 1))
+    else:
+        halves = ((a, a, -2),) if p % 2 == 0 else ()
+    return _graded(MultiField, chart, deg, [
+        (c, dth, _parts(dx))
+        for x, y, c in halves
+        for dth, dx in zip(_theta_partials(x), y.partials) if dth and dx
+    ])
 
 
 # -- evaluation at points --------------------------------------------------

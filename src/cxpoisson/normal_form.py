@@ -23,7 +23,7 @@ from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .bivector import ComplexBivector, _part_matrix
+from .bivector import ComplexBivector
 from .fields import FormField, MultiField, d_complex, recompose
 from .lagrangian import Lagrangian, _fused, _graph, _lagrangian, _times, bivector_of_graph
 from .poly import Chart, Poly, poly_subst_zero
@@ -133,11 +133,11 @@ def mixed_check(
     if pi.chart != chart:
         raise ValueError("bivector must live on the bundle chart")
     b, f = bundle.b, bundle.f
-    # pi2(Ann TN)|_N = 0: fiber rows of the pi2 matrix vanish on N
+    # pi2(Ann TN)|_N = 0: the fiber rows of pi's matrix are real on N; the
+    # components (i, j), i < j, in those rows are the ones with j a fiber index
     ann_zero = all(
-        poly_subst_zero(p, bundle.fiber_vars).is_zero()
-        for row in _part_matrix(pi.pi2, chart)[b:]
-        for p in row
+        poly_subst_zero(p, bundle.fiber_vars).is_real()
+        for (_, j), p in pi.body.comps.items() if j >= b
     )
     ds_ok = True
     cc_ok = True

@@ -10,6 +10,21 @@ pairs (a, b), meaning a + b i, over one positive integer denominator d.
   2^(FIELD_BITS - 1) - 1.  Two fields below the guard sum without a carry
   into the next field; a product whose sum reaches a guard bit raises
   OverflowError instead of wrapping.
+- Every sum of products runs in one loop, _mul_into, over a list of pairs
+  (out, c, pa, pb), one call per operation.  Its overflow check takes one
+  bound per call, the OR of every left key plus the OR of every right key;
+  only when that bound reaches a guard bit are the pairs checked one by
+  one, all before any product is formed.
+- Graded products (poly_graded_products) take operands whose parts are the
+  components of a field, each with its theta-index set as a bitmask.  A
+  part pair is formed only when the sign table _SIGNS[ma][mb] is not 0, and
+  its monomial products, one int add each, go to the numerator dict of the
+  output mask.  The masks stay out of the monomial keys: a key
+  (mask << FIELD_BITS * dim) | monomial must be split by mask at the end,
+  which measured slower than one dict per output mask.  The chart's last
+  variable owns the top field of a key; its guard bit keeps a carry from
+  leaving the chart's fields, where it would read as a variable the chart
+  does not have.
 - The form is canonical: no (0, 0) pair is stored, d > 0, and the gcd of d
   and every numerator integer is 1 (content 1).  So equality is a plain
   dict comparison, and the zero polynomial is the empty dict over d = 1.
@@ -32,10 +47,10 @@ from __future__ import annotations
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .scalars import GS_ONE, GaussScalar, Rational, _coerce, _make
 
@@ -192,8 +207,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
         pa, pb = self._num, other._num
-        _check_product(pa, pb, len(self.chart.vars))
-        return _reduced(self.chart, _mul_into({}, pa, pb, 1), self._den * other._den)
+        out: Num = {}
+        if pa and pb:
+            _products(len(self.chart.vars), [(out, 1, pa, pb)], reduce(or_, pa), reduce(or_, pb))
+        return _reduced(self.chart, out, self._den * other._den)
 
     def scale(self, c: Union[Rational, GaussScalar]) -> "Poly":
         p, q, e = _coerce(c).abd
@@ -277,44 +294,54 @@ def _reduced(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
     return _poly(chart, num, den)
 
 
-def _check_product(pa, pb, dim: int):
-    """Raise OverflowError if a monomial of pa times one of pb passes
-    MAX_EXPONENT.  The OR of a dict's keys bounds its exponents per field; the
-    exact maxima, which meet in some product, are taken when two bounds reach a guard."""
-    if not (reduce(or_, pa, 0) + reduce(or_, pb, 0)) & _guard(dim):
-        return
-    for j in range(dim):
-        shift = FIELD_BITS * j
-        top = max((k >> shift) & _FIELD for k in pa) + max((k >> shift) & _FIELD for k in pb)
-        if top > MAX_EXPONENT:
-            raise OverflowError(
-                f"a product has exponent {top}, past the maximum {MAX_EXPONENT}"
-            )
+Num = Dict[int, Tuple[int, int]]
+# (out, c, pa, pb): add c * pa * pb to out
+Pair = Tuple[Num, int, Num, Num]
 
 
-def _mul_into(out: Dict[int, Tuple[int, int]], pa, pb, s: int) -> Dict[int, Tuple[int, int]]:
-    """Add s * pa * pb to the numerator dict out, dropping the pairs that
-    cancel to (0, 0), and return out: the package's one product loop."""
-    get = out.get
-    for ka, (a1, b1) in pa.items():
-        if s != 1:
-            a1 *= s
-            b1 *= s
-        for kb, (a2, b2) in pb.items():
-            k = ka + kb
-            re = a1 * a2 - b1 * b2
-            im = a1 * b2 + b1 * a2
-            v = get(k)
-            if v is None:
-                out[k] = (re, im)
-            else:
-                re += v[0]
-                im += v[1]
-                if re or im:
+def _products(dim: int, pairs: List[Pair], left: int, right: int):
+    """Form pairs in one _mul_into, after the overflow check: left and right
+    are the ORs of every left and every right numerator dict's keys, whose
+    fields bound the exponents that meet.  Only when that bound reaches a
+    guard bit is each pair checked by the exact maxima of its two dicts,
+    which meet in some product, so OverflowError comes before any product
+    is formed."""
+    if (left + right) & _guard(dim):
+        for _, _, pa, pb in pairs:
+            for j in range(dim):
+                shift = FIELD_BITS * j
+                top = max((k >> shift) & _FIELD for k in pa) + max((k >> shift) & _FIELD for k in pb)
+                if top > MAX_EXPONENT:
+                    raise OverflowError(
+                        f"a product has exponent {top}, past the maximum {MAX_EXPONENT}"
+                    )
+    _mul_into(pairs)
+
+
+def _mul_into(pairs: List[Pair]):
+    """For each (out, c, pa, pb) in pairs add c * pa * pb to the numerator
+    dict out, dropping the pairs that cancel to (0, 0): the package's one
+    product loop."""
+    for out, c, pa, pb in pairs:
+        get = out.get
+        for ka, (a1, b1) in pa.items():
+            if c != 1:
+                a1 *= c
+                b1 *= c
+            for kb, (a2, b2) in pb.items():
+                k = ka + kb
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                v = get(k)
+                if v is None:
                     out[k] = (re, im)
                 else:
-                    del out[k]
-    return out
+                    re += v[0]
+                    im += v[1]
+                    if re or im:
+                        out[k] = (re, im)
+                    else:
+                        del out[k]
 
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
@@ -367,19 +394,119 @@ def poly_arith(op: str, a: Poly, b) -> Poly:
     raise ValueError(f"unknown op kind {op!r}")
 
 
+def poly_sums_of_products(chart: Chart, groups: Iterable[Iterable[Tuple[int, Poly, Poly]]]) -> List[Poly]:
+    """For each group of (c, p, q), c a nonzero int and all p and q on chart
+    (not compared), the sum of c * p * q.  Every pair is checked for
+    overflow as p * q checks it before any product is formed; then all
+    groups are formed in one pass, each in one numerator dict over the lcm
+    of its denominators, reduced once."""
+    outs = []
+    pairs: List[Pair] = []
+    left = right = 0
+    for group in groups:
+        group = [(c, p, q) for c, p, q in group if p._num and q._num]
+        den = lcm(*(p._den * q._den for _, p, q in group))
+        out: Num = {}
+        for c, p, q in group:
+            pa, pb = p._num, q._num
+            left |= reduce(or_, pa)
+            right |= reduce(or_, pb)
+            pairs.append((out, c * (den // (p._den * q._den)), pa, pb))
+        outs.append((out, den))
+    _products(chart.dim, pairs, left, right)
+    return [_reduced(chart, out, den) for out, den in outs]
+
+
 def poly_sum_of_products(chart: Chart, terms: Iterable[Tuple[int, Poly, Poly]]) -> Poly:
-    """The sum of c * p * q over the (c, p, q) in terms, c a nonzero int, all
-    p and q on chart (not compared).  Every pair is checked for overflow as
-    p * q checks it before any product is formed; the products accumulate in
-    one numerator dict over the lcm of their denominators, reduced once."""
-    terms = [(c, p._num, q._num, p._den * q._den) for c, p, q in terms if p._num and q._num]
-    for _, pa, pb, _ in terms:
-        _check_product(pa, pb, chart.dim)
-    den = lcm(*(d for _, _, _, d in terms))
-    out: Dict[int, Tuple[int, int]] = {}
-    for c, pa, pb, d in terms:
-        _mul_into(out, pa, pb, c * (den // d))
-    return _reduced(chart, out, den)
+    """The sum of c * p * q over the (c, p, q) in terms: poly_sums_of_products
+    for one group."""
+    return poly_sums_of_products(chart, (terms,))[0]
+
+
+# -- graded products --------------------------------------------------------
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with fn(k) on first read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, k):
+        v = self[k] = self.fn(k)
+        return v
+
+
+def _sign(ma: int, mb: int) -> int:
+    """The sign with which theta-masks ma and mb multiply; no sign depends
+    on the chart.
+
+    - ma >= 0: 0 when the masks meet, else the sign that sorts th_ma th_mb
+      into th_(ma | mb), (-1)^#{(i, j): i in ma, j in mb, i > j}.
+    - ma = -2^j stands for d/dth_j, the left odd derivative: 0 when j is not
+      in mb, else (-1)^#{i in mb: i < j}.
+
+    Either way a formed pair lands on the mask ma + mb."""
+    if ma < 0:
+        flips = (mb & (-ma - 1)).bit_count() if mb & -ma else -1
+    elif ma & mb:
+        flips = -1
+    else:
+        flips = 0
+        while mb:
+            low = mb & -mb
+            flips += (ma & -low).bit_count()
+            mb ^= low
+    return 0 if flips < 0 else 1 - 2 * (flips & 1)
+
+
+# _SIGNS[ma][mb] = _sign(ma, mb), one row per left mask
+_SIGNS = _Memo(lambda ma: _Memo(partial(_sign, ma)))
+
+
+def poly_graded_products(chart: Chart, terms: Iterable[Tuple[int, Sequence, Sequence]]) -> Dict[int, Poly]:
+    """The sum of c * A * B over the (c, A, B) in terms, c a nonzero int and
+    A and B graded operands, as {theta-mask: component Poly}.
+
+    An operand is a sequence of parts (mask, sign, p): the term
+    sign * p th_mask, with sign 1 or -1, distinct masks and p a nonzero Poly
+    on chart (not compared).  A negative mask -2^j, in a left operand only,
+    stands for d/dth_j (see _sign).  A part pair is formed when its sign
+    _SIGNS[ma][mb] is not 0, and lands on the mask ma + mb.  The formed
+    pairs are checked for overflow, then formed in one _mul_into into one
+    numerator dict per output mask, all over one denominator; each dict is
+    reduced once, at the end."""
+    terms = [t for t in terms if t[1] and t[2]]
+    if not terms:
+        return {}
+    da = lcm(*{p._den for _, parts, _ in terms for _, _, p in parts})
+    db = lcm(*{p._den for _, _, parts in terms for _, _, p in parts})
+    signs = _SIGNS
+    outs: Dict[int, Num] = {}
+    pairs: List[Pair] = []
+    left = right = 0
+    for c, lefts, rights in terms:
+        rights = [(mb, sb * (db // q._den), q._num) for mb, sb, q in rights]
+        for _, _, pb in rights:
+            right |= reduce(or_, pb)
+        for ma, sa, p in lefts:
+            pa = p._num
+            left |= reduce(or_, pa)
+            row = signs[ma]
+            ca = c * sa * (da // p._den)
+            for mb, n, pb in rights:
+                t = row[mb]
+                if t:
+                    out = outs.get(ma + mb)
+                    if out is None:
+                        out = outs[ma + mb] = {}
+                    pairs.append((out, ca * t * n, pa, pb))
+    _products(chart.dim, pairs, left, right)
+    den = da * db
+    return {m: _reduced(chart, out, den) for m, out in outs.items() if out}
 
 
 def poly_partial(p: Poly, var: str) -> Poly:

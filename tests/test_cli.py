@@ -270,6 +270,27 @@ def test_main_reaches_the_traced_names(monkeypatch, nb_file, split_file, capsys,
     assert set(calls) == {"parse_problem", "build_field", cmd}
 
 
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+def test_only_check_splits_the_bivector(monkeypatch, nb_file, split_file, capsys, command):
+    # pi1 and pi2 are split off on first read; invariants, dirac and
+    # normal-form read only pi's body, so they never call decompose
+    from cxpoisson import bivector, fields
+
+    split = []
+    inner = fields.decompose
+
+    def counted(m):
+        split.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(fields, "decompose", counted)
+    monkeypatch.setattr(bivector, "decompose", counted)
+    path = split_file if command == "normal-form" else nb_file
+    code, out, err = run(capsys, [command, path, "--grid-size", "2"])
+    assert code in (0, 1) and out and err == ""
+    assert bool(split) == (command == "check")
+
+
 def test_extra_points_flag(nb_file, capsys):
     code, out, _ = run(
         capsys,

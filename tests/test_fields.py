@@ -311,11 +311,11 @@ def test_components_must_be_on_the_field_chart():
     assert MultiField(Chart(("x", "y", "z")), 1, {(2,): Poly.var(CH, "z")}).chart == CH
 
 
-# -- the sum-of-products kernel against the loops it replaced -----------------
+# -- the one-pass graded products against the loops they replaced -------------
 #
-# old_wedge, old_interior and old_schouten (with its three helpers) are the
-# loops wedge, _interior and schouten ran before they grouped their products
-# for poly_sum_of_products: one Poly per product, negation and partial sum.
+# old_wedge, old_interior and old_schouten (with its three helpers) form one
+# Poly per product, then negate and sum: the reference that wedge, _interior
+# and schouten, one poly_graded_products each, must match term for term.
 
 
 def old_wedge(a, b):
@@ -415,17 +415,23 @@ def packed(m):
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_kernel_callers_match_the_loops_they_replaced(data):
-    n = data.draw(st.integers(1, 5), label="n")
+    n = data.draw(st.integers(1, 6), label="n")
     chart = Chart(tuple(f"x{k}" for k in range(n)))
     a = data.draw(graded_fields(chart, data.draw(st.integers(0, 3))), label="a")
     b = data.draw(graded_fields(chart, data.draw(st.integers(0, 3))), label="b")
     # [a, a] takes the self-bracket rule at odd and at even degree
     assert packed(schouten(a, a)) == packed(old_schouten(a, a))
     assert packed(schouten(a, b)) == packed(old_schouten(a, b))
+    assert packed(wedge(a, a)) == packed(old_wedge(a, a))
     assert packed(wedge(a, b)) == packed(old_wedge(a, b))
     v = data.draw(graded_fields(chart, 1), label="v")
+    alpha = data.draw(graded_fields(chart, 1, FormField), label="alpha")
+    form = data.draw(graded_fields(chart, data.draw(st.integers(1, 3)), FormField), label="form")
+    assert packed(wedge(alpha, form)) == packed(old_wedge(alpha, form))
+    assert packed(contract(v, form)) == packed(old_interior(v, form))
     if a.degree:
         assert packed(_interior(v, a)) == packed(old_interior(v, a))
+        assert packed(contract_form(alpha, a)) == packed(old_interior(alpha, a))
 
 
 @settings(max_examples=100, deadline=None)
@@ -490,3 +496,29 @@ def test_schouten_overflow_parity_with_the_product(count_products):
     # [X, X] = 0 for a vector field X is read off graded antisymmetry
     vec = MultiField(CH, 1, {(0,): Poly(CH, {(MAX_EXPONENT, 0, 0): 1}), (1,): x})
     assert schouten(vec, vec) == MultiField.zero(CH, 1)
+
+
+def test_overflow_in_the_top_field_of_the_key(count_products):
+    # the chart's last variable owns the top field of a packed monomial, the
+    # one whose carry would leave the chart's fields: a graded product that
+    # reaches MAX_EXPONENT there is exact, and one past it is refused before
+    # any product is formed
+    ch = Chart(("x", "y"))
+    y, y2, y3 = (Poly(ch, {(0, k): 1}) for k in (1, 2, 3))
+    high = Poly(ch, {(0, MAX_EXPONENT - 1): 1})
+    top = Poly(ch, {(0, MAX_EXPONENT): 1})
+    a = MultiField(ch, 1, {(1,): high})
+    alpha = FormField(ch, 1, {(1,): high})
+    assert wedge(a, MultiField(ch, 1, {(0,): y})).comps == {(0, 1): -top}
+    assert schouten(a, MultiField(ch, 1, {(0,): y2})).comps == {(0,): top.scale(2)}
+    assert contract_form(alpha, MultiField(ch, 1, {(1,): y})).comps == {(): top}
+    past = [
+        lambda: wedge(a, MultiField(ch, 1, {(0,): y2})),
+        lambda: schouten(a, MultiField(ch, 1, {(0,): y3})),
+        lambda: contract_form(alpha, MultiField(ch, 1, {(1,): y2})),
+    ]
+    for op in past:
+        count_products.clear()
+        with pytest.raises(OverflowError, match=f"^a product has exponent {MAX_EXPONENT + 1}, past the maximum {MAX_EXPONENT}$"):
+            op()
+        assert count_products == []
