@@ -9,7 +9,6 @@ from .poly import (
     Chart,
     Poly,
     format_poly,
-    poly_arith,
     poly_eval,
     poly_partial,
     poly_subst_zero,
@@ -35,7 +34,6 @@ from .bivector import (
     ComplexBivector,
     bivector_from_brackets,
     bracket_of_functions,
-    casimir_residual,
     construct,
     cotangent_bracket,
     hamiltonian,
@@ -45,11 +43,9 @@ from .bivector import (
     pair_conditions,
 )
 from .lagrangian import (
-    ComplexSubspace,
     IndexRecord,
     Lagrangian,
     Subspace,
-    SubspaceReal,
     bivector_of_graph,
     check,
     check_cot,
@@ -87,7 +83,6 @@ from .pointwise import (
 )
 from .normal_form import (
     BundleChart,
-    Extension,
     WeightZeroError,
     extension_check,
     local_model_at,

@@ -22,7 +22,7 @@ from .fields import (
     lie_derivative,
     schouten,
 )
-from .poly import Chart, Poly, poly_sum_of_products, poly_sums_of_products
+from .poly import Chart, Poly, poly_sums_of_products
 from .scalars import GS_I
 
 
@@ -159,9 +159,6 @@ def hamiltonian(pi: ComplexBivector, h: MultiField) -> MultiField:
     return pi.sharp(complex_differential(h))
 
 
-casimir_residual = hamiltonian
-
-
 def apply_vector(z: MultiField, f: MultiField) -> MultiField:
     """z(f) for a degree-1 field acting on a degree-0 field."""
     return MultiField.function(
@@ -198,7 +195,7 @@ def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> F
     """One-form bracket driven by a sharp matrix M (possibly non-skew):
     [a, b]_M = L_{M#b} a - L_{M#a} b - T_C(a(M#b))."""
     sa, sb = _sharp(chart, M, a), _sharp(chart, M, b)
-    pair = poly_sum_of_products(chart, [(1, ai, sb.comps[k]) for k, ai in a.comps.items() if k in sb.comps])
+    [pair] = poly_sums_of_products(chart, [[(1, ai, sb.comps[k]) for k, ai in a.comps.items() if k in sb.comps]])
     return (
         lie_derivative(sb, a)
         - lie_derivative(sa, b)

@@ -39,13 +39,7 @@ from .lagrangian import (
     tilde_cot,
     transform,
 )
-from .normal_form import (
-    BundleChart,
-    WeightZeroError,
-    _at_N,
-    mixed_check,
-    splitting_check,
-)
+from .normal_form import BundleChart, _at_N, mixed_check, splitting_check
 from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
 from .problem import ProblemFile, ProblemParseError, parse_problem
 
@@ -303,10 +297,7 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
             return ("refused(no mixed submanifold: "
                     f"pi2_annihilator_zero={mrep.pi2_annihilator_zero}, "
                     f"direct_sum_ok={mrep.direct_sum_ok})"), None
-        try:
-            srep = splitting_check(pi, bundle, section, pts, at_N=at_N)
-        except WeightZeroError as exc:
-            return f"refused(weight: {exc})", None
+        srep = splitting_check(pi, bundle, section, pts, at_N=at_N)
         if not srep.section_in_graph:
             return "refused(section is not in the graph of pi)", None
         witness = {

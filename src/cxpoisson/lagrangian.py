@@ -10,10 +10,13 @@ when asked for or when a generator entry is a GaussScalar).  It keeps its
 reduced basis as canonical integer rows (see linalg), so equality is equality
 of row tuples; .basis reads them as GaussScalars or Fractions.  Only the
 public constructor reduces: rows that are canonical already (eliminate tails,
-heads, conjugates) go through the trusted _subspace.  Real computations (hat,
-check, K, Delta, D) realify a complex span into R^{2m}, layout [real parts |
-imaginary parts].  Every intersect-and-project step is one linalg.eliminate:
-the coordinates that must vanish come first, and the tails span the result.
+heads, conjugates) go through the trusted _subspace.  A Lagrangian is a
+complex Subspace of C^{2n} (m = 2n) that also keeps n; it equals the
+Subspace with the same rows, and the operations here build it through the
+trusted _lagrangian.  Real computations (hat, check, K, Delta, D) realify a
+complex span into R^{2m}, layout [real parts | imaginary parts].  Every
+intersect-and-project step is one linalg.eliminate: the coordinates that
+must vanish come first, and the tails span the result.
 """
 
 from __future__ import annotations
@@ -81,24 +84,11 @@ class Subspace:
         return f"Subspace({field}^{self.m}, dim={self.dim})"
 
 
-SubspaceReal = ComplexSubspace = Subspace
-
-
 def _subspace(m: int, rows, is_complex: bool) -> Subspace:
     """Trusted constructor: rows must already be a canonical basis."""
     S = object.__new__(Subspace)
     S.m, S.rows, S.is_complex, S._basis = m, tuple(rows), is_complex, None
     return S
-
-
-def subspace_from_generators(gens, m: Optional[int] = None) -> Subspace:
-    """Canonical span of the generators, inferring m from the first one."""
-    gens = [list(g) for g in gens]
-    if m is None:
-        if not gens:
-            raise ValueError("ambient dimension required for empty generator list")
-        m = len(gens[0])
-    return Subspace(m, gens)
 
 
 # -- pairing ----------------------------------------------------------------
@@ -113,20 +103,22 @@ def pairing(u: Sequence, v: Sequence, n: int):
     return acc * GaussScalar.of(Fraction(1, 2)) if type(acc) is GaussScalar else acc * Fraction(1, 2)
 
 
-class Lagrangian:
-    """Isotropic subspace of C^{2n} in canonical echelon form.
+class Lagrangian(Subspace):
+    """An isotropic complex Subspace of C^{2n}: m = 2n, and n is kept.
 
-    from_generators checks isotropy, and full dimension n unless the caller
-    opts into an intermediate isotropic family.  The operations of this
-    module build their results with the trusted _lagrangian: graphs of a
-    skew datum, products, images and transforms of isotropic subspaces are
-    isotropic by construction.
+    It is a Subspace with one more condition, so a Lagrangian equals, and
+    hashes like, the complex Subspace with the same rows.  from_generators
+    is the public constructor: it checks isotropy, and full dimension n
+    unless the caller opts into an intermediate isotropic family.  The
+    operations of this module build their results with the trusted
+    _lagrangian: graphs of a skew datum, products, images and transforms of
+    isotropic subspaces are isotropic by construction.
     """
 
-    __slots__ = ("n", "space")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, space: Subspace):
-        self.n, self.space = n, space
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Lagrangian with Lagrangian.from_generators(n, gens)")
 
     @classmethod
     def from_generators(cls, n: int, gens, allow_partial: bool = False) -> "Lagrangian":
@@ -138,29 +130,8 @@ class Lagrangian:
         return _lagrangian(n, rows)
 
     @property
-    def basis(self):
-        return self.space.basis
-
-    @property
-    def rows(self):
-        return self.space.rows
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
     def is_lagrangian(self) -> bool:
         return self.dim == self.n
-
-    def contains(self, v) -> bool:
-        return self.space.contains(v)
-
-    def __eq__(self, other):
-        return isinstance(other, Lagrangian) and (self.n, self.space) == (other.n, other.space)
-
-    def __hash__(self):
-        return hash((self.n, self.space))
 
     def __repr__(self):
         return f"Lagrangian(n={self.n}, dim={self.dim}, basis={self.basis!r})"
@@ -169,7 +140,9 @@ class Lagrangian:
 def _lagrangian(n: int, rows) -> Lagrangian:
     """Trusted constructor: rows must be a canonical basis of an isotropic
     subspace of C^{2n}."""
-    return Lagrangian(n, _subspace(2 * n, rows, True))
+    L = object.__new__(Lagrangian)
+    L.n, L.m, L.rows, L.is_complex, L._basis = n, 2 * n, tuple(rows), True, None
+    return L
 
 
 def _is_isotropic(rows, n: int) -> bool:
@@ -219,10 +192,9 @@ def graph(datum: Sequence[Sequence[GaussScalar]], kind: str) -> Lagrangian:
     bivector: {pi# xi + xi} with pi# xi = A xi;  twoform: {X + i_X w} with
     (i_X w)_j = sum_i X_i W_ij.
     """
-    Are, Aim, d = _int_matrix(datum, skew=kind)
     if kind not in ("bivector", "twoform"):
         raise ValueError(f"unknown graph kind {kind!r}")
-    return _graph(Are, Aim, d, kind)
+    return _graph(*_int_matrix(datum, skew=kind), kind)
 
 
 def _graph(Are: List[List[int]], Aim: List[List[int]], d: int, kind: str) -> Lagrangian:
@@ -379,9 +351,9 @@ def transform(kind: str, datum, L: Lagrangian) -> Lagrangian:
 # -- realification and the hat/check/tilde families ---------------------------
 
 
-def realify(L) -> List[List[int]]:
-    """Real span of a Lagrangian in R^{4n} (of a complex Subspace of C^m in
-    R^{2m}), layout [re parts | im parts], as 2k unreduced integer rows: each
+def realify(L: Subspace) -> List[List[int]]:
+    """Real span of a complex Subspace of C^m (a Lagrangian: m = 2n) in
+    R^{2m}, layout [re parts | im parts], as 2k unreduced integer rows: each
     canonical row re + i im and i times it."""
     rows = []
     for re, im, _ in L.rows:

@@ -63,13 +63,6 @@ class BundleChart:
         return len(self.fiber_vars)
 
 
-@dataclass(frozen=True)
-class Extension:
-    """A degree-2 form on the bundle chart extending the fiber form."""
-
-    form: FormField
-
-
 def _on_N(bundle: BundleChart, point: Mapping[str, Fraction]) -> Dict[str, Fraction]:
     """The point of N under a point of the bundle chart: its base coordinates,
     and 0 for every fiber coordinate; a point of the base alone will do."""
@@ -222,9 +215,10 @@ def _model(bundle: BundleChart, AN: Rows, B: Rows) -> Lagrangian:
 
 
 def local_model_at(
-    pi_N: ComplexBivector, ext: Extension, bundle: BundleChart, point: Mapping[str, Fraction]
+    pi_N: ComplexBivector, sigma: FormField, bundle: BundleChart, point: Mapping[str, Fraction]
 ) -> LocalModelResult:
-    """L(sigma~) = e^{sigma~} p^! gr(pi_N) at a point of the bundle chart.
+    """L(sigma) = e^sigma p^! gr(pi_N) at a point of the bundle chart, for
+    sigma a two-form on the bundle chart that extends the fiber form.
 
     On the zero section its bivector must be pi_N + (sigma_C)^{-1}, which is
     -B_ff^{-1} on the fiber block B_ff of B.  That bivector exists exactly
@@ -234,7 +228,7 @@ def local_model_at(
     when L is that model."""
     b, n = bundle.b, bundle.b + bundle.f
     AN = _rows_at(pi_N.body, point)  # pi_N reads only the base coordinates
-    B = _rows_at(ext.form, point)
+    B = _rows_at(sigma, point)
     L = _model(bundle, AN, B)
     mat = bivector_of_graph(L)
     formula_ok = None
@@ -398,8 +392,9 @@ def _fiber_form_check(bundle: BundleChart, A: Rows, M: Rows) -> bool:
     )
 
 
-def extension_check(ext: Extension, bundle: BundleChart, points) -> bool:
-    """Fiber block of the extension is nondegenerate on the zero section."""
+def extension_check(sigma: FormField, bundle: BundleChart, points) -> bool:
+    """The fiber block of sigma, a two-form on the bundle chart extending the
+    fiber form, is nondegenerate on the zero section."""
     b, f = bundle.b, bundle.f
-    rows = (_rows_at(ext.form, _on_N(bundle, p)) for p in points)
+    rows = (_rows_at(sigma, _on_N(bundle, p)) for p in points)
     return all(len(linalg.echelon(_fiber_block(re, b), _fiber_block(im, b))[0]) == f for re, im, _ in rows)

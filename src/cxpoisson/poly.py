@@ -378,22 +378,6 @@ def _same_chart(a: Poly, b: Poly):
         raise ValueError(f"chart mismatch: {a.chart.vars} vs {b.chart.vars}")
 
 
-# -- free-function operation names -----------------------------------------
-
-
-def poly_arith(op: str, a: Poly, b) -> Poly:
-    """Dispatch add/sub/mul/scale; scale takes a scalar second operand."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op kind {op!r}")
-
-
 def poly_sums_of_products(chart: Chart, groups: Iterable[Iterable[Tuple[int, Poly, Poly]]]) -> List[Poly]:
     """For each group of (c, p, q), c a nonzero int and all p and q on chart
     (not compared), the sum of c * p * q.  Every pair is checked for
@@ -415,12 +399,6 @@ def poly_sums_of_products(chart: Chart, groups: Iterable[Iterable[Tuple[int, Pol
         outs.append((out, den))
     _products(chart.dim, pairs, left, right)
     return [_reduced(chart, out, den) for out, den in outs]
-
-
-def poly_sum_of_products(chart: Chart, terms: Iterable[Tuple[int, Poly, Poly]]) -> Poly:
-    """The sum of c * p * q over the (c, p, q) in terms: poly_sums_of_products
-    for one group."""
-    return poly_sums_of_products(chart, (terms,))[0]
 
 
 # -- graded products --------------------------------------------------------

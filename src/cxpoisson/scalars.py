@@ -64,10 +64,6 @@ class GaussScalar:
     def of(re: Rational = 0, im: Rational = 0) -> "GaussScalar":
         return GaussScalar(re, im)
 
-    @staticmethod
-    def i() -> "GaussScalar":
-        return GS_I
-
     @property
     def re(self) -> Fraction:
         a, _, d = self.abd

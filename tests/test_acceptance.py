@@ -36,7 +36,7 @@ from cxpoisson.fields import (
     wedge,
 )
 from cxpoisson.lagrangian import (
-    SubspaceReal,
+    Subspace,
     check,
     complexify_real,
     graph,
@@ -120,7 +120,7 @@ def test_criterion_3_real_index_triangulation():
     for pt in grid_points(XYZ, 5):
         prof = rank_profile(pi, pt)
         nullity = len(pi.chart.vars) - reference_rank(pi2_at(pi, pt))
-        graph_real = real_points(graph_at(pi, pt).space).dim
+        graph_real = real_points(graph_at(pi, pt)).dim
         ok = ok and nullity == graph_real == prof.real_index
     for _ in range(100):
         n = rng.choice((2, 3))
@@ -128,7 +128,7 @@ def test_criterion_3_real_index_triangulation():
         pt = grid_points(q.chart, 1)[0]
         prof = rank_profile(q, pt)
         nullity = n - reference_rank(pi2_at(q, pt))
-        graph_real = real_points(graph_at(q, pt).space).dim
+        graph_real = real_points(graph_at(q, pt)).dim
         ok = ok and nullity == graph_real == prof.real_index
     verdict(3, ok, "nullity(pi2) = real index of the graph, 100 randoms")
 
@@ -155,7 +155,7 @@ def test_criterion_4_gcs_suite():
             P[t][n + t] = P[n + t][t] = F(1, 2)
         Jt = [[J[i][j] for i in range(n2)] for j in range(n2)]
         ok = ok and linalg.matmul(Jt, linalg.matmul(P, J)) == P
-        ok = ok and plus_i_eigenspace(J) == graph_at(pi, pt).space
+        ok = ok and plus_i_eigenspace(J) == graph_at(pi, pt)
     verdict(4, ok, "J^2 = -Id, pairing preserved, +i eigenspace = graph")
 
 
@@ -183,10 +183,10 @@ def test_criterion_5_lagrangian_identity_suite():
         # factor recovery for a common-range real pair
         W1 = random_skew(rng, n, real_only=True)
         W2 = random_skew(rng, n, real_only=True)
-        R1 = SubspaceReal(
+        R1 = Subspace(
             2 * n, [[x.re for x in r] for r in graph(W1, "twoform").basis]
         )
-        R2 = SubspaceReal(
+        R2 = Subspace(
             2 * n, [[x.re for x in r] for r in graph(W2, "twoform").basis]
         )
         P = products("complex_tangent", R1, R2)

@@ -528,6 +528,25 @@ def test_normal_form_fails_on_a_section_that_is_no_euler_field(tmp_path, capsys)
     assert rec["witness"]["euler_linear_ok"] is False and rec["witness"]["vanishes_on_N"] is True
 
 
+def test_normal_form_fails_on_a_section_that_does_not_vanish_on_N(tmp_path, capsys):
+    # xi1 = u dv is not zero on N, so d xi1 = du ^ dv has fiber weight 0 and
+    # no Moser average: a fail with no B, no omega and no point compared
+    f = tmp_path / "weight0.prob"
+    f.write_text(
+        "chart u v q p\nbundle base: u v ; fiber: q p\nbivector PI {\n 3 4 = 1\n}\n"
+        "vector X {\n 3 = 0\n}\noneform xi1 {\n 2 = u\n}\noneform xi2 {\n 3 = 0\n}\n"
+        "check w0 normal_form PI X xi1 xi2\n"
+    )
+    code, out, err = run(capsys, ["normal-form", str(f), "--format", "machine"])
+    assert code == 1 and not err
+    rec = json.loads(out.strip())
+    assert rec["verdict"] == "fail"
+    assert rec["witness"] == {
+        "B": None, "omega": None, "fiber_form_ok": None, "vanishes_on_N": False,
+        "euler_linear_ok": False, "euler_higher_order_warning": False, "points": [],
+    }
+
+
 # -- fuzzing the exit-code contract ------------------------------------------
 #
 # Problem texts are built from chart, bundle, point, block, entry, check and

@@ -1,9 +1,9 @@
 """Graded calculus: wedge, contraction, d, Lie derivative, Schouten bracket."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -389,21 +389,37 @@ def old_schouten(a, b):
     return _field(MultiField, chart, deg, out)
 
 
-# Gaussian rationals with mixed denominators, zero included
-GAUSS = st.builds(GaussScalar.of, st.fractions(-4, 4, max_denominator=6),
-                  st.fractions(-4, 4, max_denominator=6))
+# Gaussian rationals with mixed denominators, zero included: integer draws
+# only, as st.fractions costs several times more to draw
+RATIONAL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+GAUSS = st.builds(GaussScalar.of, RATIONAL, RATIONAL)
+
+
+@functools.lru_cache(maxsize=8)
+def _polys(chart):
+    """Polys on chart with one to three terms of degree <= 2 per variable.  An
+    exponent is one integer read in base 3, and of two terms on one exponent
+    the last is kept, so no draw is filtered."""
+    dim = chart.dim
+
+    def build(terms):
+        return Poly(chart, {tuple(k // 3 ** j % 3 for j in range(dim)): c for k, c in terms})
+
+    return st.lists(st.tuples(st.integers(0, 3 ** dim - 1), GAUSS), min_size=1, max_size=3).map(build)
 
 
 @st.composite
 def graded_fields(draw, chart, degree, cls=MultiField):
     """A field of kind cls and the given degree (0..3, possibly past the
-    dimension, which leaves only zero) with up to three terms of degree <= 2
-    per variable in each component; one draw in eight is the zero field."""
-    if draw(st.integers(0, 7)) == 0:
+    dimension, which leaves only zero) with a Poly of _polys in each
+    component it fills.  One draw in eight is the zero field and one in
+    eight fills every index slot; the others fill one to four slots."""
+    slots = list(itertools.combinations(range(chart.dim), degree))
+    shape = draw(st.integers(0, 7))
+    if shape == 0 or not slots:
         return cls.zero(chart, degree)
-    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * chart.dim), GAUSS, min_size=1, max_size=3)
-    slots = itertools.combinations(range(chart.dim), degree)
-    return cls(chart, degree, draw(st.fixed_dictionaries({idx: polys.map(partial(Poly, chart)) for idx in slots})))
+    chosen = slots if shape == 1 else draw(st.lists(st.sampled_from(slots), min_size=1, max_size=4, unique=True))
+    return cls(chart, degree, {idx: draw(_polys(chart)) for idx in chosen})
 
 
 def packed(m):

@@ -128,8 +128,8 @@ def test_module_reads_every_local_it_assigns(path):
     assert unread_locals(path.read_text(encoding="utf-8")) == []
 
 
-# the modules whose sums of Poly products all go through
-# poly.poly_sum_of_products
+# the modules whose sums of Poly products all go through the product kernel:
+# poly.poly_graded_products (fields) and poly.poly_sums_of_products (bivector)
 KERNEL_CALLERS = ("fields", "bivector")
 
 

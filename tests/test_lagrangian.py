@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from cxpoisson import linalg
 from cxpoisson.lagrangian import (
-    ComplexSubspace,
     Lagrangian,
     Subspace,
-    SubspaceReal,
     bivector_of_graph,
     check,
     check_cot,
@@ -33,7 +31,6 @@ from cxpoisson.lagrangian import (
     real_points,
     real_projection,
     realify,
-    subspace_from_generators,
     tangent_range,
     tilde,
     tilde_cot,
@@ -71,21 +68,36 @@ def dot(z, L):
 
 
 def real_rows(S):
-    return SubspaceReal(S.m, [list(r) for r in S.basis])
+    return Subspace(S.m, [list(r) for r in S.basis])
 
 
 # -- subspaces and pairing ----------------------------------------------------
 
 
 def test_subspace_canonical_form_and_membership():
-    S = subspace_from_generators([[F(1), F(2)], [F(2), F(4)]])
+    S = Subspace(2, [[F(1), F(2)], [F(2), F(4)]])
     assert S.dim == 1 and S.contains([F(3), F(6)])
-    C = subspace_from_generators([[GS_I, GS_ONE]])
-    assert isinstance(C, ComplexSubspace)
+    C = Subspace(2, [[GS_I, GS_ONE]])
+    assert C.is_complex and not S.is_complex
     assert C.contains([GS_ONE, -GS_I])
-    with pytest.raises(ValueError):
-        subspace_from_generators([])
-    assert subspace_from_generators([], m=3).dim == 0
+    assert Subspace(3, []).dim == 0
+
+
+def test_a_lagrangian_is_the_complex_subspace_of_its_rows(rng):
+    assert issubclass(Lagrangian, Subspace)
+    with pytest.raises(TypeError, match="Lagrangian.from_generators"):
+        Lagrangian(1, Subspace(2, [[GS_ONE, GS_ZERO]]))
+    for _ in range(6):
+        n = rng.choice((1, 2, 3))
+        L = random_lagrangian(rng, n)
+        S = Subspace(2 * n, L.basis, is_complex=True)
+        assert not hasattr(L, "space")
+        assert L.m == 2 * n and L.rows == S.rows
+        assert L == S and S == L and hash(L) == hash(S)
+        # the field is part of the span: a real Subspace is another one
+        real = hat(L)
+        assert not real.is_complex and complexify_real(real) != real
+        assert complexify_real(real) == Subspace(2 * n, real.basis, is_complex=True)
 
 
 def test_subspace_field_follows_generators():
@@ -187,10 +199,12 @@ def test_lagrangian_data_of_the_wrong_shape_name_it():
 
 def test_graph_rejects_non_skew():
     bad = [[GS_ZERO, GS_ONE], [GS_ONE, GS_ZERO]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bivector datum must be skew-symmetric"):
         graph(bad, "bivector")
-    with pytest.raises(ValueError):
-        graph([[GS_ZERO]], "unknown")
+    # the kind is checked first: a misspelt one is named, skew datum or not
+    for datum in ([[GS_ZERO, GS_ONE], [-GS_ONE, GS_ZERO]], bad):
+        with pytest.raises(ValueError, match="unknown graph kind 'bivectr'"):
+            graph(datum, "bivectr")
 
 
 def test_bivector_of_graph_none_for_tangent_meeting():
@@ -389,7 +403,7 @@ def test_complex_star_of_common_range_pair(rng):
 
 
 def real_rows_of(L):
-    return SubspaceReal(2 * L.n, [[x.re for x in r] for r in L.basis])
+    return Subspace(2 * L.n, [[x.re for x in r] for r in L.basis])
 
 
 def test_cotangent_mirrors(rng):
@@ -411,7 +425,7 @@ def test_indices_of_real_graph(rng):
     L = graph(A, "bivector")
     rec = indices(L)
     assert rec.real_index == n
-    rank = SubspaceReal(n, [[x.re for x in r] for r in tangent_range(L).basis]).dim
+    rank = Subspace(n, [[x.re for x in r] for r in tangent_range(L).basis]).dim
     assert rec.dim_range == rank and rec.dim_delta == rank and rec.dim_D == rank
     assert rec.kernel_dim == 0
     assert kernel_space(L).dim == 0
@@ -444,7 +458,7 @@ def test_k_perp_projects_onto_D(rng):
         n = rng.choice((2, 3))
         L = random_lagrangian(rng, n)
         K, Kp = k_and_perp(L)
-        prKp = SubspaceReal(n, [list(r[:n]) for r in Kp.basis])
+        prKp = Subspace(n, [list(r[:n]) for r in Kp.basis])
         assert prKp == real_projection(tangent_range(L))
         assert K.dim + Kp.dim == 2 * n
         assert not any(pairing(k, x, n) for k in K.basis for x in Kp.basis)
@@ -459,10 +473,10 @@ def test_realify_doubles_dimension(rng):
 
 
 def test_real_points_and_projection():
-    E = ComplexSubspace(2, [[GS_ONE, GS_I]])
+    E = Subspace(2, [[GS_ONE, GS_I]])
     assert real_points(E).dim == 0
     assert real_projection(E).dim == 2
-    E2 = ComplexSubspace(2, [[GS_ONE, GS_ZERO]])
+    E2 = Subspace(2, [[GS_ONE, GS_ZERO]])
     assert real_points(E2).dim == 1
     assert real_projection(E2).dim == 1
 
@@ -927,10 +941,9 @@ def old_images(kind, A, L):
 def assert_canonical(S):
     """S (a Subspace or a Lagrangian) keeps canonical rows in reduced echelon
     form: the public constructor, fed its basis, gives the same rows."""
-    space = S.space if isinstance(S, Lagrangian) else S
-    assert type(space.rows) is tuple
-    assert all(is_canonical(r, space.is_complex) for r in space.rows)
-    assert Subspace(space.m, space.basis, space.is_complex).rows == space.rows
+    assert type(S.rows) is tuple
+    assert all(is_canonical(r, S.is_complex) for r in S.rows)
+    assert Subspace(S.m, S.basis, S.is_complex).rows == S.rows
 
 
 def same(S, R):

@@ -24,7 +24,6 @@ from cxpoisson.normal_form import (
     _model,
     _on_N,
     _pi_N,
-    Extension,
     LocalModelResult,
     WeightZeroError,
     extension_check,
@@ -170,9 +169,9 @@ def test_mixed_check_rejects_wrong_chart():
 def test_local_model_on_zero_section():
     base = BUNDLE.base_chart
     pi_N = bivector_from_brackets(base, {(0, 1): Poly.var(base, "u")})
-    ext = Extension(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)}))
+    sigma = FormField(CH, 2, {(2, 3): Poly.const(CH, 1)})
     pt = {"u": F(2), "v": F(1), "q": F(0), "p": F(0)}
-    res = local_model_at(pi_N, ext, BUNDLE, pt)
+    res = local_model_at(pi_N, sigma, BUNDLE, pt)
     assert res.is_graph and res.model_formula_ok
     M = res.bivector_matrix
     assert M[0][1] == GaussScalar.of(2)
@@ -184,9 +183,9 @@ def test_local_model_degenerate_extension():
     base = BUNDLE.base_chart
     pi_N = bivector_from_brackets(base, {(0, 1): Poly.var(base, "u")})
     # extension with no fiber block: the model is not a bivector graph
-    ext = Extension(FormField(CH, 2, {(0, 1): Poly.var(CH, "q")}))
+    sigma = FormField(CH, 2, {(0, 1): Poly.var(CH, "q")})
     pt = {"u": F(2), "v": F(1), "q": F(0), "p": F(0)}
-    res = local_model_at(pi_N, ext, BUNDLE, pt)
+    res = local_model_at(pi_N, sigma, BUNDLE, pt)
     assert not res.is_graph and res.bivector_matrix is None
 
 
@@ -259,12 +258,12 @@ def test_splitting_check_evaluates_pi_twice_per_point(monkeypatch):
 
 
 def test_extension_check():
-    good = Extension(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)}))
+    good = FormField(CH, 2, {(2, 3): Poly.const(CH, 1)})
     assert extension_check(good, BUNDLE, base_points())
-    bad = Extension(FormField(CH, 2, {(0, 2): Poly.const(CH, 1)}))
+    bad = FormField(CH, 2, {(0, 2): Poly.const(CH, 1)})
     assert not extension_check(bad, BUNDLE, base_points())
     # an extension is a two-form; the refusal names the degree it got
-    three = Extension(FormField(CH, 3, {(0, 2, 3): Poly.const(CH, 1)}))
+    three = FormField(CH, 3, {(0, 2, 3): Poly.const(CH, 1)})
     with pytest.raises(ValueError, match="expected a degree-2 field at a point, got degree 3"):
         extension_check(three, BUNDLE, base_points())
 
@@ -421,7 +420,7 @@ def test_local_model_at_matches_the_public_composition_and_its_formula(b, f, dat
                       () if degenerate else fiber_pairs)
     pt = draw_point(data, bundle, data.draw(st.booleans()))
     AN, B = matrix_at(pi_N.body, pt), matrix_at(Bw, pt)
-    res = local_model_at(pi_N, Extension(Bw), bundle, pt)
+    res = local_model_at(pi_N, Bw, bundle, pt)
     assert res.lagrangian == reference_model(bundle, AN, B)
     assert res.bivector_matrix == bivector_of_graph(res.lagrangian)
     assert res.is_graph == (res.bivector_matrix is not None)
@@ -461,7 +460,7 @@ def test_point_checks_make_no_scalar_round_trip(monkeypatch):
     pi = splitting_bivector()
     assert splitting_check(pi, BUNDLE, splitting_section(), splitting_points()).passed
     assert mixed_check(pi, BUNDLE, base_points()).mixed
-    assert extension_check(Extension(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)})), BUNDLE, base_points())
+    assert extension_check(FormField(CH, 2, {(2, 3): Poly.const(CH, 1)}), BUNDLE, base_points())
     assert delta_at(pi, splitting_points(1)[0]).dim == 4  # pi is real and invertible there
     assert calls == []
 

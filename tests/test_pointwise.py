@@ -19,8 +19,8 @@ from cxpoisson import (
 )
 from cxpoisson.bivector import _part_matrix
 from cxpoisson.lagrangian import (
-    ComplexSubspace,
     Lagrangian,
+    Subspace,
     _int_matrix,
     lagrangian_from_range_form,
     real_points,
@@ -101,7 +101,7 @@ def test_real_index_triangulation(rng):
         pt = grid_points(pi.chart, 1)[0]
         prof = rank_profile(pi, pt)
         L = graph_at(pi, pt)
-        assert prof.real_index == real_points(L.space).dim
+        assert prof.real_index == real_points(L).dim
         _, A2 = matrix_parts(pi, pt)
         assert prof.real_index == n - reference_rank(A2)
 
@@ -120,7 +120,7 @@ def test_a_pi_routes_agree(rng):
         n = pi.chart.dim
         zs = [[GaussScalar.of(row[j], row[n + j]) for j in range(n)] for row in pre.basis]
         assert all(amin.contains(z) for z in zs)
-        assert amin == ComplexSubspace(n, zs, is_complex=True)
+        assert amin == Subspace(n, zs, is_complex=True)
 
 
 def test_a_pi_extreme_cases():
@@ -220,7 +220,7 @@ def test_gcs_matrix_properties(rng):
         Jt = [[J[i][j] for i in range(n2)] for j in range(n2)]
         assert linalg.matmul(Jt, linalg.matmul(P, J)) == P
         # the +i eigenspace is the graph of pi at the point
-        assert plus_i_eigenspace(J) == graph_at(pi, pt).space
+        assert plus_i_eigenspace(J) == graph_at(pi, pt)
         # sigma = A1 A2^-1 A1 + A2 is skew
         for i in range(n):
             for j in range(n):
@@ -424,7 +424,7 @@ def old_form_matrix_at(form, point):
 def old_rank_profile(pi, point):
     A1, A2 = old_bivector_at(pi, point)
     A = old_complex_matrix(A1, A2)
-    E = ComplexSubspace(len(A), A, is_complex=True)
+    E = Subspace(len(A), A, is_complex=True)
     delta = real_points(E)
     D = real_projection(E)
     return (E.dim, delta.dim, D.dim, len(A2) - reference_rank(A2), D.dim,
