@@ -28,6 +28,7 @@ from .fields import (
     lie_derivative,
     recompose,
     schouten,
+    schouten_sum,
     wedge,
 )
 from .bivector import (

@@ -18,9 +18,10 @@ from .fields import (
     apply_to_forms,
     complex_differential,
     contract_form,
+    d_complex,
     decompose,
-    lie_derivative,
     schouten,
+    schouten_sum,
 )
 from .poly import Chart, Poly, poly_sums_of_products
 from .scalars import GS_I
@@ -72,6 +73,7 @@ class ComplexBivector:
 
     def sharp(self, alpha: FormField) -> MultiField:
         """pi#(alpha) for a degree-1 form with Poly coefficients."""
+        _check_form("sharp", "alpha", alpha)
         if alpha.degree != 1 or alpha.chart != self.chart:
             raise ValueError("sharp expects a one-form on the same chart")
         return _sharp(self.chart, self.coeff_matrix(), alpha)
@@ -96,10 +98,13 @@ def jacobi_residual(pi: ComplexBivector) -> MultiField:
 
 
 def pair_conditions(pi: ComplexBivector) -> Tuple[MultiField, MultiField]:
-    """([pi1, pi2], [pi1, pi1] - [pi2, pi2]); both zero iff Poisson."""
-    first = schouten(pi.pi1, pi.pi2)
-    second = schouten(pi.pi1, pi.pi1) - schouten(pi.pi2, pi.pi2)
-    return first, second
+    """([pi1, pi2], [pi1, pi1] - [pi2, pi2]); both zero iff Poisson.
+
+    Two kernel passes: one schouten for the first, one schouten_sum for the
+    second.
+    """
+    pi1, pi2 = pi.pi1, pi.pi2
+    return schouten(pi1, pi2), schouten_sum([(1, pi1, pi1), (-1, pi2, pi2)])
 
 
 def jacobi_pde_residuals(pi: ComplexBivector) -> List[Tuple[Tuple[int, int, int], int, Poly]]:
@@ -173,9 +178,18 @@ def cotangent_bracket(pi: ComplexBivector, a: FormField, b: FormField) -> FormFi
     one-forms satisfy [T_C f, T_C g]_pi = T_C {f, g}, and the sharp map is an
     anti-morphism, pi#[a, b]_pi = -[pi#a, pi#b].
     """
+    _check_form("cotangent_bracket", "a", a)
+    _check_form("cotangent_bracket", "b", b)
     if a.degree != 1 or b.degree != 1 or a.chart != pi.chart or b.chart != pi.chart:
         raise ValueError("cotangent_bracket expects one-forms on the chart of pi")
     return _bracket(pi.chart, pi.coeff_matrix(), a, b)
+
+
+def _check_form(fn: str, name: str, value):
+    """Refuse an argument that is not a FormField, naming it: a degree-1
+    MultiField has the same components as a one-form but is not one."""
+    if not isinstance(value, FormField):
+        raise TypeError(f"{fn} expects a FormField for {name}, got {type(value).__name__}")
 
 
 def _sharp(chart: Chart, M: List[List[Poly]], alpha: FormField) -> MultiField:
@@ -193,14 +207,31 @@ def _matmul(chart: Chart, X: Sequence[Sequence[Poly]], Y: Sequence[Sequence[Poly
 
 def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> FormField:
     """One-form bracket driven by a sharp matrix M (possibly non-skew):
-    [a, b]_M = L_{M#b} a - L_{M#a} b - T_C(a(M#b))."""
-    sa, sb = _sharp(chart, M, a), _sharp(chart, M, b)
-    [pair] = poly_sums_of_products(chart, [[(1, ai, sb.comps[k]) for k, ai in a.comps.items() if k in sb.comps]])
-    return (
-        lie_derivative(sb, a)
-        - lie_derivative(sa, b)
-        - complex_differential(MultiField.function(chart, pair))
-    )
+    [a, b]_M = L_X a - L_Y b - T_C(a(X)) with X = M#b and Y = M#a, which
+    Cartan's formula turns into i_X da - i_Y db - T_C(b(Y)); in coordinates
+
+        [a, b]_k = sum_j (X_j (da)_jk - Y_j (db)_jk) - d_k (sum_j b_j Y_j).
+
+    Two kernel passes: X and Y in one poly_sums_of_products, the n
+    components and the scalar b(Y) in a second.  da and db are read off the
+    partials tables of a and b (d_complex), and d_k b(Y) off the table of
+    b(Y) as a function (complex_differential).
+    """
+    n = chart.dim
+    XY = poly_sums_of_products(chart, [
+        [(1, row[j], f[(j,)]) for j in range(n) if (j,) in f] for f in (b.comps, a.comps) for row in M
+    ])
+    X, Y = XY[:n], XY[n:]
+    groups: List[List[Tuple[int, Poly, Poly]]] = [[] for _ in range(n)]
+    for s, V, form in ((1, X, d_complex(a)), (-1, Y, d_complex(b))):
+        for (i, j), p in form.comps.items():
+            # i_V (dx_i ^ dx_j) = V_i dx_j - V_j dx_i
+            groups[j].append((s, V[i], p))
+            groups[i].append((-s, V[j], p))
+    groups.append([(1, bj, Y[j]) for (j,), bj in b.comps.items()])
+    *rows, pair = poly_sums_of_products(chart, groups)
+    dpair = complex_differential(MultiField.function(chart, pair)).comps
+    return FormField(chart, 1, {(k,): r - dpair[(k,)] if (k,) in dpair else r for k, r in enumerate(rows)})
 
 
 # -- constructors ------------------------------------------------------------

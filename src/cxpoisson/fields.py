@@ -24,7 +24,8 @@ two masks.  The Schouten halves are the pairs (dP/dth_l, dQ/dx_l), one per
 l; the interior product by a degree-1 field v puts v_j on the mask -2^j,
 which stands for d/dth_j, so that i_v F is one product of v by F.  Each
 output component sums in its own numerator dict over one denominator and is
-reduced once.  [P, P] forms one half (see schouten).
+reduced once.  [P, P] forms one half, and a signed sum of brackets is one
+pass too (see schouten_sum).
 
 Every derivative of a field's components (d, T_C, both Schouten halves, the
 Jacobi PDE, the normal form's Euler check) is read from the field's own table
@@ -352,32 +353,54 @@ def lie_derivative(z: MultiField, a: FormField) -> FormField:
 
 
 def schouten(a: MultiField, b: MultiField) -> MultiField:
-    """Complexified Schouten-Nijenhuis bracket [a, b].
+    """Complexified Schouten-Nijenhuis bracket [a, b]: schouten_sum of the
+    one pair (1, a, b), so one kernel pass.
 
     In the superfunction picture [P,Q] = sum_l ((-1)^{p+1} dP/dth_l dQ/dx_l
     - dP/dx_l dQ/dth_l); reordering the second product for left-to-right
     evaluation brings in the Koszul sign (-1)^{p(q-1)}.  This normalization
     has [X, Q] = L_X Q for every vector field X, [X, f] = X(f), and
     [a, b] = -(-1)^{(p-1)(q-1)} [b, a].
-
-    Both halves, as the terms c * da/dth_l * db/dx_l over l with
-    db/dx_l read from b's partials table, go to one poly_graded_products.
-    With a passed as b, graded antisymmetry gives [a, a] = 0 at odd degree;
-    at even degree both halves are -sum_l da/dth_l da/dx_l, so one is
-    formed, with multiplicity 2.
     """
-    if a.chart != b.chart:
-        raise ValueError("chart mismatch")
-    chart = a.chart
-    p, q = a.degree, b.degree
-    deg = p + q - 1
+    return schouten_sum([(1, a, b)])
+
+
+def schouten_sum(terms: Sequence[Tuple[int, MultiField, MultiField]]) -> MultiField:
+    """sum c [a, b] over the (c, a, b) in terms, c an int, in one
+    poly_graded_products (one kernel pass) for all the brackets.
+
+    Each bracket contributes its halves, the terms c' * da/dth_l * db/dx_l
+    over l with db/dx_l read from b's partials table.  With a passed as b,
+    graded antisymmetry gives [a, a] = 0 at odd degree; at even degree both
+    halves are -sum_l da/dth_l da/dx_l, so one is formed, with multiplicity
+    2.  A pair with c = 0 adds nothing.
+
+    Every pair must lie on the chart of the first one and have its output
+    degree p + q - 1; a pair that does not, or an empty terms, raises
+    ValueError.  Pairs of functions (output degree -1) give the zero
+    function.
+    """
+    if not terms:
+        raise ValueError("schouten_sum needs at least one pair")
+    _, a0, b0 = terms[0]
+    chart, deg = a0.chart, a0.degree + b0.degree - 1
+    halves = []
+    for c, a, b in terms:
+        if a.chart != chart or b.chart != chart:
+            raise ValueError("chart mismatch")
+        p, q = a.degree, b.degree
+        if p + q - 1 != deg:
+            raise ValueError(f"output degree mismatch: {p + q - 1} vs {deg}")
+        if not c:
+            continue
+        if a is not b:
+            halves.append((a, b, -c if p % 2 == 0 else c))
+            halves.append((b, a, -c if p * (q - 1) % 2 == 0 else c))
+        elif p % 2 == 0:
+            halves.append((a, a, -2 * c))
     if deg < 0:
         # [f, g] = 0 for two functions
         return MultiField.zero(chart, 0)
-    if a is not b:
-        halves = ((a, b, -1 if p % 2 == 0 else 1), (b, a, -1 if p * (q - 1) % 2 == 0 else 1))
-    else:
-        halves = ((a, a, -2),) if p % 2 == 0 else ()
     return _graded(MultiField, chart, deg, [
         (c, dth, _parts(dx))
         for x, y, c in halves

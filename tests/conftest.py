@@ -1,10 +1,12 @@
 """Shared builders for the test suite."""
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import strategies as st
 
 from cxpoisson import (
     Chart,
@@ -141,6 +143,26 @@ def random_poly(rng: random.Random, chart: Chart, max_deg: int = 2) -> Poly:
                 mono = mono * Poly.var(chart, chart.vars[j])
         p = p + mono
     return p
+
+
+# Gaussian rationals with mixed denominators, zero included: integer draws
+# only, as st.fractions costs several times more to draw
+RATIONAL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+GAUSS = st.builds(GaussScalar.of, RATIONAL, RATIONAL)
+
+
+@functools.lru_cache(maxsize=16)
+def int_polys(chart: Chart, top: int = 2, min_terms: int = 1, max_terms: int = 3):
+    """Polys on chart with min_terms to max_terms terms of degree <= top per
+    variable.  An exponent is one integer read in base top + 1, and of two
+    terms on one exponent the last is kept, so no draw is filtered."""
+    base, dim = top + 1, chart.dim
+
+    def build(terms):
+        return Poly(chart, {tuple(k // base ** j % base for j in range(dim)): c for k, c in terms})
+
+    return st.lists(st.tuples(st.integers(0, base ** dim - 1), GAUSS),
+                    min_size=min_terms, max_size=max_terms).map(build)
 
 
 def random_multifield(rng: random.Random, chart: Chart, degree: int) -> MultiField:

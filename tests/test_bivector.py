@@ -34,11 +34,12 @@ from cxpoisson.bivector import (
     nijenhuis_residuals,
     pair_conditions,
 )
-from cxpoisson.fields import complex_differential, decompose, schouten
+from cxpoisson.fields import complex_differential, contract, decompose, lie_derivative, schouten
 from cxpoisson.scalars import GS_I, GaussScalar
 
 from conftest import (
     XYZ,
+    int_polys,
     nb_bivector,
     random_constant_bivector,
     random_poly,
@@ -102,6 +103,23 @@ def test_the_three_routes_take_each_partial_once(monkeypatch):
     assert len({id(p) for p in comps}) == len(comps) == 12
     assert set(taken) == {(id(p), name) for p in comps for name in ch.vars}
     assert max(taken.values()) == 1
+
+
+@st.composite
+def complex_bivectors(draw, dims=(2, 5)):
+    """A complex bivector on n = dims[0]..dims[1] variables with up to four
+    nonzero entries from int_polys."""
+    n = draw(st.integers(*dims))
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return bivector_from_brackets(chart, draw(st.dictionaries(st.sampled_from(pairs), int_polys(chart), max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_bivectors())
+def test_pair_conditions_are_the_brackets_of_the_real_pair(pi):
+    p1, p2 = decompose(pi.body)
+    assert pair_conditions(pi) == (schouten(p1, p2), schouten(p1, p1) - schouten(p2, p2))
 
 
 def test_perturbed_bracket_fails_jacobi():
@@ -271,6 +289,64 @@ def test_cotangent_bracket_rejects_wrong_degree():
     a = one_form(XYZ, {(0,): Poly.const(XYZ, 1)})
     with pytest.raises(ValueError):
         cotangent_bracket(pi, two, a)
+
+
+def test_cotangent_bracket_refuses_a_vector_field():
+    ch = Chart(("x", "y"))
+    x = Poly.var(ch, "x")
+    pi = bivector_from_brackets(ch, {(0, 1): x})
+    v = MultiField(ch, 1, {(0,): x})
+    a = one_form(ch, {(0,): x})
+    with pytest.raises(TypeError, match="cotangent_bracket expects a FormField for a, got MultiField"):
+        cotangent_bracket(pi, v, a)
+    with pytest.raises(TypeError, match="cotangent_bracket expects a FormField for b, got MultiField"):
+        cotangent_bracket(pi, a, v)
+
+
+def test_sharp_refuses_a_vector_field():
+    # {x, y} = x: pi#(x dx) = -x^2 e_y, and x e_x is no one-form
+    ch = Chart(("x", "y"))
+    x = Poly.var(ch, "x")
+    pi = bivector_from_brackets(ch, {(0, 1): x})
+    assert pi.sharp(one_form(ch, {(0,): x})) == MultiField(ch, 1, {(1,): -(x * x)})
+    with pytest.raises(TypeError, match="sharp expects a FormField for alpha, got MultiField"):
+        pi.sharp(MultiField(ch, 1, {(0,): x}))
+
+
+def bracket_by_definition(chart, M, a, b):
+    """L_{M#b} a - L_{M#a} b - T_C(a(M#b)), the definition of _bracket."""
+    X, Y = _sharp(chart, M, b), _sharp(chart, M, a)
+    aX = MultiField.function(chart, contract(X, a).component(()))
+    return lie_derivative(X, a) - lie_derivative(Y, b) - complex_differential(aX)
+
+
+@st.composite
+def bracket_cases(draw):
+    """(chart, M, a, b) on n = 2..4 variables: M the skew matrix of a real
+    bivector sigma, or the non-skew matrix of N o sigma# for a sparse N; a
+    and b one-forms with int_polys coefficients, so rarely closed."""
+    n = draw(st.integers(2, 4), label="n")
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    polys = int_polys(chart)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sigma = MultiField(chart, 2, draw(st.dictionaries(st.sampled_from(pairs), polys.map(Poly.real_part),
+                                                      min_size=1, max_size=3)))
+    M = _part_matrix(sigma, chart)
+    if draw(st.booleans(), label="non-skew"):
+        zero = Poly.zero(chart)
+        entries = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), polys,
+                                       min_size=1, max_size=3))
+        M = _nijenhuis_matrix(sigma, [[entries.get((i, j), zero) for j in range(n)] for i in range(n)])
+    forms = st.dictionaries(st.integers(0, n - 1), polys, min_size=1, max_size=n).map(
+        lambda d: FormField(chart, 1, {(j,): p for j, p in d.items()}))
+    return chart, M, draw(forms, label="a"), draw(forms, label="b")
+
+
+@settings(max_examples=50, deadline=None)
+@given(bracket_cases())
+def test_bracket_is_its_definition(case):
+    chart, M, a, b = case
+    assert _bracket(chart, M, a, b) == bracket_by_definition(chart, M, a, b)
 
 
 # -- constructors -------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Graded calculus: wedge, contraction, d, Lie derivative, Schouten bracket."""
 
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -25,12 +24,13 @@ from cxpoisson.fields import (
     normalize_index,
     recompose,
     schouten,
+    schouten_sum,
     wedge,
 )
 from cxpoisson.poly import MAX_EXPONENT, poly_eval, poly_partial
-from cxpoisson.scalars import GS_I, GaussScalar
+from cxpoisson.scalars import GS_I
 
-from conftest import random_multifield, random_poly
+from conftest import int_polys, random_multifield, random_poly
 
 CH = Chart(("x", "y", "z"))
 CH4 = Chart(("x", "y", "z", "w"))
@@ -389,29 +389,10 @@ def old_schouten(a, b):
     return _field(MultiField, chart, deg, out)
 
 
-# Gaussian rationals with mixed denominators, zero included: integer draws
-# only, as st.fractions costs several times more to draw
-RATIONAL = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
-GAUSS = st.builds(GaussScalar.of, RATIONAL, RATIONAL)
-
-
-@functools.lru_cache(maxsize=8)
-def _polys(chart):
-    """Polys on chart with one to three terms of degree <= 2 per variable.  An
-    exponent is one integer read in base 3, and of two terms on one exponent
-    the last is kept, so no draw is filtered."""
-    dim = chart.dim
-
-    def build(terms):
-        return Poly(chart, {tuple(k // 3 ** j % 3 for j in range(dim)): c for k, c in terms})
-
-    return st.lists(st.tuples(st.integers(0, 3 ** dim - 1), GAUSS), min_size=1, max_size=3).map(build)
-
-
 @st.composite
 def graded_fields(draw, chart, degree, cls=MultiField):
     """A field of kind cls and the given degree (0..3, possibly past the
-    dimension, which leaves only zero) with a Poly of _polys in each
+    dimension, which leaves only zero) with a Poly of int_polys in each
     component it fills.  One draw in eight is the zero field and one in
     eight fills every index slot; the others fill one to four slots."""
     slots = list(itertools.combinations(range(chart.dim), degree))
@@ -419,7 +400,7 @@ def graded_fields(draw, chart, degree, cls=MultiField):
     if shape == 0 or not slots:
         return cls.zero(chart, degree)
     chosen = slots if shape == 1 else draw(st.lists(st.sampled_from(slots), min_size=1, max_size=4, unique=True))
-    return cls(chart, degree, {idx: draw(_polys(chart)) for idx in chosen})
+    return cls(chart, degree, {idx: draw(int_polys(chart)) for idx in chosen})
 
 
 def packed(m):
@@ -448,6 +429,48 @@ def test_kernel_callers_match_the_loops_they_replaced(data):
     if a.degree:
         assert packed(_interior(v, a)) == packed(old_interior(v, a))
         assert packed(contract_form(alpha, a)) == packed(old_interior(alpha, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_schouten_sum_is_the_sum_of_single_brackets(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    deg = data.draw(st.integers(-1, 3), label="output degree")
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3), label="pairs")):
+        p = data.draw(st.integers(max(0, deg + 1 - 3), min(3, deg + 1)))
+        a = data.draw(graded_fields(chart, p), label="a")
+        # a self pair takes the [a, a] rule of schouten
+        b = a if 2 * p == deg + 1 and data.draw(st.booleans()) else data.draw(graded_fields(chart, deg + 1 - p), label="b")
+        terms.append((data.draw(st.sampled_from((1, -1, 2, -3, 0)), label="c"), a, b))
+    expected = MultiField.zero(chart, max(deg, 0))
+    for c, a, b in terms:
+        expected = expected + schouten(a, b).scale(c)
+    assert packed(schouten_sum(terms)) == packed(expected)
+
+
+def test_schouten_sum_refuses_pairs_off_the_first_degree_or_chart():
+    x, y = Poly.var(CH, "x"), Poly.var(CH, "y")
+    v = MultiField(CH, 1, {(0,): y})
+    pi = MultiField(CH, 2, {(0, 1): x})
+    # [v, pi] has degree 2, [pi, pi] degree 3
+    with pytest.raises(ValueError, match="output degree mismatch: 3 vs 2"):
+        schouten_sum([(1, v, pi), (1, pi, pi)])
+    elsewhere = MultiField(CH4, 2, {(0, 1): Poly.var(CH4, "w")})
+    # the same degrees on another chart
+    with pytest.raises(ValueError, match="chart mismatch"):
+        schouten_sum([(1, pi, pi), (-1, elsewhere, elsewhere)])
+    with pytest.raises(ValueError, match="chart mismatch"):
+        schouten_sum([(1, v, pi), (1, v, elsewhere)])
+    with pytest.raises(ValueError, match="at least one pair"):
+        schouten_sum([])
+    # pairs of different input degrees but one output degree
+    both = schouten_sum([(1, v, pi), (2, pi, v)])
+    assert both == schouten(v, pi) + schouten(pi, v).scale(2)
+    # pairs of functions give the zero function
+    f = MultiField.function(CH, x)
+    assert schouten_sum([(1, f, f), (5, f, MultiField.function(CH, y))]) == MultiField.zero(CH, 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,6 +19,8 @@ from cxpoisson.poly import (
 )
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
+from conftest import int_polys
+
 CH = Chart(("x", "y", "z"))
 
 coeffs = st.builds(
@@ -353,8 +355,13 @@ def assert_same_poly(p, q):
     assert (p._num, p._den, p.chart) == (q._num, q._den, q.chart)
 
 
+# the kernel's inputs as integer draws (see int_polys): zero included, at
+# most five terms of degree <= 3 per variable
+KERNEL_POLYS = int_polys(CH, 3, 0, 5)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2)), polys, polys), max_size=5))
+@given(st.lists(st.tuples(st.sampled_from((1, -1, 2, -2)), KERNEL_POLYS, KERNEL_POLYS), max_size=5))
 def test_sum_of_products_is_the_naive_fold(terms):
     out = poly_sums_of_products(CH, [terms])[0]
     assert_canonical(out)
