@@ -213,25 +213,39 @@ def _bracket(chart: Chart, M: List[List[Poly]], a: FormField, b: FormField) -> F
         [a, b]_k = sum_j (X_j (da)_jk - Y_j (db)_jk) - d_k (sum_j b_j Y_j).
 
     Two kernel passes: X and Y in one poly_sums_of_products, the n
-    components and the scalar b(Y) in a second.  da and db are read off the
-    partials tables of a and b (d_complex), and d_k b(Y) off the table of
-    b(Y) as a function (complex_differential).
+    components and the scalar -b(Y) in a second.  da and db are read off
+    the partials tables of a and b (d_complex), and d_k(-b(Y)) off the
+    table of -b(Y) as a function (complex_differential).
+
+    A form marked closed (see GradedField) has d = 0, so its d_complex is
+    not taken.  For a closed a, X, which enters only i_X da, is not formed
+    either; for a closed b, Y stays, as b(Y) needs it.  With a and b both
+    closed the second pass forms only -b(Y), and the bracket is
+    T_C(-b(Y)): two passes and one complex_differential, and the result is
+    marked closed.
     """
     n = chart.dim
+    a_closed = getattr(a, "_closed", False)
     XY = poly_sums_of_products(chart, [
-        [(1, row[j], f[(j,)]) for j in range(n) if (j,) in f] for f in (b.comps, a.comps) for row in M
+        [(1, row[j], f[(j,)]) for j in range(n) if (j,) in f]
+        for f in ((a.comps,) if a_closed else (b.comps, a.comps)) for row in M
     ])
-    X, Y = XY[:n], XY[n:]
-    groups: List[List[Tuple[int, Poly, Poly]]] = [[] for _ in range(n)]
-    for s, V, form in ((1, X, d_complex(a)), (-1, Y, d_complex(b))):
-        for (i, j), p in form.comps.items():
+    X, Y = XY[:-n], XY[-n:]
+    sides = [(s, V, d_complex(form)) for s, V, form, closed in
+             ((1, X, a, a_closed), (-1, Y, b, getattr(b, "_closed", False))) if not closed]
+    groups: List[List[Tuple[int, Poly, Poly]]] = [[] for _ in range(n)] if sides else []
+    for s, V, dform in sides:
+        for (i, j), p in dform.comps.items():
             # i_V (dx_i ^ dx_j) = V_i dx_j - V_j dx_i
             groups[j].append((s, V[i], p))
             groups[i].append((-s, V[j], p))
-    groups.append([(1, bj, Y[j]) for (j,), bj in b.comps.items()])
-    *rows, pair = poly_sums_of_products(chart, groups)
-    dpair = complex_differential(MultiField.function(chart, pair)).comps
-    return FormField(chart, 1, {(k,): r - dpair[(k,)] if (k,) in dpair else r for k, r in enumerate(rows)})
+    groups.append([(-1, bj, Y[j]) for (j,), bj in b.comps.items()])
+    *rows, minus_pair = poly_sums_of_products(chart, groups)
+    dpair = complex_differential(MultiField.function(chart, minus_pair))
+    if not sides:
+        return dpair
+    d = dpair.comps
+    return FormField(chart, 1, {(k,): r + d[(k,)] if (k,) in d else r for k, r in enumerate(rows)})
 
 
 # -- constructors ------------------------------------------------------------
@@ -314,11 +328,12 @@ def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
         (row,) = _matmul(chart, [[alpha.component((i,)) for i in range(n)]], N)
         return FormField(chart, 1, {(j,): p for j, p in enumerate(row)})
 
+    # the coordinate forms dx_i, built as T_C x_i so that they are marked closed
+    dx = [complex_differential(MultiField.function(chart, Poly.var(chart, v))) for v in chart.vars]
     second: List[FormField] = []
     for i in range(n):
         for j in range(i + 1, n):
-            a = FormField(chart, 1, {(i,): Poly.const(chart, 1)})
-            b = FormField(chart, 1, {(j,): Poly.const(chart, 1)})
+            a, b = dx[i], dx[j]
             lhs = _bracket(chart, NA, a, b)
             rhs = (
                 _bracket(chart, A, nstar(a), b)

@@ -243,8 +243,9 @@ _DIRAC_OPS = {
 
 
 def cmd_dirac(pf: ProblemFile, args) -> Report:
-    # dirac runs at the given points, or at three grid points when none are
-    use_pts = given_points(pf, args.points) or collect_points(pf, None, args.grid_size)[:3]
+    # dirac runs at the given points, or at the first three grid points when
+    # none are
+    use_pts = given_points(pf, args.points) or collect_points(pf, None, min(args.grid_size, 3))
 
     def dirac(pi, rest):
         ops = [a for a in rest if a not in (":", "|")]

@@ -75,9 +75,15 @@ class GradedField:
 
     A field is not changed once it is made: partials builds its table on
     first read and keeps it, so nothing assigns into comps afterwards.
+
+    The slot _closed marks a form known to be closed (da = 0) by how it
+    was built.  Only complex_differential (T_C f is exact) and d_complex
+    (d d = 0) set it, to True, on their result; on every other field it is
+    unset, read as getattr(a, "_closed", False), so it is never guessed.
+    The one-form bracket skips the d of a marked form.
     """
 
-    __slots__ = ("chart", "degree", "comps", "_partials")
+    __slots__ = ("chart", "degree", "comps", "_partials", "_closed")
 
     def __init__(self, chart: Chart, degree: int, comps: Mapping[Sequence[int], Poly]):
         if degree < 0:
@@ -318,7 +324,8 @@ def apply_to_forms(m: MultiField, alphas: Sequence[FormField]) -> Poly:
 
 
 def d_complex(a: FormField) -> FormField:
-    """Complexified exterior derivative d(a1 + i a2) = d a1 + i d a2."""
+    """Complexified exterior derivative d(a1 + i a2) = d a1 + i d a2,
+    marked closed since d d = 0."""
     out: Dict[Index, Poly] = {}
     for j, dj in enumerate(a.partials):
         for idx, dp in dj.items():
@@ -327,14 +334,20 @@ def d_complex(a: FormField) -> FormField:
                 continue
             term = dp if sign == 1 else -dp
             out[key] = out[key] + term if key in out else term
-    return _field(FormField, a.chart, a.degree + 1, out)
+    return _marked_closed(_field(FormField, a.chart, a.degree + 1, out))
 
 
 def complex_differential(f: MultiField) -> FormField:
-    """T_C f = d f1 + i d f2 for a degree-0 field f = f1 + i f2."""
+    """T_C f = d f1 + i d f2 for a degree-0 field f = f1 + i f2, marked
+    closed since it is exact."""
     if f.degree != 0:
         raise ValueError("complex_differential expects a degree-0 MultiField")
-    return _field(FormField, f.chart, 1, {(j,): dj[()] for j, dj in enumerate(f.partials) if dj})
+    return _marked_closed(_field(FormField, f.chart, 1, {(j,): dj[()] for j, dj in enumerate(f.partials) if dj}))
+
+
+def _marked_closed(a: FormField) -> FormField:
+    a._closed = True
+    return a
 
 
 def lie_derivative(z: MultiField, a: FormField) -> FormField:

@@ -18,6 +18,7 @@ from cxpoisson import (
     parse_poly,
     poly_partial,
 )
+from cxpoisson import bivector as bivector_module
 from cxpoisson import fields
 from cxpoisson.bivector import (
     _bracket,
@@ -321,10 +322,12 @@ def bracket_by_definition(chart, M, a, b):
 
 
 @st.composite
-def bracket_cases(draw):
+def bracket_cases(draw, closed=("neither",)):
     """(chart, M, a, b) on n = 2..4 variables: M the skew matrix of a real
     bivector sigma, or the non-skew matrix of N o sigma# for a sparse N; a
-    and b one-forms with int_polys coefficients, so rarely closed."""
+    and b one-forms with int_polys coefficients, so rarely closed, or exact
+    forms complex_differential(f), marked closed, as closed picks: neither,
+    both, only a or only b."""
     n = draw(st.integers(2, 4), label="n")
     chart = Chart(tuple(f"x{k}" for k in range(n)))
     polys = int_polys(chart)
@@ -339,14 +342,50 @@ def bracket_cases(draw):
         M = _nijenhuis_matrix(sigma, [[entries.get((i, j), zero) for j in range(n)] for i in range(n)])
     forms = st.dictionaries(st.integers(0, n - 1), polys, min_size=1, max_size=n).map(
         lambda d: FormField(chart, 1, {(j,): p for j, p in d.items()}))
-    return chart, M, draw(forms, label="a"), draw(forms, label="b")
+    exact = polys.map(lambda f: complex_differential(MultiField.function(chart, f)))
+    case = draw(st.sampled_from(closed), label="closed")
+    a = draw(exact if case in ("both", "a") else forms, label="a")
+    b = draw(exact if case in ("both", "b") else forms, label="b")
+    return chart, M, a, b
+
+
+def unmarked(form):
+    """form rebuilt through the public constructor, which never marks it
+    closed, so that _bracket takes the general path."""
+    return FormField(form.chart, form.degree, form.comps)
 
 
 @settings(max_examples=50, deadline=None)
 @given(bracket_cases())
 def test_bracket_is_its_definition(case):
     chart, M, a, b = case
-    assert _bracket(chart, M, a, b) == bracket_by_definition(chart, M, a, b)
+    out = _bracket(chart, M, a, b)
+    assert out == bracket_by_definition(chart, M, a, b)
+    assert not hasattr(out, "_closed")
+
+
+@settings(max_examples=60, deadline=None)
+@given(bracket_cases(closed=("both", "a", "b")))
+def test_bracket_of_exact_forms_is_its_definition(case):
+    # the reference takes unmarked copies, so it never sees the marker
+    chart, M, a, b = case
+    out = _bracket(chart, M, a, b)
+    assert out == bracket_by_definition(chart, M, unmarked(a), unmarked(b))
+    assert hasattr(out, "_closed") == (hasattr(a, "_closed") and hasattr(b, "_closed"))
+
+
+def test_bracket_of_closed_forms_takes_no_d(monkeypatch):
+    taken = []
+    d = bivector_module.d_complex
+    monkeypatch.setattr(bivector_module, "d_complex", lambda a: taken.append(a) or d(a))
+    ch = Chart(("x", "y", "z"))
+    pi = bivector_from_brackets(ch, {(0, 1): parse_poly("x*z", ch), (1, 2): parse_poly("i*y + z^2", ch)})
+    df, dg = (complex_differential(MultiField.function(ch, parse_poly(t, ch))) for t in ("x*y^2", "z + i*x"))
+    cotangent_bracket(pi, df, dg)
+    assert taken == []
+    cotangent_bracket(pi, df, unmarked(dg))
+    cotangent_bracket(pi, unmarked(df), dg)
+    assert taken == [unmarked(dg), unmarked(df)]
 
 
 # -- constructors -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import normal_form, pointwise
+from cxpoisson import cli, normal_form, pointwise
 from cxpoisson.cli import main
 from cxpoisson.fields import MultiField
 from cxpoisson.problem import CHECK_KINDS, ProblemParseError, parse_problem
@@ -392,6 +392,20 @@ def test_empty_point_set_is_refusal(tmp_path, capsys, command, text, point):
     # one extra point is enough to run
     code, out, _ = run(capsys, [command, str(f), "--grid-size", "0", "--points", point])
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize("grid,asked", [(200000, 3), (2, 2)])
+def test_dirac_asks_the_grid_for_three_points_at_most(tmp_path, capsys, monkeypatch, grid, asked):
+    # with no point lines dirac runs at the first three grid points, so it
+    # builds no more of the grid than that
+    asks = []
+    grid_points = cli.grid_points
+    monkeypatch.setattr(cli, "grid_points", lambda chart, count: asks.append(count) or grid_points(chart, count))
+    f = tmp_path / "nopoints.prob"
+    f.write_text(NO_POINTS_PROBLEM)
+    code, out, _ = run(capsys, ["dirac", str(f), "--grid-size", str(grid), "--format", "machine"])
+    assert code == 0 and asks == [asked]
+    assert len(json.loads(out)["witness"]) == asked
 
 
 def test_negative_grid_size_is_refused(nb_file, capsys):

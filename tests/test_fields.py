@@ -259,6 +259,20 @@ def test_complex_differential_splits():
     assert im == FormField(CH, 1, {(2,): parse_poly("2*z", CH)})
 
 
+def test_only_d_and_t_c_mark_a_form_closed(rng):
+    # the one-form bracket skips the d of a marked form, so only an
+    # operation whose result is closed by construction marks it
+    f = parse_poly("x*y + i*z^2", CH)
+    df = complex_differential(MultiField.function(CH, f))
+    alpha = random_form(rng, CH, 1)
+    assert df._closed and d_complex(alpha)._closed and d_complex(df)._closed
+    v = random_multifield(rng, CH, 1)
+    for out in (FormField(CH, 1, df.comps), FormField.function(CH, f), FormField.zero(CH, 1),
+                df + df, df - df, -df, df.scale(2), df.conjugate(), *decompose(df),
+                contract(v, d_complex(alpha)), contract(v, df), wedge(df, alpha)):
+        assert not hasattr(out, "_closed")
+
+
 def test_eval_field(rng):
     m = random_multifield(rng, CH, 2)
     pt = {"x": Fraction(1, 2), "y": Fraction(-1), "z": Fraction(3)}
