@@ -172,7 +172,7 @@ def _run(pf: ProblemFile, args, kind: str, body) -> Report:
     body(pi, rest) gives the verdict and witness on the bivector pi and the
     check's other arguments."""
     rep = Report()
-    wanted = args.check.split(",") if args.check else None
+    wanted = None if args.check is None else args.check.split(",")
     items = [(cid, cargs) for cid, ckind, cargs in pf.checks
              if ckind == kind and (wanted is None or cid in wanted)]
     if not items and wanted is None and kind in _BIVECTOR_KINDS:
@@ -336,7 +336,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="problem file path")
         p.add_argument("--points", default=None,
                        help="extra points, e.g. '1/2,1,0;1,1,1'")
-        p.add_argument("--grid-size", type=_grid_size, default=20)
+        p.add_argument("--grid-size", type=_grid_size, default=20,
+                       help="grid points to sample; the grid has 20 distinct points")
         p.add_argument("--format", choices=("human", "machine"), default="human")
         p.add_argument("--check", default=None, help="comma-separated check ids")
     return parser
@@ -355,12 +356,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ProblemParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.check:
+    if args.check is not None:
         kinds = {cid: ckind for cid, ckind, _ in pf.checks}
         ids = args.check.split(",")
         unknown = [cid for cid in ids if cid not in kinds]
         if unknown:
-            print(f"error: --check names no check of the file: {', '.join(unknown)}",
+            print(f"error: --check names no check of the file: {', '.join(map(repr, unknown))}",
                   file=sys.stderr)
             return 2
         other = [f"{cid} is of kind {kinds[cid]}" for cid in ids

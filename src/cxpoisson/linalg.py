@@ -4,14 +4,16 @@ The one reduction is echelon, fraction-free Gauss-Jordan on integer rows,
 and its rows come out canonical: a complex row is the tuple (re, im, d), the
 vector (re + i im)/d with d > 0, pivot entry (d, 0) and gcd(re, im, d) == 1;
 a real row is (ints, d) alike.  A span has one canonical basis, so span
-equality is tuple equality.  Inside the reduction a Gaussian row is one
-integer list [re | im].  Over Q(i) every pivot is made real before it is
-used, so a row update multiplies a row by a rational integer, which the
+equality is tuple equality.  One kernel reduces both fields: inside it a
+Gaussian row is one integer list [re | im], and a real row is a Gaussian
+row with no imaginary half.  Over Q(i) every pivot is made real before it
+is used, so a row update multiplies a row by a rational integer, which the
 integer gcd of the updated row removes again; a complex pivot would leave in
 the row a Gaussian factor such as 2 + i, which no integer gcd can see, and
 such factors would pile up at every step.  With the real pivot row P and i P
 formed once per pivot, clearing the entry f + h i of a row K is one list,
-p K - f P - h (i P), and one gcd.  eliminate, the one intersect-and-project
+p K - f P - h (i P), and one gcd; a real row is cleared by the same update
+with h = 0, which needs no i P.  eliminate, the one intersect-and-project
 step, returns the canonical tails after the k head coordinates that must
 vanish, in two phases: the head phase clears each head column with
 echelon's row update, on full-width rows, and drops that column's pivot
@@ -51,65 +53,39 @@ def echelon(re_rows, im_rows=None) -> Tuple[List[tuple], List[int]]:
     cleared, divided by the gcd of its entries; over Q(i) the pivot row is
     first multiplied by the conjugate of its pivot, so p is a rational
     integer.  Pivot rows are made canonical once, at the end."""
-    if im_rows is None:
-        m = list(re_rows)
-        return _canonical(m, _reduce(m), 0)
+    m, w, cx = _rows(re_rows, im_rows)
+    return _canonical(m, _reduce(m, w, cx), w, cx)
+
+
+def _rows(re_rows, im_rows) -> Tuple[list, int, bool]:
+    """(rows, width, over Q(i)): the rows [re | im] as lists over Q(i), the
+    rows as they are over Q."""
     w = len(re_rows[0]) if re_rows else 0
-    m = [[*re, *im] for re, im in zip(re_rows, im_rows)]
-    return _canonical(m, _reduce_gauss(m, w), w)
+    if im_rows is None:
+        return list(re_rows), w, False
+    return [[*re, *im] for re, im in zip(re_rows, im_rows)], w, True
 
 
-def _reduce(m: list) -> List[int]:
-    """Gauss-Jordan on the integer rows m, in place; the pivot columns."""
-    nrows = len(m)
-    pivots: List[int] = []
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        for pr in range(r, nrows):
-            if m[pr][c]:
-                break
-        else:
-            continue
-        P = m[pr]
-        m[pr] = m[r]
-        m[r] = P
-        p = P[c]
-        for k in range(nrows):
-            K = m[k]
-            f = K[c]
-            if f and k != r:
-                m[k] = _cleared_real(p, P, f, K)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _reduce_gauss(m: list, w: int) -> List[int]:
-    """Gauss-Jordan on the fused rows [re | im] of width w (lists), in
-    place; the pivot columns.  Each pivot row is made real first, and i
-    times it is formed once for all the rows it clears."""
+def _reduce(m: list, w: int, cx: bool) -> List[int]:
+    """Gauss-Jordan on the rows m of width w, fused [re | im] when cx, in
+    place; the pivot columns."""
     nrows = len(m)
     pivots: List[int] = []
     r = 0
     for c in range(w):
         for pr in range(r, nrows):
             P = m[pr]
-            if P[c] or P[w + c]:
+            if P[c] or cx and P[w + c]:
                 break
         else:
             continue
-        if P[w + c]:
-            P = _real_pivot(P, c, w)
+        P, p, iP = _pivot(P, c, w, cx)
         m[pr] = m[r]
         m[r] = P
-        p = P[c]
-        iP = [-y for y in P[w:]] + P[:w]
         for k in range(nrows):
             K = m[k]
             f = K[c]
-            h = K[w + c]
+            h = K[w + c] if cx else 0
             if (f or h) and k != r:
                 m[k] = _cleared(p, P, iP, f, h, K)
         pivots.append(c)
@@ -119,10 +95,9 @@ def _reduce_gauss(m: list, w: int) -> List[int]:
     return pivots
 
 
-def _canonical(m: list, pivots: List[int], w: int) -> Tuple[List[tuple], List[int]]:
+def _canonical(m: list, pivots: List[int], w: int, cx: bool) -> Tuple[List[tuple], List[int]]:
     """The canonical rows of the pivot rows of a reduced m: over their
-    signed gcd, as (ints, d) or, for fused rows of width w > 0, (re, im, d).
-    A Gaussian row of width 0 has no pivot, so w == 0 reads the real form."""
+    signed gcd, as (re, im, d) over Q(i) and (ints, d) over Q."""
     out = []
     for row, c in zip(m, pivots):
         g = gcd(*row)
@@ -130,7 +105,7 @@ def _canonical(m: list, pivots: List[int], w: int) -> Tuple[List[tuple], List[in
             g = -g
         if g != 1:
             row = [x // g for x in row]
-        out.append((tuple(row[:w]), tuple(row[w:]), row[c]) if w else (tuple(row), row[c]))
+        out.append((tuple(row[:w]), tuple(row[w:]), row[c]) if cx else (tuple(row), row[c]))
     return out, pivots
 
 
@@ -146,35 +121,35 @@ def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
     dropped pivot rows are never reduced.  Tail phase: the tails of the rows
     left, sliced once, are reduced as in echelon, which gives them their
     canonical basis, the one the span has."""
-    if im_rows is None:
-        m = list(re_rows)
-        for c in range(k):
-            for pr, P in enumerate(m):
-                if P[c]:
-                    break
-            else:
-                continue
-            del m[pr]
-            p = P[c]
-            m = [_cleared_real(p, P, K[c], K) if K[c] else K for K in m]
-        m = [row[k:] for row in m]
-        return _canonical(m, _reduce(m), 0)[0]
-    w = len(re_rows[0]) if re_rows else 0
-    m = [[*re, *im] for re, im in zip(re_rows, im_rows)]
+    m, w, cx = _rows(re_rows, im_rows)
     for c in range(k):
         for pr, P in enumerate(m):
-            if P[c] or P[w + c]:
+            if P[c] or cx and P[w + c]:
                 break
         else:
             continue
         del m[pr]
-        if P[w + c]:
-            P = _real_pivot(P, c, w)
-        p = P[c]
-        iP = [-y for y in P[w:]] + P[:w]
-        m = [_cleared(p, P, iP, K[c], K[w + c], K) if K[c] or K[w + c] else K for K in m]
+        P, p, iP = _pivot(P, c, w, cx)
+        for j, K in enumerate(m):
+            f = K[c]
+            h = K[w + c] if cx else 0
+            if f or h:
+                m[j] = _cleared(p, P, iP, f, h, K)
+    # a real row has no imaginary half: row[w + k:] is empty
     m = [row[k:w] + row[w + k:] for row in m]
-    return _canonical(m, _reduce_gauss(m, w - k), w - k)[0]
+    return _canonical(m, _reduce(m, w - k, cx), w - k, cx)[0]
+
+
+def _pivot(P, c: int, w: int, cx: bool) -> Tuple[list, int, Optional[List[int]]]:
+    """(P, p, iP) for the pivot row P at column c: over Q(i) the fused row
+    made real at c, so its pivot entry p is a rational integer, and i P =
+    [-im | re], formed once for all the rows it clears; over Q the row, its
+    pivot entry and None."""
+    if not cx:
+        return P, P[c], None
+    if P[w + c]:
+        P = _real_pivot(P, c, w)
+    return P, P[c], [-y for y in P[w:]] + P[:w]
 
 
 def _real_pivot(row: List[int], c: int, w: int) -> List[int]:
@@ -188,19 +163,14 @@ def _real_pivot(row: List[int], c: int, w: int) -> List[int]:
     return [x // g for x in out] if g > 1 else out
 
 
-def _cleared(p: int, P: List[int], iP: List[int], f: int, h: int, K) -> List[int]:
-    """p K - (f + h i) P, primitive, for fused rows [re | im]: the row K with
-    its entry f + h i cleared against the real pivot entry p of the row P,
-    iP being i P."""
-    row = [p * x - f * u - h * v for x, u, v in zip(K, P, iP)]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _cleared_real(p: int, P, f: int, K) -> List[int]:
-    """p K - f P, primitive: the integer row K with its entry f cleared
-    against the pivot entry p of the row P."""
-    row = [p * x - f * u for x, u in zip(K, P)]
+def _cleared(p: int, P, iP: Optional[List[int]], f: int, h: int, K) -> List[int]:
+    """p K - (f + h i) P, primitive: the row K with its entry f + h i cleared
+    against the real pivot entry p of the row P, iP being i P.  A real row
+    is cleared by the same update with h == 0, which reads no iP."""
+    if h:
+        row = [p * x - f * u - h * v for x, u, v in zip(K, P, iP)]
+    else:
+        row = [p * x - f * u for x, u in zip(K, P)]
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 

@@ -59,10 +59,11 @@ _GRID_VALUES = [Fraction(v) for v in (
 
 
 def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
-    """Deterministic rational sample grid with all-nonzero coordinates."""
+    """Deterministic rational sample grid with all-nonzero coordinates: the
+    first count of its 20 distinct points, all 20 when count is larger."""
     pts = []
     L = len(_GRID_VALUES)
-    for k in range(count):
+    for k in range(min(count, L)):
         pts.append(
             {
                 name: _GRID_VALUES[(k + 3 * j * (k + 1) + j) % L]

@@ -339,6 +339,14 @@ def test_unknown_check_id_is_refusal(nb_file, capsys, command):
     assert "nosuch" in err and "good" not in err and not out
 
 
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+def test_empty_check_id_is_refusal(nb_file, capsys, command):
+    # an explicit empty selection names no check; it does not select them all
+    code, out, err = run(capsys, [command, nb_file, "--check", ""])
+    assert code == 2
+    assert "--check names no check" in err and "''" in err and not out
+
+
 @pytest.mark.parametrize(
     "command,text,extra",
     [

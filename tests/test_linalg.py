@@ -2,11 +2,12 @@
 against the rank criterion and the field-division inverse, nullspace
 against the kernel, echelon's rows read as scalars against field-division
 Gauss-Jordan and against sympy, eliminate against the echelon-then-filter
-route it replaced; the real-pivot row update and pivot normalization
-against GaussScalar arithmetic, dense Gaussian-integer rows against the
-rref, echelon of integer rows (tuples, width 0, zero imaginary parts among
-them) against the rref and fed its own canonical rows, and the width of the
-row updates of one dense beta-transform."""
+route it replaced; the real-pivot row update (Gaussian and real rows) and
+pivot normalization against GaussScalar arithmetic, real rows against the
+same rows over Q(i) with zero imaginary parts, dense Gaussian-integer rows
+against the rref, echelon of integer rows (tuples, width 0, zero imaginary
+parts among them) against the rref and fed its own canonical rows, and the
+width of the row updates of one dense beta-transform."""
 
 import random
 from fractions import Fraction
@@ -360,22 +361,49 @@ def test_echelon_is_the_rref_and_fixes_its_own_rows(system):
 def test_cleared_row_is_the_primitive_fraction_free_update(rows):
     # the update of echelon and of eliminate's head phase against a real
     # pivot p: row k times p minus the pivot row times row k's entry, over
-    # its gcd; a Gaussian row is the one list [re | im], and i times the
-    # pivot row is [-im | re]
+    # its gcd; a Gaussian row is the one list [re | im], i times the pivot
+    # row is [-im | re], and a real row takes the same update with h == 0
     pre, pim, kre, kim = rows
     pre[0], pim[0] = pre[0] or 1, 0
     p = pre[0]
-    z = [GaussScalar.of(a, b) for a, b in zip(kre, kim)]
-    w = [GaussScalar.of(a, b) for a, b in zip(pre, pim)]
-    full = [p * x - z[0] * y for x, y in zip(z, w)]
-    parts = [int(x.re) for x in full], [int(x.im) for x in full]
-    g = gcd(*parts[0], *parts[1]) or 1
     i_pivot = [-y for y in pim] + pre
-    assert linalg._cleared(p, pre + pim, i_pivot, kre[0], kim[0], kre + kim) == [
-        x // g for part in parts for x in part
-    ]
+
+    def reference(kim):
+        z = [GaussScalar.of(a, b) for a, b in zip(kre, kim)]
+        w = [GaussScalar.of(a, b) for a, b in zip(pre, pim)]
+        full = [p * x - z[0] * y for x, y in zip(z, w)]
+        parts = [int(x.re) for x in full], [int(x.im) for x in full]
+        g = gcd(*parts[0], *parts[1]) or 1
+        return [x // g for part in parts for x in part]
+
+    assert linalg._cleared(p, pre + pim, i_pivot, kre[0], kim[0], kre + kim) == reference(kim)
+    # a Gaussian row whose entry at the pivot is real: h == 0
+    real_entry = [0] + kim[1:]
+    assert linalg._cleared(p, pre + pim, i_pivot, kre[0], 0, kre + real_entry) == reference(real_entry)
+    # a real row against a real pivot row: no imaginary half and no iP
     real = [p * x - kre[0] * y for x, y in zip(kre, pre)]
-    assert linalg._cleared_real(p, pre, kre[0], kre) == [x // (gcd(*real) or 1) for x in real]
+    assert linalg._cleared(p, pre, None, kre[0], 0, kre) == [x // (gcd(*real) or 1) for x in real]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+@example((1, [(1, 2, 3), (2, 0, 1)], None))  # tuple rows, as canonical rows are
+@example((0, [[], []], None))  # width-0 real rows
+def test_real_rows_reduce_as_gaussian_rows_with_zero_imaginary_part(system):
+    # a real row is a Gaussian row with no imaginary half: over Q and over
+    # Q(i) on (re, zeros) the kernel gives the same rows, (ints, d) against
+    # (ints, zeros, d)
+    k, re, _ = system
+    zeros = [[0] * len(r) for r in re]
+
+    def as_real(rows):
+        assert all(not any(im) for _, im, _ in rows)
+        return [(ints, d) for ints, _, d in rows]
+
+    red, pivots = linalg.echelon(re)
+    cx_red, cx_pivots = linalg.echelon(re, zeros)
+    assert (red, pivots) == (as_real(cx_red), cx_pivots)
+    assert linalg.eliminate(k, re) == as_real(linalg.eliminate(k, re, zeros))
 
 
 GAUSS_INT = st.integers(-(2**6), 2**6)

@@ -73,6 +73,15 @@ def test_grid_points_deterministic_and_nonzero():
     assert len({tuple(sorted(p.items())) for p in a}) == 15
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grid_points_stop_at_the_twenty_distinct_points(n):
+    # every coordinate's value index has a period dividing 20, so a longer
+    # grid would only repeat its first 20 points
+    pts = grid_points(Chart(tuple(f"x{k}" for k in range(n))), 45)
+    assert len(pts) == 20
+    assert len({tuple(p.values()) for p in pts}) == 20
+
+
 def matrix_parts(pi, point):
     """The Fraction matrices (A1, A2) of pi1 and pi2 at the point: the real
     and imaginary parts of matrix_at(pi.body, point)."""
