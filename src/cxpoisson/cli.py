@@ -27,7 +27,7 @@ from .bivector import (
     pair_conditions,
 )
 from .fields import FormField, GradedField, MultiField
-from .grammar import PolyParseError, parse_poly, parse_rational
+from .grammar import parse_poly
 from .lagrangian import (
     check as lag_check,
     check_cot,
@@ -41,7 +41,7 @@ from .lagrangian import (
 )
 from .normal_form import BundleChart, _at_N, mixed_check, splitting_check
 from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
-from .problem import ProblemFile, ProblemParseError, parse_problem
+from .problem import BLOCK_KINDS, ProblemFile, ProblemParseError, _coords, parse_problem
 
 
 def _text(value):
@@ -101,26 +101,23 @@ class Report:
 # -- object builders -----------------------------------------------------------
 
 
-# problem-file block kind -> (ProblemFile table, field class, degree)
-_FIELD_KINDS = {
-    "bivector": ("bivectors", MultiField, 2),
-    "vector": ("vectors", MultiField, 1),
-    "oneform": ("oneforms", FormField, 1),
-}
+# problem-file block kind -> field class; its degree is the number of
+# indices per entry
+_FIELD_CLASSES = {"bivector": MultiField, "vector": MultiField, "oneform": FormField}
 
 
 def build_field(pf: ProblemFile, kind: str, name: str) -> GradedField:
     """The named bivector, vector or oneform block of pf as a field."""
-    table, cls, degree = _FIELD_KINDS[kind]
+    attr, degree = BLOCK_KINDS[kind]
     chart = pf.chart
     comps = {}
-    for entry in getattr(pf, table)[name]:
+    for entry in getattr(pf, attr)[name]:
         # parse_problem kept the parsed coefficient; a hand-built file has none
         p = pf.polys.get(entry[-1])
         if p is None:
             p = parse_poly(entry[-1], chart)
         comps[tuple(i - 1 for i in entry[:-1])] = p
-    return cls(chart, degree, comps)
+    return _FIELD_CLASSES[kind](chart, degree, comps)
 
 
 def given_points(pf: ProblemFile, extra: Optional[str]) -> List[Dict[str, Fraction]]:
@@ -129,14 +126,12 @@ def given_points(pf: ProblemFile, extra: Optional[str]) -> List[Dict[str, Fracti
     pts = [dict(zip(chart.vars, vals)) for vals in pf.points.values()]
     if extra:
         for chunk in extra.split(";"):
-            try:
-                vals = [Fraction(*parse_rational(t.strip())) for t in chunk.split(",")]
-            except PolyParseError as exc:
-                raise ValueError(
-                    f"--points entry {chunk!r} is not a comma-separated list of rationals: {exc}"
-                ) from None
-            if len(vals) != chart.dim:
-                raise ValueError(f"--points entry has {len(vals)} coords, chart has {chart.dim}")
+            vals = _coords(
+                chunk, chart.dim,
+                lambda exc: ValueError(f"--points entry {chunk!r} is not a comma-separated "
+                                       f"list of rationals: {exc}"),
+                lambda n: ValueError(f"--points entry has {n} coords, chart has {chart.dim}"),
+            )
             pts.append(dict(zip(chart.vars, vals)))
     return pts
 

@@ -21,11 +21,13 @@ row, which is never reduced; the tail phase slices the tails of the rows
 left once and reduces them as echelon does.  They span the intersection,
 and echelon gives a span its one canonical basis, so the tails are those
 the full echelon would have.
-solve and nullspace take integer rows as echelon does and read their answer
-off one echelon, where each pivot entry is (d, 0): solve(ncols, [M | B])
-gives the block X with M X == B, row c of X the B part of the row with pivot
-c, and None when a pivot lies in B; nullspace gives one vector per free
-column.  Of the rest, matmul takes Fractions and GaussScalars,
+solve and nullspace take integer rows as echelon does.  solve(ncols, [M | B])
+reads the block X with M X == B off one echelon, where each pivot entry is
+(d, 0): row c of X is the B part of the row with pivot c, and None comes
+back when a pivot lies in B.  nullspace is one eliminate over the rows
+(column c of M | e_c), which span the pairs (M x, x): the tails left once
+the heads M x vanish are the kernel's canonical basis.  Of the rest, matmul
+takes Fractions and GaussScalars,
 _scaled_gauss puts such a row over one denominator, and _scalars reads a
 canonical row back as them.
 """
@@ -213,21 +215,11 @@ def _dot(x: Sequence[int], y: Sequence[int]) -> int:
 
 def nullspace(ncols: int, re_rows, im_rows=None) -> List[tuple]:
     """Canonical basis of {x : M x = 0}, M given by integer rows of length
-    ncols as in echelon.  One echelon of M gives a vector per free column f:
-    x[f] = 1 and x[c] = -r[f]/d for the canonical row r = (..., d) with pivot
-    c; they are put over the lcm D of the d and made canonical."""
-    red, pivots = echelon(re_rows, im_rows)
-    D = lcm(*(r[-1] for r in red))
-    parts = []
-    for k in range(1 if im_rows is None else 2):
-        vectors = []
-        for f in (f for f in range(ncols) if f not in pivots):
-            v = [D if c == f and k == 0 else 0 for c in range(ncols)]
-            for r, c in zip(red, pivots):
-                v[c] = -(D // r[-1]) * r[k][f]
-            vectors.append(v)
-        parts.append(vectors)
-    return echelon(*parts)[0]
+    ncols as in echelon: one eliminate over the rows (column c of M | e_c),
+    which span the pairs (M x, x), with the heads M x made to vanish."""
+    re = [[row[c] for row in re_rows] + [int(f == c) for f in range(ncols)] for c in range(ncols)]
+    im = None if im_rows is None else [[row[c] for row in im_rows] + [0] * ncols for c in range(ncols)]
+    return eliminate(len(re_rows), re, im)
 
 
 def solve(ncols: int, re_rows, im_rows=None) -> Optional[List[tuple]]:

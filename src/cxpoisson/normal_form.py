@@ -1,4 +1,4 @@
-"""Normal-form machinery on vector-bundle charts R^b x R^f with b > 0.
+"""Normal-form machinery on vector-bundle charts R^b x R^f with b, f > 0.
 
 The submanifold N is always the zero section {fiber vars = 0}; _on_N maps a
 point of the bundle chart to the point of N under it.  The tubular embedding
@@ -45,6 +45,9 @@ class BundleChart:
             raise ValueError("base and fiber variables must be disjoint")
         if not self.base_vars:
             raise ValueError("bundle base is empty: N would be a point, which has no chart")
+        if not self.fiber_vars:
+            raise ValueError("bundle fiber is empty: N would be the whole chart, where every "
+                             "splitting condition holds vacuously")
 
     @property
     def chart(self) -> Chart:

@@ -24,6 +24,11 @@ Line-oriented text, '#' starts a comment.  Indices are 1-based in files.
     check c3 dirac NB : tilde | indices
     check c4 normal_form NB X xi1 xi2
 
+The bundle line is optional and comes once: `base:` before the `;` and
+`fiber:` after it, in that order, whose variables list the chart in order.
+Normal-form runs refuse an empty side.  A block header is its keyword, its
+name and `{`, with nothing after.
+
 Coefficient strings are kept verbatim, so parse -> dumps -> parse is the
 identity.  Each is parsed once, at parse time, against the chart, and the
 parsed Poly is kept in ProblemFile.polys under its string.  Chart variables
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .grammar import NAME_RE, PolyParseError, parse_poly, parse_rational
 from .poly import Chart, Poly
@@ -44,6 +49,17 @@ from .poly import Chart, Poly
 # the check kinds; every argument of a check names a block, except dirac's
 # pipeline op names, which are validated at run time
 CHECK_KINDS = ("jacobi", "invariants", "dirac", "normal_form")
+
+# block keyword -> (the ProblemFile attribute holding its blocks, indices per
+# entry); the reader, the writer, the name check and the CLI read it
+BLOCK_KINDS = {
+    "bivector": ("bivectors", 2),
+    "form": ("forms", 2),
+    "vector": ("vectors", 1),
+    "oneform": ("oneforms", 1),
+}
+
+_BUNDLE_SYNTAX = "expected: bundle base: <vars> ; fiber: <vars>"
 
 
 class ProblemParseError(ValueError):
@@ -72,37 +88,32 @@ class ProblemFile:
         return Chart(self.chart_vars)
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def _lines(text: str) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line that has text left once its comment
+    and outer blanks are stripped."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].strip()
+        if line:
+            yield lineno, line
 
 
-def _parse_fraction(tok: str, lineno: int) -> Fraction:
+def _coords(text: str, dim: int, bad: Callable, count: Callable) -> Tuple[Fraction, ...]:
+    """The comma-separated rationals of text as Fractions, dim of them.  The
+    caller words the refusals: bad(exc) is raised for a part that is no
+    rational, count(n) for a number n of parts other than dim."""
     try:
-        return Fraction(*parse_rational(tok.strip()))
+        vals = tuple(Fraction(*parse_rational(t.strip())) for t in text.split(","))
     except PolyParseError as exc:
-        raise ProblemParseError(lineno, f"bad rational: {exc}") from None
+        raise bad(exc) from None
+    if len(vals) != dim:
+        raise count(len(vals))
+    return vals
 
 
 def parse_problem(text: str) -> ProblemFile:
-    lines = text.splitlines()
+    lines = _lines(text)
     pf: Optional[ProblemFile] = None
-    i = 0
-    nlines = len(lines)
-
-    def need_chart(lineno):
-        if pf is None:
-            raise ProblemParseError(lineno, "chart must be declared first")
-        return pf
-
-    while i < nlines:
-        raw = lines[i]
-        lineno = i + 1
-        i += 1
-        line = _strip(raw)
-        if not line:
-            continue
+    for lineno, line in lines:
         parts = line.split()
         kw = parts[0]
         if kw == "chart":
@@ -122,117 +133,116 @@ def parse_problem(text: str) -> ProblemFile:
                         lineno, "chart variable 'i' would shadow the imaginary unit"
                     )
             pf = ProblemFile(chart_vars=chart.vars)
-        elif kw == "bundle":
-            p = need_chart(lineno)
-            body = line[len("bundle"):].strip()
-            try:
-                base_part, fiber_part = body.split(";")
-                base = tuple(base_part.split(":", 1)[1].split())
-                fiber = tuple(fiber_part.split(":", 1)[1].split())
-            except (ValueError, IndexError):
-                raise ProblemParseError(
-                    lineno, "expected: bundle base: <vars> ; fiber: <vars>"
-                ) from None
-            if base + fiber != p.chart_vars:
-                raise ProblemParseError(
-                    lineno, "bundle variables must equal the chart in order"
-                )
-            p.bundle = (base, fiber)
-        elif kw == "point":
-            p = need_chart(lineno)
-            try:
-                name, rest = line[len("point"):].split("=", 1)
-            except ValueError:
-                raise ProblemParseError(lineno, "expected: point NAME = v, v, ...") from None
-            name = name.strip()
-            if name in p.points:
-                raise ProblemParseError(lineno, f"duplicate point name {name!r}")
-            vals = tuple(_parse_fraction(t, lineno) for t in rest.split(","))
-            if len(vals) != len(p.chart_vars):
-                raise ProblemParseError(
-                    lineno, f"point {name!r} has {len(vals)} coordinates, "
-                    f"chart has {len(p.chart_vars)}"
-                )
-            p.points[name] = vals
-        elif kw in ("bivector", "form", "vector", "oneform"):
-            p = need_chart(lineno)
-            if len(parts) < 3 or parts[2] != "{":
-                raise ProblemParseError(lineno, f"expected: {kw} NAME {{")
-            name = parts[1]
-            entries = []
-            while True:
-                if i >= nlines:
-                    raise ProblemParseError(lineno, f"unterminated {kw} block {name!r}")
-                raw2 = lines[i]
-                lineno2 = i + 1
-                i += 1
-                line2 = _strip(raw2)
-                if not line2:
-                    continue
-                if line2 == "}":
-                    break
-                try:
-                    idx_part, coeff = line2.split("=", 1)
-                except ValueError:
-                    raise ProblemParseError(lineno2, "expected: INDEX... = coeff") from None
-                idxs = idx_part.split()
-                want = 2 if kw in ("bivector", "form") else 1
-                if len(idxs) != want:
-                    raise ProblemParseError(
-                        lineno2, f"{kw} entries need {want} index(es)"
-                    )
-                try:
-                    nums = [int(t) for t in idxs]
-                except ValueError:
-                    raise ProblemParseError(lineno2, "indices must be integers") from None
-                dim = len(p.chart_vars)
-                for v in nums:
-                    if not 1 <= v <= dim:
-                        raise ProblemParseError(lineno2, f"index {v} out of range 1..{dim}")
-                if want == 2 and not nums[0] < nums[1]:
-                    raise ProblemParseError(lineno2, "indices must satisfy i < j")
-                if any(e[:-1] == tuple(nums) for e in entries):
-                    raise ProblemParseError(lineno2, f"duplicate entry {' '.join(idxs)}")
-                coeff = coeff.strip()
-                if coeff not in p.polys:
-                    try:
-                        p.polys[coeff] = parse_poly(coeff, chart)
-                    except PolyParseError as exc:
-                        raise ProblemParseError(lineno2, f"bad coefficient: {exc}") from None
-                entries.append(tuple(nums) + (coeff,))
-            store = {
-                "bivector": p.bivectors,
-                "form": p.forms,
-                "vector": p.vectors,
-                "oneform": p.oneforms,
-            }[kw]
-            if name in store:
-                raise ProblemParseError(lineno, f"duplicate {kw} name {name!r}")
-            store[name] = entries
-        elif kw == "check":
-            p = need_chart(lineno)
-            if len(parts) < 3:
-                raise ProblemParseError(lineno, "expected: check ID KIND args...")
-            cid, ckind = parts[1], parts[2]
-            args = parts[3:]
-            if ckind not in CHECK_KINDS:
-                raise ProblemParseError(
-                    lineno, f"unknown check kind {ckind!r}, expected one of {', '.join(CHECK_KINDS)}"
-                )
-            if any(c[0] == cid for c in p.checks):
-                raise ProblemParseError(lineno, f"duplicate check id {cid!r}")
-            p.checks.append((cid, ckind, args))
-            p.check_lines[cid] = lineno
-        else:
+        elif kw not in _READERS:
             raise ProblemParseError(lineno, f"unknown keyword {kw!r}")
+        elif pf is None:
+            raise ProblemParseError(lineno, "chart must be declared first")
+        else:
+            _READERS[kw](pf, lineno, parts, line, lines)
     if pf is None:
         raise ProblemParseError(1, "empty problem file (no chart)")
     _validate_names(pf)
     return pf
 
 
+def _bundle(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
+    try:
+        (b, base), (f, fiber) = [side.split(":", 1) for side in line[len("bundle"):].split(";")]
+    except ValueError:
+        raise ProblemParseError(lineno, _BUNDLE_SYNTAX) from None
+    base, fiber = tuple(base.split()), tuple(fiber.split())
+    if base + fiber != pf.chart_vars:
+        raise ProblemParseError(lineno, "bundle variables must equal the chart in order")
+    if b.strip() != "base" or f.strip() != "fiber":
+        raise ProblemParseError(lineno, _BUNDLE_SYNTAX)
+    if pf.bundle is not None:
+        raise ProblemParseError(lineno, "duplicate bundle declaration")
+    pf.bundle = (base, fiber)
+
+
+def _point(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
+    try:
+        name, rest = line[len("point"):].split("=", 1)
+    except ValueError:
+        raise ProblemParseError(lineno, "expected: point NAME = v, v, ...") from None
+    name = name.strip()
+    if name in pf.points:
+        raise ProblemParseError(lineno, f"duplicate point name {name!r}")
+    dim = len(pf.chart_vars)
+    pf.points[name] = _coords(
+        rest, dim, lambda exc: ProblemParseError(lineno, f"bad rational: {exc}"),
+        lambda n: ProblemParseError(lineno, f"point {name!r} has {n} coordinates, chart has {dim}"),
+    )
+
+
+def _block(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
+    """A block: its header line, then its entry lines taken from lines up to
+    its closing brace."""
+    kw = parts[0]
+    if len(parts) != 3 or parts[2] != "{":
+        raise ProblemParseError(lineno, f"expected: {kw} NAME {{")
+    name = parts[1]
+    attr, want = BLOCK_KINDS[kw]
+    chart = pf.chart
+    dim = chart.dim
+    entries = []
+    for at, entry in lines:
+        if entry == "}":
+            break
+        try:
+            idx_part, coeff = entry.split("=", 1)
+        except ValueError:
+            raise ProblemParseError(at, "expected: INDEX... = coeff") from None
+        idxs = idx_part.split()
+        if len(idxs) != want:
+            raise ProblemParseError(at, f"{kw} entries need {want} index(es)")
+        try:
+            nums = tuple(int(t) for t in idxs)
+        except ValueError:
+            raise ProblemParseError(at, "indices must be integers") from None
+        for v in nums:
+            if not 1 <= v <= dim:
+                raise ProblemParseError(at, f"index {v} out of range 1..{dim}")
+        if want == 2 and not nums[0] < nums[1]:
+            raise ProblemParseError(at, "indices must satisfy i < j")
+        if any(e[:-1] == nums for e in entries):
+            raise ProblemParseError(at, f"duplicate entry {' '.join(idxs)}")
+        coeff = coeff.strip()
+        if coeff not in pf.polys:
+            try:
+                pf.polys[coeff] = parse_poly(coeff, chart)
+            except PolyParseError as exc:
+                raise ProblemParseError(at, f"bad coefficient: {exc}") from None
+        entries.append(nums + (coeff,))
+    else:
+        raise ProblemParseError(lineno, f"unterminated {kw} block {name!r}")
+    store = getattr(pf, attr)
+    if name in store:
+        raise ProblemParseError(lineno, f"duplicate {kw} name {name!r}")
+    store[name] = entries
+
+
+def _check(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
+    if len(parts) < 3:
+        raise ProblemParseError(lineno, "expected: check ID KIND args...")
+    _, cid, ckind, *args = parts
+    if ckind not in CHECK_KINDS:
+        raise ProblemParseError(
+            lineno, f"unknown check kind {ckind!r}, expected one of {', '.join(CHECK_KINDS)}"
+        )
+    if cid in pf.check_lines:
+        raise ProblemParseError(lineno, f"duplicate check id {cid!r}")
+    pf.checks.append((cid, ckind, args))
+    pf.check_lines[cid] = lineno
+
+
+# keyword -> reader of its line: (pf, line number, words, line, the line
+# iterator); a block's reader takes its entry lines from the iterator
+_READERS = {"bundle": _bundle, "point": _point, "check": _check, **dict.fromkeys(BLOCK_KINDS, _block)}
+
+
 def _validate_names(pf: ProblemFile):
-    known = set(pf.bivectors) | set(pf.forms) | set(pf.vectors) | set(pf.oneforms)
+    known = set().union(*(getattr(pf, attr) for attr, _ in BLOCK_KINDS.values()))
     for cid, kind, args in pf.checks:
         if kind == "dirac":
             continue
@@ -251,16 +261,10 @@ def dumps(pf: ProblemFile) -> str:
         out.append(f"bundle base: {' '.join(base)} ; fiber: {' '.join(fiber)}")
     for name, vals in pf.points.items():
         out.append(f"point {name} = " + ", ".join(str(v) for v in vals))
-    for kw, store in (
-        ("bivector", pf.bivectors),
-        ("form", pf.forms),
-        ("vector", pf.vectors),
-        ("oneform", pf.oneforms),
-    ):
-        for name, entries in store.items():
+    for kw, (attr, _) in BLOCK_KINDS.items():
+        for name, entries in getattr(pf, attr).items():
             out.append(f"{kw} {name} {{")
-            for entry in entries:
-                *idxs, coeff = entry
+            for *idxs, coeff in entries:
                 out.append("  " + " ".join(str(v) for v in idxs) + " = " + coeff)
             out.append("}")
     for cid, kind, args in pf.checks:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cxpoisson import cli, normal_form, pointwise
 from cxpoisson.cli import main
 from cxpoisson.fields import MultiField
-from cxpoisson.problem import CHECK_KINDS, ProblemParseError, parse_problem
+from cxpoisson.problem import CHECK_KINDS, ProblemParseError, dumps, parse_problem
 
 NB_PROBLEM = """\
 chart x y z
@@ -537,6 +537,20 @@ def test_normal_form_refuses_an_empty_base(tmp_path, capsys):
     assert err.count("error:") == 1 and "base is empty" in err
 
 
+def test_normal_form_refuses_an_empty_fiber(tmp_path, capsys):
+    # N would be the whole chart: with a zero section every splitting
+    # condition holds vacuously, so a pass would say nothing
+    f = tmp_path / "whole.prob"
+    f.write_text(
+        "chart u v\nbundle base: u v ; fiber:\nbivector PI {\n 1 2 = 1\n}\n"
+        "vector X {\n 1 = 0\n}\noneform xi1 {\n 1 = 0\n}\noneform xi2 {\n 1 = 0\n}\n"
+        "check s1 normal_form PI X xi1 xi2\n"
+    )
+    code, out, err = run(capsys, ["normal-form", str(f)])
+    assert code == 2 and not out
+    assert err.count("error:") == 1 and "fiber is empty" in err
+
+
 def test_normal_form_fails_on_a_section_that_is_no_euler_field(tmp_path, capsys):
     # X = 2q, 2p with xi1 = -2p, 2q stays in the graph of pi, but it
     # linearizes to twice the Euler field
@@ -594,12 +608,12 @@ BAD_LINES = ["garbage line", "{", "}", "= =", "check", "point", "bivector B", "b
 
 
 @st.composite
-def problem_texts(draw):
+def problem_texts(draw, well_formed=False):
     """Problem texts from chart, bundle, point, block, entry and check
-    fragments.  Some are drawn malformed: bad fragments and junk lines may
-    turn up anywhere.  The rest are well formed, so most runs get past
-    parsing."""
-    bad = draw(st.integers(0, 2)) == 2
+    fragments.  Unless well_formed, some are drawn malformed: bad fragments
+    and junk lines may turn up anywhere.  The rest are well formed, so most
+    runs get past parsing."""
+    bad = not well_formed and draw(st.integers(0, 2)) == 2
 
     def pick(good, worse):
         return draw(st.sampled_from(good + worse if bad else good))
@@ -644,6 +658,15 @@ def problem_texts(draw):
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
     return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem_texts(well_formed=True))
+def test_generated_files_round_trip(text):
+    pf = parse_problem(text)
+    out = dumps(pf)
+    assert parse_problem(out) == pf
+    assert dumps(parse_problem(out)) == out
 
 
 POINTS = ["1,2", "1/2,1,0", "3,5,7", "1,1,1,1", "1/0,1", "a", "", ";", "1,2;3,4", "0,0", "1e9,1", "1_0,2"]

@@ -73,6 +73,9 @@ def test_bundle_chart_validation():
     # N would be a point, and a point has no chart
     with pytest.raises(ValueError, match="base is empty"):
         BundleChart((), ("q", "p"))
+    # N would be the whole chart, where every splitting condition holds vacuously
+    with pytest.raises(ValueError, match="fiber is empty"):
+        BundleChart(("u", "v"), ())
     assert BUNDLE.b == 2 and BUNDLE.f == 2
     assert BUNDLE.chart.vars == ("u", "v", "q", "p")
     assert BUNDLE.base_chart.vars == ("u", "v")

@@ -61,6 +61,12 @@ def test_bundle_declaration():
         parse_problem("chart u v q p\nbundle base: u q ; fiber: v p\n")
     with pytest.raises(ProblemParseError):
         parse_problem("chart u v\nbundle base u fiber v\n")
+    # the labels name the sides, base first
+    for body in ("fiber: u v ; base: q p", "foo: u v ; bar: q p"):
+        with pytest.raises(ProblemParseError, match="^line 2: expected: bundle base: <vars> ; fiber: <vars>$"):
+            parse_problem(f"chart u v q p\nbundle {body}\n")
+    with pytest.raises(ProblemParseError, match="^line 3: duplicate bundle declaration$"):
+        parse_problem(text + "bundle base: u ; fiber: v q p\n")
 
 
 @pytest.mark.parametrize(
@@ -101,6 +107,10 @@ def test_bundle_declaration():
         ("chart x y\npoint p = 1, 2\n\npoint p = 3, 4\n", 4),  # repeated point name
         ("chart x y\nbivector B {\n 1 2 = 1\n 1 2 = x\n}\n", 4),  # repeated index
         ("chart x y\nvector X {\n 1 = 1\n 2 = y\n 1 = x\n}\n", 5),
+        ("chart u v q p\nbundle fiber: u v ; base: q p\n", 2),  # labels swapped
+        ("chart u v q p\nbundle foo: u v ; bar: q p\n", 2),  # labels unknown
+        ("chart u v q p\nbundle base: u v ; fiber: q p\n\nbundle base: u ; fiber: v q p\n", 4),
+        ("chart x y\nbivector P { junk\n 1 2 = 1\n}\n", 2),  # text after the brace
     ],
 )
 def test_errors_carry_line_numbers(text, lineno):
