@@ -2,13 +2,13 @@
 
 Subcommands: check, invariants, dirac, normal-form.  Each runs the file's
 checks of its kind through one runner (_run), which selects them under
---check, refuses a check whose first argument names no bivector, times each
-and records it; a subcommand supplies only its points and the body of one
-check.  Exit status 0 when every record passes, 1 when any record fails, 2 on
-refusal or parse error.  Witnesses are recorded as library values and turned
-into text in one place (_text).  The machine format is one JSON record per
-line with a fixed key order; the human format is derived from the same
-records.
+--check, times each and records it; a subcommand supplies only its points and
+the body of one check, which gets the arguments parse_problem fitted to the
+check's signature.  Exit status 0 when every record passes, 1 when any record
+fails, 2 on refusal or parse error.  Witnesses are recorded as library values
+and turned into text in one place (_text).  The machine format is one JSON
+record per line with a fixed key order; the human format is derived from the
+same records.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .lagrangian import (
 )
 from .normal_form import BundleChart, _at_N, mixed_check, splitting_check
 from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
-from .problem import BLOCK_KINDS, ProblemFile, ProblemParseError, _coords, parse_problem
+from .problem import (BLOCK_KINDS, CHECK_KINDS, ProblemFile, ProblemParseError, _coords,
+                      check_args, parse_problem)
 
 
 def _text(value):
@@ -156,31 +157,24 @@ def _grid_size(text: str) -> int:
 # -- commands --------------------------------------------------------------------
 
 
-# kinds whose checks name just a bivector: a record shows the name, and a file
-# with no check of the kind gets one per bivector
-_BIVECTOR_KINDS = ("jacobi", "invariants")
-
-
 def _run(pf: ProblemFile, args, kind: str, body) -> Report:
-    """One timed record per check of kind that --check selects.  A check names
-    its bivector first, and a name that is no bivector of pf is refused;
-    body(pi, rest) gives the verdict and witness on the bivector pi and the
-    check's other arguments."""
+    """One timed record per check of kind that --check selects.  body(pi,
+    rest) gives the verdict and witness on the check's bivector pi and its
+    other arguments, blocks built: dirac's ops, normal_form's section.  A
+    kind whose checks name just a bivector records the name, and a file with
+    no check of such a kind gets one per bivector."""
     rep = Report()
     wanted = None if args.check is None else args.check.split(",")
     items = [(cid, cargs) for cid, ckind, cargs in pf.checks
              if ckind == kind and (wanted is None or cid in wanted)]
-    if not items and wanted is None and kind in _BIVECTOR_KINDS:
+    if not items and wanted is None and CHECK_KINDS[kind] == ("bivector",):
         items = [(name, [name]) for name in pf.bivectors]
     for cid, cargs in items:
         t0 = time.monotonic()
-        name = cargs[0] if cargs else None
-        if name in pf.bivectors:
-            verdict, witness = body(ComplexBivector(build_field(pf, "bivector", name)), cargs[1:])
-        else:
-            verdict, witness = "refused(unknown name)", None
-        inputs = name if kind in _BIVECTOR_KINDS else cargs
-        rep.add(cid, kind, inputs, verdict, witness, t0)
+        pi, *rest = [build_field(pf, w, a) if w in BLOCK_KINDS else a
+                     for w, a in check_args(pf, cid, kind, cargs)]
+        verdict, witness = body(ComplexBivector(pi), rest)
+        rep.add(cid, kind, cargs if rest else cargs[0], verdict, witness, t0)
     return rep
 
 
@@ -223,8 +217,8 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
     return _run(pf, args, "invariants", invariants)
 
 
-# dirac pipeline op -> the map it applies to the complexified lagrangian, or
-# None for indices, which reports on the current object, and theorem_7_18,
+# op of problem.DIRAC_OPS -> the map it applies to the complexified lagrangian,
+# or None for indices, which reports on the current object, and theorem_7_18,
 # which reports on gr pi wherever it sits in the pipeline.  Each map looks its
 # function up by name when it runs, as a call in a function body does, so a
 # module name rebound after import is the one called.
@@ -242,13 +236,7 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
     # none are
     use_pts = given_points(pf, args.points) or collect_points(pf, None, min(args.grid_size, 3))
 
-    def dirac(pi, rest):
-        ops = [a for a in rest if a not in (":", "|")]
-        bad = [op for op in ops if op not in _DIRAC_OPS]
-        if bad:
-            return f"refused(bad pipeline {bad})", None
-        if not ops:
-            return "refused(empty pipeline)", None
+    def dirac(pi, ops):
         witness = []
         verdict = "pass"
         for pt in use_pts:
@@ -274,16 +262,8 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
 
 
 def cmd_normal_form(pf: ProblemFile, args) -> Report:
-    def normal_form(pi, rest):
-        if pf.bundle is None:
-            return "refused(no bundle declared)", None
-        tables = (pf.vectors, pf.oneforms, pf.oneforms)
-        if len(rest) != 3 or any(a not in t for a, t in zip(rest, tables)):
-            return "refused(need: bivector vector oneform oneform)", None
-        xname, x1name, x2name = rest
+    def normal_form(pi, section):
         bundle = BundleChart(*pf.bundle)
-        section = (build_field(pf, "vector", xname), build_field(pf, "oneform", x1name),
-                   build_field(pf, "oneform", x2name))
         # the grid is capped at ten points to bound the cost; no given point is dropped
         pts = collect_points(pf, args.points, min(args.grid_size, 10))
         # pi on N, evaluated once per point for both checks
@@ -367,14 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     try:
-        if args.command == "check":
-            rep = cmd_check(pf, args)
-        elif args.command == "invariants":
-            rep = cmd_invariants(pf, args)
-        elif args.command == "dirac":
-            rep = cmd_dirac(pf, args)
-        else:
-            rep = cmd_normal_form(pf, args)
+        # the names are looked up as main runs, so a name rebound on the module is called
+        rep = {"check": cmd_check, "invariants": cmd_invariants, "dirac": cmd_dirac,
+               "normal-form": cmd_normal_form}[args.command](pf, args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,9 +2,9 @@
 
 Line-oriented text, '#' starts a comment.  Indices are 1-based in files.
 
-    chart x y z
-    bundle base: u v ; fiber: q p      # optional, for normal-form runs
-    point p0 = 1/2, 1, 2
+    chart x y q p
+    bundle base: x y ; fiber: q p      # optional, for normal-form runs
+    point p0 = 1/2, 1, 2, 0
     bivector NB {
       1 2 = 1
       1 3 = i
@@ -22,12 +22,15 @@ Line-oriented text, '#' starts a comment.  Indices are 1-based in files.
     check c1 jacobi NB
     check c2 invariants NB
     check c3 dirac NB : tilde | indices
-    check c4 normal_form NB X xi1 xi2
+    check c4 normal_form NB X xi1 xi1
 
 The bundle line is optional and comes once: `base:` before the `;` and
 `fiber:` after it, in that order, whose variables list the chart in order.
 Normal-form runs refuse an empty side.  A block header is its keyword, its
-name and `{`, with nothing after.
+name and `{`, with nothing after.  Block and point names and check ids are
+single words, and a check id has no `,`.  Each check must fit its kind's
+signature in CHECK_KINDS, checked once the file is read, so a block may follow
+its check.
 
 Coefficient strings are kept verbatim, so parse -> dumps -> parse is the
 identity.  Each is parsed once, at parse time, against the chart, and the
@@ -46,12 +49,21 @@ from .grammar import NAME_RE, PolyParseError, parse_poly, parse_rational
 from .poly import Chart, Poly
 
 
-# the check kinds; every argument of a check names a block, except dirac's
-# pipeline op names, which are validated at run time
-CHECK_KINDS = ("jacobi", "invariants", "dirac", "normal_form")
+# the ops of a dirac pipeline; cli maps each to what it computes
+DIRAC_OPS = ("hat", "check", "tilde", "hat_cot", "check_cot", "tilde_cot", "conjugate",
+             "indices", "theorem_7_18")
+
+# check kind -> its signature, the arguments after the check's id and kind.  A
+# block keyword stands for the name of a block of that kind, "op" for one of
+# DIRAC_OPS, and ":" and "|" for themselves.  A dirac pipeline goes on with
+# "| op" any number of times; a normal_form check also needs a bundle line.
+CHECK_KINDS = {
+    "jacobi": ("bivector",), "invariants": ("bivector",), "dirac": ("bivector", ":", "op"),
+    "normal_form": ("bivector", "vector", "oneform", "oneform"),
+}
 
 # block keyword -> (the ProblemFile attribute holding its blocks, indices per
-# entry); the reader, the writer, the name check and the CLI read it
+# entry); the reader, the writer, the signature check and the CLI read it
 BLOCK_KINDS = {
     "bivector": ("bivectors", 2),
     "form": ("forms", 2),
@@ -141,7 +153,8 @@ def parse_problem(text: str) -> ProblemFile:
             _READERS[kw](pf, lineno, parts, line, lines)
     if pf is None:
         raise ProblemParseError(1, "empty problem file (no chart)")
-    _validate_names(pf)
+    for cid, kind, args in pf.checks:  # once every block is read
+        check_args(pf, cid, kind, args)
     return pf
 
 
@@ -161,11 +174,11 @@ def _bundle(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
 
 
 def _point(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
-    try:
-        name, rest = line[len("point"):].split("=", 1)
-    except ValueError:
-        raise ProblemParseError(lineno, "expected: point NAME = v, v, ...") from None
-    name = name.strip()
+    head, eq, rest = line.partition("=")
+    words = head.split()
+    if not eq or len(words) != 2:
+        raise ProblemParseError(lineno, "expected: point NAME = v, v, ...")
+    name = words[1]
     if name in pf.points:
         raise ProblemParseError(lineno, f"duplicate point name {name!r}")
     dim = len(pf.chart_vars)
@@ -227,11 +240,12 @@ def _check(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
         raise ProblemParseError(lineno, "expected: check ID KIND args...")
     _, cid, ckind, *args = parts
     if ckind not in CHECK_KINDS:
-        raise ProblemParseError(
-            lineno, f"unknown check kind {ckind!r}, expected one of {', '.join(CHECK_KINDS)}"
-        )
+        raise ProblemParseError(lineno, f"unknown check kind {ckind!r}, "
+                                        f"expected one of {', '.join(CHECK_KINDS)}")
     if cid in pf.check_lines:
         raise ProblemParseError(lineno, f"duplicate check id {cid!r}")
+    if "," in cid:
+        raise ProblemParseError(lineno, f"check id {cid!r} has a comma, which --check splits on")
     pf.checks.append((cid, ckind, args))
     pf.check_lines[cid] = lineno
 
@@ -241,17 +255,28 @@ def _check(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
 _READERS = {"bundle": _bundle, "point": _point, "check": _check, **dict.fromkeys(BLOCK_KINDS, _block)}
 
 
-def _validate_names(pf: ProblemFile):
-    known = set().union(*(getattr(pf, attr) for attr, _ in BLOCK_KINDS.values()))
-    for cid, kind, args in pf.checks:
+def check_args(pf: ProblemFile, cid: str, kind: str, args: List[str]) -> List[Tuple[str, str]]:
+    """(signature word, argument) for each argument of check cid of kind but
+    the ':' and '|' of its signature.  A check whose arguments do not fit the
+    signature, or a normal_form check without a bundle, is refused at its
+    line, so parse_problem returns no such check."""
+    sig = CHECK_KINDS[kind]
+    if kind == "dirac":
+        sig += ("|", "op") * ((len(args) - len(sig)) // 2)
+    admits = {**{kw: getattr(pf, attr) for kw, (attr, _) in BLOCK_KINDS.items()},
+              "op": DIRAC_OPS, ":": (":",), "|": ("|",)}
+    lineno = pf.check_lines.get(cid, 0)
+    if len(args) != len(sig) or any(a not in admits[w] for w, a in zip(sig, args)):
+        want = " ".join(CHECK_KINDS[kind])
         if kind == "dirac":
-            continue
-        for a in args:
-            if a not in known and a not in ("|", ":"):
-                raise ProblemParseError(
-                    pf.check_lines.get(cid, 0),
-                    f"check {cid!r} references unknown name {a!r}",
-                )
+            want += f" [| op]..., op one of {', '.join(DIRAC_OPS)}"
+        found = " ".join(a + "".join(f" ({kw})" for kw in BLOCK_KINDS if a in admits[kw])
+                         for a in args)
+        raise ProblemParseError(lineno, f"check {cid!r} ({kind}) takes: {want}; found: "
+                                + (found or "nothing"))
+    if kind == "normal_form" and pf.bundle is None:
+        raise ProblemParseError(lineno, f"check {cid!r} needs a bundle line")
+    return [(w, a) for w, a in zip(sig, args) if w not in (":", "|")]
 
 
 def dumps(pf: ProblemFile) -> str:

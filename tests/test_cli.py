@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cxpoisson import cli, normal_form, pointwise
 from cxpoisson.cli import main
 from cxpoisson.fields import MultiField
-from cxpoisson.problem import CHECK_KINDS, ProblemParseError, dumps, parse_problem
+from cxpoisson.problem import DIRAC_OPS, ProblemParseError, dumps, parse_problem
 
 NB_PROBLEM = """\
 chart x y z
@@ -166,9 +166,9 @@ def test_dirac_refuses_unknown_op(tmp_path, capsys):
     f.write_text(
         "chart x y\nbivector B {\n 1 2 = 1\n}\ncheck c dirac B : frobnicate\n"
     )
-    code, out, _ = run(capsys, ["dirac", str(f)])
-    assert code == 2
-    assert "REFUSED" in out.upper()
+    code, out, err = run(capsys, ["dirac", str(f)])
+    assert code == 2 and not out
+    assert err.startswith("error: line 5: check 'c' (dirac)") and "frobnicate" in err
 
 
 def test_dirac_complexifies_real_steps(nb_file, capsys):
@@ -188,13 +188,23 @@ def test_dirac_complexifies_real_steps(nb_file, capsys):
     ("dirac", "dirac B"), ("dirac", "dirac B : |"),
 ])
 def test_check_without_bivector_is_refusal(tmp_path, capsys, command, kind):
+    # the check fits no signature of its kind, so the file is refused
     f = tmp_path / "noname.prob"
     f.write_text(f"chart x y\nbivector B {{\n 1 2 = 1\n}}\ncheck c1 {kind}\n")
-    code, out, _ = run(capsys, [command, str(f)])
-    assert code == 2
-    assert "REFUSED" in out.upper()
-    if command == "dirac":
-        assert "REFUSED(EMPTY PIPELINE)" in out
+    code, out, err = run(capsys, [command, str(f)])
+    assert code == 2 and not out
+    assert err.startswith(f"error: line 5: check 'c1' ({kind.split()[0]}) takes: ")
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+@pytest.mark.parametrize("kind", ["jacobi", "invariants"])
+def test_a_check_with_a_second_bivector_refuses_the_file(tmp_path, capsys, command, kind):
+    # BAD is not Poisson: a check that ignored it would pass on G alone
+    f = tmp_path / "second.prob"
+    f.write_text(NB_PROBLEM.split("check")[0] + f"check c1 {kind} NB BAD\n")
+    code, out, err = run(capsys, [command, str(f)])
+    assert code == 2 and not out
+    assert err.startswith(f"error: line 13: check 'c1' ({kind}) takes: bivector; found: ")
 
 
 NINES = "9" * 1000
@@ -488,9 +498,10 @@ def test_normal_form_passes(split_file, capsys):
 def test_normal_form_refuses_names_of_the_wrong_kind(tmp_path, capsys):
     f = tmp_path / "swapped.prob"
     f.write_text(SPLIT_PROBLEM.replace("PI X xi1 xi2", "PI xi1 X xi2"))
-    code, out, _ = run(capsys, ["normal-form", str(f)])
-    assert code == 2
-    assert "REFUSED" in out.upper()
+    code, out, err = run(capsys, ["normal-form", str(f)])
+    assert code == 2 and not out
+    assert err.startswith("error: line 18: check 's1' (normal_form) takes: ")
+    assert "xi1 (oneform) X (vector)" in err
 
 
 def test_normal_form_refuses_without_bundle(tmp_path, capsys):
@@ -499,9 +510,9 @@ def test_normal_form_refuses_without_bundle(tmp_path, capsys):
         "chart u v\nbivector B {\n 1 2 = u\n}\nvector X {\n 1 = u\n}\n"
         "oneform a {\n 1 = u\n}\ncheck c normal_form B X a a\n"
     )
-    code, out, _ = run(capsys, ["normal-form", str(f)])
-    assert code == 2
-    assert "no bundle" in out.lower()
+    code, out, err = run(capsys, ["normal-form", str(f)])
+    assert code == 2 and not out
+    assert err == "error: line 11: check 'c' needs a bundle line\n"
 
 
 def test_normal_form_samples_the_given_points(split_file, capsys):
@@ -598,13 +609,19 @@ BAD_COEFFS = ["({v}", "1/0", "{v}^99", "nosuchvar", ""]
 RATIONALS, BAD_RATIONALS = ["0", "1", "-2", "1/2", "3"], ["1/0", "a", "", "1e9", "1_0"]
 BLOCKS = [("bivector", "B", 2), ("bivector", "C", 2), ("vector", "X", 1),
           ("oneform", "a", 1), ("oneform", "b", 1), ("form", "w", 2)]
+BLOCK_NAMES = {name for _, name, _ in BLOCKS}
+# CHECKS fit their signature once the blocks they name are drawn (and, for
+# normal_form, a bundle); no BAD_CHECKS does
 CHECKS = ["c1 jacobi B", "c2 invariants B", "c3 dirac B : tilde | indices",
           "c4 dirac B : theorem_7_18", "c5 normal_form B X a b",
-          "c6 dirac C : hat | conjugate | check_cot", "c7 frob B", "c8 jacobi", "c9 dirac",
-          "c10 dirac C : tilde_cot | hat_cot", "c11 invariants", "c12 normal_form B X a",
-          "c13 dirac B : frobnicate"]
+          "c6 dirac C : hat | conjugate | check_cot", "c10 dirac C : tilde_cot | hat_cot"]
+BAD_CHECKS = ["c7 frob B", "c8 jacobi", "c9 dirac", "c11 invariants", "c12 normal_form B X a",
+              "c13 dirac B : frobnicate", "c14 jacobi B C", "c15 invariants X", "c16 dirac B tilde",
+              "c17 dirac B :", "c18 dirac B : | tilde", "c19 dirac B : tilde |",
+              "c20 normal_form B a X b", "c,21 jacobi B"]
 BAD_LINES = ["garbage line", "{", "}", "= =", "check", "point", "bivector B", "bundle nonsense",
-             "point = 1", "1 2 = 1", "chart x y", "check c1 jacobi C", "# comment", ""]
+             "point = 1", "point = 1, 2", "point p q = 3, 4", "1 2 = 1", "chart x y",
+             "check c1 jacobi C", "# comment", ""]
 
 
 @st.composite
@@ -649,15 +666,23 @@ def problem_texts(draw, well_formed=False):
         if not bad or draw(st.booleans()):
             lines.append("}")
     known = {name for _, name, _ in blocks}
-    for c in draw(st.lists(st.sampled_from(CHECKS), max_size=4, unique=True)):
+    has_bundle = any(line.startswith("bundle") for line in lines)
+    for c in draw(st.lists(st.sampled_from(CHECKS + BAD_CHECKS if bad else CHECKS),
+                           max_size=4, unique=True)):
         _, kind, *args = c.split()
-        # a check of no kind, or one naming no block, is malformed
-        if bad or kind == "dirac" or (kind in CHECK_KINDS and set(args) <= known):
+        # a check naming a block that was not drawn, or a normal_form check
+        # without a bundle, fits no signature
+        if bad or (set(args) & BLOCK_NAMES <= known and (kind != "normal_form" or has_bundle)):
             lines.append("check " + c)
     if bad:
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
     return "\n".join(lines) + "\n"
+
+
+def test_cli_maps_exactly_the_dirac_ops_of_the_table():
+    # parse_problem admits the table's ops, and cli runs each of them
+    assert set(cli._DIRAC_OPS) == set(DIRAC_OPS)
 
 
 @settings(max_examples=200, deadline=None)

@@ -69,6 +69,42 @@ def test_bundle_declaration():
         parse_problem(text + "bundle base: u ; fiber: v q p\n")
 
 
+BIV = "chart x y\nbivector B {\n 1 2 = 1\n}\nbivector C {\n 1 2 = x\n}\n"
+NF = ("chart x y\nbivector B {\n 1 2 = 1\n}\nvector X {\n 1 = 1\n}\n"
+      "oneform a {\n 1 = 1\n}\noneform b {\n 2 = 1\n}\n")
+OPS = "hat, check, tilde, hat_cot, check_cot, tilde_cot, conjugate, indices, theorem_7_18"
+
+# (text, line, message or None): checks that fit no signature of their kind,
+# and point names and check ids that are not single comma-free words; one
+# message per shape
+SIGNATURE_CASES = [
+    (BIV + "check c1 jacobi B C\n", 8,
+     "check 'c1' (jacobi) takes: bivector; found: B (bivector) C (bivector)"),
+    (BIV + "check c1 invariants B C\n", 8, None),
+    ("chart x y\ncheck c1 jacobi\n", 2, "check 'c1' (jacobi) takes: bivector; found: nothing"),
+    ("chart x y\ncheck c1 invariants\n", 2, None),
+    (NF + "check c1 jacobi X\n", 14, "check 'c1' (jacobi) takes: bivector; found: X (vector)"),
+    ("chart x y\nbundle base: x ; fiber: y\n" + NF[10:] + "check c1 normal_form B a X b\n", 15,
+     "check 'c1' (normal_form) takes: bivector vector oneform oneform; "
+     "found: B (bivector) a (oneform) X (vector) b (oneform)"),
+    (BIV + "check c1 dirac\n", 8, None),
+    (BIV + "check c1 dirac : tilde\n", 8, None),
+    (BIV + "check c1 dirac B tilde\n", 8, None),
+    (BIV + "check c1 dirac B :\n", 8, None),
+    (BIV + "check c1 dirac B : | tilde\n", 8, None),
+    (BIV + "check c1 dirac B : tilde |\n", 8, None),
+    (BIV + "check c1 dirac B : tilde : indices\n", 8, None),
+    (BIV + "check c1 dirac B : tilde | frobnicate\n", 8,
+     f"check 'c1' (dirac) takes: bivector : op [| op]..., op one of {OPS}; "
+     "found: B (bivector) : tilde | frobnicate"),
+    (NF + "check c1 normal_form B X a b\n", 14, "check 'c1' needs a bundle line"),
+    ("chart x y\npoint = 1, 2\n", 2, "expected: point NAME = v, v, ..."),
+    ("chart x y\npoint p q = 3, 4\n", 2, None),
+    (BIV + "check a,b jacobi B\n", 8, "check id 'a,b' has a comma, which --check splits on"),
+]
+MESSAGES = {text: message for text, _, message in SIGNATURE_CASES if message}
+
+
 @pytest.mark.parametrize(
     "text,lineno",
     [
@@ -111,12 +147,20 @@ def test_bundle_declaration():
         ("chart u v q p\nbundle foo: u v ; bar: q p\n", 2),  # labels unknown
         ("chart u v q p\nbundle base: u v ; fiber: q p\n\nbundle base: u ; fiber: v q p\n", 4),
         ("chart x y\nbivector P { junk\n 1 2 = 1\n}\n", 2),  # text after the brace
+        *[(text, lineno) for text, lineno, _ in SIGNATURE_CASES],
     ],
 )
 def test_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ProblemParseError) as err:
         parse_problem(text)
     assert err.value.lineno == lineno
+    if text in MESSAGES:
+        assert str(err.value) == f"line {lineno}: {MESSAGES[text]}"
+
+
+def test_a_block_may_follow_the_check_that_names_it():
+    pf = parse_problem("chart x y\ncheck c1 jacobi B\nbivector B {\n 1 2 = x\n}\n")
+    assert pf.checks == [("c1", "jacobi", ["B"])]
 
 
 def test_duplicate_names_rejected():
