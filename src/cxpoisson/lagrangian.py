@@ -17,6 +17,14 @@ trusted _lagrangian.  Real computations (hat, check, K, Delta, D) realify a
 complex span into R^{2m}, layout [real parts | imaginary parts].  Every
 intersect-and-project step is one linalg.eliminate: the coordinates that
 must vanish come first, and the tails span the result.
+
+A Lagrangian keeps one such slice once it is read (_tilde_slice, in a slot
+as basis is): its real span with the im tangent block zero, projected on re
+tangent, re cotangent and im cotangent.  hat is one real echelon of its re
+tangent and im cotangent blocks, check its heads, tilde the complex product
+of the two, and the real part of indices (K of k_and_perp) one eliminate of
+its rows with the im cotangent block as the head; pointwise reads the same
+slice for the leafwise presymplectic forms and the Theorem 7.18 check.
 """
 
 from __future__ import annotations
@@ -115,7 +123,7 @@ class Lagrangian(Subspace):
     isotropic subspaces are isotropic by construction.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "_slice")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a Lagrangian with Lagrangian.from_generators(n, gens)")
@@ -141,7 +149,7 @@ def _lagrangian(n: int, rows) -> Lagrangian:
     """Trusted constructor: rows must be a canonical basis of an isotropic
     subspace of C^{2n}."""
     L = object.__new__(Lagrangian)
-    L.n, L.m, L.rows, L.is_complex, L._basis = n, 2 * n, tuple(rows), True, None
+    L.n, L.m, L.rows, L.is_complex, L._basis, L._slice = n, 2 * n, tuple(rows), True, None, None
     return L
 
 
@@ -376,36 +384,44 @@ def _slice_real(L, zero_cols, keep_cols) -> Subspace:
     return _subspace(len(keep_cols), linalg.eliminate(len(zero_cols), rows), False)
 
 
+def _tilde_slice(L: Lagrangian) -> Subspace:
+    """The one real slice of L behind hat, check, tilde and the real part of
+    indices: im tangent zero, keeping the blocks re tangent, re cotangent
+    and im cotangent.  Built on first read and kept, as basis is."""
+    if L._slice is None:
+        L._slice = _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1, 3))
+    return L._slice
+
+
+def _blocks(W: Subspace, *blocks: int) -> Subspace:
+    """The span of the given blocks of n columns of W, a real slice of
+    three blocks, reduced by one real echelon: the projected rows of W,
+    unreduced, would put wider integers into a product's elimination."""
+    pos = _cols(W.m // 3, *blocks)
+    return _subspace(len(pos), linalg.echelon([[ints[p] for p in pos] for ints, _ in W.rows])[0], False)
+
+
 def _tilde_from_slice(kind: str, W: Subspace) -> Lagrangian:
     """tilde (kind complex_tangent) or tilde_cot (complex_cotangent) from W,
     the one real slice of L behind both of its slices.  W's blocks of n
     columns are re tangent and re cotangent, the check slice, which is W's
     heads, and then the block the hat slice adds: im cotangent for tilde,
     im tangent for tilde_cot.  The hat slice is the span of W's blocks 0
-    and 2 (tilde) or 2 and 1 (tilde_cot), reduced by one real echelon:
-    the projected rows of W, unreduced, would put wider integers into the
-    product's elimination."""
+    and 2 (tilde) or 2 and 1 (tilde_cot)."""
     n = W.m // 3
-    pos = _cols(n, *((0, 2) if kind == "complex_tangent" else (2, 1)))
-    hat_rows = linalg.echelon([[ints[p] for p in pos] for ints, _ in W.rows])[0]
+    hat_rows = _blocks(W, *((0, 2) if kind == "complex_tangent" else (2, 1))).rows
     check_rows = linalg._heads(W.rows, 2 * n)
     return _complex_product(kind, n, [ints for ints, _ in check_rows], [ints for ints, _ in hat_rows])
 
 
-def _tilde_slice(L: Lagrangian) -> Subspace:
-    """The real slice of L behind tilde: im tangent zero, keeping re tangent,
-    re cotangent and im cotangent."""
-    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1, 3))
-
-
 def hat(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian."""
-    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 3))
+    return _blocks(_tilde_slice(L), 0, 2)
 
 
 def check(L: Lagrangian) -> Subspace:
     """{X + xi : exists eta, X + xi + i eta in L}, a real lagrangian."""
-    return _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1))
+    return _subspace(2 * L.n, linalg._heads(_tilde_slice(L).rows, 2 * L.n), False)
 
 
 def tilde(L: Lagrangian) -> Lagrangian:
@@ -455,12 +471,10 @@ def real_projection(E: Subspace) -> Subspace:
 
 
 def indices(L: Lagrangian) -> IndexRecord:
-    n = L.n
-    real_part = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
     E = tangent_range(L)
     D = real_projection(E)
     # Delta_C = E meet conj E and D_C = E + conj E
-    return IndexRecord(real_index=real_part.dim, dim_range=E.dim, dim_delta=2 * E.dim - D.dim,
+    return IndexRecord(real_index=_real_part(L).dim, dim_range=E.dim, dim_delta=2 * E.dim - D.dim,
                        dim_D=D.dim, kernel_dim=kernel_space(L).dim)
 
 
@@ -469,6 +483,13 @@ def is_quasi_real(L: Lagrangian) -> bool:
     E + conj E = D_C has the dimension of E."""
     E = tangent_range(L)
     return real_projection(E).dim == E.dim
+
+
+def _real_part(L: Lagrangian) -> Subspace:
+    """L meet (real T + T*), in R^{2n}: one eliminate of the rows of the
+    kept slice, with its im cotangent block as the head that must vanish."""
+    n = L.n
+    return _subspace(2 * n, linalg.eliminate(n, [v[2 * n:] + v[:2 * n] for v, _ in _tilde_slice(L).rows]), False)
 
 
 def kernel_space(L: Lagrangian) -> Subspace:
@@ -482,7 +503,7 @@ def kernel_space(L: Lagrangian) -> Subspace:
 def k_and_perp(L: Lagrangian) -> Tuple[Subspace, Subspace]:
     """K = L intersect (real T + T*), and its pairing-orthogonal in R^{2n}."""
     n = L.n
-    K = _slice_real(L, _cols(n, 2, 3), _cols(n, 0, 1))
+    K = _real_part(L)
     # <k, x> = 0 pairs the halves of k with the swapped halves of x
     return K, _subspace(2 * n, linalg.nullspace(2 * n, [ints[n:] + ints[:n] for ints, _ in K.rows]), False)
 

@@ -10,10 +10,13 @@ row with no imaginary half.  Over Q(i) every pivot is made real before it
 is used, so a row update multiplies a row by a rational integer, which the
 integer gcd of the updated row removes again; a complex pivot would leave in
 the row a Gaussian factor such as 2 + i, which no integer gcd can see, and
-such factors would pile up at every step.  With the real pivot row P and i P
-formed once per pivot, clearing the entry f + h i of a row K is one list,
-p K - f P - h (i P), and one gcd; a real row is cleared by the same update
-with h = 0, which needs no i P.  eliminate, the one intersect-and-project
+such factors would pile up at every step.  With the real pivot row P,
+clearing the entry f + h i of a row K is one list, p K - f P - h (i P), and
+one gcd.  The multipliers p, f and h are first divided by gcd(p, f, h): the
+row comes out primitive all the same, from narrower products.  i P is formed
+once per pivot, when the first row with h != 0 is cleared; a real row, and
+a Gaussian row whose entry is real, are cleared by the same update with
+h = 0, which needs no i P.  eliminate, the one intersect-and-project
 step, returns the canonical tails after the k head coordinates that must
 vanish, in two phases: the head phase clears each head column with
 echelon's row update, on full-width rows, and drops that column's pivot
@@ -81,15 +84,8 @@ def _reduce(m: list, w: int, cx: bool) -> List[int]:
                 break
         else:
             continue
-        P, p, iP = _pivot(P, c, w, cx)
         m[pr] = m[r]
-        m[r] = P
-        for k in range(nrows):
-            K = m[k]
-            f = K[c]
-            h = K[w + c] if cx else 0
-            if (f or h) and k != r:
-                m[k] = _cleared(p, P, iP, f, h, K)
+        m[r] = _clear(m, P, c, w, cx, r)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -131,27 +127,28 @@ def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
         else:
             continue
         del m[pr]
-        P, p, iP = _pivot(P, c, w, cx)
-        for j, K in enumerate(m):
-            f = K[c]
-            h = K[w + c] if cx else 0
-            if f or h:
-                m[j] = _cleared(p, P, iP, f, h, K)
+        _clear(m, P, c, w, cx)
     # a real row has no imaginary half: row[w + k:] is empty
     m = [row[k:w] + row[w + k:] for row in m]
     return _canonical(m, _reduce(m, w - k, cx), w - k, cx)[0]
 
 
-def _pivot(P, c: int, w: int, cx: bool) -> Tuple[list, int, Optional[List[int]]]:
-    """(P, p, iP) for the pivot row P at column c: over Q(i) the fused row
-    made real at c, so its pivot entry p is a rational integer, and i P =
-    [-im | re], formed once for all the rows it clears; over Q the row, its
-    pivot entry and None."""
-    if not cx:
-        return P, P[c], None
-    if P[w + c]:
+def _clear(m: list, P: List[int], c: int, w: int, cx: bool, skip: int = -1) -> List[int]:
+    """Clear column c, in place, in the rows of m but m[skip], against the
+    pivot row P; returns P, made real at c over Q(i) first, so its pivot
+    entry p is a rational integer.  i P = [-im | re] is formed for the
+    first row whose entry to clear has an imaginary part, if any has."""
+    if cx and P[w + c]:
         P = _real_pivot(P, c, w)
-    return P, P[c], [-y for y in P[w:]] + P[:w]
+    p, iP = P[c], None
+    for k, K in enumerate(m):
+        f = K[c]
+        h = K[w + c] if cx else 0
+        if (f or h) and k != skip:
+            if h and iP is None:
+                iP = [-y for y in P[w:]] + P[:w]
+            m[k] = _cleared(p, P, iP, f, h, K)
+    return P
 
 
 def _real_pivot(row: List[int], c: int, w: int) -> List[int]:
@@ -167,8 +164,13 @@ def _real_pivot(row: List[int], c: int, w: int) -> List[int]:
 
 def _cleared(p: int, P, iP: Optional[List[int]], f: int, h: int, K) -> List[int]:
     """p K - (f + h i) P, primitive: the row K with its entry f + h i cleared
-    against the real pivot entry p of the row P, iP being i P.  A real row
+    against the real pivot entry p of the row P, iP being i P.  p, f and h
+    are first divided by their gcd, which the primitive row cannot tell
+    from the full update but which keeps the products narrower.  A real row
     is cleared by the same update with h == 0, which reads no iP."""
+    g = gcd(p, f, h)
+    if g > 1:
+        p, f, h = p // g, f // g, h // g
     if h:
         row = [p * x - f * u - h * v for x, u, v in zip(K, P, iP)]
     else:

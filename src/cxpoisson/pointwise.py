@@ -38,10 +38,10 @@ from .lagrangian import (
     _range_form,
     _slice_real,
     _subspace,
-    _tilde_from_slice,
     _tilde_slice,
     real_points,
     real_projection,
+    tilde,
 )
 from .linalg import _dot
 from .poly import Chart, poly_eval, poly_values
@@ -302,7 +302,7 @@ def _theorem_7_18(L: Lagrangian) -> bool:
     lifts = _lifts(W)
     re = [list(tau) + [_dot(zre, b[0]) for b in lifts] for tau, zre, _, _ in lifts]
     im = [[0] * L.n + [_dot(zim, b[0]) for b in lifts] for _, _, zim, _ in lifts]
-    return _tilde_from_slice("complex_tangent", W) == _range_form(re, im, 1, L.n)
+    return tilde(L) == _range_form(re, im, 1, L.n)
 
 
 # -- involutivity sampling ---------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 
 from cxpoisson import cli, normal_form, pointwise
@@ -610,10 +610,14 @@ RATIONALS, BAD_RATIONALS = ["0", "1", "-2", "1/2", "3"], ["1/0", "a", "", "1e9",
 BLOCKS = [("bivector", "B", 2), ("bivector", "C", 2), ("vector", "X", 1),
           ("oneform", "a", 1), ("oneform", "b", 1), ("form", "w", 2)]
 BLOCK_NAMES = {name for _, name, _ in BLOCKS}
+# a normal_form check names four of the six blocks and needs a bundle line,
+# so it is drawn together with them, not left to chance
+NORMAL_FORM_CHECK = "c5 normal_form B X a b"
+NORMAL_FORM_BLOCKS = [b for b in BLOCKS if b[1] in NORMAL_FORM_CHECK.split()]
 # CHECKS fit their signature once the blocks they name are drawn (and, for
 # normal_form, a bundle); no BAD_CHECKS does
 CHECKS = ["c1 jacobi B", "c2 invariants B", "c3 dirac B : tilde | indices",
-          "c4 dirac B : theorem_7_18", "c5 normal_form B X a b",
+          "c4 dirac B : theorem_7_18", NORMAL_FORM_CHECK,
           "c6 dirac C : hat | conjugate | check_cot", "c10 dirac C : tilde_cot | hat_cot"]
 BAD_CHECKS = ["c7 frob B", "c8 jacobi", "c9 dirac", "c11 invariants", "c12 normal_form B X a",
               "c13 dirac B : frobnicate", "c14 jacobi B C", "c15 invariants X", "c16 dirac B tilde",
@@ -639,7 +643,8 @@ def problem_texts(draw, well_formed=False):
     n = len(names)
     var = st.sampled_from(names or ["x"])
     lines = ["chart " + " ".join(names)]
-    if n and draw(st.booleans()):
+    normal_form = n > 0 and draw(st.integers(0, 2)) == 0
+    if n and (normal_form or draw(st.booleans())):
         k = draw(st.integers(0, n))  # the base or the fiber may be empty
         lines.append(f"bundle base: {' '.join(names[:k])} ; fiber: {' '.join(names[k:])}")
     for p in range(draw(st.integers(0, 2))):
@@ -647,6 +652,8 @@ def problem_texts(draw, well_formed=False):
         vals = [pick(RATIONALS, BAD_RATIONALS) for _ in range(size)]
         lines.append(f"point p{p} = {', '.join(vals)}")
     blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=4, unique=True))
+    if normal_form:
+        blocks += [b for b in NORMAL_FORM_BLOCKS if b not in blocks]
     for kw, name, arity in blocks:
         lines.append(f"{kw} {name} {{")
         used = []
@@ -667,8 +674,11 @@ def problem_texts(draw, well_formed=False):
             lines.append("}")
     known = {name for _, name, _ in blocks}
     has_bundle = any(line.startswith("bundle") for line in lines)
-    for c in draw(st.lists(st.sampled_from(CHECKS + BAD_CHECKS if bad else CHECKS),
-                           max_size=4, unique=True)):
+    checks = draw(st.lists(st.sampled_from(CHECKS + BAD_CHECKS if bad else CHECKS),
+                           max_size=4, unique=True))
+    if normal_form and NORMAL_FORM_CHECK not in checks:
+        checks.append(NORMAL_FORM_CHECK)
+    for c in checks:
         _, kind, *args = c.split()
         # a check naming a block that was not drawn, or a normal_form check
         # without a bundle, fits no signature
@@ -678,6 +688,14 @@ def problem_texts(draw, well_formed=False):
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
     return "\n".join(lines) + "\n"
+
+
+def test_well_formed_texts_reach_a_normal_form_check():
+    # the strategy draws a normal_form check with its bundle line and its
+    # four blocks, so the round trip and the fuzz below reach normal_form
+    text = find(problem_texts(well_formed=True), lambda t: "normal_form" in t,
+                settings=settings(derandomize=True, database=None, max_examples=50))
+    assert [kind for _, kind, _ in parse_problem(text).checks].count("normal_form") == 1
 
 
 def test_cli_maps_exactly_the_dirac_ops_of_the_table():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import linalg
+from cxpoisson import lagrangian, linalg
 from cxpoisson.lagrangian import (
     Lagrangian,
     Subspace,
@@ -37,6 +37,7 @@ from cxpoisson.lagrangian import (
     transform,
     two_form_on_range,
 )
+from cxpoisson.pointwise import _theorem_7_18
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 
 from conftest import (
@@ -1243,3 +1244,33 @@ def test_indices_and_quasi_real_match_the_real_points_formulation(L):
     if L.dim == L.n:
         # tilde(L) is a lagrangian, so only a lagrangian L can be its fixed point
         assert is_quasi_real(L) == (tilde(L) == L)
+
+
+# -- one kept slice ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hat_check_tilde_indices_and_theorem_7_18_share_one_slice(monkeypatch, rng, n):
+    # one realified slice of L, with its im tangent block zero, serves all
+    # five, where each used to make its own; on a second Lagrangian with the
+    # same rows, the same results come out of the calls in reverse order
+    L = graph(random_skew(rng, n), "bivector")
+    made = []
+    slice_real = lagrangian._slice_real
+
+    def recording(S, zero_cols, keep_cols):
+        made.append(zero_cols)
+        return slice_real(S, zero_cols, keep_cols)
+
+    monkeypatch.setattr(lagrangian, "_slice_real", recording)
+    calls = [hat, check, tilde, indices, _theorem_7_18]
+    results = [f(L) for f in calls]
+    assert made == [list(range(2 * n, 3 * n))]
+    again = Lagrangian.from_generators(n, L.basis)
+    assert [f(again) for f in reversed(calls)] == results[::-1]
+    assert len(made) == 2
+    # the slice reads of the oracles above, which slice L afresh
+    R, rec = ref_of(L), results[3]
+    assert results[:2] == [ref_hat(L), ref_check(L)] and same(results[2], old_tilde(R))
+    assert (rec.real_index, rec.dim_range, rec.dim_delta, rec.dim_D, rec.kernel_dim) == old_indices(R)
+    assert results[4] is True

@@ -2,7 +2,8 @@
 against the rank criterion and the field-division inverse, nullspace
 against the kernel, echelon's rows read as scalars against field-division
 Gauss-Jordan and against sympy, eliminate against the echelon-then-filter
-route it replaced; the real-pivot row update (Gaussian and real rows) and
+route it replaced; the real-pivot row update (Gaussian and real rows,
+multipliers with a common factor) and
 pivot normalization against GaussScalar arithmetic, real rows against the
 same rows over Q(i) with zero imaginary parts, dense Gaussian-integer rows
 against the rref, echelon of integer rows (tuples, width 0, zero imaginary
@@ -355,16 +356,22 @@ def test_echelon_is_the_rref_and_fixes_its_own_rows(system):
     assert again == (red, pivots)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(st.integers(-2, 2), min_size=w, max_size=w),
-                                                    min_size=4, max_size=4)))
-def test_cleared_row_is_the_primitive_fraction_free_update(rows):
+                                                    min_size=4, max_size=4)),
+       st.sampled_from([1, 2, 3, 6, 12]))
+@example([[2, 1], [0, 1], [4, 3], [6, 1]], 1)  # gcd(p, f, h) == 2 from the draw itself
+@example([[1, 0], [0, 0], [1, 1], [0, 2]], 6)  # f, h = 6, 0: a real entry in a Gaussian row
+def test_cleared_row_is_the_primitive_fraction_free_update(rows, s):
     # the update of echelon and of eliminate's head phase against a real
     # pivot p: row k times p minus the pivot row times row k's entry, over
     # its gcd; a Gaussian row is the one list [re | im], i times the pivot
-    # row is [-im | re], and a real row takes the same update with h == 0
+    # row is [-im | re], and a real row takes the same update with h == 0.
+    # The pivot entry and row k's entry are scaled by s, so p, f and h share
+    # a factor, which the update divides out first: the row is the same
     pre, pim, kre, kim = rows
-    pre[0], pim[0] = pre[0] or 1, 0
+    pre[0], pim[0] = s * (pre[0] or 1), 0
+    kre[0], kim[0] = s * kre[0], s * kim[0]
     p = pre[0]
     i_pivot = [-y for y in pim] + pre
 
@@ -377,9 +384,10 @@ def test_cleared_row_is_the_primitive_fraction_free_update(rows):
         return [x // g for part in parts for x in part]
 
     assert linalg._cleared(p, pre + pim, i_pivot, kre[0], kim[0], kre + kim) == reference(kim)
-    # a Gaussian row whose entry at the pivot is real: h == 0
+    # a Gaussian row whose entry at the pivot is real: h == 0, and no iP is
+    # read, as none is formed for a pivot that clears only such rows
     real_entry = [0] + kim[1:]
-    assert linalg._cleared(p, pre + pim, i_pivot, kre[0], 0, kre + real_entry) == reference(real_entry)
+    assert linalg._cleared(p, pre + pim, None, kre[0], 0, kre + real_entry) == reference(real_entry)
     # a real row against a real pivot row: no imaginary half and no iP
     real = [p * x - kre[0] * y for x, y in zip(kre, pre)]
     assert linalg._cleared(p, pre, None, kre[0], 0, kre) == [x // (gcd(*real) or 1) for x in real]
