@@ -4,11 +4,14 @@ Subcommands: check, invariants, dirac, normal-form.  Each runs the file's
 checks of its kind through one runner (_run), which selects them under
 --check, times each and records it; a subcommand supplies only its points and
 the body of one check, which gets the arguments parse_problem fitted to the
-check's signature.  Exit status 0 when every record passes, 1 when any record
-fails, 2 on refusal or parse error.  Witnesses are recorded as library values
-and turned into text in one place (_text).  The machine format is one JSON
-record per line with a fixed key order; the human format is derived from the
-same records.
+check's signature (ProblemFile.fits, read as they are, not fitted again).
+Exit status 0 when every record passes, 1 when any record fails, 2 on
+refusal or parse error.  Witnesses are recorded as library values and turned
+into text in one place (_text): a dirac step records its Subspace or
+Lagrangian, whose canonical integer rows are written straight to entry text
+by the formatter GaussScalar prints with, so no scalar is made only to be
+printed.  The machine format is one JSON record per line with a fixed key
+order; the human format is derived from the same records.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .bivector import (
 from .fields import FormField, GradedField, MultiField
 from .grammar import parse_poly
 from .lagrangian import (
+    Subspace,
     check as lag_check,
     check_cot,
     complexify_real,
@@ -42,22 +46,40 @@ from .lagrangian import (
 from .normal_form import BundleChart, _at_N, mixed_check, splitting_check
 from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
 from .problem import (BLOCK_KINDS, CHECK_KINDS, ProblemFile, ProblemParseError, _coords,
-                      check_args, parse_problem)
+                      parse_problem)
+from .scalars import _gauss_str, _ratio_str
 
 
 def _text(value):
-    """value with each library value in it (Poly, field, Fraction,
+    """value with each library value in it (Poly, field, Subspace, Fraction,
     GaussScalar) turned into its text; containers keep their type, and
-    numbers, strings and None are kept as they are."""
+    numbers, strings and None are kept as they are.  A Subspace is the list
+    of its basis rows, each a list of entry texts, as its basis prints."""
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, dict):
         return {k: _text(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return type(value)(map(_text, value))
-    if value is None or isinstance(value, (int, str)):
-        return value
+    if isinstance(value, Subspace):
+        return [_row_text(row) for row in value.rows]
+    return _printed(str, value)
+
+
+def _row_text(row: tuple) -> List[str]:
+    """The entry texts of a canonical row, (re, im, d) or (ints, d), as its
+    GaussScalars or Fractions print."""
+    *parts, d = row
+    fmt = _gauss_str if len(parts) == 2 else _ratio_str
+    return [_printed(fmt, *entry, d) for entry in zip(*parts)]
+
+
+def _printed(fmt, *args) -> str:
+    """fmt(*args), or a note when an integer is past Python's digit limit on
+    int -> str."""
     try:
-        return str(value)
-    except ValueError:  # an integer past Python's digit limit on int -> str
+        return fmt(*args)
+    except ValueError:
         return f"<not printed: more than {sys.get_int_max_str_digits()} digits>"
 
 
@@ -165,14 +187,13 @@ def _run(pf: ProblemFile, args, kind: str, body) -> Report:
     no check of such a kind gets one per bivector."""
     rep = Report()
     wanted = None if args.check is None else args.check.split(",")
-    items = [(cid, cargs) for cid, ckind, cargs in pf.checks
+    items = [(cid, cargs, pf.fits[cid]) for cid, ckind, cargs in pf.checks
              if ckind == kind and (wanted is None or cid in wanted)]
     if not items and wanted is None and CHECK_KINDS[kind] == ("bivector",):
-        items = [(name, [name]) for name in pf.bivectors]
-    for cid, cargs in items:
+        items = [(name, [name], [("bivector", name)]) for name in pf.bivectors]
+    for cid, cargs, fitted in items:
         t0 = time.monotonic()
-        pi, *rest = [build_field(pf, w, a) if w in BLOCK_KINDS else a
-                     for w, a in check_args(pf, cid, kind, cargs)]
+        pi, *rest = [build_field(pf, w, a) if w in BLOCK_KINDS else a for w, a in fitted]
         verdict, witness = body(ComplexBivector(pi), rest)
         rep.add(cid, kind, cargs if rest else cargs[0], verdict, witness, t0)
     return rep
@@ -254,7 +275,7 @@ def cmd_dirac(pf: ProblemFile, args) -> Report:
                     steps.append({"op": op, "result": indices(obj).__dict__})
                 else:
                     obj = _DIRAC_OPS[op](obj)
-                    steps.append({"op": op, "basis": [list(r) for r in obj.basis]})
+                    steps.append({"op": op, "basis": obj})
             witness.append({"point": dict(sorted(pt.items())), "steps": steps})
         return verdict, witness
 

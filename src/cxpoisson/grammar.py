@@ -9,13 +9,18 @@ is computed, so no coefficient takes unbounded time to parse.  Parentheses
 and unary signs nest at most MAX_NESTING deep, and an integer literal has at
 most as many digits as Python converts (sys.get_int_max_str_digits()).
 
-Values are built in the packed form of poly.Poly, through its trusted
-constructor: `p/q` is the numerator pair (p/g, 0) over q/g with g their gcd,
-`i` is (0, 1) over 1, and a variable is its packed monomial key over 1; sums
-and products are Poly arithmetic on those integers.  The token list ends in
-the end sentinel "", and each token is its own text, so an operator is
-compared directly and the parser reads the current token without a bounds
-test; a token's column is found again only for an error.
+The parser has one method per precedence level: expr (sums), term
+(products) and factor (a run of signs, one atom, an optional `^`), and a
+paren starts a new expr.  Values stay (numerators, denominator) pairs in the
+packed form of poly.Poly until parse_poly makes its one Poly: `p/q` is the
+numerator pair (p/g, 0) over q/g with g their gcd, `i` is (0, 1) over 1,
+and a variable is its packed monomial key over 1.  Sums, products and signs
+call poly's own cores on those pairs (_sum, _product, _negated), so no
+arithmetic is done here; a sign in front of a literal with no `^` after it
+goes into the literal.  The token list ends in the end sentinel "", and
+each token is its own text, so an operator is compared directly and the
+parser reads the current token without a bounds test; a token's column is
+found again only for an error.
 
 parse_rational reads a point coordinate with the same literal reader: an
 optional sign, then `p` or `p/q`, and nothing else (no decimal point,
@@ -31,7 +36,7 @@ import re
 from math import gcd
 from typing import List, Tuple
 
-from .poly import FIELD_BITS, Chart, Poly, _poly
+from .poly import FIELD_BITS, Chart, Num, Poly, _negated, _poly, _product, _sum
 
 # a variable name the grammar can read
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -48,9 +53,12 @@ _NOT_NAMES = frozenset(["", "-", "+", "*", "/", "^", "(", ")"])
 MAX_EXPONENT = 64
 # largest product of two operands' term counts that `*` and `^` may form
 MAX_PRODUCT_TERMS = 100_000
-# deepest nesting of parentheses and unary signs; each level takes a few
-# stack frames of the recursive-descent parser
+# deepest nesting of parentheses and unary signs; each parenthesis takes
+# three stack frames of the recursive-descent parser
 MAX_NESTING = 100
+
+# a value while it is parsed: (numerators, denominator), as a Poly keeps them
+Value = Tuple[Num, int]
 
 
 class PolyParseError(ValueError):
@@ -70,9 +78,11 @@ def _tokenize(text: str) -> List[str]:
 
 
 class _Parser:
-    """Recursive descent over the tokens; self.k is the current token's
-    index.  Token positions are needed only for errors, so error() finds
-    them again."""
+    """Recursive descent over the tokens, one method per precedence level:
+    expr (sums), term (products) and factor (a run of signs, one atom and an
+    optional `^`).  self.k is the current token's index.  A value is a
+    (numerators, denominator) pair as poly keeps it.  Token positions are
+    needed only for errors, so error() finds them again."""
 
     def __init__(self, text: str, chart: Chart):
         self.text = text
@@ -88,15 +98,12 @@ class _Parser:
         pos = [m.start(1) for m in _TOKEN_RE.finditer(self.text)][k]
         return PolyParseError(self.text, pos, msg)
 
-    def nested(self, parse, k: int) -> Poly:
-        """parse() one nesting level deeper, for the token k that opens it;
-        refused past MAX_NESTING."""
-        if self.depth == MAX_NESTING:
+    def deeper(self, depth: int, k: int) -> int:
+        """depth + 1 for the token k, a sign or a parenthesis, that opens a
+        nesting level; refused past MAX_NESTING."""
+        if depth == MAX_NESTING:
             raise self.error(k, f"nesting deeper than the maximum {MAX_NESTING}")
-        self.depth += 1
-        p = parse()
-        self.depth -= 1
-        return p
+        return depth + 1
 
     def integer(self, k: int) -> int:
         tok = self.tokens[k]
@@ -110,21 +117,18 @@ class _Parser:
         if tok:
             raise self.error(self.k, f"trailing token {tok!r}")
 
-    def expr(self) -> Poly:
-        p = self.term()
+    def expr(self) -> Value:
+        num, den = self.term()
         tokens = self.tokens
         while True:
             op = tokens[self.k]
-            if op == "+":
-                self.k += 1
-                p = p + self.term()
-            elif op == "-":
-                self.k += 1
-                p = p - self.term()
-            else:
-                return p
+            if op != "+" and op != "-":
+                return num, den
+            self.k += 1
+            n2, d2 = self.term()
+            num, den = _sum(num, den, n2, d2, 1 if op == "+" else -1)
 
-    def term(self) -> Poly:
+    def term(self) -> Value:
         p = self.factor()
         while self.tokens[self.k] == "*":
             k = self.k
@@ -132,47 +136,73 @@ class _Parser:
             p = self.product(p, self.factor(), k)
         return p
 
-    def factor(self) -> Poly:
+    def factor(self) -> Value:
+        tokens = self.tokens
         k = self.k
-        sign = self.tokens[k]
-        if sign == "-" or sign == "+":
-            self.k = k + 1
-            p = self.nested(self.factor, k)
-            return -p if sign == "-" else p
-        return self.power()
-
-    def power(self) -> Poly:
-        base = self.atom()
+        depth = self.depth
+        negative = False
+        tok = tokens[k]
+        while tok == "-" or tok == "+":
+            depth = self.deeper(depth, k)
+            negative ^= tok == "-"
+            k += 1
+            tok = tokens[k]
+        self.k = k + 1
+        chart = self.chart
+        if tok.isdecimal():
+            p, q = self.rational(k)
+            if negative and tokens[self.k] != "^":
+                # the sign goes into the literal, unless a power comes first
+                p, negative = -p, False
+            value = ({0: (p, 0)}, q) if p else ({}, 1)
+        # a chart variable named i shadows the imaginary unit
+        elif tok in chart.vars and tok not in _NOT_NAMES:
+            value = ({1 << (FIELD_BITS * chart.vars.index(tok)): (1, 0)}, 1)
+        elif tok == "i":
+            value = ({0: (0, 1)}, 1)
+        elif tok == "(":
+            outer = self.depth
+            self.depth = self.deeper(depth, k)
+            value = self.expr()
+            self.depth = outer
+            close = tokens[self.k]
+            if close != ")":
+                raise self.error(self.k, f"expected ')', got {close!r}")
+            self.k += 1
+        elif NAME_RE.match(tok):
+            raise self.error(k, f"unknown variable {tok!r}")
+        else:
+            raise self.error(k, f"unexpected token {tok!r}")
         k = self.k
-        if self.tokens[k] != "^":
-            return base
-        self.k = k + 2
-        if not self.tokens[k + 1].isdecimal():
-            raise self.error(k + 1, "exponent must be an integer")
-        e = self.integer(k + 1)
-        if e > MAX_EXPONENT:
-            raise self.error(k + 1, f"exponent {e} exceeds the maximum {MAX_EXPONENT}")
-        # base^e by repeated squaring: about 2 log2(e) multiplications
-        result = _poly(base.chart, {0: (1, 0)}, 1)
-        while e:
-            if e & 1:
-                result = self.product(result, base, k)
-            e >>= 1
-            if e:
-                base = self.product(base, base, k)
-        return result
+        if tokens[k] == "^":
+            self.k = k + 2
+            if not tokens[k + 1].isdecimal():
+                raise self.error(k + 1, "exponent must be an integer")
+            e = self.integer(k + 1)
+            if e > MAX_EXPONENT:
+                raise self.error(k + 1, f"exponent {e} exceeds the maximum {MAX_EXPONENT}")
+            # value^e by repeated squaring: about 2 log2(e) multiplications
+            base, value = value, ({0: (1, 0)}, 1)
+            while e:
+                if e & 1:
+                    value = self.product(value, base, k)
+                e >>= 1
+                if e:
+                    base = self.product(base, base, k)
+        return (_negated(value[0]), value[1]) if negative else value
 
-    def product(self, p: Poly, q: Poly, k: int) -> Poly:
+    def product(self, p: Value, q: Value, k: int) -> Value:
         """p * q for the operator at token k, refused before it is formed
         when it exceeds MAX_PRODUCT_TERMS or when an exponent of it would
         pass poly.MAX_EXPONENT."""
-        if len(p._num) * len(q._num) > MAX_PRODUCT_TERMS:
+        (n1, d1), (n2, d2) = p, q
+        if len(n1) * len(n2) > MAX_PRODUCT_TERMS:
             raise self.error(
-                k, f"a product of {len(p._num)} by {len(q._num)} terms "
+                k, f"a product of {len(n1)} by {len(n2)} terms "
                 f"exceeds the maximum {MAX_PRODUCT_TERMS}"
             )
         try:
-            return p * q
+            return _product(len(self.chart.vars), n1, d1, n2, d2)
         except OverflowError as exc:
             raise self.error(k, str(exc)) from None
 
@@ -191,37 +221,13 @@ class _Parser:
         g = gcd(p, q)
         return p // g, q // g
 
-    def atom(self) -> Poly:
-        k = self.k
-        tok = self.tokens[k]
-        self.k = k + 1
-        chart = self.chart
-        if tok.isdecimal():
-            p, q = self.rational(k)
-            return _poly(chart, {0: (p, 0)}, q) if p else _poly(chart, {}, 1)
-        # a chart variable named i shadows the imaginary unit
-        if tok in chart.vars and tok not in _NOT_NAMES:
-            return _poly(chart, {1 << (FIELD_BITS * chart.vars.index(tok)): (1, 0)}, 1)
-        if tok == "i":
-            return _poly(chart, {0: (0, 1)}, 1)
-        if tok == "(":
-            p = self.nested(self.expr, k)
-            close = self.tokens[self.k]
-            if close != ")":
-                raise self.error(self.k, f"expected ')', got {close!r}")
-            self.k += 1
-            return p
-        if NAME_RE.match(tok):
-            raise self.error(k, f"unknown variable {tok!r}")
-        raise self.error(k, f"unexpected token {tok!r}")
-
 
 def parse_poly(text: str, chart: Chart) -> Poly:
     """Parse a polynomial string on the given chart."""
     parser = _Parser(text, chart)
-    p = parser.expr()
+    num, den = parser.expr()
     parser.finish()
-    return p
+    return _poly(chart, num, den)
 
 
 def parse_rational(text: str) -> Tuple[int, int]:

@@ -21,10 +21,11 @@ must vanish come first, and the tails span the result.
 A Lagrangian keeps one such slice once it is read (_tilde_slice, in a slot
 as basis is): its real span with the im tangent block zero, projected on re
 tangent, re cotangent and im cotangent.  hat is one real echelon of its re
-tangent and im cotangent blocks, check its heads, tilde the complex product
-of the two, and the real part of indices (K of k_and_perp) one eliminate of
-its rows with the im cotangent block as the head; pointwise reads the same
-slice for the leafwise presymplectic forms and the Theorem 7.18 check.
+tangent and im cotangent blocks, kept beside the slice (_hat), check its
+heads, tilde the complex product of the two, and the real part of indices
+(K of k_and_perp) one eliminate of its rows with the im cotangent block as
+the head; pointwise reads the same slice for the leafwise presymplectic
+forms and the Theorem 7.18 check.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class Lagrangian(Subspace):
     isotropic subspaces are isotropic by construction.
     """
 
-    __slots__ = ("n", "_slice")
+    __slots__ = ("n", "_slice", "_hat")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a Lagrangian with Lagrangian.from_generators(n, gens)")
@@ -149,7 +150,8 @@ def _lagrangian(n: int, rows) -> Lagrangian:
     """Trusted constructor: rows must be a canonical basis of an isotropic
     subspace of C^{2n}."""
     L = object.__new__(Lagrangian)
-    L.n, L.m, L.rows, L.is_complex, L._basis, L._slice = n, 2 * n, tuple(rows), True, None, None
+    L.n, L.m, L.rows, L.is_complex, L._basis = n, 2 * n, tuple(rows), True, None
+    L._slice = L._hat = None
     return L
 
 
@@ -401,22 +403,24 @@ def _blocks(W: Subspace, *blocks: int) -> Subspace:
     return _subspace(len(pos), linalg.echelon([[ints[p] for p in pos] for ints, _ in W.rows])[0], False)
 
 
-def _tilde_from_slice(kind: str, W: Subspace) -> Lagrangian:
+def _tilde_from_slice(kind: str, W: Subspace, hat_slice: Subspace) -> Lagrangian:
     """tilde (kind complex_tangent) or tilde_cot (complex_cotangent) from W,
-    the one real slice of L behind both of its slices.  W's blocks of n
-    columns are re tangent and re cotangent, the check slice, which is W's
-    heads, and then the block the hat slice adds: im cotangent for tilde,
-    im tangent for tilde_cot.  The hat slice is the span of W's blocks 0
-    and 2 (tilde) or 2 and 1 (tilde_cot)."""
+    the one real slice of L behind both of its slices, and the hat slice.
+    W's blocks of n columns are re tangent and re cotangent, the check
+    slice, which is W's heads, and then the block the hat slice adds: im
+    cotangent for tilde, im tangent for tilde_cot.  The hat slice is the
+    span of W's blocks 0 and 2 (tilde) or 2 and 1 (tilde_cot)."""
     n = W.m // 3
-    hat_rows = _blocks(W, *((0, 2) if kind == "complex_tangent" else (2, 1))).rows
     check_rows = linalg._heads(W.rows, 2 * n)
-    return _complex_product(kind, n, [ints for ints, _ in check_rows], [ints for ints, _ in hat_rows])
+    return _complex_product(kind, n, [ints for ints, _ in check_rows], [ints for ints, _ in hat_slice.rows])
 
 
 def hat(L: Lagrangian) -> Subspace:
-    """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian."""
-    return _blocks(_tilde_slice(L), 0, 2)
+    """{X + xi : exists eta, X + i xi + eta in L}, a real lagrangian; built
+    on first read and kept, as the slice is."""
+    if L._hat is None:
+        L._hat = _blocks(_tilde_slice(L), 0, 2)
+    return L._hat
 
 
 def check(L: Lagrangian) -> Subspace:
@@ -426,7 +430,7 @@ def check(L: Lagrangian) -> Subspace:
 
 def tilde(L: Lagrangian) -> Lagrangian:
     """check(L) *_C hat(L), the associated quasi-real lagrangian family."""
-    return _tilde_from_slice("complex_tangent", _tilde_slice(L))
+    return _tilde_from_slice("complex_tangent", _tilde_slice(L), hat(L))
 
 
 def hat_cot(L: Lagrangian) -> Subspace:
@@ -440,7 +444,8 @@ def check_cot(L: Lagrangian) -> Subspace:
 
 
 def tilde_cot(L: Lagrangian) -> Lagrangian:
-    return _tilde_from_slice("complex_cotangent", _slice_real(L, _cols(L.n, 3), _cols(L.n, 0, 1, 2)))
+    W = _slice_real(L, _cols(L.n, 3), _cols(L.n, 0, 1, 2))
+    return _tilde_from_slice("complex_cotangent", W, _blocks(W, 2, 1))
 
 
 # -- indices and distributions -------------------------------------------------

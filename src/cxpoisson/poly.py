@@ -31,8 +31,11 @@ pairs (a, b), meaning a + b i, over one positive integer denominator d.
 
 Only the public constructor Poly(chart, terms) validates.  Arithmetic,
 partials, parts and substitution build their results through a trusted
-constructor and reduce the content only when d > 1; so does the coefficient
-grammar, which builds its atoms as numerator pairs.  Evaluation at a
+constructor and reduce the content only when d > 1.  Sums, products and
+negation run on (numerators, denominator) pairs (_sum, _product, _negated,
+each reduced by _content), which Poly's operators wrap; the coefficient
+grammar calls the same cores on its pairs and makes one Poly per
+coefficient.  Evaluation at a
 rational point stays in integers too: poly_values writes the point once as
 numerators over one denominator and returns the values of several Polys as
 numerator pairs over one denominator with content 1.  GaussScalars are made
@@ -195,22 +198,21 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
-        return _add(self, other, 1)
+        num, den = _sum(self._num, self._den, other._num, other._den, 1)
+        return _poly(self.chart, num, den)
 
     def __neg__(self) -> "Poly":
-        return _poly(self.chart, {k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
+        return _poly(self.chart, _negated(self._num), self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
-        return _add(self, other, -1)
+        num, den = _sum(self._num, self._den, other._num, other._den, -1)
+        return _poly(self.chart, num, den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         _same_chart(self, other)
-        pa, pb = self._num, other._num
-        out: Num = {}
-        if pa and pb:
-            _products(len(self.chart.vars), [(out, 1, pa, pb)], reduce(or_, pa), reduce(or_, pb))
-        return _reduced(self.chart, out, self._den * other._den)
+        num, den = _product(len(self.chart.vars), self._num, self._den, other._num, other._den)
+        return _poly(self.chart, num, den)
 
     def scale(self, c: Union[Rational, GaussScalar]) -> "Poly":
         p, q, e = _coerce(c).abd
@@ -276,9 +278,13 @@ def _poly(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
     return p
 
 
-def _reduced(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
-    """The Poly num/den for den > 0 and num without (0, 0) pairs: the
-    content is divided out, which is needed only when den > 1."""
+Num = Dict[int, Tuple[int, int]]
+
+
+def _content(num: Num, den: int) -> Tuple[Num, int]:
+    """num/den, for den > 0 and num without (0, 0) pairs, over its content:
+    the canonical (numerators, denominator) pair.  The content is divided
+    out only when den > 1."""
     if den != 1:
         if not num:
             den = 1
@@ -291,10 +297,23 @@ def _reduced(chart: Chart, num: Dict[int, Tuple[int, int]], den: int) -> Poly:
             else:
                 num = {k: (a // g, b // g) for k, (a, b) in num.items()}
                 den //= g
-    return _poly(chart, num, den)
+    return num, den
 
 
-Num = Dict[int, Tuple[int, int]]
+def _reduced(chart: Chart, num: Num, den: int) -> Poly:
+    """The Poly num/den reduced by _content.  It is built here, as _poly
+    builds one, not through a second call: this is the constructor of
+    nearly every product and partial."""
+    p = _new(Poly)
+    p.chart = chart
+    p._num, p._den = _content(num, den)
+    return p
+
+
+def _negated(num: Num) -> Num:
+    return {k: (-a, -b) for k, (a, b) in num.items()}
+
+
 # (out, c, pa, pb): add c * pa * pb to out
 Pair = Tuple[Num, int, Num, Num]
 
@@ -344,19 +363,18 @@ def _mul_into(pairs: List[Pair]):
                         del out[k]
 
 
-def _add(p: Poly, q: Poly, sign: int) -> Poly:
-    """p + sign * q for sign 1 or -1."""
-    d1, d2 = p._den, q._den
+def _sum(n1: Num, d1: int, n2: Num, d2: int, sign: int) -> Tuple[Num, int]:
+    """n1/d1 + sign * n2/d2, sign 1 or -1, for canonical pairs; canonical."""
     if d1 == d2:
-        out = dict(p._num)
+        out = dict(n1)
         s = sign
     else:
         g = gcd(d1, d2)
         s1, s = d2 // g, sign * (d1 // g)
-        out = {k: (a * s1, b * s1) for k, (a, b) in p._num.items()}
+        out = {k: (a * s1, b * s1) for k, (a, b) in n1.items()}
         d1 *= s1
     get = out.get
-    for k, (a, b) in q._num.items():
+    for k, (a, b) in n2.items():
         if s != 1:
             a *= s
             b *= s
@@ -370,7 +388,17 @@ def _add(p: Poly, q: Poly, sign: int) -> Poly:
                 out[k] = (a, b)
             else:
                 del out[k]
-    return _reduced(p.chart, out, d1)
+    return _content(out, d1)
+
+
+def _product(dim: int, n1: Num, d1: int, n2: Num, d2: int) -> Tuple[Num, int]:
+    """n1/d1 * n2/d2 on a chart of dim variables, for canonical pairs;
+    canonical.  OverflowError, from _products, comes before any monomial
+    product is formed."""
+    out: Num = {}
+    if n1 and n2:
+        _products(dim, [(out, 1, n1, n2)], reduce(or_, n1), reduce(or_, n2))
+    return _content(out, d1 * d2)
 
 
 def _same_chart(a: Poly, b: Poly):

@@ -30,20 +30,23 @@ Normal-form runs refuse an empty side.  A block header is its keyword, its
 name and `{`, with nothing after.  Block and point names and check ids are
 single words, and a check id has no `,`.  Each check must fit its kind's
 signature in CHECK_KINDS, checked once the file is read, so a block may follow
-its check.
+its check; the fitted arguments are kept in ProblemFile.fits, so a runner
+does not fit them again.
 
 Coefficient strings are kept verbatim, so parse -> dumps -> parse is the
-identity.  Each is parsed once, at parse time, against the chart, and the
-parsed Poly is kept in ProblemFile.polys under its string.  Chart variables
-must be names the coefficient grammar can read, and `i` is refused, since it
-would shadow the imaginary unit.
+identity.  A ProblemFile builds its one Chart (ProblemFile.chart) when it is
+made, and every Poly parsed from the file, and every field built from it,
+holds that one object.  Each coefficient string is parsed once, at parse
+time, and the parsed Poly is kept in ProblemFile.polys under its string.
+Chart variables must be names the coefficient grammar can read, and `i` is
+refused, since it would shadow the imaginary unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Container, Dict, Iterator, List, Optional, Tuple
 
 from .grammar import NAME_RE, PolyParseError, parse_poly, parse_rational
 from .poly import Chart, Poly
@@ -94,10 +97,14 @@ class ProblemFile:
     check_lines: Dict[str, int] = field(default_factory=dict, compare=False)
     # each coefficient string, parsed on the chart; not part of the content
     polys: Dict[str, Poly] = field(default_factory=dict, compare=False, repr=False)
+    # each check's arguments as check_args fits them, by check id; not part
+    # of the content
+    fits: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict, compare=False, repr=False)
+    # the file's one Chart, built from chart_vars
+    chart: Chart = field(init=False, compare=False, repr=False)
 
-    @property
-    def chart(self) -> Chart:
-        return Chart(self.chart_vars)
+    def __post_init__(self):
+        self.chart = Chart(self.chart_vars)
 
 
 def _lines(text: str) -> Iterator[Tuple[int, str]]:
@@ -132,10 +139,10 @@ def parse_problem(text: str) -> ProblemFile:
             if pf is not None:
                 raise ProblemParseError(lineno, "duplicate chart declaration")
             try:
-                chart = Chart(tuple(parts[1:]))
+                pf = ProblemFile(chart_vars=tuple(parts[1:]))
             except ValueError as exc:
                 raise ProblemParseError(lineno, str(exc)) from None
-            for v in chart.vars:
+            for v in pf.chart_vars:
                 if not NAME_RE.fullmatch(v):
                     raise ProblemParseError(
                         lineno, f"chart variable {v!r} is not a name coefficients can use"
@@ -144,7 +151,6 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ProblemParseError(
                         lineno, "chart variable 'i' would shadow the imaginary unit"
                     )
-            pf = ProblemFile(chart_vars=chart.vars)
         elif kw not in _READERS:
             raise ProblemParseError(lineno, f"unknown keyword {kw!r}")
         elif pf is None:
@@ -153,8 +159,11 @@ def parse_problem(text: str) -> ProblemFile:
             _READERS[kw](pf, lineno, parts, line, lines)
     if pf is None:
         raise ProblemParseError(1, "empty problem file (no chart)")
-    for cid, kind, args in pf.checks:  # once every block is read
-        check_args(pf, cid, kind, args)
+    # once every block is read
+    admits = {**{kw: getattr(pf, attr) for kw, (attr, _) in BLOCK_KINDS.items()},
+              "op": DIRAC_OPS, ":": (":",), "|": ("|",)}
+    for cid, kind, args in pf.checks:
+        pf.fits[cid] = check_args(pf, admits, cid, kind, args)
     return pf
 
 
@@ -255,16 +264,16 @@ def _check(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
 _READERS = {"bundle": _bundle, "point": _point, "check": _check, **dict.fromkeys(BLOCK_KINDS, _block)}
 
 
-def check_args(pf: ProblemFile, cid: str, kind: str, args: List[str]) -> List[Tuple[str, str]]:
+def check_args(pf: ProblemFile, admits: Dict[str, Container[str]], cid: str, kind: str,
+               args: List[str]) -> List[Tuple[str, str]]:
     """(signature word, argument) for each argument of check cid of kind but
-    the ':' and '|' of its signature.  A check whose arguments do not fit the
-    signature, or a normal_form check without a bundle, is refused at its
-    line, so parse_problem returns no such check."""
+    the ':' and '|' of its signature; admits maps each signature word to the
+    names it admits.  A check whose arguments do not fit the signature, or a
+    normal_form check without a bundle, is refused at its line, so
+    parse_problem returns no such check."""
     sig = CHECK_KINDS[kind]
     if kind == "dirac":
         sig += ("|", "op") * ((len(args) - len(sig)) // 2)
-    admits = {**{kw: getattr(pf, attr) for kw, (attr, _) in BLOCK_KINDS.items()},
-              "op": DIRAC_OPS, ":": (":",), "|": ("|",)}
     lineno = pf.check_lines.get(cid, 0)
     if len(args) != len(sig) or any(a not in admits[w] for w, a in zip(sig, args)):
         want = " ".join(CHECK_KINDS[kind])

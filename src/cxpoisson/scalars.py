@@ -6,7 +6,8 @@ and gcd(a, b, d) == 1.  Every value has exactly one such triple, so
 structural equality is value equality.  Add, subtract, multiply, divide,
 inverse and conjugate are integer arithmetic followed by one gcd; when both
 operands are real the imaginary part is skipped.  The parts are read back as
-Fractions through .re and .im; str prints them from abd.
+Fractions through .re and .im; str prints them from abd, through the entry
+formatter _gauss_str that also writes the integer rows of a subspace.
 
 This is the coefficient field for every computation in the package: all
 identity checks are exact, with tolerance zero.
@@ -152,15 +153,8 @@ class GaussScalar:
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        """"re", "k*i" or "re + k*i", each part as its Fraction prints,
-        read off abd without making one."""
         a, b, d = self.abd
-        if b == 0:
-            return _ratio_str(a, d)
-        if a == 0:
-            return _imag_str(b, d)
-        sign = "+" if b > 0 else "-"
-        return f"{_ratio_str(a, d)} {sign} {_imag_str(abs(b), d)}"
+        return _gauss_str(a, b, d)
 
     def __repr__(self) -> str:
         return f"GaussScalar({self.re!r}, {self.im!r})"
@@ -185,6 +179,18 @@ def _parts(x) -> Tuple[int, int]:
     if t is not int and t is not Fraction:
         x = Fraction(x)
     return x.numerator, x.denominator
+
+
+def _gauss_str(a: int, b: int, d: int) -> str:
+    """The text of (a + b i)/d for d > 0, in lowest terms or not: "re",
+    "k*i" or "re + k*i", each part as its Fraction prints, read off the
+    integers without making one."""
+    if b == 0:
+        return _ratio_str(a, d)
+    if a == 0:
+        return _imag_str(b, d)
+    sign = "+" if b > 0 else "-"
+    return f"{_ratio_str(a, d)} {sign} {_imag_str(abs(b), d)}"
 
 
 def _ratio_str(a: int, d: int) -> str:

@@ -2,15 +2,19 @@
 
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import cli, normal_form, pointwise
+from cxpoisson import cli, normal_form, pointwise, problem
 from cxpoisson.cli import main
 from cxpoisson.fields import MultiField
-from cxpoisson.problem import DIRAC_OPS, ProblemParseError, dumps, parse_problem
+from cxpoisson.lagrangian import Subspace, graph
+from cxpoisson.problem import BLOCK_KINDS, DIRAC_OPS, ProblemParseError, dumps, parse_problem
+from cxpoisson.scalars import GS_I, GaussScalar
 
 NB_PROBLEM = """\
 chart x y z
@@ -278,6 +282,93 @@ def test_main_reaches_the_traced_names(monkeypatch, nb_file, split_file, capsys,
     capsys.readouterr()
     assert code in (0, 1)
     assert set(calls) == {"parse_problem", "build_field", cmd}
+
+
+@pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])
+def test_main_fits_each_check_once(monkeypatch, nb_file, split_file, capsys, command):
+    # parse_problem fits every check's arguments and keeps them; the run
+    # reads the kept ones and does not fit them again
+    calls = []
+    inner = problem.check_args
+
+    def counted(pf, admits, cid, kind, args):
+        calls.append(cid)
+        return inner(pf, admits, cid, kind, args)
+
+    monkeypatch.setattr(problem, "check_args", counted)
+    path = split_file if command == "normal-form" else nb_file
+    code = main([command, path, "--grid-size", "2"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    with open(path, encoding="utf-8") as fh:
+        ids = [line.split()[1] for line in fh if line.startswith("check ")]
+    assert sorted(calls) == sorted(ids)
+
+
+@pytest.mark.parametrize("text", [NB_PROBLEM, SPLIT_PROBLEM])
+def test_a_file_has_one_chart(text):
+    # every parsed coefficient and every field built from the file hold the
+    # file's one Chart object
+    pf = parse_problem(text)
+    assert pf.polys and all(p.chart is pf.chart for p in pf.polys.values())
+    built = 0
+    for kind in cli._FIELD_CLASSES:
+        for name in getattr(pf, BLOCK_KINDS[kind][0]):
+            field = cli.build_field(pf, kind, name)
+            assert field.chart is pf.chart
+            assert all(p.chart is pf.chart for p in field.comps.values())
+            built += 1
+    assert built
+
+
+# entries of the generators a formatter test draws: zeros, i and -i, and
+# parts p/q, some of which reduce away in the canonical rows
+REAL_ENTRIES = st.one_of(st.sampled_from([0, 0, 1, -1]), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+ENTRIES = st.one_of(
+    REAL_ENTRIES,
+    st.sampled_from([GS_I, -GS_I, GaussScalar.of(0, Fraction(-5, 3))]),
+    st.builds(GaussScalar.of, REAL_ENTRIES, REAL_ENTRIES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rows_print_as_their_basis(data):
+    # _text writes a subspace's canonical integer rows straight to text, as
+    # its GaussScalar or Fraction basis prints
+    m = data.draw(st.integers(1, 5))
+    is_complex = data.draw(st.booleans())
+    gens = data.draw(st.lists(st.lists(ENTRIES if is_complex else REAL_ENTRIES, min_size=m, max_size=m),
+                              max_size=4))
+    S = Subspace(m, gens, is_complex=is_complex)
+    assert cli._text(S) == cli._text([list(r) for r in S.basis])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(ENTRIES, min_size=3, max_size=3))
+def test_lagrangian_rows_print_as_their_basis(upper):
+    a, b, c = upper
+    L = graph([[0, a, b], [-a, 0, c], [-b, -c, 0]], "bivector")
+    assert cli._text(L) == cli._text([list(r) for r in L.basis])
+
+
+def test_each_entry_past_the_digit_limit_gets_its_own_note():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no digit limit is set")
+    big = 10 ** limit + 1
+    L = graph([[0, GaussScalar.of(big, Fraction(1, 2))], [GaussScalar.of(-big, Fraction(-1, 2)), 0]], "bivector")
+    text = cli._text(L)
+    assert text == cli._text([list(r) for r in L.basis])
+    entries = [x for r in L.basis for x in r]
+    unprintable = 0
+    for x in entries:
+        try:
+            str(x)
+        except ValueError:
+            unprintable += 1
+    notes = [t for r in text for t in r if t.startswith("<not printed")]
+    assert 0 < len(notes) == unprintable < len(entries)
 
 
 @pytest.mark.parametrize("command", ["check", "invariants", "dirac", "normal-form"])

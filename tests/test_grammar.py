@@ -46,6 +46,10 @@ def test_parentheses_and_unary():
     assert parse_poly("-(x + y)", CH) == -(Poly.var(CH, "x") + Poly.var(CH, "y"))
     assert parse_poly("(1 + i)*(1 - i)", CH) == Poly.const(CH, 2)
     assert parse_poly("--x", CH) == Poly.var(CH, "x")
+    # a sign binds looser than `^`, also in front of a literal
+    assert parse_poly("-2^2", CH) == Poly.const(CH, -4)
+    assert parse_poly("-3/2^2 + --2^2", CH) == Poly.const(CH, Fraction(7, 4))
+    assert parse_poly("x*-2^3", CH) == Poly.const(CH, -8) * Poly.var(CH, "x")
     # MAX_NESTING bounds the depth, not the count: sibling groups and signs pass
     k = MAX_NESTING + 1
     assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, CH) == Poly.var(CH, "x")

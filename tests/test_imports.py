@@ -4,8 +4,10 @@ local it never reads, the graded calculus sums no products in a loop, no
 module but poly takes a partial derivative outside the partials table, the
 grammar builds its values without Fraction or GaussScalar, normal_form
 builds pi_N and its local model without the GaussScalar point route
-(matrix_at, graph, images, transform), and every module parses as the
-oldest Python that pyproject.toml admits.
+(matrix_at, graph, images, transform), every module parses as the
+oldest Python that pyproject.toml admits, and no module imports anything
+but the package itself and the standard library (the package has no
+runtime dependency).
 
 The package __init__ is exempt from the first, since it imports names to
 re-export them.
@@ -13,6 +15,7 @@ re-export them.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,3 +296,39 @@ def test_the_check_sees_syntax_past_the_floor():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_module_parses_at_the_python_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), feature_version=python_floor())
+
+
+# -- no runtime dependency -------------------------------------------------------
+
+
+def foreign_imports(source: str):
+    """(line, module) for each import that is neither relative, nor of
+    __future__, nor of a module of the standard library."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+def test_the_check_sees_a_foreign_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, hypothesis\n"
+        "from . import poly\n"
+        "from .scalars import GaussScalar\n"
+        "from sympy.matrices import Matrix\n"
+        "from fractions import Fraction\n"
+    )
+    assert foreign_imports(source) == [(2, "hypothesis"), (5, "sympy.matrices")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_only_the_package_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
