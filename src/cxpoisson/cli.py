@@ -43,7 +43,7 @@ from .lagrangian import (
     tilde_cot,
     transform,
 )
-from .normal_form import BundleChart, _at_N, mixed_check, splitting_check
+from .normal_form import BundleChart, splitting_check
 from .pointwise import _theorem_7_18, gcs_matrix, graph_at, grid_points, profile_sample
 from .problem import (BLOCK_KINDS, CHECK_KINDS, ProblemFile, ProblemParseError, _coords,
                       parse_problem)
@@ -114,10 +114,13 @@ class Report:
             return "\n".join(json.dumps(r) for r in self.records)
         lines = []
         for r in self.records:
-            lines.append(f"[{r['verdict'].upper():7s}] {r['check']} ({r['kind']}) "
+            # a refusal prints its reason where a witness goes
+            verdict, _, reason = r["verdict"].partition("(")
+            lines.append(f"[{verdict.upper():7s}] {r['check']} ({r['kind']}) "
                          f"{r['inputs']}  {r['time_ms']}ms")
-            if r["witness"]:
-                lines.append(f"          {r['witness']}")
+            for note in (reason[:-1], r["witness"]):
+                if note:
+                    lines.append(f"          {note}")
         return "\n".join(lines)
 
 
@@ -287,14 +290,12 @@ def cmd_normal_form(pf: ProblemFile, args) -> Report:
         bundle = BundleChart(*pf.bundle)
         # the grid is capped at ten points to bound the cost; no given point is dropped
         pts = collect_points(pf, args.points, min(args.grid_size, 10))
-        # pi on N, evaluated once per point for both checks
-        at_N = _at_N(pi, bundle, pts)
-        mrep = mixed_check(pi, bundle, pts, at_N=at_N)
+        srep = splitting_check(pi, bundle, section, pts)
+        mrep = srep.mixed
         if not mrep.mixed:
             return ("refused(no mixed submanifold: "
                     f"pi2_annihilator_zero={mrep.pi2_annihilator_zero}, "
                     f"direct_sum_ok={mrep.direct_sum_ok})"), None
-        srep = splitting_check(pi, bundle, section, pts, at_N=at_N)
         if not srep.section_in_graph:
             return "refused(section is not in the graph of pi)", None
         witness = {

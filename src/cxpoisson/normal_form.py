@@ -6,18 +6,20 @@ is the identity on the bundle chart, so Moser averaging of a form is the exact
 weight-wise integral: each monomial is scaled by 1 / (fiber degree of its
 coefficient + number of fiber differentials).
 
-The sampled checks make one pass per point.  pi is evaluated once on N, to
-the integer rows of its matrix there (_at_N), which mixed_check reads the
-direct-sum ranks off and splitting_check the fiber form and pi_N; a caller
-running both hands them the same rows, so pi is evaluated on N once per
-point.  splitting_check evaluates pi once more at the point itself, where
-gr(pi) must equal the local model e^B p^! gr(pi_N): on integer rows, pi_N
-is one eliminate (_pi_N) and the model one echelon (_model).
+The sampled checks make one pass per point.  mixed_check evaluates pi once
+on N, to the integer rows of its matrix there, reads the direct-sum ranks
+off them and keeps them in its report.  splitting_check is the normal-form
+verdict: it runs mixed_check first, keeps its report, and compares points
+only along a mixed N whose section is in the graph of pi.  It reads the
+fiber form and pi_N off the kept rows, so pi is evaluated on N once per
+point, and evaluates pi once more at the point itself, where gr(pi) must
+equal the local model e^B p^! gr(pi_N): on integer rows, pi_N is one
+eliminate (_pi_N) and the model one echelon (_model).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -77,12 +79,6 @@ def _on_N(bundle: BundleChart, point: Mapping[str, Fraction]) -> Dict[str, Fract
 Rows = Tuple[List[List[int]], List[List[int]], int]
 
 
-def _at_N(pi: ComplexBivector, bundle: BundleChart,
-          points: Sequence[Mapping[str, Fraction]]) -> List[Tuple[Dict[str, Fraction], Rows]]:
-    """(the point of N under p, the rows of pi there) for each of the points."""
-    return [(q, _rows_at(pi.body, q)) for q in (_on_N(bundle, p) for p in points)]
-
-
 def _fiber_block(M: List[List], b: int) -> List[List]:
     """The fiber-by-fiber block of a matrix on a bundle chart with b base vars."""
     return [r[b:] for r in M[b:]]
@@ -107,6 +103,9 @@ class MixedReport:
     direct_sum_points: Tuple[Tuple[Tuple[str, Fraction], ...], ...]
     direct_sum_ok: bool
     complex_cosymplectic_ok: bool
+    # (the point of N under each sample point, the rows of pi there), which
+    # splitting_check reads; neither compared nor printed
+    rows_on_N: Tuple[Tuple[Dict[str, Fraction], Rows], ...] = field(compare=False, repr=False)
 
     @property
     def mixed(self) -> bool:
@@ -115,15 +114,12 @@ class MixedReport:
 
 def mixed_check(
     pi: ComplexBivector, bundle: BundleChart, sample_points_on_N: Sequence[Mapping[str, Fraction]],
-    *, at_N: Optional[List[Tuple[Dict[str, Fraction], Rows]]] = None,
 ) -> MixedReport:
     """Mixed-submanifold conditions for N = {fiber vars = 0}.
 
     pi2(Ann TN) = 0 is a polynomial identity after restricting to N; the
     direct-sum conditions are checked exactly at the points of N under the
     sample points, which may be points of the bundle chart or of the base.
-    at_N, when given, is _at_N(pi, bundle, sample_points_on_N), made once
-    for this check and splitting_check.
     """
     chart = bundle.chart
     if pi.chart != chart:
@@ -138,7 +134,9 @@ def mixed_check(
     ds_ok = True
     cc_ok = True
     failures = []
-    for pt, (Are, Aim, _) in at_N or _at_N(pi, bundle, sample_points_on_N):
+    rows_on_N = tuple((q, _rows_at(pi.body, q))
+                      for q in (_on_N(bundle, p) for p in sample_points_on_N))
+    for pt, (Are, Aim, _) in rows_on_N:
         # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans
         # the base coordinates, so it holds exactly when the fiber block of
         # pi1# on the d(fiber_a) is invertible; likewise for pi and the
@@ -154,6 +152,7 @@ def mixed_check(
         direct_sum_points=tuple(failures),
         direct_sum_ok=ds_ok,
         complex_cosymplectic_ok=cc_ok,
+        rows_on_N=rows_on_N,
     )
 
 
@@ -246,6 +245,7 @@ def local_model_at(
 
 @dataclass(frozen=True)
 class SplittingReport:
+    mixed: MixedReport
     section_in_graph: bool
     vanishes_on_N: bool
     euler_linear_ok: bool
@@ -258,7 +258,8 @@ class SplittingReport:
     @property
     def passed(self) -> bool:
         return (
-            self.section_in_graph
+            self.mixed.mixed
+            and self.section_in_graph
             and self.vanishes_on_N
             and self.euler_linear_ok
             and bool(self.fiber_form_ok)
@@ -300,7 +301,6 @@ def splitting_check(
     bundle: BundleChart,
     epsilon: Tuple[MultiField, FormField, FormField],
     points: Sequence[Mapping[str, Fraction]],
-    *, at_N: Optional[List[Tuple[Dict[str, Fraction], Rows]]] = None,
 ) -> SplittingReport:
     """Verify the Moser-averaged splitting at sample points.
 
@@ -308,9 +308,14 @@ def splitting_check(
     B = average(d xi1), omega = average(d xi2); at each point p the model
     e^{B+i omega} p^! gr(pi_N) must equal gr(pi), and on the zero section the
     fiber block of B + i omega must reproduce Omega~ with
-    Omega~(pi# z1, pi# z2) = pi(z1, z2) on Ann TN.  at_N, when given, is
-    _at_N(pi, bundle, points), as in mixed_check.
+    Omega~(pi# z1, pi# z2) = pi(z1, z2) on Ann TN.
+
+    N must be mixed: mixed_check runs first on the points and its report is
+    kept.  Points are compared only along a mixed N whose section is in the
+    graph of pi, and only such a check passes.
     """
+    # called by its module name, which a tracer may rebind
+    mixed = mixed_check(pi, bundle, points)
     X, xi1, xi2 = epsilon
     xi = recompose(xi1, xi2)
     sharp_xi = pi.sharp(xi)
@@ -324,20 +329,19 @@ def splitting_check(
 
     euler_ok, euler_warn = _euler_linear_check(X, bundle)
 
-    if not section_in_graph:
-        return SplittingReport(False, vanish, euler_ok, euler_warn, None, None, None, ())
-
+    if not (mixed.mixed and section_in_graph):
+        return SplittingReport(mixed, section_in_graph, vanish, euler_ok, euler_warn,
+                               None, None, None, ())
     try:
         B = moser_average(d_complex(xi1), bundle)
         omega = moser_average(d_complex(xi2), bundle)
     except WeightZeroError:
-        return SplittingReport(section_in_graph, vanish, euler_ok, euler_warn,
-                               None, None, None, ())
+        return SplittingReport(mixed, True, vanish, euler_ok, euler_warn, None, None, None, ())
     Bw = B + omega.scale(GS_I)
 
     fiber_ok = True
     results = []
-    for p, (on_N, A) in zip(points, at_N or _at_N(pi, bundle, points)):
+    for p, (on_N, A) in zip(points, mixed.rows_on_N):
         pt = {k: Fraction(v) for k, v in p.items()}
         fiber_ok = fiber_ok and _fiber_form_check(bundle, A, _rows_at(Bw, on_N))
         AN = _pi_N(bundle, A)
@@ -345,7 +349,7 @@ def splitting_check(
             _model(bundle, AN, _rows_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
         results.append((tuple(sorted(pt.items())), ok))
     return SplittingReport(
-        section_in_graph, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
+        mixed, True, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
         tuple(results),
     )
 

@@ -39,7 +39,7 @@ coefficient.  Evaluation at a
 rational point stays in integers too: poly_values writes the point once as
 numerators over one denominator and returns the values of several Polys as
 numerator pairs over one denominator with content 1.  GaussScalars are made
-only at the API edge: the .terms view ({exponent tuple: GaussScalar},
+only at the API edge: the read-only .terms view ({exponent tuple: GaussScalar},
 unpacked on first read and cached), poly_eval (poly_values for one Poly),
 printing and hash.  Printing uses graded lexicographic order on the chart's
 variable order, which makes output canonical.
@@ -47,12 +47,12 @@ variable order, which makes output canonical.
 
 from __future__ import annotations
 
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from math import gcd, lcm
 from operator import or_
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .scalars import GS_ONE, GaussScalar, Rational, _coerce, _make
@@ -159,18 +159,15 @@ class Poly:
     # -- the {exponent tuple: GaussScalar} view ----------------------------
 
     @property
-    def terms(self) -> "Terms":
-        return Terms(self)
-
-    def _unpacked(self) -> Dict[Exponent, GaussScalar]:
+    def terms(self) -> Mapping[Exponent, GaussScalar]:
+        """A read-only view of the terms, unpacked on first read and cached
+        as a plain dict, which copies and pickles with the Poly."""
         try:
-            return self._terms
+            t = self._terms
         except AttributeError:
             dim, d = self.chart.dim, self._den
-            t = self._terms = {
-                _unpack(k, dim): _make(a, b, d) for k, (a, b) in self._num.items()
-            }
-            return t
+            t = self._terms = {_unpack(k, dim): _make(a, b, d) for k, (a, b) in self._num.items()}
+        return MappingProxyType(t)
 
     # -- predicates --------------------------------------------------------
 
@@ -239,31 +236,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r} on {self.chart.vars})"
-
-
-class Terms(MappingABC):
-    """Read-only {exponent tuple: GaussScalar} view of a Poly's terms.
-
-    Its length is read off the packed dict; the first other read unpacks
-    every term once and caches the result on the Poly.
-    """
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Poly):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._num)
-
-    def __iter__(self):
-        return iter(self._poly._unpacked())
-
-    def __getitem__(self, exp: Exponent) -> GaussScalar:
-        return self._poly._unpacked()[exp]
-
-    def __repr__(self) -> str:
-        return repr(self._poly._unpacked())
 
 
 _new = object.__new__

@@ -4,8 +4,8 @@ A GaussScalar is the complex number (a + b i)/d.  It holds the integer
 triple abd = (a, b, d) over one shared denominator, in lowest terms: d > 0
 and gcd(a, b, d) == 1.  Every value has exactly one such triple, so
 structural equality is value equality.  Add, subtract, multiply, divide,
-inverse and conjugate are integer arithmetic followed by one gcd; when both
-operands are real the imaginary part is skipped.  The parts are read back as
+inverse and conjugate are integer arithmetic followed by one gcd; add,
+subtract and multiply have one formula each.  The parts are read back as
 Fractions through .re and .im; str prints them from abd, through the entry
 formatter _gauss_str that also writes the integer rows of a subspace.
 
@@ -89,11 +89,7 @@ class GaussScalar:
     def __add__(self, other):
         a1, b1, d1 = self.abd
         a2, b2, d2 = _coerce(other).abd
-        if d1 == d2:
-            return _make(a1 + a2, b1 + b2, d1)
-        if b1 or b2:
-            return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
-        return _make(a1 * d2 + a2 * d1, 0, d1 * d2)
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -104,11 +100,7 @@ class GaussScalar:
     def __sub__(self, other):
         a1, b1, d1 = self.abd
         a2, b2, d2 = _coerce(other).abd
-        if d1 == d2:
-            return _make(a1 - a2, b1 - b2, d1)
-        if b1 or b2:
-            return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
-        return _make(a1 * d2 - a2 * d1, 0, d1 * d2)
+        return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -116,9 +108,7 @@ class GaussScalar:
     def __mul__(self, other):
         a1, b1, d1 = self.abd
         a2, b2, d2 = _coerce(other).abd
-        if b1 or b2:
-            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
-        return _make(a1 * a2, 0, d1 * d2)
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 

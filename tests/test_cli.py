@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, find, given, settings
@@ -683,6 +684,88 @@ def test_normal_form_fails_on_a_section_that_does_not_vanish_on_N(tmp_path, caps
         "B": None, "omega": None, "fiber_form_ok": None, "vanishes_on_N": False,
         "euler_linear_ok": False, "euler_higher_order_warning": False, "points": [],
     }
+
+
+# pi = u du^dv + i dq^dp: its section is in the graph of pi, but pi2 hits
+# Ann TN, so N = {q = p = 0} is not mixed
+UNMIXED_PROBLEM = """\
+chart u v q p
+bundle base: u v ; fiber: q p
+bivector PI {
+  1 2 = u
+  3 4 = i
+}
+vector X {
+  3 = q
+  4 = p
+}
+oneform xi1 {
+  3 = 0
+}
+oneform xi2 {
+  3 = p
+  4 = -1*q
+}
+check s1 normal_form PI X xi1 xi2
+"""
+UNMIXED = "no mixed submanifold: pi2_annihilator_zero=False, direct_sum_ok=False"
+NOT_IN_GRAPH = "section is not in the graph of pi"
+
+
+ARGS = "['PI', 'X', 'xi1', 'xi2']"
+
+
+def normal_form_out(capsys, path, fmt):
+    """(exit code, output) of normal-form on path: each record's verdict and
+    witness for the machine format, the lines without their record times
+    for the human one."""
+    code, out, err = run(capsys, ["normal-form", str(path), "--format", fmt])
+    assert not err
+    if fmt == "machine":
+        return code, [(r["verdict"], r["witness"]) for r in map(json.loads, out.splitlines())]
+    return code, [re.sub(r"  [\d.]+ms$", "", line) for line in out.splitlines()]
+
+
+def refused(fmt, cid, args, reason):
+    """A refused record as normal_form_out gives it: the human format prints
+    [REFUSED] in the verdict column and the reason where a witness goes."""
+    if fmt == "machine":
+        return [(f"refused({reason})", None)]
+    return [f"[REFUSED] {cid} (normal_form) {args}", f"          {reason}"]
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_normal_form_refuses_an_N_that_is_not_mixed(tmp_path, capsys, fmt):
+    f = tmp_path / "unmixed.prob"
+    f.write_text(UNMIXED_PROBLEM)
+    assert normal_form_out(capsys, f, fmt) == (2, refused(fmt, "s1", ARGS, UNMIXED))
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_normal_form_refuses_a_section_not_in_the_graph(tmp_path, capsys, fmt):
+    # only X doubled: X is no longer pi# of xi1 + i xi2
+    text = (Path(__file__).parent / "corpus" / "readme_split.prob").read_text()
+    f = tmp_path / "offgraph.prob"
+    f.write_text(text.replace("3 = q\n", "3 = 2*q\n").replace("4 = p\n", "4 = 2*p\n"))
+    assert f.read_text().count("2*") == 2
+    assert normal_form_out(capsys, f, fmt) == (2, refused(fmt, "s1", ARGS, NOT_IN_GRAPH))
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_one_refused_check_among_passing_ones_exits_2(tmp_path, capsys, fmt):
+    # SPLIT_PROBLEM's check passes; the unmixed one, its names changed, is refused
+    unmixed = UNMIXED_PROBLEM.split("\n", 2)[2]
+    for old, new in (("PI", "PJ"), ("X", "Y"), ("xi", "zeta"), ("s1", "s2")):
+        unmixed = unmixed.replace(old, new)
+    f = tmp_path / "both.prob"
+    f.write_text(SPLIT_PROBLEM + unmixed)
+    code, out = normal_form_out(capsys, f, fmt)
+    assert code == 2
+    want = refused(fmt, "s2", "['PJ', 'Y', 'zeta1', 'zeta2']", UNMIXED)
+    if fmt == "machine":
+        assert out[0][0] == "pass" and out[1:] == want
+    else:
+        assert out[0].startswith("[PASS   ] s1 ") and out[-2:] == want
 
 
 # -- fuzzing the exit-code contract ------------------------------------------

@@ -19,7 +19,6 @@ from cxpoisson import (
 from cxpoisson.lagrangian import _graph, bivector_of_graph, graph, images, transform
 from cxpoisson.normal_form import (
     BundleChart,
-    _at_N,
     _fiber_form_check,
     _model,
     _on_N,
@@ -34,7 +33,7 @@ from cxpoisson.normal_form import (
     splitting_check,
 )
 from cxpoisson.pointwise import _rows_at, delta_at, grid_points, matrix_at
-from cxpoisson.scalars import GS_ONE, GS_ZERO, GaussScalar
+from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import lagrangian, linalg
 
 from conftest import reference_solve
@@ -260,6 +259,31 @@ def test_splitting_check_evaluates_pi_twice_per_point(monkeypatch):
         assert rep.passed and sum(calls) == 2 * k
 
 
+def test_splitting_check_passes_only_along_a_mixed_N():
+    # pi = u du^dv + i dq^dp: the section is in the graph of pi and the model
+    # matches at every point, but pi2 hits Ann TN, so N is not mixed
+    pi = bivector_from_brackets(CH, {(0, 1): Poly.var(CH, "u"), (2, 3): Poly.const(CH, GS_I)})
+    X = MultiField(CH, 1, {(2,): Poly.var(CH, "q"), (3,): Poly.var(CH, "p")})
+    xi2 = FormField(CH, 1, {(2,): Poly.var(CH, "p"), (3,): -Poly.var(CH, "q")})
+    rep = splitting_check(pi, BUNDLE, (X, FormField(CH, 1, {}), xi2), splitting_points())
+    assert rep.section_in_graph
+    assert not rep.mixed.mixed and not rep.mixed.pi2_annihilator_zero
+    assert not rep.passed
+    # no point is compared along an N that is not mixed
+    assert rep.point_results == () and rep.B is None and rep.fiber_form_ok is None
+
+
+def test_splitting_check_keeps_its_mixed_report():
+    pi = splitting_bivector()
+    points = splitting_points()
+    rep = splitting_check(pi, BUNDLE, splitting_section(), points)
+    assert rep.mixed == mixed_check(pi, BUNDLE, points) and rep.mixed.mixed
+    # the rows of pi on N, one entry per point, are kept but neither
+    # compared nor printed
+    assert [q for q, _ in rep.mixed.rows_on_N] == [_on_N(BUNDLE, p) for p in points]
+    assert "rows_on_N" not in repr(rep.mixed)
+
+
 def test_extension_check():
     good = FormField(CH, 2, {(2, 3): Poly.const(CH, 1)})
     assert extension_check(good, BUNDLE, base_points())
@@ -469,9 +493,13 @@ def test_point_checks_make_no_scalar_round_trip(monkeypatch):
 
 
 def test_splitting_check_makes_three_reductions_per_point(monkeypatch):
-    # per point: one eliminate for pi_N, one echelon for the model and one
+    # per point, besides the two fiber-block echelons of the mixed_check it
+    # runs first: one eliminate for pi_N, one echelon for the model and one
     # for gr(pi) at the point
+    from cxpoisson import normal_form
+
     counts = {"echelon": 0, "eliminate": 0}
+    in_mixed = {}
 
     def counted(name):
         original = getattr(linalg, name)
@@ -481,13 +509,21 @@ def test_splitting_check_makes_three_reductions_per_point(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
+    def mixed(*args):
+        before = dict(counts)
+        rep = mixed_check(*args)
+        in_mixed.update({name: counts[name] - before[name] for name in counts})
+        return rep
+
     pi = splitting_bivector()
     for k in (1, 3, 5):
         points = splitting_points(k)
-        at_N = _at_N(pi, BUNDLE, points)
         with monkeypatch.context() as m:
             for name in counts:
                 m.setattr(linalg, name, counted(name))
+            m.setattr(normal_form, "mixed_check", mixed)
             counts.update(echelon=0, eliminate=0)
-            assert splitting_check(pi, BUNDLE, splitting_section(), points, at_N=at_N).passed
-        assert counts == {"echelon": 2 * k, "eliminate": k}
+            in_mixed.clear()
+            assert splitting_check(pi, BUNDLE, splitting_section(), points).passed
+        assert in_mixed == {"echelon": 2 * k, "eliminate": 0}
+        assert counts == {"echelon": 4 * k, "eliminate": k}

@@ -112,6 +112,20 @@ def test_subst_zero_drops_monomials():
     assert poly_subst_zero(p, ["y", "z"]) == parse_poly("3", CH)
 
 
+def test_terms_are_a_read_only_view_that_copies_and_pickles():
+    import copy
+    import pickle
+
+    ch = Chart(("x", "y"))
+    p = parse_poly("x^2 + 1/3*i*y", ch)
+    assert p.terms == {(2, 0): GS_ONE, (0, 1): GaussScalar.of(0, Fraction(1, 3))}
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = GS_ONE
+    # the unpacked terms, once read, are cached on the Poly and travel with it
+    assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+    assert pickle.loads(pickle.dumps(p)).terms == p.terms
+
+
 def test_format_is_graded_lex():
     p = parse_poly("y + x^2 + 1 + x*y", CH)
     assert format_poly(p) == "1 + y + x^2 + x*y"
