@@ -7,14 +7,15 @@ weight-wise integral: each monomial is scaled by 1 / (fiber degree of its
 coefficient + number of fiber differentials).
 
 The sampled checks make one pass per point.  mixed_check evaluates pi once
-on N, to the integer rows of its matrix there, reads the direct-sum ranks
-off them and keeps them in its report.  splitting_check is the normal-form
-verdict: it runs mixed_check first, keeps its report, and compares points
-only along a mixed N whose section is in the graph of pi.  It reads the
-fiber form and pi_N off the kept rows, so pi is evaluated on N once per
-point, and evaluates pi once more at the point itself, where gr(pi) must
-equal the local model e^B p^! gr(pi_N): on integer rows, pi_N is one
-eliminate (_pi_N) and the model one echelon (_model).
+on N, to the integer rows of its matrix there, reads the direct-sum rank
+off them (one echelon) and keeps them in its report.  splitting_check is
+the normal-form verdict: it runs mixed_check first, keeps its report, and
+compares points only along a mixed N whose section is in the graph of pi.
+It reads the fiber form and pi_N off the kept rows, so pi is evaluated on N
+once per point, and evaluates pi once more at the point itself, where gr(pi)
+must equal the local model e^B p^! gr(pi_N): on integer rows, pi_N is one
+eliminate (_pi_N) and the model one echelon (_model), besides the echelon
+of gr(pi).
 """
 
 from __future__ import annotations
@@ -101,11 +102,13 @@ class WeightZeroError(ValueError):
 class MixedReport:
     pi2_annihilator_zero: bool
     direct_sum_points: Tuple[Tuple[Tuple[str, Fraction], ...], ...]
-    direct_sum_ok: bool
-    complex_cosymplectic_ok: bool
     # (the point of N under each sample point, the rows of pi there), which
     # splitting_check reads; neither compared nor printed
     rows_on_N: Tuple[Tuple[Dict[str, Fraction], Rows], ...] = field(compare=False, repr=False)
+
+    @property
+    def direct_sum_ok(self) -> bool:
+        return not self.direct_sum_points
 
     @property
     def mixed(self) -> bool:
@@ -118,7 +121,7 @@ def mixed_check(
     """Mixed-submanifold conditions for N = {fiber vars = 0}.
 
     pi2(Ann TN) = 0 is a polynomial identity after restricting to N; the
-    direct-sum conditions are checked exactly at the points of N under the
+    direct-sum condition is checked exactly at the points of N under the
     sample points, which may be points of the bundle chart or of the base.
     """
     chart = bundle.chart
@@ -131,27 +134,17 @@ def mixed_check(
         poly_subst_zero(p, bundle.fiber_vars).is_real()
         for (_, j), p in pi.body.comps.items() if j >= b
     )
-    ds_ok = True
-    cc_ok = True
-    failures = []
     rows_on_N = tuple((q, _rows_at(pi.body, q))
                       for q in (_on_N(bundle, p) for p in sample_points_on_N))
-    for pt, (Are, Aim, _) in rows_on_N:
-        # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans
-        # the base coordinates, so it holds exactly when the fiber block of
-        # pi1# on the d(fiber_a) is invertible; likewise for pi and the
-        # complex cosymplectic condition pi(Ann T_CN) + T_CN = T_CM
-        Fre = _fiber_block(Are, b)
-        if len(linalg.echelon(Fre)[0]) != f:
-            ds_ok = False
-            failures.append(tuple(sorted(pt.items())))
-        if len(linalg.echelon(Fre, _fiber_block(Aim, b))[0]) != f:
-            cc_ok = False
+    # pi1(Ann TN) + TN = TM, directly and with trivial overlap: TN spans the
+    # base coordinates, so it holds exactly when the fiber block of pi1# on
+    # the d(fiber_a) is invertible.  Where pi2(Ann TN) = 0 that block is
+    # pi's, so the complex cosymplectic condition pi(Ann T_CN) + T_CN = T_CM
+    # is the same one and needs no echelon of its own
     return MixedReport(
         pi2_annihilator_zero=ann_zero,
-        direct_sum_points=tuple(failures),
-        direct_sum_ok=ds_ok,
-        complex_cosymplectic_ok=cc_ok,
+        direct_sum_points=tuple(tuple(sorted(q.items())) for q, (Are, _, _) in rows_on_N
+                                if len(linalg.echelon(_fiber_block(Are, b))[0]) != f),
         rows_on_N=rows_on_N,
     )
 
@@ -228,6 +221,11 @@ def local_model_at(
     and then that model is its graph: both hold (pi_N e_k, 0) + (e_k, 0) and,
     for each fiber vector Y, (0, Y) + (0, -B_ff Y).  So the formula holds
     when L is that model."""
+    # the rows are read by position, so the charts must match, order too
+    if pi_N.chart != bundle.base_chart:
+        raise ValueError("pi_N must live on the base chart")
+    if sigma.chart != bundle.chart:
+        raise ValueError("form must live on the bundle chart")
     b, n = bundle.b, bundle.b + bundle.f
     AN = _rows_at(pi_N.body, point)  # pi_N reads only the base coordinates
     B = _rows_at(sigma, point)
@@ -329,29 +327,27 @@ def splitting_check(
 
     euler_ok, euler_warn = _euler_linear_check(X, bundle)
 
-    if not (mixed.mixed and section_in_graph):
-        return SplittingReport(mixed, section_in_graph, vanish, euler_ok, euler_warn,
-                               None, None, None, ())
-    try:
-        B = moser_average(d_complex(xi1), bundle)
-        omega = moser_average(d_complex(xi2), bundle)
-    except WeightZeroError:
-        return SplittingReport(mixed, True, vanish, euler_ok, euler_warn, None, None, None, ())
-    Bw = B + omega.scale(GS_I)
-
-    fiber_ok = True
+    # B, omega and the points stay empty unless N is mixed, the section is in
+    # the graph and d xi1, d xi2 both have Moser averages
+    B = omega = fiber_ok = None
     results = []
-    for p, (on_N, A) in zip(points, mixed.rows_on_N):
-        pt = {k: Fraction(v) for k, v in p.items()}
-        fiber_ok = fiber_ok and _fiber_form_check(bundle, A, _rows_at(Bw, on_N))
-        AN = _pi_N(bundle, A)
-        ok = AN is not None and (
-            _model(bundle, AN, _rows_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
-        results.append((tuple(sorted(pt.items())), ok))
-    return SplittingReport(
-        mixed, True, vanish, euler_ok, euler_warn, B, omega, fiber_ok,
-        tuple(results),
-    )
+    if mixed.mixed and section_in_graph:
+        try:
+            B, omega = (moser_average(d_complex(form), bundle) for form in (xi1, xi2))
+        except WeightZeroError:
+            pass
+    if B is not None:
+        Bw = B + omega.scale(GS_I)
+        fiber_ok = True
+        for p, (on_N, A) in zip(points, mixed.rows_on_N):
+            pt = {k: Fraction(v) for k, v in p.items()}
+            fiber_ok = fiber_ok and _fiber_form_check(bundle, A, _rows_at(Bw, on_N))
+            AN = _pi_N(bundle, A)
+            ok = AN is not None and (
+                _model(bundle, AN, _rows_at(Bw, pt)) == _graph(*_rows_at(pi.body, pt), "bivector"))
+            results.append((tuple(sorted(pt.items())), ok))
+    return SplittingReport(mixed, section_in_graph, vanish, euler_ok, euler_warn,
+                           B, omega, fiber_ok, tuple(results))
 
 
 def _euler_linear_check(X: MultiField, bundle: BundleChart) -> Tuple[bool, bool]:
@@ -402,6 +398,8 @@ def _fiber_form_check(bundle: BundleChart, A: Rows, M: Rows) -> bool:
 def extension_check(sigma: FormField, bundle: BundleChart, points) -> bool:
     """The fiber block of sigma, a two-form on the bundle chart extending the
     fiber form, is nondegenerate on the zero section."""
+    if sigma.chart != bundle.chart:
+        raise ValueError("form must live on the bundle chart")
     b, f = bundle.b, bundle.f
     rows = (_rows_at(sigma, _on_N(bundle, p)) for p in points)
     return all(len(linalg.echelon(_fiber_block(re, b), _fiber_block(im, b))[0]) == f for re, im, _ in rows)

@@ -138,16 +138,12 @@ def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[R
     """Profiles over a sample plus regularity verdicts (sample-consistent only)."""
     profs = [rank_profile(pi, p) for p in points]
     dims_E = {p.dim_E for p in profs}
-    dims_D = {p.dim_Delta for p in profs}
-    summary = {
+    dims_Delta = {p.dim_Delta for p in profs}
+    return profs, {
         "regular_sample": len(dims_E) == 1,
-        "strongly_regular_sample": len(dims_E) == 1 and len(dims_D) == 1,
+        "strongly_regular_sample": len(dims_E) == 1 and len(dims_Delta) == 1,
         "quasi_real_sample": all(p.flags["quasi_real_sample"] for p in profs),
     }
-    for p in profs:
-        p.flags["regular_sample"] = summary["regular_sample"]
-        p.flags["strongly_regular_sample"] = summary["strongly_regular_sample"]
-    return profs, summary
 
 
 # -- the A_pi distribution ---------------------------------------------------
