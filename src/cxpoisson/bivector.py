@@ -318,10 +318,10 @@ def nijenhuis_residuals(sigma, N) -> Tuple[List[List[Poly]], List[FormField]]:
     chart = body.chart
     n = chart.dim
     A = _part_matrix(body, chart)
-    # sigma# N* has matrix A N^T; N sigma# has matrix N A.
+    # sigma# N* has matrix A N^T = -(N A)^T, as A is skew; N sigma# has
+    # matrix N A
     NA = _nijenhuis_matrix(body, N)
-    ANt = _matmul(chart, A, list(zip(*N)))
-    first = [[x - y for x, y in zip(r, s)] for r, s in zip(ANt, NA)]
+    first = [[-(x + y) for x, y in zip(c, r)] for c, r in zip(zip(*NA), NA)]
 
     def nstar(alpha: FormField) -> FormField:
         # (N* a)_j = sum_i a_i N_ij

@@ -229,7 +229,7 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
                 "dim_Delta": p.dim_Delta,
                 "dim_D": p.dim_D,
                 "real_index": p.real_index,
-                "order": p.order,
+                "order": p.dim_D,
             }
             for p in profs
         ]

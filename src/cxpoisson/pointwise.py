@@ -11,7 +11,12 @@ and the normal-form checks read those rows; matrix_at makes the GaussScalar
 matrix of them, for callers that want A itself.
 The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
 and D: their complexifications are E meet conj E and E + conj E, so
-dim Delta = 2 dim E - dim D.
+dim Delta = 2 dim E - dim D, and E = conj E, which profile_sample calls
+quasi-real, exactly when dim E = dim D.
+
+gcs_matrix reads A2^-1 and A2^-1 A1 off one solve, and the (1,1) block
+A1 A2^-1 of J as the transpose of A2^-1 A1, as A1 and A2 are skew (Gualtieri,
+"Generalized complex geometry", Ann. of Math. 174, 2011).
 
 The leafwise presymplectic forms are read off gr pi, as on any Dirac
 structure L: omega(X, Y) = zeta(Y) for X + zeta in L (Courant, "Dirac
@@ -21,7 +26,7 @@ Delta its real and imaginary parts are the two-forms of check(L) and hat(L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -113,8 +118,6 @@ class RankProfile:
     dim_Delta: int
     dim_D: int
     real_index: int
-    order: int
-    flags: Dict[str, bool] = field(default_factory=dict, compare=False)
 
 
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
@@ -129,8 +132,6 @@ def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
         dim_Delta=2 * E.dim - D.dim,
         dim_D=D.dim,
         real_index=n - len(linalg.echelon(Aim)[0]),
-        order=D.dim,
-        flags={"quasi_real_sample": E.dim == D.dim},
     )
 
 
@@ -142,7 +143,7 @@ def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[R
     return profs, {
         "regular_sample": len(dims_E) == 1,
         "strongly_regular_sample": len(dims_E) == 1 and len(dims_Delta) == 1,
-        "quasi_real_sample": all(p.flags["quasi_real_sample"] for p in profs),
+        "quasi_real_sample": all(p.dim_E == p.dim_D for p in profs),
     }
 
 
@@ -243,34 +244,31 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     """
     n = pi.chart.dim
     re, im, d = _rows_at(pi.body, point)
-    # A1 = re/d and A2 = im/d, so A2 X = Id is im X = d Id
-    X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] for i, r in enumerate(im)])
+    # A1 = re/d and A2 = im/d, so the one solve of im X = [d Id | re] gives
+    # X = [A2^-1 | A2^-1 A1]
+    X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] + a
+                         for i, (r, a) in enumerate(zip(im, re))])
     if X is None:
         nullity = n - len(linalg.echelon(im)[0])
         raise ValueError(
             f"pi2 singular at the point (real index {nullity} > 0): no "
             "generalized complex matrix"
         )
-    # A2^-1 = V/D; then A1 A2^-1 = re V/(d D), A2^-1 A1 = V re/(D d) and
-    # sigma = (re V re + d D im)/(d^2 D)
+    # X = [V | W]/D.  A1 and A2 are skew, so A1 A2^-1 = (A2^-1 A1)^T = W^T/D
+    # and sigma = (W^T re + D im)/(D d)
     D = lcm(*(dx for _, dx in X))
-    V = [[x * (D // dx) for x in ints] for ints, dx in X]
-    M11, M22 = _int_product(re, V), _int_product(V, re)
-    S = [[x + d * D * y for x, y in zip(r, i)] for r, i in zip(_int_product(M11, re), im)]
+    V = [[x * (D // dx) for x in ints[:n]] for ints, dx in X]
+    W = [[x * (D // dx) for x in ints[n:]] for ints, dx in X]
+    Wt, cols = list(zip(*W)), list(zip(*re))
+    S = [[_dot(w, c) + D * y for c, y in zip(cols, i)] for w, i in zip(Wt, im)]
 
     def frac(M, den):
         return [[Fraction(x, den) for x in r] for r in M]
 
-    sigma = frac(S, d * d * D)
-    J = [a + [-x for x in b] for a, b in zip(frac(M11, d * D), sigma)]
-    J += [a + [-x for x in b] for a, b in zip(frac(V, D), frac(M22, D * d))]
+    sigma = frac(S, D * d)
+    J = [a + [-x for x in b] for a, b in zip(frac(Wt, D), sigma)]
+    J += [a + [-x for x in b] for a, b in zip(frac(V, D), frac(W, D))]
     return J, sigma
-
-
-def _int_product(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The integer matrix product A B."""
-    cols = list(zip(*B))
-    return [[_dot(r, c) for c in cols] for r in A]
 
 
 def plus_i_eigenspace(J: List[List[Fraction]]) -> Subspace:

@@ -34,10 +34,11 @@ its check; the fitted arguments are kept in ProblemFile.fits, so a runner
 does not fit them again.
 
 Coefficient strings are kept verbatim, so parse -> dumps -> parse is the
-identity.  A ProblemFile builds its one Chart (ProblemFile.chart) when it is
-made, and every Poly parsed from the file, and every field built from it,
-holds that one object.  Each coefficient string is parsed once, at parse
-time, and the parsed Poly is kept in ProblemFile.polys under its string.
+identity.  parse_problem builds the file's one Chart (ProblemFile.chart)
+from its chart line, and every Poly parsed from the file, and every field
+built from it, holds that one object.  Each coefficient string is parsed
+once, at parse time, and the parsed Poly is kept in ProblemFile.polys under
+its string.
 Chart variables must be names the coefficient grammar can read, and `i` is
 refused, since it would shadow the imaginary unit.
 """
@@ -85,7 +86,7 @@ class ProblemParseError(ValueError):
 
 @dataclass
 class ProblemFile:
-    chart_vars: Tuple[str, ...]
+    chart: Chart
     bundle: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
     points: Dict[str, Tuple[Fraction, ...]] = field(default_factory=dict)
     bivectors: Dict[str, List[Tuple[int, int, str]]] = field(default_factory=dict)
@@ -100,11 +101,6 @@ class ProblemFile:
     # each check's arguments as check_args fits them, by check id; not part
     # of the content
     fits: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict, compare=False, repr=False)
-    # the file's one Chart, built from chart_vars
-    chart: Chart = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.chart = Chart(self.chart_vars)
 
 
 def _lines(text: str) -> Iterator[Tuple[int, str]]:
@@ -139,10 +135,10 @@ def parse_problem(text: str) -> ProblemFile:
             if pf is not None:
                 raise ProblemParseError(lineno, "duplicate chart declaration")
             try:
-                pf = ProblemFile(chart_vars=tuple(parts[1:]))
+                pf = ProblemFile(Chart(tuple(parts[1:])))
             except ValueError as exc:
                 raise ProblemParseError(lineno, str(exc)) from None
-            for v in pf.chart_vars:
+            for v in pf.chart.vars:
                 if not NAME_RE.fullmatch(v):
                     raise ProblemParseError(
                         lineno, f"chart variable {v!r} is not a name coefficients can use"
@@ -173,7 +169,7 @@ def _bundle(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
     except ValueError:
         raise ProblemParseError(lineno, _BUNDLE_SYNTAX) from None
     base, fiber = tuple(base.split()), tuple(fiber.split())
-    if base + fiber != pf.chart_vars:
+    if base + fiber != pf.chart.vars:
         raise ProblemParseError(lineno, "bundle variables must equal the chart in order")
     if b.strip() != "base" or f.strip() != "fiber":
         raise ProblemParseError(lineno, _BUNDLE_SYNTAX)
@@ -190,7 +186,7 @@ def _point(pf: ProblemFile, lineno: int, parts, line: str, lines) -> None:
     name = words[1]
     if name in pf.points:
         raise ProblemParseError(lineno, f"duplicate point name {name!r}")
-    dim = len(pf.chart_vars)
+    dim = pf.chart.dim
     pf.points[name] = _coords(
         rest, dim, lambda exc: ProblemParseError(lineno, f"bad rational: {exc}"),
         lambda n: ProblemParseError(lineno, f"point {name!r} has {n} coordinates, chart has {dim}"),
@@ -289,7 +285,7 @@ def check_args(pf: ProblemFile, admits: Dict[str, Container[str]], cid: str, kin
 
 
 def dumps(pf: ProblemFile) -> str:
-    out = ["chart " + " ".join(pf.chart_vars)]
+    out = ["chart " + " ".join(pf.chart.vars)]
     if pf.bundle:
         base, fiber = pf.bundle
         out.append(f"bundle base: {' '.join(base)} ; fiber: {' '.join(fiber)}")

@@ -476,9 +476,20 @@ def test_nijenhuis_residuals_detect_incompatible_tensor():
     p = Poly.var(chart, "p")
     z = Poly.zero(chart)
     N = [[z, q], [p, z]]
-    first, second = nijenhuis_residuals(sigma, N)
-    assert any(not x.is_zero() for row in first for x in row)
-    assert any(not s.is_zero() for s in second)
+    # on XYZ, N A is not symmetric, so the first residual pins the transpose
+    x, y, w = (Poly.var(XYZ, v) for v in XYZ.vars)
+    one, zero = Poly.const(XYZ, 1), Poly.zero(XYZ)
+    sigma3 = MultiField(XYZ, 2, {(0, 1): w, (0, 2): one, (1, 2): x * y})
+    N3 = [[x, one, zero], [zero, y * w, w], [one, zero, x + w]]
+    for sig, M in ((sigma, N), (sigma3, N3)):
+        first, second = nijenhuis_residuals(sig, M)
+        assert any(not e.is_zero() for row in first for e in row)
+        assert any(not s.is_zero() for s in second)
+        # the first residual is A M^T - M A, A the matrix of sig
+        A = _part_matrix(sig, sig.chart)
+        AMt = bivector_module._matmul(sig.chart, A, [list(r) for r in zip(*M)])
+        MA = bivector_module._matmul(sig.chart, M, A)
+        assert first == [[a - b for a, b in zip(r, s)] for r, s in zip(AMt, MA)]
 
 
 def test_constant_bivectors_are_poisson(rng):

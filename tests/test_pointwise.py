@@ -48,6 +48,7 @@ from cxpoisson import linalg
 
 from conftest import (
     XYZ,
+    identity_matrix,
     leafwise_bivectors,
     nb_bivector,
     random_constant_bivector,
@@ -97,7 +98,7 @@ def test_nb_rank_profiles():
         assert p.dim_Delta == 1
         assert p.dim_D == 3
         assert p.real_index == 1
-        assert p.flags["quasi_real_sample"] is False
+        assert p.dim_E != p.dim_D
     assert summary["regular_sample"] and summary["strongly_regular_sample"]
     assert not summary["quasi_real_sample"]
 
@@ -210,15 +211,30 @@ def pairing_matrix(n):
 
 def test_gcs_matrix_properties(rng):
     hits = 0
-    while hits < 20:
-        n = rng.choice((2, 3))
-        pi = random_constant_bivector(rng, n)
-        pt = grid_points(pi.chart, 1)[0]
-        _, A2 = matrix_parts(pi, pt)
+    while hits < 30:
+        n = rng.choice((2, 4, 6))
+        if rng.random() < 0.5:
+            pi = random_constant_bivector(rng, n)
+        else:
+            chart = Chart(tuple(f"x{k}" for k in range(n)))
+            pi = ComplexBivector(MultiField(chart, 2, {
+                (i, j): random_poly(rng, chart) for i in range(n) for j in range(i + 1, n)}))
+        pt = grid_points(pi.chart, 20)[rng.randrange(20)]
+        A1, A2 = matrix_parts(pi, pt)
         if reference_rank(A2) < n:
             continue
         hits += 1
         J, sigma = gcs_matrix(pi, pt)
+        # the blocks of J, against products of the parts of A: its
+        # (2,1) block inverts A2, and then sigma = A1 A2^-1 A1 + A2
+        inv = [r[:n] for r in J[n:]]
+        assert linalg.matmul(A2, inv) == identity_matrix(n, 1, 0)
+        A1_inv = linalg.matmul(A1, inv)
+        assert sigma == [[x + y for x, y in zip(r, s)]
+                         for r, s in zip(linalg.matmul(A1_inv, A1), A2)]
+        assert [r[:n] for r in J[:n]] == A1_inv
+        assert [r[n:] for r in J[:n]] == [[-x for x in r] for r in sigma]
+        assert [r[n:] for r in J[n:]] == [[-x for x in r] for r in linalg.matmul(inv, A1)]
         n2 = 2 * n
         J2 = linalg.matmul(J, J)
         assert J2 == [
@@ -436,8 +452,7 @@ def old_rank_profile(pi, point):
     E = Subspace(len(A), A, is_complex=True)
     delta = real_points(E)
     D = real_projection(E)
-    return (E.dim, delta.dim, D.dim, len(A2) - reference_rank(A2), D.dim,
-            {"quasi_real_sample": delta.dim == D.dim})
+    return E.dim, delta.dim, D.dim, len(A2) - reference_rank(A2)
 
 
 RAT = st.fractions(-3, 3, max_denominator=4)
@@ -497,5 +512,5 @@ def test_matrix_at_refuses_other_degrees():
 def test_rank_profile_matches_the_real_points_formulation(pi, data):
     point = {v: data.draw(RAT) for v in pi.chart.vars} if data else grid_points(pi.chart, 1)[0]
     p = rank_profile(pi, point)
-    assert (p.dim_E, p.dim_Delta, p.dim_D, p.real_index, p.order, p.flags) == old_rank_profile(pi, point)
+    assert (p.dim_E, p.dim_Delta, p.dim_D, p.real_index) == old_rank_profile(pi, point)
     assert p.dim_Delta == delta_at(pi, point).dim

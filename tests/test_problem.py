@@ -35,7 +35,7 @@ check c3 dirac NB : tilde | indices
 
 def test_parse_sample():
     pf = parse_problem(SAMPLE)
-    assert pf.chart_vars == ("x", "y", "z")
+    assert pf.chart.vars == ("x", "y", "z")
     assert pf.points["p0"] == (Fraction(1, 2), Fraction(1), Fraction(2))
     assert pf.bivectors["NB"][0] == (1, 2, "1 + i")
     assert pf.bivectors["NB"][2] == (2, 3, "y + i*(-1*y + z)")
