@@ -165,6 +165,16 @@ def int_polys(chart: Chart, top: int = 2, min_terms: int = 1, max_terms: int = 3
                     min_size=min_terms, max_size=max_terms).map(build)
 
 
+@st.composite
+def complex_bivectors(draw, dims=(2, 5)):
+    """A complex bivector on n = dims[0]..dims[1] variables with up to four
+    nonzero entries from int_polys."""
+    n = draw(st.integers(*dims))
+    chart = Chart(tuple(f"x{k}" for k in range(n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return bivector_from_brackets(chart, draw(st.dictionaries(st.sampled_from(pairs), int_polys(chart), max_size=4)))
+
+
 def random_multifield(rng: random.Random, chart: Chart, degree: int) -> MultiField:
     import itertools
 

@@ -40,6 +40,7 @@ from cxpoisson.scalars import GS_I, GaussScalar
 
 from conftest import (
     XYZ,
+    complex_bivectors,
     int_polys,
     nb_bivector,
     random_constant_bivector,
@@ -106,21 +107,32 @@ def test_the_three_routes_take_each_partial_once(monkeypatch):
     assert max(taken.values()) == 1
 
 
-@st.composite
-def complex_bivectors(draw, dims=(2, 5)):
-    """A complex bivector on n = dims[0]..dims[1] variables with up to four
-    nonzero entries from int_polys."""
-    n = draw(st.integers(*dims))
-    chart = Chart(tuple(f"x{k}" for k in range(n)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return bivector_from_brackets(chart, draw(st.dictionaries(st.sampled_from(pairs), int_polys(chart), max_size=4)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(complex_bivectors())
 def test_pair_conditions_are_the_brackets_of_the_real_pair(pi):
     p1, p2 = decompose(pi.body)
     assert pair_conditions(pi) == (schouten(p1, p2), schouten(p1, p1) - schouten(p2, p2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_bivectors())
+def test_the_three_routes_agree(pi):
+    # cli's check decides on [pi, pi] alone, so this is what ties the other
+    # two routes to its verdict: [pi, pi] = ([pi1, pi1] - [pi2, pi2]) +
+    # 2i [pi1, pi2], and each triple's PDE residuals re + i im are half its
+    # component of [pi, pi]
+    res = jacobi_residual(pi)
+    pc1, pc2 = pair_conditions(pi)
+    pde = jacobi_pde_residuals(pi)
+    assert res.is_zero() == (pc1.is_zero() and pc2.is_zero()) == all(r.is_zero() for _, _, r in pde)
+    assert res == pc2 + pc1.scale(2 * GS_I)
+    by_triple = {}
+    for idx, s, r in pde:
+        by_triple.setdefault(idx, {})[s] = r
+    n = pi.chart.dim
+    assert len(by_triple) == n * (n - 1) * (n - 2) // 6
+    for idx, parts in by_triple.items():
+        assert res.component(idx) == (parts[1] + parts[2].scale(GS_I)).scale(2)
 
 
 def test_perturbed_bracket_fails_jacobi():

@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, find, given, settings
 from hypothesis import strategies as st
 
-from cxpoisson import cli, normal_form, pointwise, problem
+from cxpoisson import cli, fields, normal_form, pointwise, problem
+from cxpoisson.bivector import jacobi_pde_residuals, jacobi_residual, pair_conditions
 from cxpoisson.cli import main
 from cxpoisson.fields import MultiField
 from cxpoisson.lagrangian import Subspace, graph
+from cxpoisson.poly import format_poly
 from cxpoisson.problem import BLOCK_KINDS, DIRAC_OPS, ProblemParseError, dumps, parse_problem
 from cxpoisson.scalars import GS_I, GaussScalar
+
+from conftest import complex_bivectors
 
 NB_PROBLEM = """\
 chart x y z
@@ -123,6 +128,66 @@ def test_machine_format_is_json_lines(nb_file, capsys):
     assert by_id["bad"]["verdict"] == "fail"
     # the PDE witness names the file's 1-based triple and the part of the equation
     assert by_id["bad"]["witness"]["pde_residuals"] == [[[1, 2, 3], "re", "1 + -1*y"]]
+
+
+ROUTES = ("jacobi_residual", "pair_conditions", "jacobi_pde_residuals")
+
+
+@pytest.mark.parametrize("cid,fails", [("good", False), ("bad", True)])
+def test_check_runs_the_other_routes_only_for_a_failing_witness(monkeypatch, nb_file, capsys, cid, fails):
+    # a record passes on [pi, pi] = 0 alone; the pair conditions and the PDE
+    # residuals fill a failing witness, and there each partial of pi, pi1
+    # and pi2 is taken once, as the library's routes share them
+    calls, seen, taken = Counter(), [], Counter()
+
+    def counted(name):
+        inner = getattr(cli, name)
+
+        def wrapper(pi):
+            calls[name] += 1
+            seen.append(pi)
+            return inner(pi)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ROUTES:
+        counted(name)
+    take = fields.poly_partial
+    monkeypatch.setattr(fields, "poly_partial", lambda p, name: taken.update([(id(p), name)]) or take(p, name))
+    code, out, _ = run(capsys, ["check", nb_file, "--check", cid])
+    assert code == int(fails) and out.startswith("[FAIL" if fails else "[PASS")
+    assert calls == Counter(ROUTES if fails else ROUTES[:1])
+    pi = seen[0]
+    assert all(p is pi for p in seen)
+    read = (pi.body, pi.pi1, pi.pi2) if fails else (pi.body,)
+    comps = [p for f in read for p in f.comps.values()]
+    assert set(taken) == {(id(p), name) for p in comps for name in pi.chart.vars}
+    assert max(taken.values()) == 1
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(complex_bivectors(dims=(3, 4)))
+def test_check_verdict_and_witness_are_the_library_routes(tmp_path, capsys, pi):
+    # the verdict read off [pi, pi] alone is the one all three routes give,
+    # and a failing witness is the three routes' outputs as text
+    lines = ["chart " + " ".join(pi.chart.vars), "bivector B {"]
+    lines += [f"  {i + 1} {j + 1} = {format_poly(p)}" for (i, j), p in pi.body.comps.items()]
+    lines += ["}", "check c jacobi B"]
+    f = tmp_path / "random.prob"
+    f.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, ["check", str(f), "--format", "machine"])
+    res = jacobi_residual(pi)
+    pcs = list(pair_conditions(pi))
+    bad = [(tuple(x + 1 for x in t), ("re", "im")[s - 1], r)
+           for t, s, r in jacobi_pde_residuals(pi) if not r.is_zero()]
+    poisson = res.is_zero() and all(p.is_zero() for p in pcs) and not bad
+    assert code == (0 if poisson else 1)
+    (record,) = map(json.loads, out.splitlines())
+    witness = None if poisson else {"jacobi_residual": res, "pair_conditions": pcs,
+                                    "pde_residuals": bad[:4]}
+    # JSON has no tuples, so the expected text goes through it too
+    assert record["witness"] == json.loads(json.dumps(cli._text(witness)))
 
 
 def test_invariants_reports_profiles(nb_file, capsys):
