@@ -247,14 +247,11 @@ def cmd_invariants(pf: ProblemFile, args) -> Report:
 
 # op of problem.DIRAC_OPS -> the map it applies to the complexified lagrangian,
 # or None for indices, which reports on the current object, and theorem_7_18,
-# which reports on gr pi wherever it sits in the pipeline.  Each map looks its
-# function up by name when it runs, as a call in a function body does, so a
-# module name rebound after import is the one called.
+# which reports on gr pi wherever it sits in the pipeline.  Each map is the
+# library function itself; conjugate fixes the kind of its transform.
 _DIRAC_OPS = {
-    "hat": lambda L: hat(L), "check": lambda L: lag_check(L), "tilde": lambda L: tilde(L),
-    "hat_cot": lambda L: hat_cot(L), "check_cot": lambda L: check_cot(L),
-    "tilde_cot": lambda L: tilde_cot(L),
-    "conjugate": lambda L: transform("conjugate", None, L),
+    "hat": hat, "check": lag_check, "tilde": tilde, "hat_cot": hat_cot, "check_cot": check_cot,
+    "tilde_cot": tilde_cot, "conjugate": lambda L: transform("conjugate", None, L),
     "indices": None, "theorem_7_18": None,
 }
 

@@ -8,18 +8,18 @@ cotangent.  The canonical pairing is the C-bilinear
 Subspace covers R^m and C^m; its field is fixed when it is built (complex
 when asked for or when a generator entry is a GaussScalar).  It keeps its
 reduced basis as canonical integer rows (see linalg), so equality is equality
-of row tuples; .basis reads them as GaussScalars or Fractions.  Only the
-public constructor reduces: rows that are canonical already (eliminate tails,
-heads, conjugates) go through the trusted _subspace.  A Lagrangian is a
-complex Subspace of C^{2n} (m = 2n) that also keeps n; it equals the
-Subspace with the same rows, and the operations here build it through the
-trusted _lagrangian.  Real computations (hat, check, K, Delta, D) realify a
-complex span into R^{2m}, layout [real parts | imaginary parts].  Every
-intersect-and-project step is one linalg.eliminate: the coordinates that
-must vanish come first, and the tails span the result.
+of row tuples; .basis makes them GaussScalars or Fractions on each read.
+Only the public constructor reduces: rows that are canonical already
+(eliminate tails, heads, conjugates) go through the trusted _subspace.  A
+Lagrangian is a complex Subspace of C^{2n} (m = 2n) that also keeps n; it
+equals the Subspace with the same rows, and the operations here build it
+through the trusted _lagrangian.  Real computations (hat, check, K, Delta,
+D) realify a complex span into R^{2m}, layout [real parts | imaginary
+parts].  Every intersect-and-project step is one linalg.eliminate: the
+coordinates that must vanish come first, and the tails span the result.
 
-A Lagrangian keeps one such slice once it is read (_tilde_slice, in a slot
-as basis is): its real span with the im tangent block zero, projected on re
+A Lagrangian keeps one such slice once it is read (_tilde_slice, in a
+slot): its real span with the im tangent block zero, projected on re
 tangent, re cotangent and im cotangent.  hat is one real echelon of its re
 tangent and im cotangent blocks, kept beside the slice (_hat), check its
 heads, tilde the complex product of the two, and the real part of indices
@@ -45,11 +45,11 @@ class Subspace:
     Complex when is_complex (pass it when the generators may be empty) or any
     generator entry is a GaussScalar.  Entries are ints, Fractions and
     GaussScalars; anything else is a TypeError.  rows is the basis as
-    canonical integer rows; basis is the same with GaussScalar (complex) or
-    Fraction entries.
+    canonical integer rows; basis makes the same with GaussScalar (complex)
+    or Fraction entries on each read.
     """
 
-    __slots__ = ("m", "rows", "is_complex", "_basis")
+    __slots__ = ("m", "rows", "is_complex")
 
     def __init__(self, m: int, gens: Sequence[Sequence], is_complex: bool = False):
         gens = [list(g) for g in gens]
@@ -59,13 +59,11 @@ class Subspace:
         is_complex = is_complex or any(type(x) is GaussScalar for g in gens for x in g)
         re, im, _ = _int_matrix(gens)
         rows, _ = linalg.echelon(re, im if is_complex else None)
-        self.m, self.rows, self.is_complex, self._basis = m, tuple(rows), is_complex, None
+        self.m, self.rows, self.is_complex = m, tuple(rows), is_complex
 
     @property
     def basis(self) -> tuple:
-        if self._basis is None:
-            self._basis = tuple(tuple(linalg._scalars(r)) for r in self.rows)
-        return self._basis
+        return tuple(tuple(linalg._scalars(r)) for r in self.rows)
 
     @property
     def dim(self) -> int:
@@ -96,7 +94,7 @@ class Subspace:
 def _subspace(m: int, rows, is_complex: bool) -> Subspace:
     """Trusted constructor: rows must already be a canonical basis."""
     S = object.__new__(Subspace)
-    S.m, S.rows, S.is_complex, S._basis = m, tuple(rows), is_complex, None
+    S.m, S.rows, S.is_complex = m, tuple(rows), is_complex
     return S
 
 
@@ -150,7 +148,7 @@ def _lagrangian(n: int, rows) -> Lagrangian:
     """Trusted constructor: rows must be a canonical basis of an isotropic
     subspace of C^{2n}."""
     L = object.__new__(Lagrangian)
-    L.n, L.m, L.rows, L.is_complex, L._basis = n, 2 * n, tuple(rows), True, None
+    L.n, L.m, L.rows, L.is_complex = n, 2 * n, tuple(rows), True
     L._slice = L._hat = None
     return L
 
@@ -389,7 +387,7 @@ def _slice_real(L, zero_cols, keep_cols) -> Subspace:
 def _tilde_slice(L: Lagrangian) -> Subspace:
     """The one real slice of L behind hat, check, tilde and the real part of
     indices: im tangent zero, keeping the blocks re tangent, re cotangent
-    and im cotangent.  Built on first read and kept, as basis is."""
+    and im cotangent.  Built on first read and kept in a slot."""
     if L._slice is None:
         L._slice = _slice_real(L, _cols(L.n, 2), _cols(L.n, 0, 1, 3))
     return L._slice
@@ -584,37 +582,37 @@ def images(kind: str, A: Sequence[Sequence[GaussScalar]], L: Lagrangian) -> Lagr
 
     backward: result in C^{2m}: {X + A^T xi : A X + xi in L (ambient n)}.
     forward:  result in C^{2n}: {A X + xi : X + A^T xi in L (ambient m)}.
+    The forward image along A is the backward image along A^T with tangent
+    and cotangent swapped, in L and in the result, so one eliminate builds both.
     """
     if not A:
         raise ValueError(f"{kind} image along a matrix of shape 0x?: with no rows, "
                          "its domain size is unknown")
     Are, Aim, d = _int_matrix(A)
     n, m = len(Are), len(Are[0])
-    if kind == "backward":
-        if L.n != n:
-            raise ValueError("backward: L must live over the codomain")
-        # X = e_c contributes the head A e_c and the tail d e_c; a basis row b
-        # the head -d tangent(b) and the tail A^T cot(b)
-        Tre, Tim = linalg.transpose(Are), linalg.transpose(Aim)
-        re = [Tre[c] + [d if t == c else 0 for t in range(m)] + [0] * m for c in range(m)]
-        im = [Tim[c] + [0] * (2 * m) for c in range(m)]
-        T = _fused(Tre, Tim)
-        for r, i, _ in L.rows:
-            add_re, add_im = _times(T, r[n:] + i[n:])
-            re.append([-d * x for x in r[:n]] + [0] * m + add_re)
-            im.append([-d * x for x in i[:n]] + [0] * m + add_im)
-        return _lagrangian(m, linalg.eliminate(n, re, im))
-    if kind == "forward":
-        if L.n != m:
-            raise ValueError("forward: L must live over the domain")
-        # xi = e_t contributes the head -A^T e_t and the tail d e_t; a basis
-        # row b the head d cot(b) and the tail A tangent(b)
-        re = [[-x for x in Are[t]] + [0] * n + [d if s == t else 0 for s in range(n)] for t in range(n)]
-        im = [[-x for x in Aim[t]] + [0] * (2 * n) for t in range(n)]
-        M = _fused(Are, Aim)
-        for r, i, _ in L.rows:
-            add_re, add_im = _times(M, r[:m] + i[:m])
-            re.append([d * x for x in r[m:]] + add_re + [0] * n)
-            im.append([d * x for x in i[m:]] + add_im + [0] * n)
-        return _lagrangian(n, linalg.eliminate(m, re, im))
-    raise ValueError(f"unknown image kind {kind!r}")
+    if kind not in ("backward", "forward"):
+        raise ValueError(f"unknown image kind {kind!r}")
+    fwd = kind == "forward"
+    if L.n != (m if fwd else n):
+        raise ValueError("forward: L must live over the domain" if fwd
+                         else "backward: L must live over the codomain")
+    # T = A^T (backward) or A (forward) has r rows of length k = L.n.  A free
+    # vector e_c gives the head T[c] and the tail d e_c on its own half; a
+    # basis row b the head -d b[h], h the half of b that meets T, and T b[o]
+    # on the other half.  For forward, h and the free half are cotangent
+    Tre, Tim = (Are, Aim) if fwd else (linalg.transpose(Are), linalg.transpose(Aim))
+    k, r = L.n, len(Tre)
+    h, o = (slice(k, 2 * k), slice(0, k)) if fwd else (slice(0, k), slice(k, 2 * k))
+
+    def tail(own, other):
+        return other + own if fwd else own + other
+
+    zero = [0] * r
+    re = [Tre[c] + tail([d if t == c else 0 for t in range(r)], zero) for c in range(r)]
+    im = [Tim[c] + [0] * (2 * r) for c in range(r)]
+    T = _fused(Tre, Tim)
+    for row_re, row_im, _ in L.rows:
+        add_re, add_im = _times(T, row_re[o] + row_im[o])
+        re.append([-d * x for x in row_re[h]] + tail(zero, add_re))
+        im.append([-d * x for x in row_im[h]] + tail(zero, add_im))
+    return _lagrangian(r, linalg.eliminate(k, re, im))

@@ -12,7 +12,8 @@ matrix of them, for callers that want A itself.
 The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
 and D: their complexifications are E meet conj E and E + conj E, so
 dim Delta = 2 dim E - dim D, and E = conj E, which profile_sample calls
-quasi-real, exactly when dim E = dim D.
+quasi-real, exactly when dim E = dim D.  The sampled verdicts here and in
+normal_form refuse an empty point list, on which they would decide nothing.
 
 gcs_matrix reads A2^-1 and A2^-1 A1 off one solve, and the (1,1) block
 A1 A2^-1 of J as the transpose of A2^-1 A1, as A1 and A2 are skew (Gualtieri,
@@ -78,6 +79,12 @@ def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
     return pts
 
 
+def _require_points(points: Sequence[Point]) -> None:
+    """Refuse an empty point list, on which a sampled verdict decides nothing."""
+    if not points:
+        raise ValueError("empty point list: a sampled check decides nothing on no points")
+
+
 # -- pointwise matrices ------------------------------------------------------
 
 
@@ -137,6 +144,7 @@ def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
 
 def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[RankProfile], Dict[str, bool]]:
     """Profiles over a sample plus regularity verdicts (sample-consistent only)."""
+    _require_points(points)
     profs = [rank_profile(pi, p) for p in points]
     dims_E = {p.dim_E for p in profs}
     dims_Delta = {p.dim_Delta for p in profs}
@@ -314,6 +322,7 @@ def involutivity_sample(
     """Pairwise symbolic brackets tested for pointwise span membership."""
     if not generators:
         return InvolutivityReport(True, ())
+    _require_points(points)
     chart = generators[0].chart
     n = chart.dim
     failures = []

@@ -3,11 +3,12 @@
 A GaussScalar is the complex number (a + b i)/d.  It holds the integer
 triple abd = (a, b, d) over one shared denominator, in lowest terms: d > 0
 and gcd(a, b, d) == 1.  Every value has exactly one such triple, so
-structural equality is value equality.  Add, subtract, multiply, divide,
-inverse and conjugate are integer arithmetic followed by one gcd; add,
-subtract and multiply have one formula each.  The parts are read back as
-Fractions through .re and .im; str prints them from abd, through the entry
-formatter _gauss_str that also writes the integer rows of a subspace.
+structural equality is value equality.  Add, subtract, multiply, divide
+and conjugate are integer arithmetic followed by one gcd, and inverse is
+one divided by the scalar; each, and the constructor, has one formula with
+no fast path beside it.  The parts are read back as Fractions through .re
+and .im; str prints them from abd, through the entry formatter _gauss_str
+that also writes the integer rows of a subspace.
 
 This is the coefficient field for every computation in the package: all
 identity checks are exact, with tolerance zero.
@@ -31,11 +32,8 @@ class GaussScalar:
     def __init__(self, re: Rational, im: Rational):
         ra, rd = _parts(re)
         ia, id_ = _parts(im)
-        if rd == id_:
-            _set(self, (ra, ia, rd))
-        else:
-            g = gcd(rd, id_)
-            _set(self, (ra * (id_ // g), ia * (rd // g), rd // g * id_))
+        g = gcd(rd, id_)
+        _set(self, (ra * (id_ // g), ia * (rd // g), rd // g * id_))
         self.__post_init__()
 
     def __post_init__(self):
@@ -113,23 +111,16 @@ class GaussScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussScalar":
-        a, b, d = self.abd
-        n = a * a + b * b
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero GaussScalar")
-        return _make(d * a, -d * b, n)
+        return GS_ONE / self
 
     def __truediv__(self, other):
         a1, b1, d1 = self.abd
         a2, b2, d2 = _coerce(other).abd
-        if b2 == 0:
-            if a2 == 0:
-                raise ZeroDivisionError("inverse of zero GaussScalar")
-            return _make(a1 * d2, b1 * d2, d1 * a2)
+        n = a2 * a2 + b2 * b2
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero GaussScalar")
         # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
-        return _make(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * (a2 * a2 + b2 * b2)
-        )
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self

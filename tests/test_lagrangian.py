@@ -664,6 +664,21 @@ def test_images_match_nullspace_formulation(data):
     assert images("forward", A, L) == ref_images("forward", A, L)
 
 
+def swapped(L):
+    """L with tangent and cotangent exchanged, built from its basis."""
+    n = L.n
+    return Lagrangian.from_generators(n, [r[n:] + r[:n] for r in L.basis], allow_partial=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_forward_image_is_the_swapped_backward_image_along_the_transpose(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    A = data.draw(st.lists(st.lists(GAUSS, min_size=m, max_size=m), min_size=n, max_size=n))
+    L = data.draw(isotropics(m))
+    assert images("forward", A, L) == swapped(images("backward", linalg.transpose(A), swapped(L)))
+
+
 # -- integer-row Subspace and Lagrangian against the GaussScalar ones ----------
 #
 # RefSubspace, RefLagrangian and the old_* functions are this module's code

@@ -19,6 +19,7 @@ from cxpoisson import (
 from cxpoisson.lagrangian import _graph, bivector_of_graph, graph, images, transform
 from cxpoisson.normal_form import (
     BundleChart,
+    _euler_linear_check,
     _fiber_form_check,
     _model,
     _on_N,
@@ -33,6 +34,7 @@ from cxpoisson.normal_form import (
     splitting_check,
 )
 from cxpoisson.pointwise import _rows_at, delta_at, grid_points, matrix_at
+from cxpoisson.poly import poly_subst_zero
 from cxpoisson.scalars import GS_I, GS_ONE, GS_ZERO, GaussScalar
 from cxpoisson import lagrangian, linalg
 
@@ -165,6 +167,23 @@ def test_mixed_check_rejects_wrong_chart():
         mixed_check(other, BUNDLE, base_points())
 
 
+def test_mixed_check_and_splitting_check_refuse_an_empty_sample():
+    # pi = -du^dq with X = q d/dq, xi1 = q du, xi2 = 0: on no point N would
+    # read as mixed and the splitting as passed, though the one-variable
+    # fiber block of pi is 0 at every point
+    bundle = BundleChart(("u", "v"), ("q",))
+    ch = bundle.chart
+    pi = bivector_from_brackets(ch, {(0, 2): Poly.const(ch, -1)})
+    section = (MultiField(ch, 1, {(2,): Poly.var(ch, "q")}),
+               FormField(ch, 1, {(0,): Poly.var(ch, "q")}), FormField(ch, 1, {}))
+    rep = splitting_check(pi, bundle, section, grid_points(ch, 3))
+    assert rep.section_in_graph and not rep.mixed.mixed and not rep.passed
+    with pytest.raises(ValueError, match="empty point list"):
+        mixed_check(pi, bundle, [])
+    with pytest.raises(ValueError, match="empty point list"):
+        splitting_check(pi, bundle, section, [])
+
+
 # -- local model ----------------------------------------------------------------
 
 
@@ -256,6 +275,76 @@ def test_euler_linear_check_flags():
     assert rep.section_in_graph and not rep.euler_linear_ok
 
 
+# -- the Euler part against the partials-based formulation --------------------
+
+
+def old_euler_linear_check(X, bundle):
+    """_euler_linear_check as it was before it read X's terms by fiber
+    degree: X must vanish on N, and each fiber component's partial by each
+    fiber variable, restricted to N, must be the Euler field's."""
+    chart = bundle.chart
+    b = bundle.b
+    dX = X.partials
+    ok = True
+    higher = False
+    for j, name in enumerate(chart.vars):
+        comp = X.component((j,))
+        if not poly_subst_zero(comp, bundle.fiber_vars).is_zero():
+            ok = False
+        if j >= b:
+            for fv in bundle.fiber_vars:
+                d = poly_subst_zero(dX[X.chart.index(fv)].get((j,), Poly.zero(X.chart)), bundle.fiber_vars)
+                expect = Poly.const(chart, 1 if name == fv else 0)
+                if d != expect:
+                    ok = False
+        if any(sum(exp[b:]) >= 2 for exp in comp.terms):
+            higher = True
+    return ok, higher
+
+
+@st.composite
+def bundle_vector_fields(draw):
+    """(bundle, X) with b, f in 1..3: each fiber component starts as the
+    Euler field's, twice it or zero, and each component gains up to two
+    terms of fiber degree 0 to 2, which may cancel the Euler term."""
+    b, f = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bundle = BundleChart(tuple(f"u{k}" for k in range(b)), tuple(f"q{k}" for k in range(f)))
+    chart = bundle.chart
+    comps = {}
+    for j in range(b + f):
+        p = Poly.var(chart, chart.vars[j]).scale(draw(st.sampled_from([1, 1, 1, 2, 0]))) if j >= b \
+            else Poly.zero(chart)
+        for _ in range(draw(st.integers(0, 2))):
+            base = [draw(st.integers(0, 1)) for _ in range(b)]
+            fiber = [0] * f
+            for _ in range(draw(st.sampled_from([1, 1, 2, 0]))):
+                fiber[draw(st.integers(0, f - 1))] += 1
+            p = p + Poly(chart, {tuple(base + fiber): draw(GAUSS)})
+        if not p.is_zero():
+            comps[(j,)] = p
+    return bundle, MultiField(chart, 1, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bundle_vector_fields())
+def test_euler_linear_check_matches_the_partials_formulation(drawn):
+    bundle, X = drawn
+    assert _euler_linear_check(X, bundle) == old_euler_linear_check(X, bundle)
+
+
+@pytest.mark.parametrize("components, expected", [
+    ({2: "q", 3: "p"}, (True, False)),
+    ({0: "q*p", 2: "q + q^2", 3: "p"}, (True, True)),
+    ({2: "2*q", 3: "p + u*q"}, (False, False)),
+    ({1: "1", 2: "q", 3: "p + p^2"}, (False, True)),
+    ({2: "q"}, (False, False)),
+])
+def test_euler_linear_check_outcomes(components, expected):
+    # each (ok, higher) outcome, read the same by both formulations
+    X = MultiField(CH, 1, {(j,): parse_poly(text, CH) for j, text in components.items()})
+    assert _euler_linear_check(X, BUNDLE) == old_euler_linear_check(X, BUNDLE) == expected
+
+
 def test_splitting_check_evaluates_pi_twice_per_point(monkeypatch):
     # once at the point of N, read for both the fiber form and pi_N, and once
     # at the point itself
@@ -318,6 +407,12 @@ def test_extension_check_refuses_a_form_off_the_bundle_chart():
     sigma = FormField(swapped, 2, {(0, 1): Poly.const(swapped, 1)})
     with pytest.raises(ValueError, match="form must live on the bundle chart"):
         extension_check(sigma, BUNDLE, base_points())
+
+
+def test_extension_check_refuses_an_empty_sample():
+    # the zero form, degenerate everywhere, would pass on no point
+    with pytest.raises(ValueError, match="empty point list"):
+        extension_check(FormField(CH, 2, {}), BUNDLE, [])
 
 
 def test_form_matrix_at_skew():

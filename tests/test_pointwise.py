@@ -103,6 +103,12 @@ def test_nb_rank_profiles():
     assert not summary["quasi_real_sample"]
 
 
+def test_profile_sample_refuses_an_empty_sample():
+    # on no point, quasi_real_sample would read True with no profile behind it
+    with pytest.raises(ValueError, match="empty point list"):
+        profile_sample(nb_bivector(1, 2), [])
+
+
 def test_real_index_triangulation(rng):
     # nullity of pi2 = real index of the pointwise graph, on 100 randoms
     for _ in range(100):
@@ -281,6 +287,16 @@ def test_involutivity_positive_and_negative():
     rep = involutivity_sample([X, Y], NB_POINTS)
     assert not rep.involutive_on_sample
     assert involutivity_sample([], NB_POINTS).involutive_on_sample
+
+
+def test_involutivity_sample_refuses_an_empty_sample():
+    # generators whose bracket leaves their span would pass on no point; no
+    # generators span the zero distribution, involutive wherever it is read
+    X = MultiField(XYZ, 1, {(1,): Poly.const(XYZ, 1)})
+    Y = MultiField(XYZ, 1, {(0,): Poly.var(XYZ, "y"), (2,): Poly.const(XYZ, 1)})
+    with pytest.raises(ValueError, match="empty point list"):
+        involutivity_sample([X, Y], [])
+    assert involutivity_sample([], []).involutive_on_sample
 
 
 def test_delta_at_matches_profile():
