@@ -22,10 +22,11 @@ A Lagrangian keeps one such slice once it is read (_tilde_slice, in a
 slot): its real span with the im tangent block zero, projected on re
 tangent, re cotangent and im cotangent.  hat is one real echelon of its re
 tangent and im cotangent blocks, kept beside the slice (_hat), check its
-heads, tilde the complex product of the two, and the real part of indices
-(K of k_and_perp) one eliminate of its rows with the im cotangent block as
-the head; pointwise reads the same slice for the leafwise presymplectic
-forms and the Theorem 7.18 check.
+heads, tilde the complex product of the two, and K of k_and_perp one
+eliminate of its rows with the im cotangent block as the head; pointwise
+reads the same slice for the leafwise presymplectic forms and the Theorem
+7.18 check.  indices and is_quasi_real read only dimensions, each a
+linalg.rank of L's rows or their halves, and build no slice.
 """
 
 from __future__ import annotations
@@ -70,14 +71,14 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence) -> bool:
-        """v is in the span (over C, as is a real span): echelon of the rows
-        with v added gains no row."""
+        """v is in the span (over C, as is a real span): the rows with v
+        added have rank dim."""
         if len(v) != self.m:
             raise ValueError(f"vector length {len(v)} != ambient {self.m}")
         (re,), (im,), _ = _int_matrix([v])
         zero = (0,) * self.m
         im_rows = [r[1] if self.is_complex else zero for r in self.rows] + [im]
-        return len(linalg.echelon([r[0] for r in self.rows] + [re], im_rows)[0]) == self.dim
+        return linalg.rank([r[0] for r in self.rows] + [re], im_rows) == self.dim
 
     def __eq__(self, other):
         key = (self.is_complex, self.m, self.rows)
@@ -474,18 +475,28 @@ def real_projection(E: Subspace) -> Subspace:
 
 
 def indices(L: Lagrangian) -> IndexRecord:
-    E = tangent_range(L)
-    D = real_projection(E)
+    """Ranks of the k independent rows of L: its real points are the kernel
+    of the im projection of its realified rows [re | im] and [-im | re], and
+    L meet T_C that of the projection on the cotangent halves."""
+    n, k = L.n, len(L.rows)
+    dim_E, dim_D = _range_ranks(L)
+    cot = [re[n:] for re, _, _ in L.rows], [im[n:] for _, im, _ in L.rows]
     # Delta_C = E meet conj E and D_C = E + conj E
-    return IndexRecord(real_index=_real_part(L).dim, dim_range=E.dim, dim_delta=2 * E.dim - D.dim,
-                       dim_D=D.dim, kernel_dim=kernel_space(L).dim)
+    return IndexRecord(real_index=2 * k - linalg.rank([v for re, im, _ in L.rows for v in (re, im)]),
+                       dim_range=dim_E, dim_delta=2 * dim_E - dim_D, dim_D=dim_D, kernel_dim=k - linalg.rank(*cot))
 
 
 def is_quasi_real(L: Lagrangian) -> bool:
     """True when the tangent range E is the complexification of a real space:
     E + conj E = D_C has the dimension of E."""
-    E = tangent_range(L)
-    return real_projection(E).dim == E.dim
+    dim_E, dim_D = _range_ranks(L)
+    return dim_D == dim_E
+
+
+def _range_ranks(L: Lagrangian) -> Tuple[int, int]:
+    """(dim E, dim D): ranks of the tangent halves over Q(i), and of their parts over Q."""
+    re, im = [re[:L.n] for re, _, _ in L.rows], [im[:L.n] for _, im, _ in L.rows]
+    return linalg.rank(re, im), linalg.rank(re + im)
 
 
 def _real_part(L: Lagrangian) -> Subspace:

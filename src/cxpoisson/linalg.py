@@ -23,7 +23,8 @@ echelon's row update, on full-width rows, and drops that column's pivot
 row, which is never reduced; the tail phase slices the tails of the rows
 left once and reduces them as echelon does.  They span the intersection,
 and echelon gives a span its one canonical basis, so the tails are those
-the full echelon would have.
+the full echelon would have.  rank counts the pivot rows the head phase
+drops when it runs over every column, and makes no canonical row.
 solve and nullspace take integer rows as echelon does.  solve(ncols, [M | B])
 reads the block X with M X == B off one echelon, where each pivot entry is
 (d, 0): row c of X is the B part of the row with pivot c, and None comes
@@ -120,7 +121,26 @@ def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
     left, sliced once, are reduced as in echelon, which gives them their
     canonical basis, the one the span has."""
     m, w, cx = _rows(re_rows, im_rows)
+    _drop_pivots(m, k, w, cx)
+    # a real row has no imaginary half: row[w + k:] is empty
+    m = [row[k:w] + row[w + k:] for row in m]
+    return _canonical(m, _reduce(m, w - k, cx), w - k, cx)[0]
+
+
+def rank(re_rows, im_rows=None) -> int:
+    """The rank of integer rows as echelon takes them: the pivot rows the
+    head phase of eliminate drops over every column."""
+    m, w, cx = _rows(re_rows, im_rows)
+    return _drop_pivots(m, w, w, cx)
+
+
+def _drop_pivots(m: list, k: int, w: int, cx: bool) -> int:
+    """eliminate's head phase on the first k columns of the rows m (width w),
+    in place, until no row is left; returns the count of the rows dropped."""
+    nrows = len(m)
     for c in range(k):
+        if not m:
+            break
         for pr, P in enumerate(m):
             if P[c] or cx and P[w + c]:
                 break
@@ -128,9 +148,7 @@ def eliminate(k: int, re_rows, im_rows=None) -> List[tuple]:
             continue
         del m[pr]
         _clear(m, P, c, w, cx)
-    # a real row has no imaginary half: row[w + k:] is empty
-    m = [row[k:w] + row[w + k:] for row in m]
-    return _canonical(m, _reduce(m, w - k, cx), w - k, cx)[0]
+    return nrows - len(m)
 
 
 def _clear(m: list, P: List[int], c: int, w: int, cx: bool, skip: int = -1) -> List[int]:

@@ -127,7 +127,7 @@ def mixed_check(
     chart = bundle.chart
     if pi.chart != chart:
         raise ValueError("bivector must live on the bundle chart")
-    _require_points(sample_points_on_N)
+    sample_points_on_N = _require_points(sample_points_on_N)
     b, f = bundle.b, bundle.f
     # pi2(Ann TN)|_N = 0: the fiber rows of pi's matrix are real on N; the
     # components (i, j), i < j, in those rows are the ones with j a fiber index
@@ -145,7 +145,7 @@ def mixed_check(
     return MixedReport(
         pi2_annihilator_zero=ann_zero,
         direct_sum_points=tuple(tuple(sorted(q.items())) for q, (Are, _, _) in rows_on_N
-                                if len(linalg.echelon(_fiber_block(Are, b))[0]) != f),
+                                if linalg.rank(_fiber_block(Are, b)) != f),
         rows_on_N=rows_on_N,
     )
 
@@ -313,6 +313,7 @@ def splitting_check(
     kept.  Points are compared only along a mixed N whose section is in the
     graph of pi, and only such a check passes.
     """
+    points = _require_points(points)
     # called by its module name, which a tracer may rebind
     mixed = mixed_check(pi, bundle, points)
     X, xi1, xi2 = epsilon
@@ -397,7 +398,6 @@ def extension_check(sigma: FormField, bundle: BundleChart, points) -> bool:
     fiber form, is nondegenerate on the zero section."""
     if sigma.chart != bundle.chart:
         raise ValueError("form must live on the bundle chart")
-    _require_points(points)
     b, f = bundle.b, bundle.f
-    rows = (_rows_at(sigma, _on_N(bundle, p)) for p in points)
-    return all(len(linalg.echelon(_fiber_block(re, b), _fiber_block(im, b))[0]) == f for re, im, _ in rows)
+    rows = (_rows_at(sigma, _on_N(bundle, p)) for p in _require_points(points))
+    return all(linalg.rank(_fiber_block(re, b), _fiber_block(im, b)) == f for re, im, _ in rows)

@@ -12,8 +12,10 @@ matrix of them, for callers that want A itself.
 The dimensions of Delta = E meet R^n and D = Re E follow from E = range A
 and D: their complexifications are E meet conj E and E + conj E, so
 dim Delta = 2 dim E - dim D, and E = conj E, which profile_sample calls
-quasi-real, exactly when dim E = dim D.  The sampled verdicts here and in
-normal_form refuse an empty point list, on which they would decide nothing.
+quasi-real, exactly when dim E = dim D.  rank_profile reads each as a
+linalg.rank of rows of A; as E_C lies in D_C in C^n, a full E has dim D = n.
+The sampled verdicts here and in normal_form read their points into a list
+and refuse an empty one, on which they would decide nothing.
 
 gcs_matrix reads A2^-1 and A2^-1 A1 off one solve, and the (1,1) block
 A1 A2^-1 of J as the transpose of A2^-1 A1, as A1 and A2 are skew (Gualtieri,
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import linalg
 from .bivector import ComplexBivector
@@ -46,7 +48,6 @@ from .lagrangian import (
     _subspace,
     _tilde_slice,
     real_points,
-    real_projection,
     tilde,
 )
 from .linalg import _dot
@@ -79,10 +80,13 @@ def grid_points(chart: Chart, count: int = 20) -> List[Dict[str, Fraction]]:
     return pts
 
 
-def _require_points(points: Sequence[Point]) -> None:
-    """Refuse an empty point list, on which a sampled verdict decides nothing."""
+def _require_points(points: Iterable[Point]) -> List[Point]:
+    """The points as a list, which a one-shot iterator is not; refused when
+    empty, as a sampled verdict decides nothing on no point."""
+    points = list(points)
     if not points:
         raise ValueError("empty point list: a sampled check decides nothing on no points")
+    return points
 
 
 # -- pointwise matrices ------------------------------------------------------
@@ -130,22 +134,21 @@ class RankProfile:
 def rank_profile(pi: ComplexBivector, point: Point) -> RankProfile:
     Are, Aim, _ = _rows_at(pi.body, point)
     n = len(Are)
-    # row span = column span by skewness
-    E = _subspace(n, linalg.echelon(Are, Aim)[0], True)
-    D = real_projection(E)
+    # row span = column span by skewness; D = Re E is spanned by A1 and A2
+    dim_E = linalg.rank(Are, Aim)
+    dim_D = n if dim_E == n else linalg.rank(Are + Aim)
     return RankProfile(
         point=tuple(sorted(point.items())),
-        dim_E=E.dim,
-        dim_Delta=2 * E.dim - D.dim,
-        dim_D=D.dim,
-        real_index=n - len(linalg.echelon(Aim)[0]),
+        dim_E=dim_E,
+        dim_Delta=2 * dim_E - dim_D,
+        dim_D=dim_D,
+        real_index=n - linalg.rank(Aim),
     )
 
 
 def profile_sample(pi: ComplexBivector, points: Sequence[Point]) -> Tuple[List[RankProfile], Dict[str, bool]]:
     """Profiles over a sample plus regularity verdicts (sample-consistent only)."""
-    _require_points(points)
-    profs = [rank_profile(pi, p) for p in points]
+    profs = [rank_profile(pi, p) for p in _require_points(points)]
     dims_E = {p.dim_E for p in profs}
     dims_Delta = {p.dim_Delta for p in profs}
     return profs, {
@@ -257,7 +260,7 @@ def gcs_matrix(pi: ComplexBivector, point: Point) -> Tuple[List[List[Fraction]],
     X = linalg.solve(n, [r + [d if j == i else 0 for j in range(n)] + a
                          for i, (r, a) in enumerate(zip(im, re))])
     if X is None:
-        nullity = n - len(linalg.echelon(im)[0])
+        nullity = n - linalg.rank(im)
         raise ValueError(
             f"pi2 singular at the point (real index {nullity} > 0): no "
             "generalized complex matrix"
@@ -322,7 +325,7 @@ def involutivity_sample(
     """Pairwise symbolic brackets tested for pointwise span membership."""
     if not generators:
         return InvolutivityReport(True, ())
-    _require_points(points)
+    points = _require_points(points)
     chart = generators[0].chart
     n = chart.dim
     failures = []

@@ -7,8 +7,9 @@ multipliers with a common factor) and
 pivot normalization against GaussScalar arithmetic, real rows against the
 same rows over Q(i) with zero imaginary parts, dense Gaussian-integer rows
 against the rref, echelon of integer rows (tuples, width 0, zero imaginary
-parts among them) against the rref and fed its own canonical rows, and the
-width of the row updates of one dense beta-transform."""
+parts among them) against the rref and fed its own canonical rows, rank
+against the length of the echelon and against sympy, and the width of the
+row updates of one dense beta-transform."""
 
 import random
 from fractions import Fraction
@@ -412,6 +413,66 @@ def test_real_rows_reduce_as_gaussian_rows_with_zero_imaginary_part(system):
     cx_red, cx_pivots = linalg.echelon(re, zeros)
     assert (red, pivots) == (as_real(cx_red), cx_pivots)
     assert linalg.eliminate(k, re) == as_real(linalg.eliminate(k, re, zeros))
+
+
+# -- rank ------------------------------------------------------------------------
+
+
+@st.composite
+def rank_deficient_products(draw):
+    """(re rows, im rows or None, k): the integer rows of B C for B of
+    r x k and C of k x w with k < min(r, w), so of rank at most k."""
+    is_complex = draw(st.booleans())
+    r, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(0, min(r, w) - 1))
+    entry = st.integers(-4, 4)
+
+    def matrix(nrows, ncols):
+        return [[GaussScalar.of(draw(entry), draw(entry) if is_complex else 0) for _ in range(ncols)]
+                for _ in range(nrows)]
+
+    re, im, _ = _int_matrix(reference_matmul(matrix(r, k), matrix(k, w), w))
+    return re, im if is_complex else None, k
+
+
+def reference_matmul(B, C, w):
+    """B C by the scalar formula, with w columns when B has none."""
+    return [[sum((b * C[t][j] for t, b in enumerate(row)), GaussScalar.of(0)) for j in range(w)] for row in B]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(integer_systems().map(lambda s: (*s[1:], None)), rank_deficient_products()))
+@example(([], None, None))  # no rows
+@example(([[0, 0, 0], [0, 0, 0]], None, None))  # zero rows
+@example(([[1, 2, 3], [1, 2, 3], [-2, -4, -6]], None, None))  # repeated and scaled rows
+@example(([[1, 2], [-1, 0]], [[0, 1], [-1, -2]], None))  # row 2 is i times row 1
+@example(([[0, 1, 1], [1, 1, 0]], [[1, 0, 0], [2, 0, 1]], None))  # the first pivot is i
+def test_rank_is_the_length_of_the_echelon(case):
+    re, im, k = case
+    before = [list(r) for r in re], im and [list(r) for r in im]
+    rank = linalg.rank(re, im)
+    assert rank == len(linalg.echelon(re, im)[0])
+    assert k is None or rank <= k
+    # the rows are read, not reduced in place
+    assert ([list(r) for r in re], im and [list(r) for r in im]) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(integer_systems().map(lambda s: s[1:]), rank_deficient_products().map(lambda c: c[:2])))
+def test_rank_matches_sympy_domain_matrix(system):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    re, im = system
+    if not re or not re[0]:
+        assert linalg.rank(re, im) == 0
+        return
+    if im is None:
+        M = DomainMatrix([[sympy.QQ(a) for a in r] for r in re], (len(re), len(re[0])), sympy.QQ)
+    else:
+        QQ_I = sympy.QQ_I
+        M = DomainMatrix([[QQ_I(a, b) for a, b in zip(r, i)] for r, i in zip(re, im)], (len(re), len(re[0])), QQ_I)
+    assert linalg.rank(re, im) == M.rank()
 
 
 GAUSS_INT = st.integers(-(2**6), 2**6)

@@ -415,6 +415,38 @@ def test_extension_check_refuses_an_empty_sample():
         extension_check(FormField(CH, 2, {}), BUNDLE, [])
 
 
+# -- one-shot iterators of points ------------------------------------------------
+
+
+def test_mixed_check_reads_a_generator_of_points_as_their_list():
+    # pi = u du^dv has no fiber block, so no point reads it as mixed
+    pi = bivector_from_brackets(CH, {(0, 1): Poly.var(CH, "u")})
+    rep = mixed_check(pi, BUNDLE, (p for p in base_points()))
+    assert rep == mixed_check(pi, BUNDLE, base_points()) and not rep.mixed
+    assert len(rep.rows_on_N) == len(rep.direct_sum_points) == 5
+    with pytest.raises(ValueError, match="empty point list"):
+        mixed_check(pi, BUNDLE, iter([]))
+
+
+def test_splitting_check_reads_a_generator_of_points_as_their_list():
+    # mixed_check reads the points first; the splitting check must still
+    # compare every one of them
+    pi, section = splitting_bivector(), splitting_section()
+    rep = splitting_check(pi, BUNDLE, section, (p for p in splitting_points()))
+    assert rep == splitting_check(pi, BUNDLE, section, splitting_points())
+    assert len(rep.point_results) == 5 and rep.passed
+    with pytest.raises(ValueError, match="empty point list"):
+        splitting_check(pi, BUNDLE, section, iter([]))
+
+
+def test_extension_check_reads_a_generator_of_points_as_their_list():
+    for sigma in (FormField(CH, 2, {(2, 3): Poly.const(CH, 1)}), FormField(CH, 2, {(0, 2): Poly.const(CH, 1)})):
+        assert extension_check(sigma, BUNDLE, (p for p in base_points())) == extension_check(
+            sigma, BUNDLE, base_points())
+    with pytest.raises(ValueError, match="empty point list"):
+        extension_check(FormField(CH, 2, {}), BUNDLE, iter([]))
+
+
 def test_form_matrix_at_skew():
     form = FormField(CH, 2, {(0, 3): Poly.var(CH, "u")})
     M = matrix_at(form, {"u": F(5), "v": F(0), "q": F(1), "p": F(2)})
@@ -651,12 +683,12 @@ def test_point_checks_make_no_scalar_round_trip(monkeypatch):
 
 
 def test_splitting_check_makes_three_reductions_per_point(monkeypatch):
-    # per point, besides the one fiber-block echelon of the mixed_check it
-    # runs first: one eliminate for pi_N, one echelon for the model and one
-    # for gr(pi) at the point
+    # per point, besides the one fiber-block rank of the mixed_check it runs
+    # first: one eliminate for pi_N, one echelon for the model and one for
+    # gr(pi) at the point
     from cxpoisson import normal_form
 
-    counts = {"echelon": 0, "eliminate": 0}
+    counts = {"echelon": 0, "eliminate": 0, "rank": 0}
     in_mixed = {}
 
     def counted(name):
@@ -680,8 +712,8 @@ def test_splitting_check_makes_three_reductions_per_point(monkeypatch):
             for name in counts:
                 m.setattr(linalg, name, counted(name))
             m.setattr(normal_form, "mixed_check", mixed)
-            counts.update(echelon=0, eliminate=0)
+            counts.update(echelon=0, eliminate=0, rank=0)
             in_mixed.clear()
             assert splitting_check(pi, BUNDLE, splitting_section(), points).passed
-        assert in_mixed == {"echelon": k, "eliminate": 0}
-        assert counts == {"echelon": 3 * k, "eliminate": k}
+        assert in_mixed == {"echelon": 0, "eliminate": 0, "rank": k}
+        assert counts == {"echelon": 2 * k, "eliminate": k, "rank": k}

@@ -109,6 +109,14 @@ def test_profile_sample_refuses_an_empty_sample():
         profile_sample(nb_bivector(1, 2), [])
 
 
+def test_profile_sample_reads_a_generator_of_points_as_their_list():
+    pi = nb_bivector(1, 2)
+    profs, summary = profile_sample(pi, (p for p in NB_POINTS))
+    assert (profs, summary) == profile_sample(pi, NB_POINTS) and len(profs) == len(NB_POINTS)
+    with pytest.raises(ValueError, match="empty point list"):
+        profile_sample(pi, iter([]))
+
+
 def test_real_index_triangulation(rng):
     # nullity of pi2 = real index of the pointwise graph, on 100 randoms
     for _ in range(100):
@@ -297,6 +305,16 @@ def test_involutivity_sample_refuses_an_empty_sample():
     with pytest.raises(ValueError, match="empty point list"):
         involutivity_sample([X, Y], [])
     assert involutivity_sample([], []).involutive_on_sample
+
+
+def test_involutivity_sample_reads_a_generator_of_points_as_their_list():
+    X = MultiField(XYZ, 1, {(1,): Poly.const(XYZ, 1)})
+    Y = MultiField(XYZ, 1, {(0,): Poly.var(XYZ, "y"), (2,): Poly.const(XYZ, 1)})
+    rep = involutivity_sample([X, Y], (p for p in NB_POINTS))
+    assert rep == involutivity_sample([X, Y], NB_POINTS) and len(rep.failures) == len(NB_POINTS)
+    with pytest.raises(ValueError, match="empty point list"):
+        involutivity_sample([X, Y], iter([]))
+    assert involutivity_sample([], iter([])).involutive_on_sample
 
 
 def test_delta_at_matches_profile():
